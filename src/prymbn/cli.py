@@ -24,8 +24,7 @@ from .core import (
     InvariantError,
     PrymParams,
     Tableau,
-    square_shape,
-    staircase_shape,
+    shape_family,
 )
 from .counting import (
     cardinality,
@@ -79,12 +78,7 @@ def _load_tableau(path: str) -> Tableau:
 
 def _infer_r(t: Tableau) -> tuple[str, int]:
     """(shape family, r) for a tableau on a staircase or square."""
-    side = max(x for x, _ in t.shape.boxes)
-    if t.shape.boxes == staircase_shape(side).boxes:
-        return "staircase", side
-    if t.shape.boxes == square_shape(side - 1).boxes:
-        return "square", side - 1
-    raise InvalidInputError("tableau is neither a staircase nor a square")
+    return shape_family(t.shape)
 
 
 def _check_r(args: argparse.Namespace, r: int) -> None:
@@ -148,13 +142,19 @@ def _cmd_count(args: argparse.Namespace) -> int:
     expected_codim(r, k)  # validates the pair
     if args.method == "all":
         routes: dict[str, int] = {}
+        refusals: list[str] = []
         for route in _ROUTES:
             try:
                 value = _route_value(route, r, k, args.force)
-            except GuardRefused:
+            except GuardRefused as exc:
+                refusals.append(f"{route}: {exc}")
                 continue
             if value is not None:
                 routes[route] = value
+        if not routes:
+            raise GuardRefused(
+                f"no counting route ran at (r, k) = ({r}, {k}); " + "; ".join(refusals)
+            )
         if len(set(routes.values())) > 1:
             raise InvariantError(f"counting routes disagree: {routes}")
         value = next(iter(routes.values()))

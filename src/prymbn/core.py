@@ -12,13 +12,35 @@ where the class of a box is ``x - y`` reduced mod ``k`` (or taken exactly
 when ``k == 0``).  Prym tableaux on squares additionally tie the symbols
 ``a`` and ``2g - a`` to a common class and confine the fiber of ``g`` to a
 single parity class.
+
+Every shape carries one :class:`ShapeIndex`, built on first use and dropped
+with the shape.  It fixes the canonical box order (anti-diagonal, then x),
+so a tableau is a tuple of values by slot, and it holds what the predicates
+would otherwise re-derive on every call:
+
+- the canonical box tuple and the box -> slot map;
+- for a lower set, the ``(lo, hi)`` slot pairs the tableau condition compares;
+- the diagonal class of every slot, one tuple per ``k``, built on first use;
+- for squares, the slot permutation of the reflection across the main
+  anti-diagonal.
+
+When the box set is a lower set (with every box it holds the boxes west and
+south of it), the pairs are the west and south covers only.  That check is
+exact: if ``b <= b'`` componentwise, the east-then-north lattice path from
+``b`` to ``b'`` stays in the rectangle they span, which the lower set
+contains, and strict increase along each cover step gives ``t(b) < t(b')``.
+Whether the box set is a lower set is decided from the boxes, never from
+``Shape.kind``.  Any other box set is checked by the full pairwise scan,
+generated on each call, so an index never holds more than O(boxes).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Iterator, Mapping
+from itertools import compress
+from operator import itemgetter
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Box = tuple[int, int]
 
@@ -29,6 +51,7 @@ __all__ = [
     "InvariantError",
     "PrymParams",
     "Shape",
+    "ShapeIndex",
     "Tableau",
     "anti_diagonal",
     "anti_diagonal_boxes",
@@ -38,6 +61,7 @@ __all__ = [
     "codimension",
     "diag_class",
     "diag_offset",
+    "dominance_signature",
     "dominates",
     "dual_symbol",
     "equivalent",
@@ -49,6 +73,7 @@ __all__ = [
     "is_tableau",
     "rank_map",
     "reflect_box",
+    "shape_family",
     "square_shape",
     "staircase_boxes",
     "staircase_shape",
@@ -109,6 +134,79 @@ def staircase_boxes(n: int) -> frozenset[Box]:
     return frozenset((x, y) for y in range(1, n + 1) for x in range(1, n + 2 - y))
 
 
+def _is_int(v: object) -> bool:
+    """An integer that is not a bool (JSON ``true`` must not pass as 1)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+_second = itemgetter(1)
+
+
+class ShapeIndex:
+    """Slot layout of one shape, shared by every tableau on it.
+
+    ``boxes`` is the canonical order and ``slot`` its inverse.  When
+    ``lower_set`` holds, ``covers`` lists the west/south cover pairs
+    ``(lo, hi)``.
+    :meth:`classes` and :attr:`reflection` are built on first use.
+    """
+
+    __slots__ = (
+        "boxes", "slot", "lower_set", "covers", "_classes", "_reflection",
+    )
+
+    def __init__(self, shape: Shape) -> None:
+        boxes = tuple(sorted(shape.boxes, key=canonical_key))
+        slot = {b: i for i, b in enumerate(boxes)}
+        self.boxes = boxes
+        self.slot = slot
+        self.lower_set = all(
+            (x == 1 or (x - 1, y) in slot) and (y == 1 or (x, y - 1) in slot)
+            for x, y in boxes
+        )
+        covers: list[tuple[int, int]] = []
+        if self.lower_set:
+            covers += [(slot[(x - 1, y)], i) for i, (x, y) in enumerate(boxes) if x > 1]
+            covers += [(slot[(x, y - 1)], i) for i, (x, y) in enumerate(boxes) if y > 1]
+        self.covers = tuple(covers)
+        self._classes: dict[int, tuple[int, ...]] = {}
+        self._reflection: tuple[int, ...] | None = None
+
+    def violations(self, values: Sequence[int]) -> Iterator[tuple[int, int]]:
+        """The ``(lo, hi)`` slot pairs whose values fail to increase: among
+        the covers of a lower set, else among all comparable pairs."""
+        if self.lower_set:
+            yield from ((i, j) for i, j in self.covers if not values[i] < values[j])
+            return
+        boxes = self.boxes
+        for j, (xj, yj) in enumerate(boxes):
+            vj = values[j]
+            # A box weakly south-west of another precedes it canonically.
+            for i in range(j):
+                xi, yi = boxes[i]
+                if xi <= xj and yi <= yj and not values[i] < vj:
+                    yield (i, j)
+
+    def classes(self, k: int) -> tuple[int, ...]:
+        """Diagonal class (``diag_class``) of each slot for torsion ``k``."""
+        out = self._classes.get(k)
+        if out is None:
+            out = self._classes[k] = tuple(diag_class(b, k) for b in self.boxes)
+        return out
+
+    @property
+    def reflection(self) -> tuple[int, ...]:
+        """The slot of each slot's ``reflect_box`` image in the bounding
+        square; only a square is closed under the reflection."""
+        if self._reflection is None:
+            r = max((x for x, _ in self.boxes), default=1) - 1
+            image = tuple(self.slot.get(reflect_box(b, r)) for b in self.boxes)
+            if None in image:
+                raise InvalidInputError("only a square is closed under the reflection")
+            self._reflection = image
+        return self._reflection
+
+
 @dataclass(frozen=True)
 class Shape:
     """A finite box set, tagged with how it was constructed.
@@ -127,7 +225,8 @@ class Shape:
         if self.kind not in ("square", "staircase", "strip", "explicit"):
             raise InvalidInputError(f"unknown shape kind {self.kind!r}")
         for box in self.boxes:
-            if not (isinstance(box, tuple) and len(box) == 2):
+            if not (isinstance(box, tuple) and len(box) == 2
+                    and _is_int(box[0]) and _is_int(box[1])):
                 raise InvalidInputError(f"malformed box {box!r}")
             if box[0] < 1 or box[1] < 1:
                 raise InvalidInputError(f"box {box!r} outside the positive quadrant")
@@ -137,6 +236,11 @@ class Shape:
 
     def __contains__(self, box: Box) -> bool:
         return box in self.boxes
+
+    @cached_property
+    def index(self) -> ShapeIndex:
+        """The shape's slot index, built once and kept with the shape."""
+        return ShapeIndex(self)
 
 
 @cache
@@ -162,10 +266,31 @@ def explicit_shape(boxes: Iterable[Box]) -> Shape:
     return Shape("explicit", frozenset(tuple(b) for b in boxes))
 
 
-@cache
+def shape_family(shape: Shape) -> tuple[str, int]:
+    """``("square", r)`` or ``("staircase", r)`` for a square or staircase.
+
+    Named shapes answer by their kind, so the one-box staircase ``T_1``
+    and the 1x1 square stay apart.  Explicit shapes are matched by their
+    box set, staircase first.  Anything else is an input error.
+    """
+    r = shape.r
+    named = _is_int(r) and r >= 0
+    if shape.kind == "square" and named and shape == square_shape(r):
+        return "square", r
+    if shape.kind == "staircase" and named and shape == staircase_shape(r):
+        return "staircase", r
+    if shape.kind == "explicit" and shape.boxes:
+        side = max(x for x, _ in shape.boxes)
+        if shape.boxes == staircase_shape(side).boxes:
+            return "staircase", side
+        if shape.boxes == square_shape(side - 1).boxes:
+            return "square", side - 1
+    raise InvalidInputError("expected a tableau on a square or staircase shape")
+
+
 def canonical_boxes(shape: Shape) -> tuple[Box, ...]:
     """The shape's boxes in canonical order (anti-diagonal, then x)."""
-    return tuple(sorted(shape.boxes, key=canonical_key))
+    return shape.index.boxes
 
 
 def anti_diagonal_boxes(shape: Shape, n: int) -> tuple[Box, ...]:
@@ -173,10 +298,9 @@ def anti_diagonal_boxes(shape: Shape, n: int) -> tuple[Box, ...]:
     return tuple(b for b in canonical_boxes(shape) if anti_diagonal(b) == n)
 
 
-@cache
 def rank_map(shape: Shape) -> dict[Box, int]:
     """1-based position of each box in the canonical order."""
-    return {box: i + 1 for i, box in enumerate(canonical_boxes(shape))}
+    return {box: i + 1 for box, i in shape.index.slot.items()}
 
 
 @dataclass(frozen=True)
@@ -192,19 +316,23 @@ class Tableau:
                 f"expected {len(self.shape.boxes)} values, got {len(self.values)}"
             )
         for v in self.values:
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:  # bool, a subclass of int, is refused
                 raise InvalidInputError(f"tableau values must be positive integers, got {v!r}")
 
     @classmethod
     def from_mapping(cls, shape: Shape, mapping: Mapping[Box, int]) -> "Tableau":
         """Build a tableau from a box -> value mapping covering the shape exactly."""
+        boxes = shape.index.boxes
+        if len(mapping) == len(boxes):
+            try:
+                return cls(shape, tuple(mapping[b] for b in boxes))
+            except KeyError:
+                pass
         extra = set(mapping) - shape.boxes
         if extra:
             raise InvalidInputError(f"entries outside the shape: {sorted(extra)}")
         missing = shape.boxes - set(mapping)
-        if missing:
-            raise InvalidInputError(f"boxes without an entry: {sorted(missing)}")
-        return cls(shape, tuple(mapping[b] for b in canonical_boxes(shape)))
+        raise InvalidInputError(f"boxes without an entry: {sorted(missing)}")
 
     @classmethod
     def from_rows(cls, rows: list[list[int]], shape: Shape | None = None) -> "Tableau":
@@ -225,14 +353,14 @@ class Tableau:
     @cached_property
     def mapping(self) -> dict[Box, int]:
         """Box -> value lookup."""
-        return dict(zip(canonical_boxes(self.shape), self.values))
+        return dict(zip(self.shape.index.boxes, self.values))
 
     def at(self, box: Box) -> int:
         """Value at ``box``."""
-        try:
-            return self.mapping[box]
-        except KeyError:
-            raise InvalidInputError(f"box {box} not in the shape") from None
+        i = self.shape.index.slot.get(box)
+        if i is None:
+            raise InvalidInputError(f"box {box} not in the shape")
+        return self.values[i]
 
     @cached_property
     def symbols(self) -> frozenset[int]:
@@ -242,21 +370,23 @@ class Tableau:
     def fiber(self, symbol: int) -> tuple[Box, ...]:
         """Boxes carrying ``symbol``, in canonical order."""
         return tuple(
-            b for b, v in zip(canonical_boxes(self.shape), self.values) if v == symbol
+            b for b, v in zip(self.shape.index.boxes, self.values) if v == symbol
         )
 
     def with_values(self, updates: Mapping[Box, int]) -> "Tableau":
         """Copy of the tableau with the given boxes overwritten."""
-        mapping = dict(self.mapping)
+        slot = self.shape.index.slot
+        values = list(self.values)
         for box, v in updates.items():
-            if box not in self.shape.boxes:
+            i = slot.get(box)
+            if i is None:
                 raise InvalidInputError(f"box {box} not in the shape")
-            mapping[box] = v
-        return Tableau.from_mapping(self.shape, mapping)
+            values[i] = v
+        return Tableau(self.shape, tuple(values))
 
     def items(self) -> Iterator[tuple[Box, int]]:
         """(box, value) pairs in canonical order."""
-        return iter(zip(canonical_boxes(self.shape), self.values))
+        return iter(zip(self.shape.index.boxes, self.values))
 
     def rows(self) -> list[list[int]]:
         """Per-row value lists, bottom row first (inverse of ``from_rows``)."""
@@ -314,17 +444,7 @@ class PrymParams:
 
 def is_tableau(t: Tableau) -> bool:
     """True iff values strictly increase along every componentwise-below pair."""
-    boxes = canonical_boxes(t.shape)
-    vals = t.values
-    n = len(boxes)
-    for j in range(n):
-        xj, yj = boxes[j]
-        vj = vals[j]
-        for i in range(j):
-            xi, yi = boxes[i]
-            if xi <= xj and yi <= yj and not vals[i] < vj:
-                return False
-    return True
+    return next(t.shape.index.violations(t.values), None) is None
 
 
 def is_displacement(t: Tableau, k: int) -> bool:
@@ -338,32 +458,46 @@ def is_displacement(t: Tableau, k: int) -> bool:
         raise InvalidInputError(f"k must be 0 or at least 2, got {k}")
     if not is_tableau(t):
         raise InvalidInputError("is_displacement requires the tableau condition to hold")
-    seen: dict[int, int] = {}
-    for box, v in t.items():
-        c = diag_class(box, k)
-        if seen.setdefault(v, c) != c:
-            return False
-    return True
+    # One class per symbol: as many (class, symbol) pairs as symbols.
+    return len(set(zip(t.shape.index.classes(k), t.values))) == len(t.symbols)
 
 
 def class_symbol_sets(
     t: Tableau, k: int, *, exclude: int | None = None
 ) -> dict[int, frozenset[int]]:
     """Diagonal class -> set of symbols appearing on it (optionally excluding one)."""
-    out: dict[int, set[int]] = {}
-    for box, v in t.items():
-        if v == exclude:
-            continue
-        out.setdefault(diag_class(box, k), set()).add(v)
+    out: dict[int, list[int]] = {}
+    for c, v in set(zip(t.shape.index.classes(k), t.values)):
+        if v != exclude:
+            out.setdefault(c, []).append(v)
     return {c: frozenset(s) for c, s in out.items()}
 
 
+def _on_square(t: Tableau, p: PrymParams) -> bool:
+    return t.shape == square_shape(p.r)
+
+
 def _check_square(t: Tableau, p: PrymParams, op: str) -> None:
-    if t.shape != square_shape(p.r):
+    if not _on_square(t, p):
         raise InvalidInputError(f"{op} needs a tableau on the (r+1)-square of type {p}")
-    bad = [v for v in t.symbols if v > p.max_symbol]
-    if bad:
-        raise InvalidInputError(f"symbols out of range [1, 2g-1]: {sorted(bad)}")
+    if max(t.values) > p.max_symbol:
+        bad = sorted(v for v in t.symbols if v > p.max_symbol)
+        raise InvalidInputError(f"symbols out of range [1, 2g-1]: {bad}")
+
+
+def _square_signature(
+    t: Tableau, p: PrymParams
+) -> tuple[frozenset[tuple[int, int]], frozenset[int]]:
+    """(class mod k, folded symbol) for each symbol other than ``g``, and the
+    parity classes carrying ``g``.  The fold sends ``a`` and ``2g - a`` to
+    ``min(a, 2g - a)``."""
+    idx = t.shape.index
+    g = p.g
+    values = t.values
+    folded = (a if a < g else 2 * g - a for a in values)
+    pairs = frozenset(compress(zip(idx.classes(p.k), folded), map(g.__ne__, values)))
+    g_parities = frozenset(compress(idx.classes(2), map(g.__eq__, values)))
+    return pairs, g_parities
 
 
 def is_prym(t: Tableau, p: PrymParams) -> bool:
@@ -377,28 +511,18 @@ def is_prym(t: Tableau, p: PrymParams) -> bool:
     _check_square(t, p, "is_prym")
     if not is_tableau(t):
         return False
-    g = p.g
-    fibers: dict[int, set[int]] = {}
-    for box, v in t.items():
-        k_eff = 2 if v == g else p.k
-        fibers.setdefault(v, set()).add(diag_class(box, k_eff))
-    for v, classes in fibers.items():
-        if len(classes) > 1:
-            return False
-    for a in range(1, g):
-        pair = fibers.get(a, set()) | fibers.get(dual_symbol(a, g), set())
-        if len(pair) > 1:
-            return False
-    return True
+    pairs, g_parities = _square_signature(t, p)
+    # One class per folded symbol: as many pairs as folded symbols.
+    return len(g_parities) <= 1 and len(pairs) == len(set(map(_second, pairs)))
 
 
 def is_reflective(t: Tableau, p: PrymParams) -> bool:
     """Whether ``t`` is a Prym tableau satisfying ``t(b) = 2g - t(reflect(b))``."""
     _check_square(t, p, "is_reflective")
-    m = t.mapping
-    for box, v in t.items():
-        if v != 2 * p.g - m[reflect_box(box, p.r)]:
-            return False
+    g2 = 2 * p.g
+    values = t.values
+    if any(v + values[j] != g2 for v, j in zip(values, t.shape.index.reflection)):
+        return False
     return is_prym(t, p)
 
 
@@ -425,36 +549,36 @@ def codimension(t: Tableau, p: PrymParams) -> int:
     return len(_staircase_symbols(t, p, "codimension"))
 
 
+def dominance_signature(
+    t: Tableau, p: PrymParams
+) -> tuple[frozenset[tuple[int, int]], frozenset[int]]:
+    """The two sets whose containment decides :func:`dominates`.
+
+    Squares: the (class mod ``k``, ``min(a, 2g - a)``) pairs of every
+    symbol ``a != g``, and the parity classes carrying ``g``.
+    Staircase-like shapes: the (class mod ``k``, symbol) pairs, and no
+    parity classes.
+    """
+    if _on_square(t, p):
+        return _square_signature(t, p)
+    _staircase_symbols(t, p, "dominates")
+    return frozenset(zip(t.shape.index.classes(p.k), t.values)), frozenset()
+
+
 def dominates(t: Tableau, s: Tableau, p: PrymParams) -> bool:
     """Whether the cell of ``s`` is contained in the cell of ``t``.
 
     Squares: every class carrying ``g`` in ``t`` carries ``g`` in ``s`` (mod
     2), and every class carrying a symbol ``a != g`` in ``t`` carries ``a``
     or its dual in ``s`` (mod ``k``).  Staircase-like shapes: per-class
-    symbol containment ``t(D_i) <= s(D_i)``.
+    symbol containment ``t(D_i) <= s(D_i)``.  Both read as containment of
+    :func:`dominance_signature` sets.
     """
     if t.shape != s.shape:
         raise InvalidInputError("dominates compares tableaux on a common shape")
-    if t.shape == square_shape(p.r):
-        g = p.g
-        sig_t = class_symbol_sets(t, p.k, exclude=g)
-        sig_s = class_symbol_sets(s, p.k, exclude=g)
-        for c, syms in sig_t.items():
-            have = sig_s.get(c, frozenset())
-            for a in syms:
-                if a not in have and dual_symbol(a, g) not in have:
-                    return False
-        par_t = class_symbol_sets(t, 2)
-        par_s = class_symbol_sets(s, 2)
-        for c in (0, 1):
-            if g in par_t.get(c, frozenset()) and g not in par_s.get(c, frozenset()):
-                return False
-        return True
-    _staircase_symbols(t, p, "dominates")
-    _staircase_symbols(s, p, "dominates")
-    sig_t = class_symbol_sets(t, p.k)
-    sig_s = class_symbol_sets(s, p.k)
-    return all(syms <= sig_s.get(c, frozenset()) for c, syms in sig_t.items())
+    pairs_t, g_t = dominance_signature(t, p)
+    pairs_s, g_s = dominance_signature(s, p)
+    return pairs_t <= pairs_s and g_t <= g_s
 
 
 def equivalent(t: Tableau, s: Tableau, p: PrymParams) -> bool:

@@ -27,8 +27,8 @@ from .core import (
     is_displacement,
     is_prym,
     is_tableau,
+    shape_family,
     square_shape,
-    staircase_boxes,
 )
 
 __all__ = [
@@ -223,23 +223,19 @@ def tableau_to_divisor(t: Tableau, chain: FoldedChain) -> ChipDivisor | None:
     ``g``-fiber has the opposite parity indexes the empty cell.
     """
     g, k = chain.g, chain.k
-    side = max(x for x, _ in t.shape.boxes)
-    if t.shape.boxes == square_shape(side - 1).boxes:
-        r = side - 1
-        p = PrymParams(g, r, k)
-        if not is_prym(t, p):
+    family, r = shape_family(t.shape)
+    if family == "square":
+        if t.shape.kind == "explicit":
+            t = Tableau(square_shape(r), t.values)  # same boxes, same slot order
+        if not is_prym(t, PrymParams(g, r, k)):
             raise InvalidInputError("square tableaux must satisfy the Prym conditions")
         limit = 2 * g - 1
-    elif t.shape.boxes == staircase_boxes(side):
-        r = side
-        p = PrymParams(g, r, k)
+    else:
         if not is_tableau(t):
             raise InvalidInputError("not a tableau")
         if not is_displacement(t, k):
             raise InvalidInputError(f"not a {k}-uniform displacement tableau")
         limit = g - 1
-    else:
-        raise InvalidInputError("divisors need a square or staircase tableau")
     bad = sorted(v for v in t.symbols if v > limit)
     if bad:
         raise InvalidInputError(f"symbols exceed the codomain [1, {limit}]: {bad}")

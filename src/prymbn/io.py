@@ -19,6 +19,7 @@ from .core import (
     InvalidInputError,
     Shape,
     Tableau,
+    _is_int,
     canonical_boxes,
     canonical_key,
     explicit_shape,
@@ -66,16 +67,16 @@ def shape_from_json(data: Any) -> Shape:
         for item in raw:
             _require(
                 isinstance(item, list) and len(item) == 2
-                and all(isinstance(c, int) and c >= 1 for c in item),
+                and all(_is_int(c) and c >= 1 for c in item),
                 f"each box must be a pair of positive integers, got {item!r}",
             )
             boxes.append((item[0], item[1]))
         _require(len(set(boxes)) == len(boxes), "shape boxes contain duplicates")
     if kind == "staircase":
-        _require(isinstance(r, int) and r >= 1, "staircase shape needs integer r >= 1")
+        _require(_is_int(r) and r >= 1, "staircase shape needs integer r >= 1")
         shape = staircase_shape(r)
     elif kind == "square":
-        _require(isinstance(r, int) and r >= 0, "square shape needs integer r >= 0")
+        _require(_is_int(r) and r >= 0, "square shape needs integer r >= 0")
         shape = square_shape(r)
     elif kind in (None, "explicit"):
         _require(bool(boxes), "explicit shape needs a non-empty boxes list")
@@ -107,7 +108,7 @@ def tableau_from_json(data: Any) -> Tableau:
     for item in entries:
         _require(
             isinstance(item, list) and len(item) == 3
-            and all(isinstance(c, int) for c in item),
+            and all(_is_int(c) for c in item),
             f"each entry must be [x, y, symbol], got {item!r}",
         )
         x, y, v = item
@@ -144,10 +145,19 @@ def divisor_entries_from_json(data: Any) -> list[tuple[int, Fraction | None, int
     for item in data:
         _require(isinstance(item, dict), f"divisor record must be an object: {item!r}")
         loop = item.get("loop")
-        _require(isinstance(loop, int) and loop >= 1, f"bad loop index in {item!r}")
+        _require(_is_int(loop) and loop >= 1, f"bad loop index in {item!r}")
         if item.get("free"):
             rows.append((loop, None, 0))
             continue
         _require("pos" in item, f"record needs pos or free: {item!r}")
-        rows.append((loop, Fraction(item["pos"]), int(item.get("mult", 1))))
+        pos = item["pos"]
+        bad_pos = f"bad position in {item!r}"
+        _require(isinstance(pos, (str, float)) or _is_int(pos), bad_pos)
+        try:
+            pos = Fraction(pos)
+        except (ValueError, ZeroDivisionError, OverflowError):
+            raise InvalidInputError(bad_pos) from None
+        mult = item.get("mult", 1)
+        _require(_is_int(mult) and mult >= 1, f"bad multiplicity in {item!r}")
+        rows.append((loop, pos, mult))
     return rows

@@ -22,8 +22,8 @@ from .core import (
     Tableau,
     anti_diagonal,
     anti_diagonal_boxes,
-    class_symbol_sets,
     diag_class,
+    dominance_signature,
     dominates,
     dual_symbol,
     explicit_shape,
@@ -33,7 +33,6 @@ from .core import (
     is_tableau,
     reflect_box,
     square_shape,
-    staircase_boxes,
     staircase_shape,
 )
 
@@ -132,17 +131,6 @@ def _staircase_loose(kappa: frozenset[Box], r: int, k: int) -> frozenset[Box]:
     )
 
 
-def _dominates_ignoring_g(t: Tableau, s: Tableau, p: PrymParams) -> bool:
-    sig_t = class_symbol_sets(t, p.k, exclude=p.g)
-    sig_s = class_symbol_sets(s, p.k, exclude=p.g)
-    for c, syms in sig_t.items():
-        have = sig_s.get(c, frozenset())
-        for a in syms:
-            if a not in have and dual_symbol(a, p.g) not in have:
-                return False
-    return True
-
-
 def reflectify_states(t: Tableau, p: PrymParams) -> list[ReflectionState]:
     """Run the reflectification sweep, returning every intermediate state.
 
@@ -159,7 +147,7 @@ def reflectify_states(t: Tableau, p: PrymParams) -> list[ReflectionState]:
                 f"symbol g = {g} at {box} sits in the parity class {(box[0] - box[1]) % 2};"
                 f" a dominating reflective tableau needs it in class {r % 2}"
             )
-    staircase = staircase_boxes(r)
+    staircase = staircase_shape(r).boxes
     kappa: frozenset[Box] = frozenset()
     s = t
     states = [ReflectionState(0, t, 0, kappa, _staircase_loose(kappa, r, p.k), frozenset())]
@@ -168,18 +156,15 @@ def reflectify_states(t: Tableau, p: PrymParams) -> list[ReflectionState]:
         loose = states[-1].loose
         if not loose:
             raise InvariantError("reflectification stuck: no loose boxes below A_{r+1}")
-        m = s.mapping
-        n = min(
-            min(m[w] for w in loose),
-            min(2 * g - m[reflect_box(w, r)] for w in loose),
-        )
+        values, slot = s.values, s.shape.index.slot
+        below = {w: values[slot[w]] for w in loose}
+        above = {w: 2 * g - values[slot[reflect_box(w, r)]] for w in loose}
+        n = min(min(below.values()), min(above.values()))
         if not prev_n < n <= g - 1:
             raise InvariantError(
                 f"reflectification threshold {n} outside ({prev_n}, {g - 1}]"
             )
-        replaced = frozenset(
-            w for w in loose if m[w] == n or m[reflect_box(w, r)] == 2 * g - n
-        )
+        replaced = frozenset(w for w in loose if below[w] == n or above[w] == n)
         if not replaced:
             raise InvariantError("reflectification step replaced no boxes")
         updates: dict[Box, int] = {}
@@ -207,7 +192,10 @@ def reflectify_states(t: Tableau, p: PrymParams) -> list[ReflectionState]:
     # When the input never uses g, the g-clause of dominance is vacuous for
     # cells (the middle chip is pinned by rank parity either way), so only the
     # per-class symbol clauses are meaningful.
-    ok = dominates(final, t, p) if g in t.symbols else _dominates_ignoring_g(final, t, p)
+    if g in t.symbols:
+        ok = dominates(final, t, p)
+    else:
+        ok = dominance_signature(final, p)[0] <= dominance_signature(t, p)[0]
     if not ok:
         raise InvariantError("reflectification result does not dominate its input")
     states.append(
@@ -243,7 +231,7 @@ def extend_to_reflective(t: Tableau, p: PrymParams) -> Tableau:
     Every box ``b`` of ``T_r`` keeps its value, its reflection receives the
     dual value ``2g - t(b)``, and the main anti-diagonal receives ``g``.
     """
-    if t.shape.boxes != staircase_boxes(p.r):
+    if t.shape.boxes != staircase_shape(p.r).boxes:
         raise InvalidInputError(
             f"extend_to_reflective needs a tableau on the staircase T_{p.r}"
         )

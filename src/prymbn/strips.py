@@ -18,8 +18,8 @@ fillings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -31,13 +31,10 @@ from .core import (
     Shape,
     Tableau,
     anti_diagonal,
-    canonical_boxes,
-    canonical_key,
     diag_class,
     dominates,
     is_displacement,
     is_tableau,
-    staircase_boxes,
     staircase_shape,
 )
 
@@ -89,17 +86,21 @@ class StripShape:
         if any(c not in "EN" for c in self.word):
             raise InvalidInputError(f"strip word must use E/N moves, got {self.word!r}")
 
-    @cache
+    @cached_property
+    def _leftmost_ends(self) -> tuple[Box, ...]:
+        """West ends of the windows on anti-diagonals 1..r."""
+        ends = [(1, n) for n in range(1, self.l + 1)]
+        x, y = (1, self.l)
+        for c in self.word:
+            x, y = (x + 1, y) if c == "E" else (x, y + 1)
+            ends.append((x, y))
+        return tuple(ends)
+
     def leftmost(self, n: int) -> Box:
         """West end of the window on anti-diagonal ``n`` (``(1, n)`` below T_l)."""
         if not 1 <= n <= self.r:
             raise InvalidInputError(f"anti-diagonal {n} outside [1, {self.r}]")
-        if n <= self.l:
-            return (1, n)
-        x, y = (1, self.l)
-        for c in self.word[: n - self.l]:
-            x, y = (x + 1, y) if c == "E" else (x, y + 1)
-        return (x, y)
+        return self._leftmost_ends[n - 1]
 
     def rightmost(self, n: int) -> Box:
         """East end of the window on anti-diagonal ``n``."""
@@ -112,12 +113,13 @@ class StripShape:
         x, y = self.leftmost(n)
         return tuple((x + i, y - i) for i in range(min(n, self.l)))
 
-    @property
+    @cached_property
     def boxes(self) -> frozenset[Box]:
         return frozenset(b for n in range(1, self.r + 1) for b in self.window(n))
 
-    @property
+    @cached_property
     def shape(self) -> Shape:
+        """The strip as a shape; every tableau on this strip shares it."""
         return Shape("strip", self.boxes, self.r)
 
     @property
@@ -166,32 +168,32 @@ def enumerate_strips(p: PrymParams) -> list[StripShape]:
 
 
 def _require_staircase(t: Tableau, p: PrymParams, op: str) -> None:
-    if t.shape.boxes != staircase_boxes(p.r):
+    if t.shape.boxes != staircase_shape(p.r).boxes:
         raise InvalidInputError(f"{op} needs a tableau on the staircase T_{p.r}")
     bad = sorted(v for v in t.symbols if v > p.g - 1)
     if bad:
         raise InvalidInputError(f"{op} needs symbols in [1, g-1]; got {bad}")
 
 
-def _check_restriction(t: Tableau, mu: StripShape, p: PrymParams, op: str) -> dict[Box, int]:
-    """Validate tableau + displacement of ``t`` restricted to ``mu``; return it."""
-    sub = {b: t.at(b) for b in mu.boxes}
-    boxes = sorted(sub, key=canonical_key)
-    for j, bj in enumerate(boxes):
-        for bi in boxes[:j]:
-            if bi[0] <= bj[0] and bi[1] <= bj[1] and not sub[bi] < sub[bj]:
-                raise InvalidInputError(
-                    f"{op}: restriction to the strip violates the tableau condition"
-                    f" at {bi} -> {bj}"
-                )
-    classes: dict[int, int] = {}
-    for b, v in sub.items():
-        c = diag_class(b, p.k)
-        if classes.setdefault(v, c) != c:
-            raise InvalidInputError(
-                f"{op}: restriction to the strip violates displacement at symbol {v}"
-            )
-    return sub
+def _check_restriction(t: Tableau, mu: StripShape, p: PrymParams, op: str) -> None:
+    """Validate tableau + displacement of ``t`` restricted to ``mu``."""
+    sub = _restrict(t, mu.shape)
+    if not is_tableau(sub):
+        idx = mu.shape.index
+        i, j = next(idx.violations(sub.values))
+        raise InvalidInputError(
+            f"{op}: restriction to the strip violates the tableau condition"
+            f" at {idx.boxes[i]} -> {idx.boxes[j]}"
+        )
+    if not is_displacement(sub, p.k):
+        seen: dict[int, int] = {}
+        v = next(
+            v for c, v in zip(mu.shape.index.classes(p.k), sub.values)
+            if seen.setdefault(v, c) != c
+        )
+        raise InvalidInputError(
+            f"{op}: restriction to the strip violates displacement at symbol {v}"
+        )
 
 
 def _gluing_violation(
@@ -320,10 +322,14 @@ def extend_strip_tableau(st: StripTableau) -> Tableau:
     return ext
 
 
+def _restrict(t: Tableau, shape: Shape) -> Tableau:
+    """The restriction of ``t`` to the boxes of ``shape``."""
+    return Tableau(shape, tuple(map(t.at, shape.index.boxes)))
+
+
 def restrict_to_strip(t: Tableau, mu: StripShape, p: PrymParams) -> StripTableau:
     """Package the strip restriction of a non-repeating tableau."""
-    sub = {b: t.at(b) for b in mu.boxes}
-    return StripTableau(mu, Tableau.from_mapping(mu.shape, sub), p)
+    return StripTableau(mu, _restrict(t, mu.shape), p)
 
 
 def strips_admitting(t: Tableau, p: PrymParams) -> list[StripShape]:
@@ -426,11 +432,12 @@ def cell_strips(p: PrymParams) -> list[StripShape]:
 def _fill_strip(
     mu: StripShape, p: PrymParams, symbols: tuple[int, ...]
 ) -> Iterator[StripTableau]:
-    boxes = tuple(sorted(mu.boxes, key=canonical_key))
+    shape = mu.shape
+    boxes = shape.index.boxes
     n = len(boxes)
     if len(symbols) < n:
         return
-    index = {b: i for i, b in enumerate(boxes)}
+    index = shape.index.slot
     below: list[list[int]] = []
     for b in boxes:
         pres = []
@@ -469,10 +476,7 @@ def _fill_strip(
 
     def place(i: int) -> Iterator[StripTableau]:
         if i == n:
-            entries = Tableau.from_mapping(
-                Shape("strip", mu.boxes, mu.r), dict(zip(boxes, values))
-            )
-            yield StripTableau(mu, entries, p)
+            yield StripTableau(mu, Tableau(shape, tuple(values)), p)
             return
         floor = 0
         for bi in below[i]:

@@ -4,8 +4,14 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
+import time
 
 import pytest
+
+import prymbn
 
 from prymbn.cli import CENSUS_COLUMNS, main
 from prymbn.core import PrymParams
@@ -96,6 +102,13 @@ def test_count_brute_guard_and_force_warning(capsys):
     code, out, err = run(capsys, "count", "--r", "3", "--k", "3", "--force")
     assert code == 0 and out.strip().isdigit()
     assert "warning: desk-scale guard overridden by --force" in err
+
+
+def test_count_all_with_every_route_refused_exits_3(capsys):
+    # At (8, 5) no closed-form route applies and brute force is over its guard.
+    code, out, err = run(capsys, "count", "--r", "8", "--k", "5", "--method", "all")
+    assert (code, out) == (3, "")
+    assert err.startswith("refused:")
 
 
 # --------------------------------------------------------------------------
@@ -234,6 +247,15 @@ def test_reflectify_golden_trace(capsys, tmp_path):
     assert code == 0 and "-- state" not in out
 
 
+def test_reflectify_with_a_huge_g_returns_at_once(capsys, tmp_path):
+    g = 10**9
+    src = dump(tmp_path, "square.json", square([[g, 2 * g - 1], [1, g]]))
+    start = time.perf_counter()
+    code, _, err = run(capsys, "reflectify", "--g", str(g), "--k", "2", "--in", src)
+    assert code == 0, err
+    assert time.perf_counter() - start < 1.0
+
+
 def test_reflectify_rejects_staircases(capsys, tmp_path):
     src = dump(tmp_path, "stair.json", stair(WALK_START))
     code, _, err = run(capsys, "reflectify", "--g", "12", "--k", "0", "--in", src)
@@ -253,6 +275,18 @@ def test_divisor_json_and_text(capsys, tmp_path):
     assert len(data["entries"]) == 10  # nine loops plus the boundary stack
     code, out, _ = run(capsys, "divisor", "--g", "5", "--k", "2", "--in", src)
     assert code == 0 and "degree = 8" in out and "dimension = 1" in out
+
+
+def test_divisor_on_the_one_box_staircase(capsys, tmp_path):
+    # T_1 has the boxes of the 1x1 square; the shape's kind decides.
+    src = tmp_path / "t1.json"
+    src.write_text(json.dumps(
+        {"shape": {"kind": "staircase", "r": 1}, "entries": [[1, 1, 1]]}
+    ))
+    (data,) = run_json(capsys, "divisor", "--g", "3", "--k", "2",
+                       "--in", str(src), "--json")
+    assert data["degree"] == 4 and data["dimension"] == 1
+    assert data["free_loops"] == [2, 4]
 
 
 def test_divisor_empty_cell(capsys, tmp_path):
@@ -318,3 +352,18 @@ def test_missing_required_arguments_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-verb"])
     assert exc.value.code == 2
+
+
+def test_python_dash_m_runs_the_cli_without_warnings():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(prymbn.__file__)), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "prymbn", "dim", "--g", "7", "--r", "3",
+         "--k", "4"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "n(r,k) = 5\ndim = 1\n", ""
+    )

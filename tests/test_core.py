@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import gc
+import pickle
+import time
+import weakref
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from prymbn.core import (
     InvalidInputError,
     PrymParams,
+    Shape,
     Tableau,
     anti_diagonal,
     anti_diagonal_boxes,
@@ -33,6 +39,8 @@ from prymbn.core import (
     staircase_shape,
 )
 from prymbn.dimension import enumerate_staircase_tableaux
+from prymbn.reflection import extend_to_reflective
+from prymbn.strips import StripShape
 
 from helpers import square, stair
 
@@ -284,3 +292,245 @@ def test_dominance_is_reflexive_on_staircase_fillings(r, k):
     for t in tableaux[:: max(1, len(tableaux) // 12)]:
         assert dominates(t, t, p)
         assert equivalent(t, t, p)
+
+
+# --------------------------------------------------------------------------
+# The shape index against the straightforward formulas
+#
+# The reference predicates below re-derive every box's order and class on
+# each call and compare every pair of boxes; the library answers from the
+# per-shape index (cover pairs on lower sets, class tuples, folded-pair
+# signatures).  Both must agree on every input, errors included.
+
+
+def ref_boxes(shape):
+    return tuple(sorted(shape.boxes, key=canonical_key))
+
+
+def ref_is_tableau(t):
+    boxes = ref_boxes(t.shape)
+    for j, (xj, yj) in enumerate(boxes):
+        for i in range(j):
+            xi, yi = boxes[i]
+            if xi <= xj and yi <= yj and not t.values[i] < t.values[j]:
+                return False
+    return True
+
+
+def ref_is_displacement(t, k):
+    if k < 0 or k == 1:
+        raise InvalidInputError("bad k")
+    if not ref_is_tableau(t):
+        raise InvalidInputError("not a tableau")
+    seen = {}
+    for box, v in zip(ref_boxes(t.shape), t.values):
+        c = diag_class(box, k)
+        if seen.setdefault(v, c) != c:
+            return False
+    return True
+
+
+def ref_class_symbol_sets(t, k, exclude=None):
+    out = {}
+    for box, v in zip(ref_boxes(t.shape), t.values):
+        if v != exclude:
+            out.setdefault(diag_class(box, k), set()).add(v)
+    return {c: frozenset(s) for c, s in out.items()}
+
+
+def ref_check_square(t, p):
+    if t.shape != square_shape(p.r):
+        raise InvalidInputError("not the square")
+    if any(v > 2 * p.g - 1 for v in t.values):
+        raise InvalidInputError("symbol out of range")
+
+
+def ref_is_prym(t, p):
+    ref_check_square(t, p)
+    if not ref_is_tableau(t):
+        return False
+    g = p.g
+    fibers = {}
+    for box, v in zip(ref_boxes(t.shape), t.values):
+        fibers.setdefault(v, set()).add(diag_class(box, 2 if v == g else p.k))
+    if any(len(classes) > 1 for classes in fibers.values()):
+        return False
+    return all(
+        len(fibers.get(a, set()) | fibers.get(2 * g - a, set())) <= 1 for a in range(1, g)
+    )
+
+
+def ref_dominates(t, s, p):
+    if t.shape != s.shape:
+        raise InvalidInputError("different shapes")
+    g = p.g
+    if t.shape == square_shape(p.r):
+        sig_t = ref_class_symbol_sets(t, p.k, exclude=g)
+        sig_s = ref_class_symbol_sets(s, p.k, exclude=g)
+        for c, syms in sig_t.items():
+            have = sig_s.get(c, frozenset())
+            if any(a not in have and 2 * g - a not in have for a in syms):
+                return False
+        par_t = ref_class_symbol_sets(t, 2)
+        par_s = ref_class_symbol_sets(s, 2)
+        return all(
+            g not in par_t.get(c, frozenset()) or g in par_s.get(c, frozenset())
+            for c in (0, 1)
+        )
+    for u in (t, s):
+        if any(v > g - 1 for v in u.values):
+            raise InvalidInputError("symbol out of range")
+    sig_t = ref_class_symbol_sets(t, p.k)
+    sig_s = ref_class_symbol_sets(s, p.k)
+    return all(syms <= sig_s.get(c, frozenset()) for c, syms in sig_t.items())
+
+
+def outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except InvalidInputError:
+        return ("invalid", None)
+
+
+@st.composite
+def lower_set_shapes(draw):
+    rows = sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=5)), reverse=True)
+    boxes = [(x, y) for y, n in enumerate(rows, start=1) for x in range(1, n + 1)]
+    return draw(st.sampled_from([explicit_shape(boxes), staircase_shape(len(rows))]))
+
+
+@st.composite
+def strip_shapes(draw):
+    r = draw(st.integers(1, 5))
+    l = draw(st.integers(0, r))
+    word = "".join(draw(st.lists(st.sampled_from("EN"), min_size=r - l, max_size=r - l)))
+    return StripShape(r, l, word).shape
+
+
+grid_boxes = st.sets(
+    st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=12
+)
+
+
+@st.composite
+def scattered_shapes(draw):
+    """Arbitrary box sets, mostly not lower sets, some tagged as a square."""
+    boxes = frozenset(draw(grid_boxes))
+    if draw(st.booleans()):
+        return explicit_shape(boxes)
+    return Shape("square", boxes, draw(st.integers(0, 3)))
+
+
+any_shape = st.one_of(lower_set_shapes(), strip_shapes(), scattered_shapes())
+
+
+@st.composite
+def fillings(draw, shape, top):
+    """Values near the anti-diagonal order, so that some fillings are tableaux."""
+    noise = st.integers(0, draw(st.integers(0, 3)))
+    step = draw(st.integers(0, 2))
+    return Tableau(shape, tuple(
+        max(1, min(top, step * (x + y - 1) + draw(noise)))
+        for x, y in ref_boxes(shape)
+    ))
+
+
+def check_agreement(t, s, p):
+    assert is_tableau(t) == ref_is_tableau(t)
+    dropped = t.values[0] if t.values else None
+    for k in {0, 2, 3, p.k}:
+        assert outcome(is_displacement, t, k) == outcome(ref_is_displacement, t, k)
+        assert class_symbol_sets(t, k) == ref_class_symbol_sets(t, k)
+        assert class_symbol_sets(t, k, exclude=dropped) == ref_class_symbol_sets(
+            t, k, dropped
+        )
+    assert outcome(is_prym, t, p) == outcome(ref_is_prym, t, p)
+    assert outcome(dominates, t, s, p) == outcome(ref_dominates, t, s, p)
+    assert outcome(dominates, s, t, p) == outcome(ref_dominates, s, t, p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_index_predicates_agree_with_the_pairwise_formulas(data):
+    shape = data.draw(any_shape)
+    p = PrymParams(data.draw(st.integers(2, 7)), data.draw(st.integers(0, 3)),
+                   data.draw(st.sampled_from([0, 2, 3, 4, 5])))
+    t = data.draw(fillings(shape, 2 * p.g + 1))
+    s = data.draw(fillings(shape, 2 * p.g + 1))
+    check_agreement(t, s, p)
+
+
+@st.composite
+def prym_neighbours(draw):
+    """A reflective square tableau and a copy with up to two slots rewritten."""
+    r = draw(st.integers(1, 3))
+    k = draw(st.sampled_from([0, 2, 3, 4, 5]))
+    p = PrymParams(draw(st.integers(r * (r + 1) // 2 + 1, 8)), r, k)
+    stairs = list(enumerate_staircase_tableaux(p))
+    base = extend_to_reflective(draw(st.sampled_from(stairs[:200])), p)
+    values = list(base.values)
+    for _ in range(draw(st.integers(0, 2))):
+        values[draw(st.integers(0, len(values) - 1))] = draw(st.integers(1, 2 * p.g - 1))
+    return base, Tableau(base.shape, tuple(values)), p
+
+
+@settings(max_examples=150, deadline=None)
+@given(prym_neighbours())
+def test_square_predicates_agree_near_prym_tableaux(case):
+    base, moved, p = case
+    check_agreement(base, moved, p)
+    check_agreement(moved, base, p)
+
+
+@pytest.mark.parametrize("rows,p", [([[3, 5], [1, 3]], PrymParams(3, 1, 2)),
+                                    ([[2]], PrymParams(2, 0, 2))])
+def test_tableaux_pickle_after_their_index_is_built(rows, p):
+    t = square(rows)
+    assert is_reflective(t, p)
+    u = pickle.loads(pickle.dumps(t))
+    assert u == t and is_reflective(u, p)
+
+
+def test_square_predicates_stay_cheap_for_a_huge_g():
+    # Nothing in the Prym checks may cost more than O(boxes) in g.
+    g = 10**9
+    p = PrymParams(g, 1, 2)
+    t = square([[g, 2 * g - 1], [1, g]])
+    start = time.perf_counter()
+    assert is_prym(t, p) and is_reflective(t, p) and dominates(t, t, p)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_lower_sets_check_covers_only():
+    stair_index = staircase_shape(3).index
+    assert stair_index.lower_set and len(stair_index.covers) == 6  # west + south
+    assert list(stair_index.violations((1, 2, 3, 4, 2, 5))) == [(1, 4), (2, 4)]
+    odd = Shape("square", frozenset({(1, 1), (2, 2)}), 1)
+    assert not odd.index.lower_set and odd.index.covers == ()
+    assert list(odd.index.violations((2, 2))) == [(0, 1)]
+    assert not is_tableau(Tableau(odd, (2, 2)))
+
+
+# --------------------------------------------------------------------------
+# Lifetime: nothing module-level keeps shapes or tableaux alive
+
+
+def test_shapes_and_tableaux_are_not_cached_globally():
+    refs = []
+    for i in range(3000):
+        shape = explicit_shape([(1, 1), (2, 1), (1, 2), (3 + i, 1 + i % 3)])
+        t = Tableau(shape, (1, 2, 3, 4))
+        assert is_tableau(t) and is_displacement(t, 2)
+        assert canonical_boxes(shape)[0] == (1, 1) and rank_map(shape)[(1, 1)] == 1
+        class_symbol_sets(t, 3)
+        u = t.with_values({(1, 1): 1})
+        assert dominates(t, u, PrymParams(5, 1, 2)) and u.at((1, 2)) == 2
+        refs += [weakref.ref(shape), weakref.ref(t), weakref.ref(u)]
+    for word in ("EEE", "ENE", "NNE", "NEN"):
+        mu = StripShape(5, 2, word)
+        t = Tableau(mu.shape, tuple(range(1, len(mu.boxes) + 1)))
+        assert is_tableau(t) and mu.leftmost(5)
+        refs += [weakref.ref(mu), weakref.ref(mu.shape), weakref.ref(t)]
+    del shape, t, u, mu
+    gc.collect()
+    assert [ref for ref in refs if ref() is not None] == []

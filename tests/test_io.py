@@ -10,6 +10,7 @@ import pytest
 from prymbn.core import (
     InvalidInputError,
     PrymParams,
+    Tableau,
     canonical_boxes,
     explicit_shape,
     is_tableau,
@@ -118,6 +119,29 @@ def test_tableau_from_json_validation():
     assert not is_tableau(crooked)
 
 
+def test_tableau_from_json_rejects_boolean_symbols():
+    shape = shape_to_json(staircase_shape(2))
+    with pytest.raises(InvalidInputError, match=r"\[x, y, symbol\]"):
+        tableau_from_json(
+            {"shape": shape, "entries": [[1, 1, True], [1, 2, 3], [2, 1, 2]]}
+        )
+
+
+def test_tableau_from_json_rejects_boolean_coordinates():
+    shape = shape_to_json(staircase_shape(2))
+    with pytest.raises(InvalidInputError, match=r"\[x, y, symbol\]"):
+        tableau_from_json(
+            {"shape": shape, "entries": [[True, 1, 1], [1, 2, 3], [2, 1, 2]]}
+        )
+    with pytest.raises(InvalidInputError, match="pair of positive integers"):
+        shape_from_json({"kind": "explicit", "boxes": [[True, 1]]})
+
+
+def test_tableau_rejects_boolean_values():
+    with pytest.raises(InvalidInputError, match="positive integers, got True"):
+        Tableau(staircase_shape(1), (True,))
+
+
 # --------------------------------------------------------------------------
 # Divisors
 
@@ -159,5 +183,19 @@ def test_divisor_entries_from_json_validation():
         divisor_entries_from_json([{"loop": 0, "pos": "1"}])
     with pytest.raises(InvalidInputError, match="pos or free"):
         divisor_entries_from_json([{"loop": 1}])
+    rows = divisor_entries_from_json([{"loop": 2, "pos": "3/4"}])
+    assert rows == [(2, Fraction(3, 4), 1)]
+
+
+def test_divisor_entries_from_json_rejects_a_malformed_position():
+    for pos in ("x", "1/0", None, [1], True):
+        with pytest.raises(InvalidInputError, match="bad position"):
+            divisor_entries_from_json([{"loop": 2, "pos": pos}])
+
+
+def test_divisor_entries_from_json_rejects_a_non_integer_multiplicity():
+    for mult in ("x", 1.5, "2", True, 0):
+        with pytest.raises(InvalidInputError, match="bad multiplicity"):
+            divisor_entries_from_json([{"loop": 2, "pos": "1", "mult": mult}])
     rows = divisor_entries_from_json([{"loop": 2, "pos": "3/4"}])
     assert rows == [(2, Fraction(3, 4), 1)]

@@ -122,6 +122,9 @@ def test_is_non_repeating_rejects_bad_restrictions():
     mu = horizontal_strip(3, 3)
     with pytest.raises(InvalidInputError):
         is_non_repeating(stair([[1], [1, 2], [1, 2, 3]]), mu, p)
+    # Symbol 2 sits at (2, 1) and (1, 2), in different classes mod 3.
+    with pytest.raises(InvalidInputError, match="displacement at symbol 2"):
+        is_non_repeating(stair([[3], [2, 5], [1, 2, 4]]), mu, p)
 
 
 def test_strips_admitting_counts():
