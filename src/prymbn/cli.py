@@ -26,14 +26,7 @@ from .core import (
     Tableau,
     shape_family,
 )
-from .counting import (
-    cardinality,
-    count_brute,
-    count_even_determinant,
-    count_generic,
-    count_lattice_paths,
-    max_cell_count,
-)
+from .counting import applicable_routes, cardinality, max_cell_count
 from .dimension import dimension_report, expected_codim, pbn_dimension
 from .divisors import make_folded_chain, tableau_to_divisor
 from .io import SCHEMA_VERSION, divisor_to_json, tableau_from_json, tableau_to_json
@@ -115,24 +108,23 @@ def _cmd_dim(args: argparse.Namespace) -> int:
     return 0
 
 
-_ROUTES = ("hook", "det", "paths", "brute")
+def _all_routes(r: int, k: int, force: bool) -> dict[str, int]:
+    """C(r, k) by every route that applies and that its guard lets run.
 
-
-def _route_value(route: str, r: int, k: int, force: bool) -> int | None:
-    """The count via one route, or None where the route does not apply."""
-    if route == "hook":
-        return count_generic(r) if k == 0 or k >= 2 * r - 1 else None
-    if route == "det":
-        if k and k % 2 == 0 and 2 <= k <= 2 * r - 2:
-            return count_even_determinant(r, k)
-        return None
-    if route == "paths":
-        if k and k % 2 == 0 and 2 <= k <= 2 * r - 2:
-            return count_lattice_paths(r, k)
-        return None
-    if route == "brute":
-        return count_brute(r, k, force=force)
-    raise InvalidInputError(f"unknown counting method {route!r}")
+    Raises ``GuardRefused`` when no route runs.
+    """
+    counts: dict[str, int] = {}
+    refusals: list[str] = []
+    for route in applicable_routes(r, k):
+        try:
+            counts[route] = cardinality(r, k, route, force=force)
+        except GuardRefused as exc:
+            refusals.append(f"{route}: {exc}")
+    if not counts:
+        raise GuardRefused(
+            f"no counting route ran at (r, k) = ({r}, {k}); " + "; ".join(refusals)
+        )
+    return counts
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
@@ -141,20 +133,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     r, k = args.r, args.k
     expected_codim(r, k)  # validates the pair
     if args.method == "all":
-        routes: dict[str, int] = {}
-        refusals: list[str] = []
-        for route in _ROUTES:
-            try:
-                value = _route_value(route, r, k, args.force)
-            except GuardRefused as exc:
-                refusals.append(f"{route}: {exc}")
-                continue
-            if value is not None:
-                routes[route] = value
-        if not routes:
-            raise GuardRefused(
-                f"no counting route ran at (r, k) = ({r}, {k}); " + "; ".join(refusals)
-            )
+        routes = _all_routes(r, k, args.force)
         if len(set(routes.values())) > 1:
             raise InvariantError(f"counting routes disagree: {routes}")
         value = next(iter(routes.values()))
@@ -168,14 +147,11 @@ def _cmd_count(args: argparse.Namespace) -> int:
             print(f"{route} = {got}")
         print("AGREE")
         return 0
-    if args.method == "auto":
-        value = cardinality(r, k, force=args.force)
-    else:
-        value = _route_value(args.method, r, k, args.force)
-        if value is None:
-            raise InvalidInputError(
-                f"method {args.method!r} does not apply at (r, k) = ({r}, {k})"
-            )
+    if args.method != "auto" and args.method not in applicable_routes(r, k):
+        raise InvalidInputError(
+            f"method {args.method!r} does not apply at (r, k) = ({r}, {k})"
+        )
+    value = cardinality(r, k, args.method, force=args.force)
     if args.json:
         _emit_json(
             {"schema": SCHEMA_VERSION, "r": r, "k": k, "count": value,
@@ -408,13 +384,11 @@ def _census_row(task: tuple[int, int, bool]) -> dict[str, Any]:
         "C_method_det": "", "C_method_paths": "", "C_method_brute": "",
         "cells": "", "betti_closed": "", "betti_graph": "", "agree": "",
     }
-    counts: dict[str, int] = {}
-    if k and k % 2 == 0 and 2 <= k <= 2 * r - 2:
-        counts["det"] = row["C_method_det"] = count_even_determinant(r, k)
-        counts["paths"] = row["C_method_paths"] = count_lattice_paths(r, k)
-    if n <= 18 or force:
-        counts["brute"] = row["C_method_brute"] = count_brute(r, k, force=force)
-    reference = cardinality(r, k, force=True)
+    counts = _all_routes(r, k, force)
+    for route in ("det", "paths", "brute"):
+        if route in counts:
+            row[f"C_method_{route}"] = counts[route]
+    reference = next(iter(counts.values()))  # the cheapest route, as in `auto`
     cells = reference * comb(g - 1, n)
     row["cells"] = cells
     bettis: dict[str, int] = {}

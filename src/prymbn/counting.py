@@ -5,7 +5,12 @@
 Routes: hook-length formula on the staircase (torsion 0 or above ``2r-2``),
 an alternating factorial-determinant sum and a lattice-path walk (even
 torsion up to ``2r-2``), and per-strip linear-extension counting (any
-torsion, desk-scale).  Everything is exact integer/rational arithmetic.
+torsion, desk-scale).  :func:`applicable_routes` is the one statement of
+where each route applies.  Everything is exact integer/rational arithmetic.
+
+The brute route's kernel, :func:`count_linext`, is a layered dynamic
+program over the reachable down-sets of the strip poset built by
+:func:`strip_poset_succ_masks`; it needs no recursion.
 """
 
 from __future__ import annotations
@@ -15,24 +20,43 @@ from functools import cache
 from itertools import product
 from math import comb, factorial
 
-from . import kernels
-from .core import GuardRefused, InvalidInputError, InvariantError, PrymParams
+from .core import (
+    GuardRefused,
+    InvalidInputError,
+    InvariantError,
+    PrymParams,
+    generic_regime,
+)
 from .dimension import expected_codim, pbn_dimension
 from .strips import StripShape, cell_strips
 
 __all__ = [
     "BRUTE_SYMBOL_LIMIT",
+    "applicable_routes",
     "cardinality",
     "count_brute",
     "count_even_determinant",
     "count_generic",
     "count_lattice_paths",
+    "count_linext",
     "hook_length_syt_count",
     "max_cell_count",
     "strip_poset_succ_masks",
 ]
 
 BRUTE_SYMBOL_LIMIT = 18
+
+def applicable_routes(r: int, k: int) -> tuple[str, ...]:
+    """The routes of :func:`cardinality` that compute C(r, k), cheapest first.
+
+    ``hook`` applies at torsion 0 or above ``2r-2``, ``det`` and ``paths``
+    at even torsion in ``[2, 2r-2]``, and ``brute`` everywhere, subject to
+    its ``BRUTE_SYMBOL_LIMIT`` guard.
+    """
+    routes = ("hook",) if generic_regime(r, k) else ()
+    if k % 2 == 0 and 2 <= k <= 2 * r - 2:
+        routes += ("det", "paths")
+    return routes + ("brute",)
 
 
 def hook_length_syt_count(partition: list[int] | tuple[int, ...]) -> int:
@@ -63,7 +87,7 @@ def count_generic(r: int) -> int:
 
 
 def _check_even(r: int, k: int, op: str) -> int:
-    if k % 2 != 0 or not 2 <= k <= 2 * r - 2:
+    if "det" not in applicable_routes(r, k):
         raise InvalidInputError(
             f"{op} needs even torsion with 2 <= k <= 2r-2, got k={k} at r={r}"
         )
@@ -157,33 +181,47 @@ def count_lattice_paths(r: int, k: int) -> int:
 def strip_poset_succ_masks(mu: StripShape, eps: int) -> list[int]:
     """Successor bitmasks of the strip's filling constraints.
 
-    Elements are the strip's boxes in canonical order; relations are the
-    west/south covers plus the gluing comparisons for the given torsion
-    parity.  Linear extensions of this poset are exactly the standard
-    fillings counted by C(r, k).
+    Elements are the slots of ``mu.shape.index``; relations are the
+    west/south covers inside the strip plus the gluing pairs for the given
+    torsion parity.  Linear extensions of this poset are exactly the
+    standard fillings counted by C(r, k).
     """
-    boxes = sorted(mu.boxes, key=lambda b: (b[0] + b[1], b[0]))
-    index = {b: i for i, b in enumerate(boxes)}
-    succ = [0] * len(boxes)
-    for b, i in index.items():
-        for nb in ((b[0] + 1, b[1]), (b[0], b[1] + 1)):
-            j = index.get(nb)
+    idx = mu.shape.index
+    slot = idx.slot
+    succ = [0] * len(idx.boxes)
+    for i, (x, y) in enumerate(idx.boxes):
+        for nb in ((x + 1, y), (x, y + 1)):
+            j = slot.get(nb)
             if j is not None:
                 succ[i] |= 1 << j
-    for d in range(mu.l, mu.r):
-        move = mu.word[d - mu.l]
-        if eps == 1:
-            lo, hi = (
-                (mu.leftmost(d), mu.rightmost(d))
-                if move == "E"
-                else (mu.rightmost(d), mu.leftmost(d))
-            )
-        elif move == "E":
-            lo, hi = mu.leftmost(d), mu.rightmost(d + 1)
-        else:
-            lo, hi = mu.rightmost(d), mu.leftmost(d + 1)
-        succ[index[lo]] |= 1 << index[hi]
+    for lo, hi in mu.gluing_pairs(eps):
+        succ[slot[lo]] |= 1 << slot[hi]
     return succ
+
+
+def count_linext(succ_masks: list[int]) -> int:
+    """Number of linear extensions of a poset given successor bitmasks.
+
+    ``succ_masks[v]`` has bit ``w`` set when ``v < w`` is a (not necessarily
+    covering) relation.  Layer ``j`` maps each down-set of ``n - j``
+    elements reachable from the whole poset, by removing maximal elements
+    one at a time, to the number of ways to reach it; only those down-sets
+    are visited, so counts stay exact at arbitrary precision.
+    """
+    n = len(succ_masks)
+    layer = {(1 << n) - 1: 1}
+    for _ in range(n):
+        below: dict[int, int] = {}
+        for mask, ways in layer.items():
+            rest = mask
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                if not succ_masks[bit.bit_length() - 1] & mask:
+                    sub = mask ^ bit
+                    below[sub] = below.get(sub, 0) + ways
+        layer = below
+    return layer.get(0, 0)
 
 
 def count_brute(r: int, k: int, *, force: bool = False) -> int:
@@ -196,7 +234,7 @@ def count_brute(r: int, k: int, *, force: bool = False) -> int:
         )
     p = PrymParams(g=max(n + 1, 2), r=r, k=k)
     return sum(
-        kernels.count_linext(strip_poset_succ_masks(mu, p.eps))
+        count_linext(strip_poset_succ_masks(mu, p.eps))
         for mu in cell_strips(p)
     )
 
@@ -204,14 +242,9 @@ def count_brute(r: int, k: int, *, force: bool = False) -> int:
 def cardinality(r: int, k: int, method: str = "auto", *, force: bool = False) -> int:
     """C(r, k) by the requested route (``auto`` picks the cheapest valid one)."""
     if method == "auto":
-        if k == 0 or k > 2 * r - 2:
-            method = "hook"
-        elif k % 2 == 0:
-            method = "det"
-        else:
-            method = "brute"
+        method = applicable_routes(r, k)[0]
     if method == "hook":
-        if not (k == 0 or k > 2 * r - 2):
+        if "hook" not in applicable_routes(r, k):
             raise InvalidInputError(
                 "hook route applies only to torsion 0 or above 2r-2"
             )

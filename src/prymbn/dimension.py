@@ -5,6 +5,14 @@ strip in ``T_r``; the locus dimension is ``g - 1`` minus that, with
 negative values meaning the locus is empty.  The oracle recomputes the
 minimum over raw staircase displacement tableaux, independently of the
 strip machinery.
+
+Two search kernels over staircase displacement tableaux live here:
+:func:`min_codim_staircase`, an explicit-stack branch and bound behind
+:func:`brute_min_codim`, and :func:`enumerate_staircase_values`, behind
+:func:`enumerate_staircase_tableaux`.  Both fill the slots of
+``staircase_shape(r).index`` in order, so a value list they build is a
+``Tableau`` value tuple.  Neither depends on the interpreter's recursion
+limit.
 """
 
 from __future__ import annotations
@@ -13,12 +21,12 @@ from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
-from . import kernels
 from .core import (
     GuardRefused,
     InvalidInputError,
     PrymParams,
     Tableau,
+    generic_regime,
     staircase_shape,
 )
 from .strips import StripTableau, extend_strip_tableau, horizontal_strip
@@ -29,7 +37,9 @@ __all__ = [
     "brute_min_codim",
     "dimension_report",
     "enumerate_staircase_tableaux",
+    "enumerate_staircase_values",
     "expected_codim",
+    "min_codim_staircase",
     "minimal_witness",
     "pbn_dimension",
 ]
@@ -114,7 +124,7 @@ def brute_min_codim(
             f"brute_min_codim over {boxes} boxes exceeds the desk-scale limit"
             f" of {BRUTE_BOX_LIMIT}; pass force=True to run anyway"
         )
-    got = kernels.min_codim_staircase(p.r, p.k, p.g - 1, use_budget)
+    got = min_codim_staircase(p.r, p.k, p.g - 1, use_budget)
     if got < 0:
         raise InvalidInputError(
             f"no displacement tableau T_{p.r} -> [{p.g - 1}] exists"
@@ -129,5 +139,118 @@ def enumerate_staircase_tableaux(p: PrymParams) -> Iterator[Tableau]:
     pick sensible sizes.
     """
     shape = staircase_shape(p.r)
-    for values in kernels.enumerate_staircase_values(p.r, p.k, p.g - 1):
+    for values in enumerate_staircase_values(p.r, p.k, p.g - 1):
         yield Tableau(shape, tuple(values))
+
+
+def _staircase_arrays(r: int, k: int) -> tuple[list[int], list[int], tuple[int, ...]]:
+    """West and south neighbour slots (``-1`` where there is none) and the
+    diagonal class of each slot of ``T_r``, in the order of
+    ``staircase_shape(r).index``."""
+    idx = staircase_shape(r).index
+    slot = idx.slot
+    west = [slot.get((x - 1, y), -1) for x, y in idx.boxes]
+    south = [slot.get((x, y - 1), -1) for x, y in idx.boxes]
+    return west, south, idx.classes(k)
+
+
+def min_codim_staircase(r: int, k: int, gmax: int, use_budget: bool = True) -> int:
+    """Minimum distinct-symbol count over displacement tableaux T_r -> [gmax].
+
+    Branch and bound over the slots in canonical order, on an explicit
+    stack; a symbol may recur only on its recorded diagonal class.  A
+    branch is dropped once its distinct count cannot beat the incumbent.
+    With ``use_budget`` it is dropped once that count plus the
+    per-anti-diagonal new-symbol budget cannot (each full anti-diagonal
+    ``A_m`` still to come introduces at least ``min(m, l)`` fresh symbols).
+
+    Returns ``-1`` when no tableau exists (``gmax`` too small).
+    """
+    west, south, cls = _staircase_arrays(r, k)
+    n = len(cls)
+    if n == 0:
+        return 0
+    leff = r if generic_regime(r, k) else (k + 1) // 2
+    suf = [0] * (r + 2)
+    for m in range(r, 0, -1):
+        suf[m] = suf[m + 1] + min(m, leff)
+    # need[i]: the fewest new symbols slots i.. still add (0 without the
+    # budget); need[n] = 0 leaves the incumbent test for a complete filling.
+    need = [0] * (n + 1)
+    if use_budget:
+        for i, (x, y) in enumerate(staircase_shape(r).index.boxes):
+            need[i] = suf[x + y - 1] if x == 1 else suf[x + y]
+    sym_class: list[int | None] = [None] * (gmax + 1)
+    sym_count = [0] * (gmax + 1)
+    # values[n] stays 0, so values[-1], a missing neighbour, is below every symbol.
+    values = [0] * (n + 1)
+    distinct = [0] * n  # distinct symbols among the slots before i
+    best = n + 1  # above any filling's count until one is found
+    i = 0
+    v = 0  # the last value tried at slot i
+    while True:
+        ci = cls[i]
+        v += 1
+        while v <= gmax and sym_class[v] is not None and sym_class[v] != ci:
+            v += 1
+        if v > gmax:
+            if i == 0:
+                break
+            i -= 1
+            v = values[i]
+            sym_count[v] -= 1
+            if not sym_count[v]:
+                sym_class[v] = None
+            continue
+        d = distinct[i] + (not sym_count[v])
+        if d + need[i + 1] >= best:
+            continue
+        if i + 1 == n:
+            best = d
+            continue
+        sym_class[v] = ci
+        sym_count[v] += 1
+        values[i] = v
+        i += 1
+        distinct[i] = d
+        v = values[west[i]]
+        if values[south[i]] > v:
+            v = values[south[i]]
+    return best if best <= n else -1
+
+
+def enumerate_staircase_values(r: int, k: int, gmax: int) -> Iterator[tuple[int, ...]]:
+    """Yield the canonical-order value tuple of every displacement tableau
+    T_r -> [gmax].  Desk-scale helper shared by oracles and property tests."""
+    west, south, cls = _staircase_arrays(r, k)
+    n = len(cls)
+    if n == 0:
+        yield ()
+        return
+    sym_class: list[int | None] = [None] * (gmax + 1)
+    sym_count = [0] * (gmax + 1)
+    values = [0] * n
+
+    def dfs(i: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield tuple(values)
+            return
+        lo = 1
+        if west[i] >= 0 and values[west[i]] >= lo:
+            lo = values[west[i]] + 1
+        if south[i] >= 0 and values[south[i]] >= lo:
+            lo = values[south[i]] + 1
+        ci = cls[i]
+        for v in range(lo, gmax + 1):
+            c = sym_class[v]
+            if c is not None and c != ci:
+                continue
+            sym_class[v] = ci
+            sym_count[v] += 1
+            values[i] = v
+            yield from dfs(i + 1)
+            sym_count[v] -= 1
+            if sym_count[v] == 0:
+                sym_class[v] = None
+
+    yield from dfs(0)

@@ -122,6 +122,27 @@ class StripShape:
         """The strip as a shape; every tableau on this strip shares it."""
         return Shape("strip", self.boxes, self.r)
 
+    def gluing_pairs(self, eps: int) -> tuple[tuple[Box, Box], ...]:
+        """The (smaller, larger) box pairs of the gluing condition for
+        torsion parity ``eps``, one per move of the word.
+
+        The pair at index ``j`` belongs to anti-diagonal ``n = l + j`` and
+        its move ``word[j]``.  Odd torsion compares the window's two ends
+        (west below east after an east move, east below west after a north
+        move); even torsion compares one end with the opposite end of the
+        next window.
+        """
+        pairs = []
+        for n, move in enumerate(self.word, start=self.l):
+            lm, rm = self.leftmost(n), self.rightmost(n)
+            if eps == 1:
+                pairs.append((lm, rm) if move == "E" else (rm, lm))
+            elif move == "E":
+                pairs.append((lm, self.rightmost(n + 1)))
+            else:
+                pairs.append((rm, self.leftmost(n + 1)))
+        return tuple(pairs)
+
     @property
     def height(self) -> int:
         """Row of the r-th leftmost box (``l`` exactly for the horizontal strip)."""
@@ -200,18 +221,9 @@ def _gluing_violation(
     value_at, mu: StripShape, eps: int
 ) -> tuple[int, str] | None:
     """First failed gluing condition as (anti-diagonal, move), else None."""
-    for n in range(mu.l, mu.r):
-        move = mu.word[n - mu.l]
-        lm = value_at(mu.leftmost(n))
-        rm = value_at(mu.rightmost(n))
-        if eps == 1:
-            lo, hi = (lm, rm) if move == "E" else (rm, lm)
-        elif move == "E":
-            lo, hi = lm, value_at(mu.rightmost(n + 1))
-        else:
-            lo, hi = rm, value_at(mu.leftmost(n + 1))
-        if not lo < hi:
-            return (n, move)
+    for j, (lo, hi) in enumerate(mu.gluing_pairs(eps)):
+        if not value_at(lo) < value_at(hi):
+            return (mu.l + j, mu.word[j])
     return None
 
 
@@ -447,20 +459,7 @@ def _fill_strip(
         below.append(pres)
     # Gluing comparisons as (smaller, larger) index pairs; both ends are
     # strip boxes, so they prune during backtracking like tableau steps.
-    glue: list[tuple[int, int]] = []
-    for d in range(mu.l, mu.r):
-        move = mu.word[d - mu.l]
-        if p.eps == 1:
-            lo, hi = (
-                (mu.leftmost(d), mu.rightmost(d))
-                if move == "E"
-                else (mu.rightmost(d), mu.leftmost(d))
-            )
-        elif move == "E":
-            lo, hi = mu.leftmost(d), mu.rightmost(d + 1)
-        else:
-            lo, hi = mu.rightmost(d), mu.leftmost(d + 1)
-        glue.append((index[lo], index[hi]))
+    glue = [(index[lo], index[hi]) for lo, hi in mu.gluing_pairs(p.eps)]
     # A gluing pair constrains whichever endpoint is placed later: a floor
     # when the smaller end precedes it, a ceiling when the larger end does
     # (the odd north move compares a window's east end against its west end).

@@ -13,8 +13,8 @@ import pytest
 
 import prymbn
 
-from prymbn.cli import CENSUS_COLUMNS, main
-from prymbn.core import PrymParams
+from prymbn.cli import CENSUS_COLUMNS, _census_row, main
+from prymbn.core import GuardRefused, PrymParams
 from prymbn.dimension import minimal_witness
 from prymbn.io import SCHEMA_VERSION, tableau_from_json, tableau_to_json
 from prymbn.selftest import REFLECTION_TRACE
@@ -320,6 +320,13 @@ def test_census_parallel_sweep(capsys, tmp_path):
 def test_census_rejects_bad_bounds(capsys):
     code, _, err = run(capsys, "census", "--rmax", "0")
     assert code == 2 and "rmax" in err
+
+
+def test_census_row_keeps_the_brute_guard():
+    # n(8, 5) = 21 exceeds the guard, and odd torsion leaves count_brute as
+    # the only route, so the row needs --force like `count` does.
+    with pytest.raises(GuardRefused):
+        _census_row((8, 5, False))
 
 
 # --------------------------------------------------------------------------

@@ -13,12 +13,12 @@ from prymbn.counting import (
     count_even_determinant,
     count_generic,
     count_lattice_paths,
+    count_linext,
     hook_length_syt_count,
     max_cell_count,
     strip_poset_succ_masks,
 )
 from prymbn.dimension import expected_codim
-from prymbn.kernels import count_linext
 from prymbn.selftest import CARDINALITY_TABLE
 from prymbn.strips import horizontal_strip
 

@@ -1,30 +1,26 @@
-"""Backend parity and dispatch tests for the hot kernels."""
+"""Value tests for the two search kernels: the staircase codimension search
+in :mod:`prymbn.dimension` and linear-extension counting in
+:mod:`prymbn.counting`."""
 
 from __future__ import annotations
 
-import importlib.util
 import math
-import os
-import subprocess
 import sys
 
 import pytest
 
-from prymbn import _kernels_py as py_impl
-from prymbn import kernels
-
-HAS_COMPILED = importlib.util.find_spec("prymbn._ckernels") is not None
-c_impl = None
-if HAS_COMPILED:
-    from prymbn import _ckernels as c_impl
-
-needs_compiled = pytest.mark.skipif(
-    not HAS_COMPILED, reason="compiled extension not built"
+from prymbn.core import PrymParams
+from prymbn.counting import count_linext
+from prymbn.dimension import (
+    brute_min_codim,
+    enumerate_staircase_values,
+    min_codim_staircase,
 )
 
 
 def chain_masks(n):
-    return [sum(1 << w for w in range(v + 1, n)) for v in range(n)]
+    full = (1 << n) - 1
+    return [full ^ ((2 << v) - 1) for v in range(n)]
 
 
 def antichain_masks(n):
@@ -32,57 +28,34 @@ def antichain_masks(n):
 
 
 # --------------------------------------------------------------------------
-# Backend selection
-
-
-def test_backend_label():
-    assert py_impl.BACKEND == "python"
-    if HAS_COMPILED:
-        assert c_impl.BACKEND == "cython"
-        assert kernels.BACKEND == "cython"
-    else:
-        assert kernels.BACKEND == "python"
-
-
-def test_environment_variable_forces_pure_python():
-    env = dict(os.environ, PRYMBN_PURE_PYTHON="1")
-    out = subprocess.run(
-        [sys.executable, "-c", "import prymbn.kernels as k; print(k.BACKEND)"],
-        capture_output=True, text=True, env=env, check=True,
-    )
-    assert out.stdout.strip() == "python"
-
-
-# --------------------------------------------------------------------------
 # Linear-extension counting
 
 
 def test_count_linext_known_posets():
-    assert kernels.count_linext([]) == 1
-    assert kernels.count_linext(chain_masks(5)) == 1
-    assert kernels.count_linext(antichain_masks(6)) == math.factorial(6)
+    assert count_linext([]) == 1
+    assert count_linext(chain_masks(5)) == 1
+    assert count_linext(antichain_masks(6)) == math.factorial(6)
     # V-poset 0 < 2 > 1: the two minimal elements commute.
-    assert kernels.count_linext([0b100, 0b100, 0]) == 2
+    assert count_linext([0b100, 0b100, 0]) == 2
     # Two disjoint 2-chains: binomial(4, 2) interleavings.
-    assert kernels.count_linext([0b0010, 0, 0b1000, 0]) == 6
+    assert count_linext([0b0010, 0, 0b1000, 0]) == 6
+    # 0 < 1, 0 < 2 and 1, 2 < 3: the two middle elements commute.
+    assert count_linext([0b0110, 0b1000, 0b1000, 0]) == 2
 
 
 def test_count_linext_beyond_the_table_limit():
-    # 21+ elements bypass the compiled table kernel; a chain stays cheap.
-    assert kernels.count_linext(chain_masks(22)) == 1
-    assert kernels.count_linext(chain_masks(20)) == 1
+    # Only reachable down-sets are visited, so a long chain stays cheap.
+    assert count_linext(chain_masks(22)) == 1
+    assert count_linext(chain_masks(20)) == 1
 
 
-@needs_compiled
-def test_count_linext_backend_parity():
-    cases = [
-        chain_masks(4),
-        antichain_masks(5),
-        [0b100, 0b100, 0],
-        [0b0110, 0b1000, 0b1000, 0],
-    ]
-    for masks in cases:
-        assert c_impl.count_linext(masks) == py_impl.count_linext(masks)
+def test_kernels_leave_the_recursion_limit_alone():
+    limit = sys.getrecursionlimit()
+    # T_45 has 1035 boxes, one search level each: deeper than the default
+    # limit of 1000 frames.
+    assert brute_min_codim(PrymParams(46, 45, 2), force=True) == 45
+    assert count_linext(chain_masks(1100)) == 1
+    assert sys.getrecursionlimit() == limit
 
 
 # --------------------------------------------------------------------------
@@ -94,24 +67,24 @@ def test_count_linext_backend_parity():
     [(2, 0, 3), (2, 2, 2), (2, 3, 3), (3, 0, 6), (3, 2, 3), (3, 3, 5), (3, 4, 5)],
 )
 def test_min_codim_staircase_values(r, k, want):
-    assert kernels.min_codim_staircase(r, k, want + 3) == want
+    assert min_codim_staircase(r, k, want + 3) == want
 
 
 def test_min_codim_staircase_sentinel_and_empty():
-    assert kernels.min_codim_staircase(3, 0, 5) == -1
-    assert kernels.min_codim_staircase(3, 2, 2) == -1  # bottom row wants 3 values
-    assert kernels.min_codim_staircase(0, 0, 4) == 0
+    assert min_codim_staircase(3, 0, 5) == -1
+    assert min_codim_staircase(3, 2, 2) == -1  # bottom row wants 3 values
+    assert min_codim_staircase(0, 0, 4) == 0
 
 
-@needs_compiled
-def test_min_codim_backend_parity():
+def test_min_codim_budget_prune_matches_the_exhaustive_search():
+    results = set()
     for r in (2, 3):
         for k in (0, 2, 3, 4):
             for gmax in (3, 5, 8):
-                for use_budget in (True, False):
-                    assert c_impl.min_codim_staircase(
-                        r, k, gmax, use_budget
-                    ) == py_impl.min_codim_staircase(r, k, gmax, use_budget)
+                got = min_codim_staircase(r, k, gmax, use_budget=True)
+                assert got == min_codim_staircase(r, k, gmax, use_budget=False)
+                results.add(got)
+    assert -1 in results  # the grid reaches unfillable targets too
 
 
 # --------------------------------------------------------------------------
@@ -119,10 +92,10 @@ def test_min_codim_backend_parity():
 
 
 def test_enumerate_staircase_values_hand_counts():
-    exact = sorted(kernels.enumerate_staircase_values(2, 0, 3))
+    exact = sorted(enumerate_staircase_values(2, 0, 3))
     assert exact == [(1, 2, 3), (1, 3, 2)]
-    modular = sorted(kernels.enumerate_staircase_values(2, 2, 3))
+    modular = sorted(enumerate_staircase_values(2, 2, 3))
     assert modular == [
         (1, 2, 2), (1, 2, 3), (1, 3, 2), (1, 3, 3), (2, 3, 3),
     ]
-    assert list(kernels.enumerate_staircase_values(0, 0, 3)) == [()]
+    assert list(enumerate_staircase_values(0, 0, 3)) == [()]
