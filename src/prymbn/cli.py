@@ -69,11 +69,6 @@ def _load_tableau(path: str) -> Tableau:
     return tableau_from_json(data)
 
 
-def _infer_r(t: Tableau) -> tuple[str, int]:
-    """(shape family, r) for a tableau on a staircase or square."""
-    return shape_family(t.shape)
-
-
 def _check_r(args: argparse.Namespace, r: int) -> None:
     if args.r is not None and args.r != r:
         raise InvalidInputError(f"--r {args.r} disagrees with the tableau's order {r}")
@@ -286,7 +281,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 def _cmd_path(args: argparse.Namespace) -> int:
     start = _load_tableau(args.src)
     goal = _load_tableau(args.dst)
-    family, r = _infer_r(start)
+    family, r = shape_family(start.shape)
     if family != "staircase":
         raise InvalidInputError("path endpoints must live on the staircase")
     _check_r(args, r)
@@ -308,7 +303,7 @@ def _cmd_path(args: argparse.Namespace) -> int:
 
 def _cmd_reflectify(args: argparse.Namespace) -> int:
     t = _load_tableau(args.src)
-    family, r = _infer_r(t)
+    family, r = shape_family(t.shape)
     if family != "square":
         raise InvalidInputError("reflection acts on square tableaux")
     _check_r(args, r)
@@ -330,7 +325,7 @@ def _cmd_reflectify(args: argparse.Namespace) -> int:
 
 def _cmd_divisor(args: argparse.Namespace) -> int:
     t = _load_tableau(args.src)
-    family, r = _infer_r(t)
+    family, r = shape_family(t.shape)
     _check_r(args, r)
     chain = make_folded_chain(args.g, args.k)
     div = tableau_to_divisor(t, chain)

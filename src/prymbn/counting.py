@@ -182,20 +182,14 @@ def strip_poset_succ_masks(mu: StripShape, eps: int) -> list[int]:
     """Successor bitmasks of the strip's filling constraints.
 
     Elements are the slots of ``mu.shape.index``; relations are the
-    west/south covers inside the strip plus the gluing pairs for the given
-    torsion parity.  Linear extensions of this poset are exactly the
-    standard fillings counted by C(r, k).
+    strip's order pairs (:meth:`StripShape.order_pairs`): the west/south
+    covers inside the strip plus the gluing pairs for the given torsion
+    parity.  Linear extensions of this poset are exactly the standard
+    fillings counted by C(r, k).
     """
-    idx = mu.shape.index
-    slot = idx.slot
-    succ = [0] * len(idx.boxes)
-    for i, (x, y) in enumerate(idx.boxes):
-        for nb in ((x + 1, y), (x, y + 1)):
-            j = slot.get(nb)
-            if j is not None:
-                succ[i] |= 1 << j
-    for lo, hi in mu.gluing_pairs(eps):
-        succ[slot[lo]] |= 1 << slot[hi]
+    succ = [0] * len(mu.shape.index.boxes)
+    for lo, hi in mu.order_pairs(eps):
+        succ[lo] |= 1 << hi
     return succ
 
 
@@ -233,10 +227,11 @@ def count_brute(r: int, k: int, *, force: bool = False) -> int:
             f" {BRUTE_SYMBOL_LIMIT}; pass force=True to run anyway"
         )
     p = PrymParams(g=max(n + 1, 2), r=r, k=k)
-    return sum(
-        count_linext(strip_poset_succ_masks(mu, p.eps))
-        for mu in cell_strips(p)
-    )
+    strips = cell_strips(p)
+    total = 0
+    while strips:  # one strip, with its shape index, alive at a time
+        total += count_linext(strip_poset_succ_masks(strips.pop(), p.eps))
+    return total
 
 
 def cardinality(r: int, k: int, method: str = "auto", *, force: bool = False) -> int:

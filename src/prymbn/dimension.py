@@ -10,9 +10,9 @@ Two search kernels over staircase displacement tableaux live here:
 :func:`min_codim_staircase`, an explicit-stack branch and bound behind
 :func:`brute_min_codim`, and :func:`enumerate_staircase_values`, behind
 :func:`enumerate_staircase_tableaux`.  Both fill the slots of
-``staircase_shape(r).index`` in order, so a value list they build is a
-``Tableau`` value tuple.  Neither depends on the interpreter's recursion
-limit.
+``staircase_shape(r).index`` in order, reading its west/south neighbour
+slots, so a value list they build is a ``Tableau`` value tuple.  Both run
+on an explicit stack, so neither depends on the recursion limit.
 """
 
 from __future__ import annotations
@@ -80,10 +80,7 @@ def minimal_witness(p: PrymParams) -> Tableau | None:
     if pbn_dimension(p) is None:
         return None
     mu = horizontal_strip(p.r, p.k)
-    boxes = sorted(mu.boxes, key=lambda b: (b[0] + b[1], b[0]))
-    entries = Tableau.from_mapping(
-        mu.shape, {b: i + 1 for i, b in enumerate(boxes)}
-    )
+    entries = Tableau(mu.shape, tuple(range(1, len(mu.boxes) + 1)))
     return extend_strip_tableau(StripTableau(mu, entries, p))
 
 
@@ -143,17 +140,6 @@ def enumerate_staircase_tableaux(p: PrymParams) -> Iterator[Tableau]:
         yield Tableau(shape, tuple(values))
 
 
-def _staircase_arrays(r: int, k: int) -> tuple[list[int], list[int], tuple[int, ...]]:
-    """West and south neighbour slots (``-1`` where there is none) and the
-    diagonal class of each slot of ``T_r``, in the order of
-    ``staircase_shape(r).index``."""
-    idx = staircase_shape(r).index
-    slot = idx.slot
-    west = [slot.get((x - 1, y), -1) for x, y in idx.boxes]
-    south = [slot.get((x, y - 1), -1) for x, y in idx.boxes]
-    return west, south, idx.classes(k)
-
-
 def min_codim_staircase(r: int, k: int, gmax: int, use_budget: bool = True) -> int:
     """Minimum distinct-symbol count over displacement tableaux T_r -> [gmax].
 
@@ -166,7 +152,8 @@ def min_codim_staircase(r: int, k: int, gmax: int, use_budget: bool = True) -> i
 
     Returns ``-1`` when no tableau exists (``gmax`` too small).
     """
-    west, south, cls = _staircase_arrays(r, k)
+    idx = staircase_shape(r).index
+    west, south, cls = idx.west, idx.south, idx.classes(k)
     n = len(cls)
     if n == 0:
         return 0
@@ -178,7 +165,7 @@ def min_codim_staircase(r: int, k: int, gmax: int, use_budget: bool = True) -> i
     # budget); need[n] = 0 leaves the incumbent test for a complete filling.
     need = [0] * (n + 1)
     if use_budget:
-        for i, (x, y) in enumerate(staircase_shape(r).index.boxes):
+        for i, (x, y) in enumerate(idx.boxes):
             need[i] = suf[x + y - 1] if x == 1 else suf[x + y]
     sym_class: list[int | None] = [None] * (gmax + 1)
     sym_count = [0] * (gmax + 1)
@@ -221,8 +208,9 @@ def min_codim_staircase(r: int, k: int, gmax: int, use_budget: bool = True) -> i
 
 def enumerate_staircase_values(r: int, k: int, gmax: int) -> Iterator[tuple[int, ...]]:
     """Yield the canonical-order value tuple of every displacement tableau
-    T_r -> [gmax].  Desk-scale helper shared by oracles and property tests."""
-    west, south, cls = _staircase_arrays(r, k)
+    T_r -> [gmax], in lexicographic order.  Desk-scale helper for oracles."""
+    idx = staircase_shape(r).index
+    west, south, cls = idx.west, idx.south, idx.classes(k)
     n = len(cls)
     if n == 0:
         yield ()
@@ -230,27 +218,29 @@ def enumerate_staircase_values(r: int, k: int, gmax: int) -> Iterator[tuple[int,
     sym_class: list[int | None] = [None] * (gmax + 1)
     sym_count = [0] * (gmax + 1)
     values = [0] * n
-
-    def dfs(i: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(values)
-            return
-        lo = 1
-        if west[i] >= 0 and values[west[i]] >= lo:
-            lo = values[west[i]] + 1
-        if south[i] >= 0 and values[south[i]] >= lo:
-            lo = values[south[i]] + 1
+    i = 0
+    v = 0  # the last value tried at slot i
+    while True:
         ci = cls[i]
-        for v in range(lo, gmax + 1):
-            c = sym_class[v]
-            if c is not None and c != ci:
-                continue
-            sym_class[v] = ci
-            sym_count[v] += 1
-            values[i] = v
-            yield from dfs(i + 1)
+        v += 1
+        while v <= gmax and sym_class[v] is not None and sym_class[v] != ci:
+            v += 1
+        if v > gmax:
+            if i == 0:
+                return
+            i -= 1
+            v = values[i]
             sym_count[v] -= 1
-            if sym_count[v] == 0:
+            if not sym_count[v]:
                 sym_class[v] = None
-
-    yield from dfs(0)
+            continue
+        values[i] = v
+        if i + 1 == n:  # no later slot reads the last symbol's class
+            yield tuple(values)
+            continue
+        sym_class[v] = ci
+        sym_count[v] += 1
+        i += 1
+        v = values[west[i]] if west[i] >= 0 else 0
+        if south[i] >= 0 and values[south[i]] > v:
+            v = values[south[i]]

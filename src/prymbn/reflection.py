@@ -177,7 +177,6 @@ def reflectify_states(t: Tableau, p: PrymParams) -> list[ReflectionState]:
         if not dominates(s2, s, p):
             raise InvariantError(f"reflectification step {len(states)} broke dominance")
         kappa = kappa | replaced
-        _require_partition(kappa, "reflectify (internal)")
         states.append(
             ReflectionState(
                 len(states), s2, n, kappa, _staircase_loose(kappa, r, p.k), replaced

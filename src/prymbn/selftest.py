@@ -27,6 +27,7 @@ from .core import (
     staircase_shape,
 )
 from .counting import (
+    BRUTE_SYMBOL_LIMIT,
     cardinality,
     count_brute,
     count_even_determinant,
@@ -169,7 +170,7 @@ def _row_cardinality(ctx: RunContext) -> str:
             assert want == 1
         if k == 4:
             assert want == 2 ** (r - 1)
-        if expected_codim(r, k) <= 18:
+        if expected_codim(r, k) <= BRUTE_SYMBOL_LIMIT:
             assert count_brute(r, k) == want, f"brute C({r},{k}) != {want}"
             brutes += 1
     dt = time.perf_counter() - t0

@@ -14,10 +14,14 @@ tableau is determined by its strip restriction, which is injective; this
 restriction is a strip tableau.  Torsion ``0`` and torsion above ``2r``
 degenerate the strip to ``T_r`` itself and strip tableaux to injective
 fillings.
+
+Consumers read a strip's geometry from two slot tables per torsion parity:
+:meth:`StripShape.repeat_map` and :meth:`StripShape.order_pairs`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -31,7 +35,6 @@ from .core import (
     Shape,
     Tableau,
     anti_diagonal,
-    diag_class,
     dominates,
     is_displacement,
     is_tableau,
@@ -143,6 +146,47 @@ class StripShape:
                 pairs.append((rm, self.leftmost(n + 1)))
         return tuple(pairs)
 
+    @cached_property
+    def _repeat_maps(self) -> dict[int, tuple[int, ...]]:
+        return {}
+
+    def repeat_map(self, eps: int) -> tuple[int, ...]:
+        """For each slot of ``staircase_shape(r).index``, the slot of
+        ``self.shape.index`` whose value that box copies in a tableau
+        non-repeating in this strip at torsion parity ``eps``.  A left box
+        copies ``(x + l - eps, y - l)`` and a right box ``(x - l, y + l - eps)``;
+        the chase follows them onto the strip, once per strip and parity."""
+        table = self._repeat_maps.get(eps)
+        if table is not None:
+            return table
+        l = self.l
+        boxes = staircase_shape(self.r).index.boxes
+        lands = dict(self.shape.index.slot)  # a strip box lands on itself
+        for box in boxes:
+            path, b = [], box
+            while b not in lands:
+                if len(path) > 2 * self.r:
+                    raise InvariantError(f"repeat chase from {box} did not reach the strip")
+                side = self.side_of(b)
+                if side == 0:
+                    raise InvariantError(f"strip box {b} missing an entry")
+                path.append(b)
+                b = (b[0] + l - eps, b[1] - l) if side == -1 else (b[0] - l, b[1] + l - eps)
+            for q in path:
+                lands[q] = lands[b]
+        table = self._repeat_maps[eps] = tuple(map(lands.__getitem__, boxes))
+        return table
+
+    def order_pairs(self, eps: int) -> list[tuple[int, int]]:
+        """The (smaller, larger) slot pairs of ``self.shape.index`` along
+        which a strip tableau of torsion parity ``eps`` increases: the
+        west/south neighbour pairs inside the strip, then the gluing pairs.
+        """
+        idx = self.shape.index
+        pairs = idx.neighbour_pairs()
+        pairs += ((idx.slot[lo], idx.slot[hi]) for lo, hi in self.gluing_pairs(eps))
+        return pairs
+
     @property
     def height(self) -> int:
         """Row of the r-th leftmost box (``l`` exactly for the horizontal strip)."""
@@ -196,8 +240,8 @@ def _require_staircase(t: Tableau, p: PrymParams, op: str) -> None:
         raise InvalidInputError(f"{op} needs symbols in [1, g-1]; got {bad}")
 
 
-def _check_restriction(t: Tableau, mu: StripShape, p: PrymParams, op: str) -> None:
-    """Validate tableau + displacement of ``t`` restricted to ``mu``."""
+def _check_restriction(t: Tableau, mu: StripShape, p: PrymParams, op: str) -> Tableau:
+    """The restriction of ``t`` to ``mu``, checked for tableau + displacement."""
     sub = _restrict(t, mu.shape)
     if not is_tableau(sub):
         idx = mu.shape.index
@@ -215,6 +259,7 @@ def _check_restriction(t: Tableau, mu: StripShape, p: PrymParams, op: str) -> No
         raise InvalidInputError(
             f"{op}: restriction to the strip violates displacement at symbol {v}"
         )
+    return sub
 
 
 def _gluing_violation(
@@ -239,18 +284,13 @@ def is_non_repeating(t: Tableau, mu: StripShape, p: PrymParams) -> bool:
     _require_staircase(t, p, "is_non_repeating")
     if mu.r != p.r:
         raise InvalidInputError("strip and tableau live in different staircases")
-    _check_restriction(t, mu, p, "is_non_repeating")
+    sub = _check_restriction(t, mu, p, "is_non_repeating")
     if mu.degenerate:
         return True
-    l, eps = mu.l, p.eps
-    m = t.mapping
-    for box, v in t.items():
-        side = mu.side_of(box)
-        if side == -1 and v != m[(box[0] + l - eps, box[1] - l)]:
-            return False
-        if side == 1 and v != m[(box[0] - l, box[1] + l - eps)]:
-            return False
-    return _gluing_violation(lambda b: m[b], mu, eps) is None
+    # Each box must carry the strip value its repeat chase lands on.
+    if t.values != tuple(map(sub.values.__getitem__, mu.repeat_map(p.eps))):
+        return False
+    return _gluing_violation(sub.at, mu, p.eps) is None
 
 
 @dataclass(frozen=True)
@@ -296,33 +336,13 @@ class StripTableau:
 
 
 def extend_strip_tableau(st: StripTableau) -> Tableau:
-    """The unique non-repeating tableau on ``T_r`` extending ``st``.
-
-    Off-strip boxes chase the repeating translations (south-east from the
-    left component, north-west from the right) until they land on the strip.
+    """The unique non-repeating tableau on ``T_r`` extending ``st``: every
+    box takes the strip value its repeat chase lands on
+    (:meth:`StripShape.repeat_map`).
     """
     p, mu = st.params, st.strip
-    l, eps, r = mu.l, p.eps, p.r
-    values: dict[Box, int] = dict(st.entries.mapping)
-
-    def resolve(box: Box, hops: int = 0) -> int:
-        if box in values:
-            return values[box]
-        if hops > 2 * r:
-            raise InvariantError(f"repeat chase from {box} did not reach the strip")
-        side = mu.side_of(box)
-        if side == -1:
-            nxt = (box[0] + l - eps, box[1] - l)
-        elif side == 1:
-            nxt = (box[0] - l, box[1] + l - eps)
-        else:
-            raise InvariantError(f"strip box {box} missing an entry")
-        v = resolve(nxt, hops + 1)
-        values[box] = v
-        return v
-
-    shape = staircase_shape(r)
-    ext = Tableau.from_mapping(shape, {b: resolve(b) for b in shape.boxes})
+    values = tuple(map(st.entries.values.__getitem__, mu.repeat_map(p.eps)))
+    ext = Tableau(staircase_shape(p.r), values)
     if not is_tableau(ext):
         raise InvariantError("non-repeating extension violates the tableau condition")
     if not is_displacement(ext, p.k):
@@ -398,16 +418,14 @@ def dominating_non_repeating(t: Tableau, p: PrymParams) -> tuple[StripShape, Tab
         mu = StripShape(r, l, "".join(word))
         s = extend_strip_tableau(restrict_to_strip(t, mu, p))
     else:
+        # The boxes that repeat one box of mu_0 are those of its anti-diagonal
+        # and diagonal class, so the maximum over them is one per strip slot.
         mu = horizontal_strip(r, p.k)
-        best: dict[tuple[int, int], int] = {}
-        for box, v in t.items():
-            key = (anti_diagonal(box), diag_class(box, p.k))
-            best[key] = max(best.get(key, 0), v)
-        shape = staircase_shape(r)
-        s = Tableau.from_mapping(
-            shape,
-            {b: best[(anti_diagonal(b), diag_class(b, p.k))] for b in shape.boxes},
-        )
+        lands = mu.repeat_map(0)
+        best = [0] * len(mu.boxes)
+        for j, v in zip(lands, t.values):
+            best[j] = max(best[j], v)
+        s = Tableau(staircase_shape(r), tuple(map(best.__getitem__, lands)))
         if not is_non_repeating(s, mu, p):
             raise InvariantError("anti-diagonal maxima are not non-repeating in mu_0")
     if not dominates(s, t, p):
@@ -444,57 +462,47 @@ def cell_strips(p: PrymParams) -> list[StripShape]:
 def _fill_strip(
     mu: StripShape, p: PrymParams, symbols: tuple[int, ...]
 ) -> Iterator[StripTableau]:
+    """Injective fillings of ``mu`` from the ascending ``symbols`` that
+    increase along its order pairs, in lexicographic order of the value
+    tuple: a depth-first search on an explicit stack."""
     shape = mu.shape
-    boxes = shape.index.boxes
-    n = len(boxes)
-    if len(symbols) < n:
+    n, m = len(shape.index.boxes), len(symbols)
+    if m < n:
         return
-    index = shape.index.slot
-    below: list[list[int]] = []
-    for b in boxes:
-        pres = []
-        for nb in ((b[0] - 1, b[1]), (b[0], b[1] - 1)):
-            if nb in index:
-                pres.append(index[nb])
-        below.append(pres)
-    # Gluing comparisons as (smaller, larger) index pairs; both ends are
-    # strip boxes, so they prune during backtracking like tableau steps.
-    glue = [(index[lo], index[hi]) for lo, hi in mu.gluing_pairs(p.eps)]
-    # A gluing pair constrains whichever endpoint is placed later: a floor
-    # when the smaller end precedes it, a ceiling when the larger end does
-    # (the odd north move compares a window's east end against its west end).
+    # An order pair constrains whichever end is placed later: a floor when
+    # the smaller end precedes it, a ceiling when the larger end does (the
+    # odd north move compares a window's east end against its west end).
     floors: list[list[int]] = [[] for _ in range(n)]
     ceilings: list[list[int]] = [[] for _ in range(n)]
-    for i, j in glue:
+    for i, j in mu.order_pairs(p.eps):
         if i < j:
             floors[j].append(i)
         else:
             ceilings[i].append(j)
     values = [0] * n
-    used = [False] * len(symbols)
-
-    def place(i: int) -> Iterator[StripTableau]:
+    used = [False] * m
+    chosen = [-1] * n  # symbol index placed at each slot; -1 on entry
+    high = [0] * n  # ceiling of each slot, set on entry
+    i = 0
+    while i >= 0:
         if i == n:
             yield StripTableau(mu, Tableau(shape, tuple(values)), p)
-            return
-        floor = 0
-        for bi in below[i]:
-            floor = max(floor, values[bi])
-        for gi in floors[i]:
-            floor = max(floor, values[gi])
-        ceiling = None
-        for gi in ceilings[i]:
-            c = values[gi]
-            ceiling = c if ceiling is None else min(ceiling, c)
-        for si, v in enumerate(symbols):
-            if used[si] or v <= floor:
-                continue
-            if ceiling is not None and v >= ceiling:
-                break
-            used[si] = True
-            values[i] = v
-            yield from place(i + 1)
+            i -= 1
+            continue
+        si = chosen[i]
+        if si < 0:
+            si = bisect_right(symbols, max(map(values.__getitem__, floors[i]), default=0))
+            high[i] = min(map(values.__getitem__, ceilings[i]), default=symbols[-1] + 1)
+        else:
             used[si] = False
-        values[i] = 0
-
-    yield from place(0)
+            si += 1
+        while si < m and used[si]:
+            si += 1
+        if si < m and symbols[si] < high[i]:
+            used[si] = True
+            values[i] = symbols[si]
+            chosen[i] = si
+            i += 1
+        else:
+            chosen[i] = -1
+            i -= 1

@@ -16,6 +16,7 @@ from prymbn.dimension import (
     enumerate_staircase_values,
     min_codim_staircase,
 )
+from prymbn.strips import enumerate_strip_tableaux
 
 
 def chain_masks(n):
@@ -55,7 +56,16 @@ def test_kernels_leave_the_recursion_limit_alone():
     # limit of 1000 frames.
     assert brute_min_codim(PrymParams(46, 45, 2), force=True) == 45
     assert count_linext(chain_masks(1100)) == 1
+    next(enumerate_staircase_values(45, 0, 1035))
+    next(enumerate_strip_tableaux(PrymParams(1036, 45, 0)))
     assert sys.getrecursionlimit() == limit
+
+
+def test_enumerators_search_deeper_than_the_default_recursion_limit():
+    # One search level per box of T_45: both used to raise RecursionError.
+    standard = tuple(range(1, 1036))
+    assert next(enumerate_staircase_values(45, 0, 1035)) == standard
+    assert next(enumerate_strip_tableaux(PrymParams(1036, 45, 0))).entries.values == standard
 
 
 # --------------------------------------------------------------------------

@@ -5,14 +5,18 @@ from __future__ import annotations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prymbn.core import (
     InvalidInputError,
+    InvariantError,
     PrymParams,
     Tableau,
     codimension,
     dominates,
+    staircase_shape,
 )
+from prymbn.counting import cardinality, strip_poset_succ_masks
 from prymbn.dimension import enumerate_staircase_tableaux, expected_codim, minimal_witness
 from prymbn.strips import (
     StripShape,
@@ -28,6 +32,9 @@ from prymbn.strips import (
     restrict_to_strip,
     strip_shape,
     strips_admitting,
+    _check_restriction,
+    _gluing_violation,
+    _require_staircase,
 )
 
 from helpers import stair
@@ -215,3 +222,139 @@ def test_dominating_non_repeating_fixes_non_repeating_inputs():
     w = minimal_witness(p)
     mu, s = dominating_non_repeating(w, p)
     assert s == w and mu == horizontal_strip(3, 4)
+
+
+# --------------------------------------------------------------------------
+# Strip tables against the per-box formulas they replaced
+
+
+def ref_is_non_repeating(t, mu, p):
+    """The repeating conditions tested box by box through ``side_of``."""
+    _require_staircase(t, p, "is_non_repeating")
+    if mu.r != p.r:
+        raise InvalidInputError("strip and tableau live in different staircases")
+    _check_restriction(t, mu, p, "is_non_repeating")
+    if mu.degenerate:
+        return True
+    l, eps = mu.l, p.eps
+    m = t.mapping
+    for box, v in t.items():
+        side = mu.side_of(box)
+        if side == -1 and v != m[(box[0] + l - eps, box[1] - l)]:
+            return False
+        if side == 1 and v != m[(box[0] - l, box[1] + l - eps)]:
+            return False
+    return _gluing_violation(lambda b: m[b], mu, eps) is None
+
+
+def ref_extension(entries, mu, eps):
+    """The strip values copied to ``T_r`` by a recursive repeat chase."""
+    l, r = mu.l, mu.r
+    values = dict(entries.mapping)
+
+    def resolve(box, hops=0):
+        if box in values:
+            return values[box]
+        if hops > 2 * r:
+            raise InvariantError(f"repeat chase from {box} did not reach the strip")
+        side = mu.side_of(box)
+        if side == -1:
+            nxt = (box[0] + l - eps, box[1] - l)
+        elif side == 1:
+            nxt = (box[0] - l, box[1] + l - eps)
+        else:
+            raise InvariantError(f"strip box {box} missing an entry")
+        v = values[box] = resolve(nxt, hops + 1)
+        return v
+
+    shape = staircase_shape(r)
+    return Tableau.from_mapping(shape, {b: resolve(b) for b in shape.boxes})
+
+
+def ref_succ_masks(mu, eps):
+    """Successor bitmasks from the east/north neighbours and the gluing pairs."""
+    slot = mu.shape.index.slot
+    succ = [0] * len(slot)
+    for (x, y), i in slot.items():
+        for nb in ((x + 1, y), (x, y + 1)):
+            if nb in slot:
+                succ[i] |= 1 << slot[nb]
+    for lo, hi in mu.gluing_pairs(eps):
+        succ[slot[lo]] |= 1 << slot[hi]
+    return succ
+
+
+def outcome(fn, *args):
+    try:
+        return ("value", fn(*args))
+    except InvalidInputError as exc:
+        return ("invalid", str(exc))
+
+
+ALL_STRIPS = [  # every strip of every type with r <= 5 and k in [2, 2r]
+    (r, k, mu)
+    for r in range(1, 6)
+    for k in range(2, 2 * r + 1)
+    for mu in enumerate_strips(PrymParams(2, r, k))
+]
+
+
+def test_every_strip_table_matches_the_chase():
+    for _, _, mu in ALL_STRIPS:
+        n = len(mu.boxes)
+        slots = Tableau(mu.shape, tuple(range(1, n + 1)))  # value = slot + 1
+        for eps in (0, 1):
+            chased = ref_extension(slots, mu, eps).values
+            assert mu.repeat_map(eps) == tuple(v - 1 for v in chased), (mu, eps)
+            assert strip_poset_succ_masks(mu, eps) == ref_succ_masks(mu, eps)
+
+
+@st.composite
+def strip_neighbours(draw):
+    """A strip, a filling of it along its order, the chased extension of that
+    filling to ``T_r``, and a copy with up to two slots rewritten."""
+    r, k, mu = draw(st.sampled_from(ALL_STRIPS))
+    p = PrymParams(len(mu.boxes) + 1 + draw(st.integers(0, 3)), r, k)
+    succ = ref_succ_masks(mu, p.eps)
+    n = len(succ)
+    order, placed = [], 0
+    while len(order) < n:  # a random linear extension, minimal element by element
+        ready = [
+            j for j in range(n)
+            if not placed >> j & 1 and all(placed >> i & 1 for i in range(n) if succ[i] >> j & 1)
+        ]
+        j = draw(st.sampled_from(ready))
+        order.append(j)
+        placed |= 1 << j
+    symbols = sorted(draw(st.lists(
+        st.integers(1, p.g - 1), min_size=n, max_size=n, unique=True)))
+    values = [0] * n
+    for v, j in zip(symbols, order):
+        values[j] = v
+    entries = Tableau(mu.shape, tuple(values))
+    t = ref_extension(entries, mu, p.eps)
+    moved = list(t.values)
+    for _ in range(draw(st.integers(0, 2))):
+        moved[draw(st.integers(0, len(moved) - 1))] = draw(st.integers(1, p.g - 1))
+    return p, mu, entries, t, Tableau(t.shape, tuple(moved))
+
+
+@settings(max_examples=300, deadline=None)
+@given(strip_neighbours())
+def test_strip_tables_agree_with_the_per_box_formulas(case):
+    p, mu, entries, t, moved = case
+    if mu in cell_strips(p):
+        assert extend_strip_tableau(StripTableau(mu, entries, p)) == t
+    for nu in enumerate_strips(p):
+        for u in (t, moved):
+            assert outcome(is_non_repeating, u, nu, p) == outcome(ref_is_non_repeating, u, nu, p)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_strip_tableaux_come_in_increasing_word_then_value_order(r):
+    for k in [0] + list(range(2, 2 * r + 1)):
+        n = expected_codim(r, k)
+        p = PrymParams(n + 2, r, k)
+        keys = [(st.strip.word, st.entries.values) for st in enumerate_strip_tableaux(p)]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert len(keys) == cardinality(r, k) * (n + 1)
