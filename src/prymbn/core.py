@@ -421,6 +421,9 @@ class PrymParams:
     k: int
 
     def __post_init__(self) -> None:
+        for name, v in (("g", self.g), ("r", self.r), ("k", self.k)):
+            if not _is_int(v):
+                raise InvalidInputError(f"{name} must be an integer, got {v!r}")
         if self.g < 2:
             raise InvalidInputError(f"g must be at least 2, got {self.g}")
         if self.r < 0:

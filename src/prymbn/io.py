@@ -1,4 +1,4 @@
-"""JSON serialization for tableaux, strip tableaux, and chip divisors.
+"""JSON serialization for tableaux and chip divisors.
 
 Tableau schema: ``{"shape": {"kind": "...", "r": ..., "boxes": [[x, y],
 ...]}, "entries": [[x, y, symbol], ...]}`` with boxes and entries in

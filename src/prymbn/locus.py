@@ -4,7 +4,9 @@ The locus decomposes into maximal cells indexed by strip tableaux.  Two
 cells touch when their tableaux differ by one symbol per diagonal class
 (adjacency); every pair of cells is joined by a constructive walk built
 from three edit operations (swap into a box, swap a symbol in for another,
-cycle a symbol out).  When the locus is one-dimensional it is a union of
+cycle a symbol out).  One walk down the horizontal strip mu_0 serves every
+torsion, degenerate torsion included; odd torsion first lowers the strip
+height to that of mu_0.  When the locus is one-dimensional it is a union of
 circles meeting at points; this module builds that graph, computes its
 first Betti number, and exports it as DOT.
 """
@@ -38,7 +40,6 @@ from .strips import (
     extend_strip_tableau,
     horizontal_strip,
     is_non_repeating,
-    restrict_to_strip,
     strips_admitting,
 )
 
@@ -352,22 +353,19 @@ def height_descent_step(t: Tableau, p: PrymParams) -> HeightDescent:
     if len(u.symbols) != len(v.symbols) + 1:
         raise InvariantError("the pivot tableau must gain exactly one symbol")
 
-    shape = staircase_shape(r)
-    overrides: dict[Box, int] = {}
-    for i in range(n + 1):
-        j = 0
-        while True:
-            w = (x + i + l - 1 + j * l, y - l - j * (l - 1))
-            if w not in shape:
-                break
-            overrides[w] = u.at(psi[i])
-            j += 1
-    s = u.with_values(overrides)
-
     idx = (q - 1) - l
     if mu.word[idx] != "N" or any(c != "E" for c in mu.word[idx + 1 :]):
         raise InvariantError("strip word disagrees with the height row")
     nu = StripShape(r, l, mu.word[:idx] + "E" * (len(mu.word) - idx))
+
+    # The row-H boxes psi leave the strip in nu: the strip slot each one
+    # repeats takes its value, and s is the extension of that filling.
+    lands = nu.repeat_map(1)
+    filling = list(map(u.at, nu.shape.index.boxes))
+    slot = u.shape.index.slot
+    for box in psi:
+        filling[lands[slot[box]]] = u.at(box)
+    s = Tableau(u.shape, tuple(map(filling.__getitem__, lands)))
 
     if not is_tableau(s) or not is_displacement(s, p.k):
         raise InvariantError("descent produced an invalid tableau")
@@ -392,55 +390,27 @@ def height_descent_step(t: Tableau, p: PrymParams) -> HeightDescent:
 # Connectivity walks
 
 
-def _first_mismatch(t: Tableau, boxes: tuple[Box, ...]) -> tuple[Box, int] | None:
-    for i, b in enumerate(boxes):
-        if t.at(b) != i + 1:
-            return b, i + 1
-    return None
+def _descend_strip(t: Tableau, mu0: StripShape, p: PrymParams) -> list[Tableau]:
+    """Walk a tableau non-repeating in mu_0 down to the standard extension.
 
-
-def _descend_injective(t: Tableau, p: PrymParams) -> list[Tableau]:
-    """Walk an injective tableau down to the standard filling (full shape)."""
-    boxes = canonical_boxes(t.shape)
+    This one walk serves every torsion: a degenerate mu_0 is all of T_r,
+    and the walk then runs on injective tableaux.  The rank counts the
+    strip boxes from the first one that does not hold its 1-based
+    canonical position to the last; every step must lower it.
+    """
+    boxes = mu0.shape.index.boxes
     states = [t]
     cur = t
+    rank = len(boxes) + 1
     while True:
-        miss = _first_mismatch(cur, boxes)
-        if miss is None:
-            return states
-        omega, a = miss
-        rank = standard_rank(cur)
-        b = _smallest_free(cur, p)
-        if b < a:
-            raise InvariantError("free symbols must not precede the target symbol")
-        trace = cycle_out_trace(cur, a, b)
-        states.extend(trace[1:])
-        cur = states[-1]
-        cur = swap_into(cur, a, omega)
-        states.append(cur)
-        if not standard_rank(cur) < rank:
-            raise InvariantError("walk failed to reduce the rank")
-
-
-def _descend_strip(t: Tableau, p: PrymParams) -> list[Tableau]:
-    """Walk a tableau non-repeating in mu_0 down to the standard extension."""
-    mu0 = horizontal_strip(p.r, p.k)
-    boxes = canonical_boxes(mu0.shape)
-    states = [t]
-    cur = t
-    while True:
-        miss = next(
-            (
-                (b, i + 1)
-                for i, b in enumerate(boxes)
-                if cur.at(b) != i + 1
-            ),
-            None,
+        i = next(
+            (i for i, omega in enumerate(boxes) if cur.at(omega) != i + 1), len(boxes)
         )
-        if miss is None:
+        if not len(boxes) - i < rank:
+            raise InvariantError("walk failed to reduce the rank")
+        if i == len(boxes):
             return states
-        omega, a = miss
-        rank = standard_rank(restrict_to_strip(cur, mu0, p).entries)
+        rank, omega, a = len(boxes) - i, boxes[i], i + 1
         b = _smallest_free(cur, p)
         if b < a:
             raise InvariantError("free symbols must not precede the target symbol")
@@ -451,24 +421,16 @@ def _descend_strip(t: Tableau, p: PrymParams) -> list[Tableau]:
         states.append(cur)
         if not is_non_repeating(cur, mu0, p):
             raise InvariantError("walk left the non-repeating family")
-        if not standard_rank(restrict_to_strip(cur, mu0, p).entries) < rank:
-            raise InvariantError("walk failed to reduce the rank")
 
 
-def _descend(t: Tableau, p: PrymParams) -> list[Tableau]:
-    mu0 = horizontal_strip(p.r, p.k)
-    if mu0.degenerate:
-        return _descend_injective(t, p)
-    if p.eps == 0:
-        return _descend_strip(t, p)
+def _descend(t: Tableau, mu0: StripShape, p: PrymParams) -> list[Tableau]:
+    """Walk ``t`` down to the standard base tableau: odd torsion first
+    lowers the strip height to that of mu_0, then the strip walk runs."""
     states = [t]
-    cur = t
-    while height(cur, p) > p.l:
-        step = height_descent_step(cur, p)
-        states.extend(step.path[1:])
-        cur = step.s
-    tail = _descend_strip(cur, p)
-    states.extend(tail[1:])
+    if p.eps == 1 and not mu0.degenerate:
+        while height(states[-1], p) > p.l:
+            states.extend(height_descent_step(states[-1], p).path[1:])
+    states.extend(_descend_strip(states[-1], mu0, p)[1:])
     return states
 
 
@@ -505,8 +467,9 @@ def connect_path(t: Tableau, s: Tableau, p: PrymParams) -> list[Tableau]:
             raise InvalidInputError(f"{name} tableau is not minimal")
     if t == s:
         return [t]
-    down_t = _descend(t, p)
-    down_s = _descend(s, p)
+    mu0 = horizontal_strip(p.r, p.k)
+    down_t = _descend(t, mu0, p)
+    down_s = _descend(s, mu0, p)
     base = minimal_witness(p)
     if down_t[-1] != base or down_s[-1] != base:
         raise InvariantError("descents missed the standard base tableau")

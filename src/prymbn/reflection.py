@@ -48,10 +48,9 @@ __all__ = [
 ]
 
 
-def _as_boxes(lam: Iterable[Box] | Shape) -> frozenset[Box]:
-    if isinstance(lam, Shape):
-        return lam.boxes
-    return frozenset((int(x), int(y)) for x, y in lam)
+def _as_shape(lam: Iterable[Box] | Shape) -> Shape:
+    """``lam`` as a shape, so caller boxes meet the rule every shape checks."""
+    return lam if isinstance(lam, Shape) else explicit_shape(lam)
 
 
 def _require_partition(boxes: frozenset[Box], op: str) -> None:
@@ -77,7 +76,13 @@ def loose_boxes(
     """
     if k < 0 or k == 1:
         raise InvalidInputError(f"k must be 0 or at least 2, got {k}")
-    boxes = _as_boxes(lam)
+    return _loose_boxes(_as_shape(lam).boxes, classes, k)
+
+
+def _loose_boxes(
+    boxes: frozenset[Box], classes: Iterable[int] | None, k: int
+) -> frozenset[Box]:
+    """:func:`loose_boxes` on boxes already known to be well formed."""
     _require_partition(boxes, "loose_boxes")
     allowed = None if classes is None else frozenset(classes)
     candidates = {(1, 1)}
@@ -102,8 +107,8 @@ def upward_displacement(
     lam: Iterable[Box] | Shape, classes: Iterable[int] | None, k: int
 ) -> Shape:
     """The partition grown by its loose boxes on the given classes."""
-    boxes = _as_boxes(lam)
-    return explicit_shape(boxes | loose_boxes(boxes, classes, k))
+    shape = _as_shape(lam)
+    return explicit_shape(shape.boxes | loose_boxes(shape, classes, k))
 
 
 @dataclass(frozen=True)
@@ -127,7 +132,7 @@ class ReflectionState:
 
 def _staircase_loose(kappa: frozenset[Box], r: int, k: int) -> frozenset[Box]:
     return frozenset(
-        b for b in loose_boxes(kappa, None, k) if anti_diagonal(b) <= r
+        b for b in _loose_boxes(kappa, None, k) if anti_diagonal(b) <= r
     )
 
 

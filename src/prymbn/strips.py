@@ -16,7 +16,10 @@ degenerate the strip to ``T_r`` itself and strip tableaux to injective
 fillings.
 
 Consumers read a strip's geometry from two slot tables per torsion parity:
-:meth:`StripShape.repeat_map` and :meth:`StripShape.order_pairs`.
+:meth:`StripShape.repeat_map` and :meth:`StripShape.order_pairs`.  The
+repeat map is the only source of the repeating translations; it serves
+:func:`is_non_repeating`, :func:`extend_strip_tableau`,
+:func:`dominating_non_repeating` and ``locus.height_descent_step``.
 """
 
 from __future__ import annotations
@@ -453,10 +456,9 @@ def enumerate_strip_tableaux(
 
 def cell_strips(p: PrymParams) -> list[StripShape]:
     """The strips that index cells: all of them at odd torsion, mu_0 otherwise."""
-    strips = enumerate_strips(p)
-    if p.k != 0 and p.eps == 0 and not strips[0].degenerate:
-        strips = [horizontal_strip(p.r, p.k)]
-    return strips
+    if p.eps == 0:
+        return [horizontal_strip(p.r, p.k)]
+    return enumerate_strips(p)
 
 
 def _fill_strip(

@@ -229,6 +229,12 @@ def test_params_validation():
         PrymParams(5, 1, -2)
 
 
+@pytest.mark.parametrize("g, r, k", [(5.5, 2, 2), (7, 3, 4.5), ("5", 2, 2), (5, True, 2)])
+def test_params_must_be_plain_integers(g, r, k):
+    with pytest.raises(InvalidInputError, match="must be an integer"):
+        PrymParams(g, r, k)
+
+
 def test_params_derived_quantities():
     p = PrymParams(11, 4, 3)
     assert p.l == 2 and p.eps == 1 and not p.generic and p.max_symbol == 21

@@ -12,6 +12,8 @@ from prymbn.core import (
     InvalidInputError,
     InvariantError,
     PrymParams,
+    Tableau,
+    canonical_boxes,
     dominates,
     staircase_shape,
 )
@@ -36,6 +38,9 @@ from prymbn.locus import (
     swap_in_for,
     swap_into,
 )
+from prymbn.locus import _collapse
+from prymbn.selftest import DESCENT_START, _grid
+from prymbn.strips import strips_admitting
 
 from helpers import stair
 
@@ -246,6 +251,94 @@ def test_full_descent_reaches_the_witness():
     ])
     path = connect_path(t, minimal_witness(p), p)
     assert path[0] == t and path[-1] == minimal_witness(p)
+
+
+def ref_descent_s(t, u, p):
+    """``height_descent_step(t, p).s`` from its pivot ``u``, with the
+    translation chain from each row-H box written out by hand."""
+    (mu,) = strips_admitting(t, p)
+    l, y = p.l, mu.height
+    x = min(bx for bx, by in mu.boxes if by == y)
+    shape = staircase_shape(p.r)
+    overrides = {}
+    for i in range(p.r - (x + y - 1) + 1):
+        w = (x + i + l - 1, y - l)
+        while w in shape:
+            overrides[w] = u.at((x + i, y))
+            w = (w[0] + l, w[1] - (l - 1))
+    return u.with_values(overrides)
+
+
+@pytest.mark.parametrize("g, r, k", [(7, 3, 3), (9, 4, 3), (11, 4, 5)])
+def test_height_step_matches_the_hand_written_chain(g, r, k):
+    p = PrymParams(g, r, k)
+    steps = 0
+    for cell in enumerate_maximal_cells(p):
+        if height(cell.tableau, p) > p.l:
+            step = height_descent_step(cell.tableau, p)
+            assert step.s == ref_descent_s(cell.tableau, step.u, p)
+            steps += 1
+    assert steps
+
+
+def test_height_step_golden_matches_the_hand_written_chain():
+    p = PrymParams(23, 8, 5)
+    t = stair([list(row) for row in DESCENT_START])
+    step = height_descent_step(t, p)
+    assert step.s == ref_descent_s(t, step.u, p)
+
+
+# --------------------------------------------------------------------------
+# Degenerate torsion: the strip walk against the injective descent
+
+
+def ref_descend_injective(t, p):
+    """Walk an injective tableau down to the standard filling with
+    ``swap_into``, the rank read from ``standard_rank`` on the whole shape."""
+    boxes = canonical_boxes(t.shape)
+    states = [t]
+    while True:
+        miss = next((i for i, b in enumerate(boxes) if states[-1].at(b) != i + 1), None)
+        if miss is None:
+            return states
+        rank = standard_rank(states[-1])
+        free = min(set(range(1, p.g)) - states[-1].symbols)
+        assert free >= miss + 1
+        states.extend(cycle_out_trace(states[-1], miss + 1, free)[1:])
+        states.append(swap_into(states[-1], miss + 1, boxes[miss]))
+        assert standard_rank(states[-1]) < rank
+
+
+def random_injective(p, rng):
+    """A minimal tableau of degenerate torsion: a random standard filling of
+    ``T_r`` relabelled by a random increasing choice of symbols."""
+    shape = staircase_shape(p.r)
+    symbols = sorted(rng.sample(range(1, p.g), len(shape)))
+    filled = {}
+    while len(filled) < len(shape):
+        corners = sorted(
+            (x, y) for x, y in shape.boxes - filled.keys()
+            if (x == 1 or (x - 1, y) in filled) and (y == 1 or (x, y - 1) in filled)
+        )
+        filled[rng.choice(corners)] = symbols[len(filled)]
+    return Tableau.from_mapping(shape, filled)
+
+
+def test_degenerate_walks_match_the_injective_descent():
+    rng = random.Random(2026)
+    instances = 0
+    for r, k, gm1, _ in _grid():
+        p = PrymParams(gm1 + 1, r, k)
+        if not (k == 0 or k > 2 * r) or (pbn_dimension(p) or 0) < 1:
+            continue
+        instances += 1
+        for _ in range(16):
+            t, s = random_injective(p, rng), random_injective(p, rng)
+            want = [t] if t == s else _collapse(
+                ref_descend_injective(t, p) + ref_descend_injective(s, p)[-2::-1]
+            )
+            assert connect_path(t, s, p) == want
+    assert instances == 16
 
 
 # --------------------------------------------------------------------------

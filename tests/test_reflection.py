@@ -48,6 +48,14 @@ def test_loose_boxes_with_class_filter():
     assert loose_boxes(lam, [1], 2) == frozenset({(1, 2)})
 
 
+@pytest.mark.parametrize("lam", [[(1.7, 1)], [(True, 1)], [(0, 1)], [("x", 1)], [(1,)]])
+def test_loose_boxes_check_caller_boxes_like_a_shape(lam):
+    with pytest.raises(InvalidInputError, match="box"):
+        loose_boxes(lam, None, 0)
+    with pytest.raises(InvalidInputError, match="box"):
+        upward_displacement(lam, None, 0)
+
+
 def test_upward_displacement_grows_by_the_loose_boxes():
     lam = frozenset({(1, 1)})
     grown = upward_displacement(lam, None, 0)

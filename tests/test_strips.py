@@ -104,6 +104,14 @@ def test_enumerate_strips_and_cell_strips():
     assert cell_strips(generic)[0].degenerate
 
 
+def test_even_cell_strips_build_only_mu_0(monkeypatch):
+    def refuse(p):
+        raise AssertionError("even torsion needs only mu_0")
+
+    monkeypatch.setattr("prymbn.strips.enumerate_strips", refuse)
+    assert cell_strips(PrymParams(12, 10, 2)) == [horizontal_strip(10, 2)]
+
+
 # --------------------------------------------------------------------------
 # Non-repeating tableaux
 
