@@ -38,12 +38,15 @@ generated on each call, so an index never holds more than O(boxes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Box = tuple[int, int]
+# (class, folded symbol) pairs and the parity classes carrying g: see
+# dominance_signature.
+Signature = tuple[frozenset[tuple[int, int]], frozenset[int]]
 
 __all__ = [
     "Box",
@@ -141,6 +144,27 @@ def _is_int(v: object) -> bool:
 
 
 _second = itemgetter(1)
+
+
+class _cached:
+    """A read-only attribute computed on first read and stored in the
+    instance ``__dict__``, where it shadows this non-data descriptor.
+
+    ``functools.cached_property`` does the same but takes a lock on every
+    first read before Python 3.12, which transient tableaux pay in bulk.
+    Two threads racing on a first read both compute the value; one wins.
+    """
+
+    def __init__(self, fn) -> None:
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 class ShapeIndex:
@@ -246,7 +270,7 @@ class Shape:
     def __contains__(self, box: Box) -> bool:
         return box in self.boxes
 
-    @cached_property
+    @_cached
     def index(self) -> ShapeIndex:
         """The shape's slot index, built once and kept with the shape."""
         return ShapeIndex(self)
@@ -272,7 +296,11 @@ def staircase_shape(n: int) -> Shape:
 
 def explicit_shape(boxes: Iterable[Box]) -> Shape:
     """An arbitrary box set with no structural tag."""
-    return Shape("explicit", frozenset(tuple(b) for b in boxes))
+    try:
+        box_set = frozenset(map(tuple, boxes))
+    except TypeError as exc:  # not iterable, or a box that is not a pair
+        raise InvalidInputError(f"expected an iterable of (x, y) boxes: {exc}") from None
+    return Shape("explicit", box_set)
 
 
 def shape_family(shape: Shape) -> tuple[str, int]:
@@ -359,7 +387,7 @@ class Tableau:
             shape = explicit_shape(mapping)
         return cls.from_mapping(shape, mapping)
 
-    @cached_property
+    @_cached
     def mapping(self) -> dict[Box, int]:
         """Box -> value lookup."""
         return dict(zip(self.shape.index.boxes, self.values))
@@ -371,7 +399,7 @@ class Tableau:
             raise InvalidInputError(f"box {box} not in the shape")
         return self.values[i]
 
-    @cached_property
+    @_cached
     def symbols(self) -> frozenset[int]:
         """The set of values appearing in the tableau."""
         return frozenset(self.values)
@@ -497,9 +525,7 @@ def _check_square(t: Tableau, p: PrymParams, op: str) -> None:
         raise InvalidInputError(f"symbols out of range [1, 2g-1]: {bad}")
 
 
-def _square_signature(
-    t: Tableau, p: PrymParams
-) -> tuple[frozenset[tuple[int, int]], frozenset[int]]:
+def _square_signature(t: Tableau, p: PrymParams) -> Signature:
     """(class mod k, folded symbol) for each symbol other than ``g``, and the
     parity classes carrying ``g``.  The fold sends ``a`` and ``2g - a`` to
     ``min(a, 2g - a)``."""
@@ -512,6 +538,36 @@ def _square_signature(
     return pairs, g_parities
 
 
+def _prym_signature(t: Tableau, p: PrymParams) -> Signature | None:
+    """:func:`is_prym` that returns the square signature of a Prym tableau
+    (``None`` for any other), so a caller can reuse it for dominance."""
+    _check_square(t, p, "is_prym")
+    if not is_tableau(t):
+        return None
+    sig = _square_signature(t, p)
+    pairs, g_parities = sig
+    # One class per folded symbol: as many pairs as folded symbols.
+    if len(g_parities) <= 1 and len(pairs) == len(set(map(_second, pairs))):
+        return sig
+    return None
+
+
+def _reflective_signature(t: Tableau, p: PrymParams) -> Signature | None:
+    """:func:`is_reflective` that returns the square signature, like
+    :func:`_prym_signature`."""
+    _check_square(t, p, "is_reflective")
+    g2 = 2 * p.g
+    values = t.values
+    if any(v + values[j] != g2 for v, j in zip(values, t.shape.index.reflection)):
+        return None
+    return _prym_signature(t, p)
+
+
+def _signature_dominates(sig_t: Signature, sig_s: Signature) -> bool:
+    """:func:`dominates` read off the two tableaux's signatures on one shape."""
+    return sig_t[0] <= sig_s[0] and sig_t[1] <= sig_s[1]
+
+
 def is_prym(t: Tableau, p: PrymParams) -> bool:
     """Whether ``t`` is a Prym tableau of type ``p`` on the (r+1)-square.
 
@@ -520,22 +576,12 @@ def is_prym(t: Tableau, p: PrymParams) -> bool:
     ``(a, 2g - a)`` share that class, and the fiber of ``g`` lies in a
     single parity class mod 2.
     """
-    _check_square(t, p, "is_prym")
-    if not is_tableau(t):
-        return False
-    pairs, g_parities = _square_signature(t, p)
-    # One class per folded symbol: as many pairs as folded symbols.
-    return len(g_parities) <= 1 and len(pairs) == len(set(map(_second, pairs)))
+    return _prym_signature(t, p) is not None
 
 
 def is_reflective(t: Tableau, p: PrymParams) -> bool:
     """Whether ``t`` is a Prym tableau satisfying ``t(b) = 2g - t(reflect(b))``."""
-    _check_square(t, p, "is_reflective")
-    g2 = 2 * p.g
-    values = t.values
-    if any(v + values[j] != g2 for v, j in zip(values, t.shape.index.reflection)):
-        return False
-    return is_prym(t, p)
+    return _reflective_signature(t, p) is not None
 
 
 def _staircase_symbols(t: Tableau, p: PrymParams, op: str) -> frozenset[int]:
@@ -561,9 +607,7 @@ def codimension(t: Tableau, p: PrymParams) -> int:
     return len(_staircase_symbols(t, p, "codimension"))
 
 
-def dominance_signature(
-    t: Tableau, p: PrymParams
-) -> tuple[frozenset[tuple[int, int]], frozenset[int]]:
+def dominance_signature(t: Tableau, p: PrymParams) -> Signature:
     """The two sets whose containment decides :func:`dominates`.
 
     Squares: the (class mod ``k``, ``min(a, 2g - a)``) pairs of every
@@ -588,9 +632,7 @@ def dominates(t: Tableau, s: Tableau, p: PrymParams) -> bool:
     """
     if t.shape != s.shape:
         raise InvalidInputError("dominates compares tableaux on a common shape")
-    pairs_t, g_t = dominance_signature(t, p)
-    pairs_s, g_s = dominance_signature(s, p)
-    return pairs_t <= pairs_s and g_t <= g_s
+    return _signature_dominates(dominance_signature(t, p), dominance_signature(s, p))
 
 
 def equivalent(t: Tableau, s: Tableau, p: PrymParams) -> bool:

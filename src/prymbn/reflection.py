@@ -6,6 +6,16 @@ staircase ``T_r`` and holds ``g`` along the main anti-diagonal.  The sweep
 implemented by :func:`reflectify` turns any Prym tableau whose ``g``-fiber
 sits in the parity class ``r mod 2`` into a reflective tableau dominating it,
 growing a reflective partition ``kappa`` one symbol threshold at a time.
+
+Each step writes the threshold on the loose boxes that reach it and its dual
+on their reflections, then checks that the new tableau is Prym and dominates
+the previous one; the threshold range and the "stuck" and "replaced no
+boxes" conditions are checked too, and the end checks that the result is
+reflective and dominates the input.  Every failed check raises
+``InvariantError``.  The Prym (or reflective) check of each state builds
+its square signature once, and the dominance checks compare those
+signatures, so no state's signature is built twice.  The loose set is
+carried from step to step and updated around the replaced boxes only.
 """
 
 from __future__ import annotations
@@ -20,15 +30,15 @@ from .core import (
     PrymParams,
     Shape,
     Tableau,
+    _prym_signature,
+    _reflective_signature,
+    _signature_dominates,
     anti_diagonal,
     anti_diagonal_boxes,
     diag_class,
-    dominance_signature,
-    dominates,
     dual_symbol,
     explicit_shape,
     is_displacement,
-    is_prym,
     is_reflective,
     is_tableau,
     reflect_box,
@@ -136,14 +146,44 @@ def _staircase_loose(kappa: frozenset[Box], r: int, k: int) -> frozenset[Box]:
     )
 
 
+def _grown_loose(
+    loose: frozenset[Box], kappa: frozenset[Box], replaced: frozenset[Box], r: int
+) -> frozenset[Box]:
+    """The loose boxes inside ``T_r`` of ``kappa``, which grew from the
+    partition with loose set ``loose`` by ``replaced``, a subset of it.
+
+    The other loose boxes stay loose, and a box that was not loose can only
+    become so once its west or south neighbour joins ``kappa``, so the new
+    ones are east or north of a replaced box.  Such a box is outside
+    ``kappa``: it is not loose itself, and ``kappa`` is a partition.
+    """
+    out = set(loose - replaced)
+    for x, y in replaced:
+        for bx, by in ((x + 1, y), (x, y + 1)):
+            if (
+                bx + by - 1 <= r
+                and (bx == 1 or (bx - 1, by) in kappa)
+                and (by == 1 or (bx, by - 1) in kappa)
+            ):
+                out.add((bx, by))
+    return frozenset(out)
+
+
 def reflectify_states(t: Tableau, p: PrymParams) -> list[ReflectionState]:
     """Run the reflectification sweep, returning every intermediate state.
 
     The input must be a Prym tableau whose ``g``-fiber lies in the parity
     class ``r mod 2``; otherwise no reflective tableau can dominate it (the
     final step pins ``g`` to that class) and the input is rejected.
+
+    Each step must stay Prym and dominate the state before it, and the
+    result must be reflective and dominate the input; a failure raises
+    ``InvariantError``.  Each state's square signature (see
+    :func:`~prymbn.core.dominance_signature`) is built once, by its Prym or
+    reflective check, and the dominance checks compare those signatures.
     """
-    if not is_prym(t, p):
+    sig_t = _prym_signature(t, p)
+    if sig_t is None:
         raise InvalidInputError("reflectify needs a Prym tableau of the given type")
     r, g = p.r, p.g
     for box in t.fiber(g):
@@ -154,16 +194,17 @@ def reflectify_states(t: Tableau, p: PrymParams) -> list[ReflectionState]:
             )
     staircase = staircase_shape(r).boxes
     kappa: frozenset[Box] = frozenset()
-    s = t
-    states = [ReflectionState(0, t, 0, kappa, _staircase_loose(kappa, r, p.k), frozenset())]
+    loose = _staircase_loose(kappa, r, p.k)
+    s, sig = t, sig_t
+    states = [ReflectionState(0, t, 0, kappa, loose, frozenset())]
     prev_n = 0
     while kappa != staircase:
-        loose = states[-1].loose
         if not loose:
             raise InvariantError("reflectification stuck: no loose boxes below A_{r+1}")
-        values, slot = s.values, s.shape.index.slot
+        values = s.values
+        slot, mirror = s.shape.index.slot, s.shape.index.reflection
         below = {w: values[slot[w]] for w in loose}
-        above = {w: 2 * g - values[slot[reflect_box(w, r)]] for w in loose}
+        above = {w: 2 * g - values[mirror[slot[w]]] for w in loose}
         n = min(min(below.values()), min(above.values()))
         if not prev_n < n <= g - 1:
             raise InvariantError(
@@ -172,34 +213,34 @@ def reflectify_states(t: Tableau, p: PrymParams) -> list[ReflectionState]:
         replaced = frozenset(w for w in loose if below[w] == n or above[w] == n)
         if not replaced:
             raise InvariantError("reflectification step replaced no boxes")
-        updates: dict[Box, int] = {}
+        new_values = list(values)
         for w in replaced:
-            updates[w] = n
-            updates[reflect_box(w, r)] = 2 * g - n
-        s2 = s.with_values(updates)
-        if not is_prym(s2, p):
+            i = slot[w]
+            new_values[i] = n
+            new_values[mirror[i]] = 2 * g - n
+        s2 = Tableau(s.shape, tuple(new_values))
+        sig2 = _prym_signature(s2, p)
+        if sig2 is None:
             raise InvariantError(f"reflectification step {len(states)} left the Prym class")
-        if not dominates(s2, s, p):
+        if not _signature_dominates(sig2, sig):
             raise InvariantError(f"reflectification step {len(states)} broke dominance")
         kappa = kappa | replaced
-        states.append(
-            ReflectionState(
-                len(states), s2, n, kappa, _staircase_loose(kappa, r, p.k), replaced
-            )
-        )
-        s = s2
+        loose = _grown_loose(loose, kappa, replaced, r)
+        states.append(ReflectionState(len(states), s2, n, kappa, loose, replaced))
+        s, sig = s2, sig2
         prev_n = n
     main = anti_diagonal_boxes(square_shape(r), r + 1)
     final = s.with_values({b: g for b in main})
-    if not is_reflective(final, p):
+    sig_final = _reflective_signature(final, p)
+    if sig_final is None:
         raise InvariantError("reflectification produced a non-reflective tableau")
     # When the input never uses g, the g-clause of dominance is vacuous for
     # cells (the middle chip is pinned by rank parity either way), so only the
     # per-class symbol clauses are meaningful.
     if g in t.symbols:
-        ok = dominates(final, t, p)
+        ok = _signature_dominates(sig_final, sig_t)
     else:
-        ok = dominance_signature(final, p)[0] <= dominance_signature(t, p)[0]
+        ok = sig_final[0] <= sig_t[0]
     if not ok:
         raise InvariantError("reflectification result does not dominate its input")
     states.append(

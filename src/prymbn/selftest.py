@@ -139,8 +139,8 @@ def _row_dimension(ctx: RunContext) -> str:
 
 # C(r, k) over r = 1..6 (rows) and k = 0, 2, 4, 6, 8 (columns).  Two cells
 # are corrected relative to a circulating misprint — C(5, 8) = 35840 and
-# C(6, 6) = 8192 — as forced by the agreement of the determinant, lattice
-# path, brute-force, and transfer-matrix routes.
+# C(6, 6) = 8192 — as forced by the agreement of the determinant,
+# lattice-path and brute-force routes, which row R2 checks on both cells.
 CARDINALITY_TABLE: dict[tuple[int, int], int] = {
     (1, 0): 1, (1, 2): 1, (1, 4): 1, (1, 6): 1, (1, 8): 1,
     (2, 0): 2, (2, 2): 1, (2, 4): 2, (2, 6): 2, (2, 8): 2,

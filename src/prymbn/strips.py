@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -218,9 +218,22 @@ def strip_shape(r: int, l: int, word: str) -> StripShape:
     return StripShape(r, l, word)
 
 
+# Distinct (r, width) pairs whose mu_0 is kept; a fixed bound, so the cache
+# never grows with the requests a process serves.
+HORIZONTAL_STRIP_CACHE = 32
+
+
 def horizontal_strip(r: int, k: int) -> StripShape:
-    """The all-east strip mu_0 for torsion ``k`` in ``T_r``."""
-    l = effective_width(r, k)
+    """The all-east strip mu_0 for torsion ``k`` in ``T_r``.
+
+    The same object serves every call with the same ``r`` and width, so its
+    shape, index and repeat maps are built once per type.
+    """
+    return _horizontal_strip(r, effective_width(r, k))
+
+
+@lru_cache(maxsize=HORIZONTAL_STRIP_CACHE, typed=True)
+def _horizontal_strip(r: int, l: int) -> StripShape:
     return StripShape(r, l, "E" * (r - l))
 
 

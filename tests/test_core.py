@@ -23,6 +23,7 @@ from prymbn.core import (
     codimension,
     diag_class,
     diag_offset,
+    dominance_signature,
     dominates,
     dual_symbol,
     equivalent,
@@ -37,6 +38,9 @@ from prymbn.core import (
     square_shape,
     staircase_boxes,
     staircase_shape,
+    _prym_signature,
+    _reflective_signature,
+    _signature_dominates,
 )
 from prymbn.dimension import enumerate_staircase_tableaux
 from prymbn.reflection import extend_to_reflective
@@ -366,6 +370,14 @@ def ref_is_prym(t, p):
     )
 
 
+def ref_is_reflective(t, p):
+    ref_check_square(t, p)
+    value = dict(zip(ref_boxes(t.shape), t.values))
+    if any(v + value[reflect_box(b, p.r)] != 2 * p.g for b, v in value.items()):
+        return False
+    return ref_is_prym(t, p)
+
+
 def ref_dominates(t, s, p):
     if t.shape != s.shape:
         raise InvalidInputError("different shapes")
@@ -453,6 +465,25 @@ def check_agreement(t, s, p):
     assert outcome(is_prym, t, p) == outcome(ref_is_prym, t, p)
     assert outcome(dominates, t, s, p) == outcome(ref_dominates, t, s, p)
     assert outcome(dominates, s, t, p) == outcome(ref_dominates, s, t, p)
+    # The signature-level forms the reflect sweep runs on: a signature
+    # exactly when the predicate holds, the one dominance reads, and
+    # containment of two Prym signatures is dominance.
+    sigs = []
+    for u in (t, s):
+        assert outcome(lambda: _prym_signature(u, p) is not None) == outcome(
+            ref_is_prym, u, p
+        )
+        assert outcome(lambda: _reflective_signature(u, p) is not None) == outcome(
+            ref_is_reflective, u, p
+        )
+        if outcome(ref_is_prym, u, p) == ("value", True):
+            sigs.append(_prym_signature(u, p))
+            assert sigs[-1] == dominance_signature(u, p)
+            assert _reflective_signature(u, p) in (None, sigs[-1])
+    if len(sigs) == 2:
+        sig_t, sig_s = sigs
+        assert _signature_dominates(sig_t, sig_s) == ref_dominates(t, s, p)
+        assert _signature_dominates(sig_s, sig_t) == ref_dominates(s, t, p)
 
 
 @settings(max_examples=300, deadline=None)

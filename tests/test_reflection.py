@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from itertools import islice
+
 import pytest
 
+from prymbn import core
 from prymbn.core import (
     InvalidInputError,
     PrymParams,
     dominates,
+    explicit_shape,
     is_prym,
     is_reflective,
     staircase_shape,
@@ -21,8 +25,9 @@ from prymbn.reflection import (
     reflectify_trace,
     restrict_to_staircase,
     upward_displacement,
+    _staircase_loose,
 )
-from prymbn.selftest import REFLECTION_TRACE
+from prymbn.selftest import REFLECTION_TRACE, _grid
 
 from helpers import square, stair
 
@@ -48,12 +53,18 @@ def test_loose_boxes_with_class_filter():
     assert loose_boxes(lam, [1], 2) == frozenset({(1, 2)})
 
 
-@pytest.mark.parametrize("lam", [[(1.7, 1)], [(True, 1)], [(0, 1)], [("x", 1)], [(1,)]])
+@pytest.mark.parametrize(
+    "lam",
+    [[(1.7, 1)], [(True, 1)], [(0, 1)], [("x", 1)], [(1,)],
+     [5], 5, [None], [(1, [2])]],  # not iterable, or not hashable
+)
 def test_loose_boxes_check_caller_boxes_like_a_shape(lam):
     with pytest.raises(InvalidInputError, match="box"):
         loose_boxes(lam, None, 0)
     with pytest.raises(InvalidInputError, match="box"):
         upward_displacement(lam, None, 0)
+    with pytest.raises(InvalidInputError, match="box"):
+        explicit_shape(lam)
 
 
 def test_upward_displacement_grows_by_the_loose_boxes():
@@ -84,6 +95,41 @@ def test_reflectify_step_invariants_on_the_golden_trace():
         assert dominates(cur.tableau, prev.tableau, p)
         if cur.step < len(states) - 1:
             assert cur.replaced <= prev.loose
+
+
+def _grid_tableaux():
+    """Up to 100 tableaux spread over the first 1000 of each r = 3, 4 grid type."""
+    for r, k, gm1, _ in _grid():
+        if r in (3, 4):
+            p = PrymParams(gm1 + 1, r, k)
+            for t in islice(enumerate_staircase_tableaux(p), 0, 1000, 10):
+                yield extend_to_reflective(t, p), p
+
+
+def test_incremental_loose_sets_are_exact():
+    cases = [(_trace_tableaux()[0], PrymParams(11, 4, 3)), *_grid_tableaux()]
+    assert len(cases) == 950
+    for t, p in cases:
+        for state in reflectify_states(t, p)[:-1]:
+            assert state.loose == _staircase_loose(state.kappa, p.r, p.k)
+
+
+def test_the_sweep_builds_each_signature_once(monkeypatch):
+    # One signature per state; rebuilding one per dominance check, as a
+    # sweep that calls is_prym and dominates does, costs about three per step.
+    calls = []
+    build = core._square_signature
+
+    def counted(t, p):
+        calls.append(t)
+        return build(t, p)
+
+    monkeypatch.setattr(core, "_square_signature", counted)
+    golden = (_trace_tableaux()[0], PrymParams(11, 4, 3))
+    for t, p in [golden, *islice(_grid_tableaux(), 0, None, 25)]:
+        calls.clear()
+        states = reflectify_states(t, p)
+        assert len(calls) <= len(states) + 1
 
 
 def test_reflectify_is_idempotent():

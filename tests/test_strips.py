@@ -19,6 +19,7 @@ from prymbn.core import (
 from prymbn.counting import cardinality, strip_poset_succ_masks
 from prymbn.dimension import enumerate_staircase_tableaux, expected_codim, minimal_witness
 from prymbn.strips import (
+    HORIZONTAL_STRIP_CACHE,
     StripShape,
     StripTableau,
     cell_strips,
@@ -34,6 +35,7 @@ from prymbn.strips import (
     strips_admitting,
     _check_restriction,
     _gluing_violation,
+    _horizontal_strip,
     _require_staircase,
 )
 
@@ -110,6 +112,19 @@ def test_even_cell_strips_build_only_mu_0(monkeypatch):
 
     monkeypatch.setattr("prymbn.strips.enumerate_strips", refuse)
     assert cell_strips(PrymParams(12, 10, 2)) == [horizontal_strip(10, 2)]
+
+
+def test_horizontal_strip_is_built_once_per_type_in_a_fixed_cache():
+    mu = horizontal_strip(4, 3)
+    assert horizontal_strip(4, 3) is mu
+    assert horizontal_strip(4, 4) is mu  # k = 3 and k = 4 share the width 2
+    assert mu == StripShape(4, 2, "EE")
+    assert _horizontal_strip.cache_info().maxsize == HORIZONTAL_STRIP_CACHE
+    for r in range(1, 3 * HORIZONTAL_STRIP_CACHE):
+        assert horizontal_strip(r, 2).l == 1
+    assert _horizontal_strip.cache_info().currsize == HORIZONTAL_STRIP_CACHE
+    with pytest.raises(InvalidInputError):
+        horizontal_strip(4, 1)
 
 
 # --------------------------------------------------------------------------
