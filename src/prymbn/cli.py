@@ -27,7 +27,7 @@ from .core import (
     shape_family,
 )
 from .counting import applicable_routes, cardinality, max_cell_count
-from .dimension import dimension_report, expected_codim, pbn_dimension
+from .dimension import expected_codim, pbn_dimension
 from .divisors import make_folded_chain, tableau_to_divisor
 from .io import SCHEMA_VERSION, divisor_to_json, tableau_from_json, tableau_to_json
 from .locus import (
@@ -81,7 +81,7 @@ def _check_r(args: argparse.Namespace, r: int) -> None:
 
 def _cmd_dim(args: argparse.Namespace) -> int:
     p = _params(args)
-    rep = dimension_report(p)
+    n, dim = expected_codim(p.r, p.k), pbn_dimension(p)
     if args.json:
         _emit_json(
             {
@@ -89,17 +89,17 @@ def _cmd_dim(args: argparse.Namespace) -> int:
                 "g": p.g,
                 "r": p.r,
                 "k": p.k,
-                "n": rep.n,
-                "dim": rep.dim,
-                "empty": rep.empty,
+                "n": n,
+                "dim": dim,
+                "empty": dim is None,
             }
         )
         return 0
-    if rep.empty:
+    if dim is None:
         print("empty")
         return 0
-    print(f"n(r,k) = {rep.n}")
-    print(f"dim = {rep.dim}")
+    print(f"n(r,k) = {n}")
+    print(f"dim = {dim}")
     return 0
 
 

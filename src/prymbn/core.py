@@ -20,17 +20,19 @@ would otherwise re-derive on every call:
 
 - the canonical box tuple and the box -> slot map;
 - the slot of every box's west and south neighbour, for any box set;
-- for a lower set, the ``(lo, hi)`` slot pairs the tableau condition compares;
+- for a box set passing the cover rule, the ``(lo, hi)`` slot pairs compared;
 - the diagonal class of every slot, one tuple per ``k``, built on first use;
 - for squares, the slot permutation of the reflection across the main
   anti-diagonal.
 
-When the box set is a lower set (with every box it holds the boxes west and
-south of it), the pairs are the west and south covers only.  That check is
-exact: if ``b <= b'`` componentwise, the east-then-north lattice path from
-``b`` to ``b'`` stays in the rectangle they span, which the lower set
-contains, and strict increase along each cover step gives ``t(b) < t(b')``.
-Whether the box set is a lower set is decided from the boxes, never from
+The cover rule: each row and each column of the box set is one run (as many
+boxes lack a west neighbour as there are rows, and a south one as columns),
+and at most one box lacks both.  Then the pairs are the west and south
+covers only, and that is exact: for ``b <= b'``, walk from ``b'`` west while
+east of ``b`` and south while north of it.  Runs give the next box on
+``b``'s row or column, so the walk can stop only at a box strictly north-east
+of ``b`` lacking both neighbours, but walking down from ``b`` ends at a
+second one.  Lower sets and strips pass; the rule reads the boxes, never
 ``Shape.kind``.  Any other box set is checked by the full pairwise scan,
 generated on each call, so an index never holds more than O(boxes).
 """
@@ -38,7 +40,7 @@ generated on each call, so an index never holds more than O(boxes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -172,13 +174,13 @@ class ShapeIndex:
 
     ``boxes`` is the canonical order and ``slot`` its inverse.  ``west``
     and ``south`` hold the slot of each box's west and south neighbour, or
-    ``-1`` where the box set lacks it.  When ``lower_set`` holds,
-    ``covers`` lists the west/south cover pairs ``(lo, hi)``.
+    ``-1`` where the box set lacks it.  When ``chained`` (the module's cover
+    rule) holds, ``covers`` lists the west/south cover pairs ``(lo, hi)``.
     :meth:`classes` and :attr:`reflection` are built on first use.
     """
 
     __slots__ = (
-        "boxes", "slot", "west", "south", "lower_set", "covers", "_classes", "_reflection",
+        "boxes", "slot", "west", "south", "chained", "covers", "_classes", "_reflection",
     )
 
     def __init__(self, shape: Shape) -> None:
@@ -190,11 +192,12 @@ class ShapeIndex:
         # count_brute's peak memory by 7-9%.
         self.west = tuple([slot.get((x - 1, y), -1) for x, y in boxes])
         self.south = tuple([slot.get((x, y - 1), -1) for x, y in boxes])
-        self.lower_set = all(
-            (x == 1 or w >= 0) and (y == 1 or s >= 0)
-            for (x, y), w, s in zip(boxes, self.west, self.south)
+        self.chained = (
+            self.west.count(-1) == len({y for _, y in boxes})
+            and self.south.count(-1) == len({x for x, _ in boxes})
+            and sum(w == s == -1 for w, s in zip(self.west, self.south)) <= 1
         )
-        self.covers = tuple(self.neighbour_pairs()) if self.lower_set else ()
+        self.covers = tuple(self.neighbour_pairs()) if self.chained else ()
         self._classes: dict[int, tuple[int, ...]] = {}
         self._reflection: tuple[int, ...] | None = None
 
@@ -207,8 +210,8 @@ class ShapeIndex:
 
     def violations(self, values: Sequence[int]) -> Iterator[tuple[int, int]]:
         """The ``(lo, hi)`` slot pairs whose values fail to increase: among
-        the covers of a lower set, else among all comparable pairs."""
-        if self.lower_set:
+        the covers of a chained box set, else among all comparable pairs."""
+        if self.chained:
             yield from ((i, j) for i, j in self.covers if not values[i] < values[j])
             return
         boxes = self.boxes
@@ -276,7 +279,10 @@ class Shape:
         return ShapeIndex(self)
 
 
-@cache
+SHAPE_CACHE = 32  # sizes kept per named shape: a fixed bound, never grown by requests
+
+
+@lru_cache(maxsize=SHAPE_CACHE, typed=True)
 def square_shape(r: int) -> Shape:
     """The (r+1) x (r+1) square, ``r >= 0``."""
     if r < 0:
@@ -286,7 +292,7 @@ def square_shape(r: int) -> Shape:
     return Shape("square", boxes, r)
 
 
-@cache
+@lru_cache(maxsize=SHAPE_CACHE, typed=True)
 def staircase_shape(n: int) -> Shape:
     """The staircase ``T_n``, ``n >= 0`` (empty when n == 0)."""
     if n < 0:
@@ -295,20 +301,26 @@ def staircase_shape(n: int) -> Shape:
 
 
 def explicit_shape(boxes: Iterable[Box]) -> Shape:
-    """An arbitrary box set with no structural tag."""
+    """The shape of a box set: the named staircase or square when the boxes
+    are one (staircase first, so one box is ``T_1``), else ``"explicit"``."""
     try:
         box_set = frozenset(map(tuple, boxes))
     except TypeError as exc:  # not iterable, or a box that is not a pair
         raise InvalidInputError(f"expected an iterable of (x, y) boxes: {exc}") from None
-    return Shape("explicit", box_set)
+    shape = Shape("explicit", box_set)
+    side, n = max((x for x, _ in box_set), default=0), len(box_set)
+    # The size picks the one candidate, so a far box builds no huge shape.
+    named = (staircase_shape(side) if n == side * (side + 1) // 2
+             else square_shape(side - 1) if n == side * side else shape)
+    return named if n and named.boxes == box_set else shape
 
 
 def shape_family(shape: Shape) -> tuple[str, int]:
     """``("square", r)`` or ``("staircase", r)`` for a square or staircase.
 
-    Named shapes answer by their kind, so the one-box staircase ``T_1``
-    and the 1x1 square stay apart.  Explicit shapes are matched by their
-    box set, staircase first.  Anything else is an input error.
+    Shapes answer by their kind, so the one-box staircase ``T_1`` and the
+    1x1 square stay apart; :func:`explicit_shape` names every staircase or
+    square box set.  Anything else is an input error.
     """
     r = shape.r
     named = _is_int(r) and r >= 0
@@ -316,12 +328,6 @@ def shape_family(shape: Shape) -> tuple[str, int]:
         return "square", r
     if shape.kind == "staircase" and named and shape == staircase_shape(r):
         return "staircase", r
-    if shape.kind == "explicit" and shape.boxes:
-        side = max(x for x, _ in shape.boxes)
-        if shape.boxes == staircase_shape(side).boxes:
-            return "staircase", side
-        if shape.boxes == square_shape(side - 1).boxes:
-            return "square", side - 1
     raise InvalidInputError("expected a tableau on a square or staircase shape")
 
 

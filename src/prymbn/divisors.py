@@ -28,7 +28,6 @@ from .core import (
     is_prym,
     is_tableau,
     shape_family,
-    square_shape,
 )
 
 __all__ = [
@@ -225,8 +224,6 @@ def tableau_to_divisor(t: Tableau, chain: FoldedChain) -> ChipDivisor | None:
     g, k = chain.g, chain.k
     family, r = shape_family(t.shape)
     if family == "square":
-        if t.shape.kind == "explicit":
-            t = Tableau(square_shape(r), t.values)  # same boxes, same slot order
         if not is_prym(t, PrymParams(g, r, k)):
             raise InvalidInputError("square tableaux must satisfy the Prym conditions")
         limit = 2 * g - 1

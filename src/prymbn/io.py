@@ -58,7 +58,9 @@ def _require(cond: bool, message: str) -> None:
 
 def shape_from_json(data: Any) -> Shape:
     _require(isinstance(data, dict), "shape must be an object")
-    kind = _KIND_ALIASES.get(data.get("kind"), data.get("kind"))
+    kind = data.get("kind")
+    _require(kind is None or isinstance(kind, str), "shape kind must be a string")
+    kind = _KIND_ALIASES.get(kind, kind)
     r = data.get("r")
     raw = data.get("boxes")
     boxes: list[Box] = []

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator
 
@@ -37,6 +37,7 @@ from .core import (
     PrymParams,
     Shape,
     Tableau,
+    _cached,
     anti_diagonal,
     dominates,
     is_displacement,
@@ -56,7 +57,6 @@ __all__ = [
     "horizontal_strip",
     "is_non_repeating",
     "restrict_to_strip",
-    "strip_shape",
     "strips_admitting",
 ]
 
@@ -92,7 +92,7 @@ class StripShape:
         if any(c not in "EN" for c in self.word):
             raise InvalidInputError(f"strip word must use E/N moves, got {self.word!r}")
 
-    @cached_property
+    @_cached
     def _leftmost_ends(self) -> tuple[Box, ...]:
         """West ends of the windows on anti-diagonals 1..r."""
         ends = [(1, n) for n in range(1, self.l + 1)]
@@ -119,11 +119,11 @@ class StripShape:
         x, y = self.leftmost(n)
         return tuple((x + i, y - i) for i in range(min(n, self.l)))
 
-    @cached_property
+    @_cached
     def boxes(self) -> frozenset[Box]:
         return frozenset(b for n in range(1, self.r + 1) for b in self.window(n))
 
-    @cached_property
+    @_cached
     def shape(self) -> Shape:
         """The strip as a shape; every tableau on this strip shares it."""
         return Shape("strip", self.boxes, self.r)
@@ -149,7 +149,7 @@ class StripShape:
                 pairs.append((rm, self.leftmost(n + 1)))
         return tuple(pairs)
 
-    @cached_property
+    @_cached
     def _repeat_maps(self) -> dict[int, tuple[int, ...]]:
         return {}
 
@@ -213,11 +213,6 @@ class StripShape:
         return 0
 
 
-def strip_shape(r: int, l: int, word: str) -> StripShape:
-    """Construct and validate a strip shape."""
-    return StripShape(r, l, word)
-
-
 # Distinct (r, width) pairs whose mu_0 is kept; a fixed bound, so the cache
 # never grows with the requests a process serves.
 HORIZONTAL_STRIP_CACHE = 32
@@ -257,24 +252,22 @@ def _require_staircase(t: Tableau, p: PrymParams, op: str) -> None:
 
 
 def _check_restriction(t: Tableau, mu: StripShape, p: PrymParams, op: str) -> Tableau:
-    """The restriction of ``t`` to ``mu``, checked for tableau + displacement."""
+    """The restriction of ``t`` to ``mu``, checked for tableau + displacement
+    in one violation scan and one class scan."""
     sub = _restrict(t, mu.shape)
-    if not is_tableau(sub):
-        idx = mu.shape.index
-        i, j = next(idx.violations(sub.values))
+    idx = mu.shape.index
+    bad = next(idx.violations(sub.values), None)
+    if bad is not None:
         raise InvalidInputError(
             f"{op}: restriction to the strip violates the tableau condition"
-            f" at {idx.boxes[i]} -> {idx.boxes[j]}"
+            f" at {idx.boxes[bad[0]]} -> {idx.boxes[bad[1]]}"
         )
-    if not is_displacement(sub, p.k):
-        seen: dict[int, int] = {}
-        v = next(
-            v for c, v in zip(mu.shape.index.classes(p.k), sub.values)
-            if seen.setdefault(v, c) != c
-        )
-        raise InvalidInputError(
-            f"{op}: restriction to the strip violates displacement at symbol {v}"
-        )
+    seen: dict[int, int] = {}
+    for c, v in zip(idx.classes(p.k), sub.values):
+        if seen.setdefault(v, c) != c:
+            raise InvalidInputError(
+                f"{op}: restriction to the strip violates displacement at symbol {v}"
+            )
     return sub
 
 

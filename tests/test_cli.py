@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
@@ -52,6 +53,18 @@ def test_dim_text_and_json(capsys):
         "schema": SCHEMA_VERSION, "g": 7, "r": 3, "k": 4,
         "n": 5, "dim": 1, "empty": False,
     }
+
+
+def test_dim_builds_nothing_it_does_not_print(capsys):
+    # Two integers: no minimal witness on the 180,300-box staircase T_600.
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "dim", "--g", "2000000", "--r", "600", "--k", "0")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (0, "n(r,k) = 180300\ndim = 1819699\n")
+    assert peak < 2**20
 
 
 def test_dim_empty_locus(capsys):
@@ -254,6 +267,27 @@ def test_reflectify_with_a_huge_g_returns_at_once(capsys, tmp_path):
     code, _, err = run(capsys, "reflectify", "--g", str(g), "--k", "2", "--in", src)
     assert code == 0, err
     assert time.perf_counter() - start < 1.0
+
+
+def test_reflectify_reads_an_explicit_square_as_the_square(capsys, tmp_path):
+    start = square([list(row) for row in REFLECTION_TRACE[0]])
+    named = dump(tmp_path, "square.json", start)
+    doc = tableau_to_json(start)
+    doc["shape"] = {"kind": "explicit", "boxes": doc["shape"]["boxes"]}
+    explicit = tmp_path / "explicit.json"
+    explicit.write_text(json.dumps(doc))
+    for extra in ([], ["--trace", "--json"]):
+        argv = ["reflectify", "--g", "11", "--k", "3", *extra, "--in"]
+        want = run(capsys, *argv, named)
+        assert want[0] == 0 and run(capsys, *argv, str(explicit)) == want
+
+
+def test_a_shape_kind_that_is_not_a_string_exits_2(capsys, tmp_path):
+    src = tmp_path / "kind.json"
+    for kind in ([1], {"square": 2}):
+        src.write_text(json.dumps({"shape": {"kind": kind, "r": 2}, "entries": []}))
+        code, _, err = run(capsys, "reflectify", "--g", "5", "--k", "2", "--in", str(src))
+        assert code == 2 and "kind must be a string" in err
 
 
 def test_reflectify_rejects_staircases(capsys, tmp_path):

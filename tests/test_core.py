@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import gc
 import pickle
+import random
 import time
 import weakref
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from prymbn.core import (
+    SHAPE_CACHE,
     InvalidInputError,
     PrymParams,
     Shape,
@@ -35,6 +38,7 @@ from prymbn.core import (
     is_tableau,
     rank_map,
     reflect_box,
+    shape_family,
     square_shape,
     staircase_boxes,
     staircase_shape,
@@ -79,6 +83,28 @@ def test_shape_constructors():
     assert tri.kind == "staircase" and len(tri) == 6 and (2, 3) not in tri
     ex = explicit_shape([(1, 1), (2, 1)])
     assert ex.kind == "explicit" and ex.r is None
+
+
+def test_one_box_set_has_one_shape():
+    assert explicit_shape(staircase_boxes(3)) is staircase_shape(3)
+    assert explicit_shape(square_shape(2).boxes) is square_shape(2)
+    assert explicit_shape([(1, 1)]) is staircase_shape(1)  # staircase first: T_1
+    assert shape_family(explicit_shape(square_shape(3).boxes)) == ("square", 3)
+    # The size matches T_2 and the 2x2 square, the boxes match neither.
+    assert explicit_shape([(1, 1), (2, 1), (2, 2)]).kind == "explicit"
+    assert explicit_shape([(1, 1), (2, 1), (1, 2), (3, 3)]).kind == "explicit"
+    assert explicit_shape([(10**9, 1)]).kind == "explicit"  # builds no named shape
+    assert explicit_shape([]).kind == "explicit"
+    with pytest.raises(InvalidInputError):
+        shape_family(explicit_shape([(1, 1), (2, 1)]))
+
+
+def test_named_shapes_sit_in_fixed_caches():
+    for make in (square_shape, staircase_shape):
+        assert make.cache_info().maxsize == SHAPE_CACHE
+        for r in range(3 * SHAPE_CACHE):
+            assert make(r).r == r  # no index is built
+        assert make.cache_info().currsize == SHAPE_CACHE
 
 
 def test_shape_rejects_bad_input():
@@ -425,6 +451,21 @@ def strip_shapes(draw):
     return StripShape(r, l, word).shape
 
 
+@st.composite
+def skew_shapes(draw):
+    """Skew shapes lambda/mu moved off the axes: never lower sets, each row
+    and column a single run, and some with two boxes lacking both a west
+    and a south neighbour."""
+    rows = sorted(draw(st.lists(st.integers(1, 5), min_size=1, max_size=5)), reverse=True)
+    cuts = sorted(draw(st.lists(st.integers(0, 4), min_size=len(rows),
+                                max_size=len(rows))), reverse=True)
+    dx, dy = draw(st.sampled_from([(1, 0), (0, 1), (1, 1), (2, 1), (0, 2)]))
+    return explicit_shape(
+        (x + dx, y + dy) for y, (n, m) in enumerate(zip(rows, cuts), start=1)
+        for x in range(min(m, n - 1) + 1, n + 1)
+    )
+
+
 grid_boxes = st.sets(
     st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=12
 )
@@ -439,7 +480,7 @@ def scattered_shapes(draw):
     return Shape("square", boxes, draw(st.integers(0, 3)))
 
 
-any_shape = st.one_of(lower_set_shapes(), strip_shapes(), scattered_shapes())
+any_shape = st.one_of(lower_set_shapes(), strip_shapes(), skew_shapes(), scattered_shapes())
 
 
 @st.composite
@@ -538,14 +579,73 @@ def test_square_predicates_stay_cheap_for_a_huge_g():
     assert time.perf_counter() - start < 1.0
 
 
-def test_lower_sets_check_covers_only():
+def test_chained_sets_check_covers_only():
     stair_index = staircase_shape(3).index
-    assert stair_index.lower_set and len(stair_index.covers) == 6  # west + south
+    assert stair_index.chained and len(stair_index.covers) == 6  # west + south
     assert list(stair_index.violations((1, 2, 3, 4, 2, 5))) == [(1, 4), (2, 4)]
+    strip = StripShape(4, 2, "NE").shape.index  # not a lower set
+    assert strip.chained and len(strip.covers) == 8
+    moved = explicit_shape([(2, 2), (3, 2), (2, 3)])
+    assert moved.index.chained and list(moved.index.violations((1, 2, 1))) == [(0, 2)]
+    # A column gap and a row gap, each around the one box lacking both
+    # neighbours, break the rule alone: every cover increases, one other
+    # pair does not.  The odd square has two such boxes.
+    column_gap = {(1, 1): 1, (2, 1): 5, (1, 2): 2, (1, 3): 3, (2, 3): 4}
+    row_gap = {(y, x): v for (x, y), v in column_gap.items()}
+    for mapping, pair in ((column_gap, [(2, 1), (2, 3)]), (row_gap, [(1, 2), (3, 2)])):
+        t = Tableau.from_mapping(explicit_shape(mapping), mapping)
+        idx = t.shape.index
+        assert not idx.chained
+        assert [[idx.boxes[i], idx.boxes[j]] for i, j in idx.violations(t.values)] == [pair]
     odd = Shape("square", frozenset({(1, 1), (2, 2)}), 1)
-    assert not odd.index.lower_set and odd.index.covers == ()
+    assert not odd.index.chained and odd.index.covers == ()
     assert list(odd.index.violations((2, 2))) == [(0, 1)]
     assert not is_tableau(Tableau(odd, (2, 2)))
+
+
+def order_below(boxes):
+    """For each slot, the mask of the other slots weakly south-west of it."""
+    return [
+        sum(1 << i for i, (xi, yi) in enumerate(boxes) if i != j and xi <= xj and yi <= yj)
+        for j, (xj, yj) in enumerate(boxes)
+    ]
+
+
+def chain_below(idx):
+    """For each slot, the mask of the slots its west/south chains reach."""
+    reach = []
+    for w, s in zip(idx.west, idx.south):
+        reach.append(0)
+        for i in (w, s):
+            if i >= 0:
+                reach[-1] |= reach[i] | 1 << i
+    return reach
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(skew_shapes(), scattered_shapes()))
+def test_the_cover_rule_is_exact(shape):
+    idx = shape.index
+    if idx.chained:
+        assert chain_below(idx) == order_below(idx.boxes)
+
+
+def test_every_small_strip_passes_the_cover_rule():
+    rng = random.Random(7)
+    for r in range(1, 9):
+        for l in range(r + 1):
+            for word in product("EN", repeat=r - l):
+                shape = StripShape(r, l, "".join(word)).shape
+                idx = shape.index
+                assert idx.chained
+                assert chain_below(idx) == order_below(idx.boxes)
+                values = list(range(1, len(idx.boxes) + 1))  # canonical order increases
+                for _ in range(3):
+                    t = Tableau(shape, tuple(values))
+                    assert is_tableau(t) == ref_is_tableau(t)
+                    if values:  # the width-0 strip is empty
+                        i, j = rng.randrange(len(values)), rng.randrange(len(values))
+                        values[i], values[j] = values[j], values[i]
 
 
 # --------------------------------------------------------------------------

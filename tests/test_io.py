@@ -6,10 +6,12 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from prymbn.core import (
     InvalidInputError,
     PrymParams,
+    Shape,
     Tableau,
     canonical_boxes,
     explicit_shape,
@@ -75,6 +77,24 @@ def test_shape_from_json_validation():
         shape_from_json({"boxes": [[1, 1], [1, 1]]})
     with pytest.raises(InvalidInputError, match="disagrees"):
         shape_from_json({"kind": "staircase", "r": 2, "boxes": [[1, 1], [9, 9]]})
+
+
+def test_shape_from_json_refuses_a_kind_that_is_not_a_string():
+    for kind in ([1], {"kind": "square"}, [], 3, True):
+        with pytest.raises(InvalidInputError, match="kind must be a string"):
+            shape_from_json({"kind": kind, "r": 2})
+
+
+def test_named_box_sets_load_as_the_named_shape():
+    stair_boxes = shape_to_json(staircase_shape(3))["boxes"]
+    assert shape_from_json({"kind": "explicit", "boxes": stair_boxes}) is staircase_shape(3)
+    square_boxes = shape_to_json(square_shape(2))["boxes"]
+    assert shape_from_json({"boxes": square_boxes}) is square_shape(2)
+    t = tableau_from_json({
+        "shape": {"kind": "explicit", "boxes": square_boxes},
+        "entries": [[x, y, x + y] for x, y in square_boxes],
+    })
+    assert t.shape is square_shape(2) and tableau_to_json(t)["shape"]["kind"] == "square"
 
 
 # --------------------------------------------------------------------------
@@ -199,3 +219,84 @@ def test_divisor_entries_from_json_rejects_a_non_integer_multiplicity():
             divisor_entries_from_json([{"loop": 2, "pos": "1", "mult": mult}])
     rows = divisor_entries_from_json([{"loop": 2, "pos": "3/4"}])
     assert rows == [(2, Fraction(3, 4), 1)]
+
+
+# --------------------------------------------------------------------------
+# Contract: any JSON-like input loads or is refused, and loads round-trip
+
+json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 12), st.floats(-2, 12), st.text(max_size=3)
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=10,
+)
+small = st.integers(-1, 5)
+box_lists = st.lists(
+    st.tuples(st.integers(1, 4), st.integers(1, 4)), min_size=1, max_size=10, unique=True
+)
+
+
+def rarely(draw, n=4):
+    """True once in ``n`` draws; the simplest draw is False."""
+    return draw(st.integers(1, n)) == n
+
+
+@st.composite
+def shape_docs(draw, boxes):
+    """A shape object over ``boxes``; now and then a key is absent or junk."""
+    side = max(x for x, _ in boxes)
+    doc = {
+        "kind": draw(st.sampled_from(["explicit", None, "staircase", "square", "triangle",
+                                      "strip"])),
+        "r": draw(st.sampled_from([side, side - 1]) | small),
+        "boxes": [list(b) for b in boxes],
+    }
+    for key in ("kind", "r", "boxes"):
+        if rarely(draw):
+            doc[key] = draw(json_values)
+        elif rarely(draw):
+            del doc[key]
+    return doc
+
+
+@st.composite
+def tableau_docs(draw):
+    """Mostly a tableau object over one box list; now and then an entry or
+    a key is dropped, repeated or junk, or the whole document is any JSON."""
+    if rarely(draw, 10):
+        return draw(json_values)
+    boxes = draw(box_lists)
+    entries = [[x, y, draw(st.integers(1, 6))] for x, y in boxes]
+    if rarely(draw):
+        entries = draw(st.sampled_from([entries[1:], entries + entries[:1]]))
+    if entries and rarely(draw):
+        entries[draw(st.integers(0, len(entries) - 1))] = draw(json_values)
+    doc = {"shape": draw(shape_docs(boxes)), "entries": entries}
+    if rarely(draw, 8):
+        del doc[draw(st.sampled_from(["shape", "entries"]))]
+    return doc
+
+
+@settings(max_examples=200, deadline=None)
+@given(tableau_docs())
+def test_tableau_from_json_loads_or_refuses_and_round_trips(doc):
+    try:
+        t = tableau_from_json(doc)
+    except InvalidInputError:
+        return
+    assert isinstance(t, Tableau)
+    assert tableau_from_json(json.loads(json.dumps(tableau_to_json(t)))) == t
+
+
+@settings(max_examples=200, deadline=None)
+@given(box_lists.flatmap(shape_docs) | json_values)
+def test_shape_from_json_loads_or_refuses_and_round_trips(doc):
+    try:
+        shape = shape_from_json(doc)
+    except InvalidInputError:
+        return
+    assert isinstance(shape, Shape)
+    assert shape_from_json(json.loads(json.dumps(shape_to_json(shape)))) == shape

@@ -31,7 +31,6 @@ from prymbn.strips import (
     horizontal_strip,
     is_non_repeating,
     restrict_to_strip,
-    strip_shape,
     strips_admitting,
     _check_restriction,
     _gluing_violation,
@@ -64,7 +63,7 @@ def test_strip_shape_validation():
 
 
 def test_strip_windows_and_ends():
-    mu = strip_shape(4, 2, "EN")
+    mu = StripShape(4, 2, "EN")
     assert mu.leftmost(2) == (1, 2)
     assert mu.leftmost(3) == (2, 2)
     assert mu.leftmost(4) == (2, 3)
