@@ -256,8 +256,11 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     p = _params(args)
     graph = build_intersection_graph(p, force=args.force)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(graph_to_dot(graph))
+        try:
+            with open(args.dot, "w", encoding="utf-8") as fh:
+                fh.write(graph_to_dot(graph))
+        except OSError as exc:
+            raise InvalidInputError(f"cannot write {args.dot}: {exc}") from exc
     summary = {
         "circles": len(graph.circles),
         "vertices": graph.v,
@@ -404,8 +407,8 @@ def _census_row(task: tuple[int, int, bool]) -> dict[str, Any]:
 def _cmd_census(args: argparse.Namespace) -> int:
     if args.force:
         _warn_force()
-    if args.rmax < 1 or args.kmax < 0:
-        raise InvalidInputError("census needs --rmax >= 1 and --kmax >= 0")
+    if args.rmax < 1 or args.kmax < 0 or args.jobs < 0:
+        raise InvalidInputError("census needs --rmax >= 1, --kmax >= 0 and --jobs >= 0")
     tasks = [
         (r, k, args.force)
         for r in range(1, args.rmax + 1)
@@ -413,7 +416,9 @@ def _cmd_census(args: argparse.Namespace) -> int:
         if k != 1
     ]
     rows: dict[tuple[int, int], dict[str, Any]] = {}
-    jobs = args.jobs or min(4, os.cpu_count() or 1)
+    # A fork pool starts all its workers on the first submit, so never ask
+    # for more than there are tasks or cores.
+    jobs = min(args.jobs or 4, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = {pool.submit(_census_row, t): t for t in tasks}
@@ -425,7 +430,10 @@ def _cmd_census(args: argparse.Namespace) -> int:
             row = _census_row(task)
             rows[(row["r"], row["k"])] = row
     out_dir = os.path.dirname(os.path.abspath(args.out))
-    fd, tmp_path = tempfile.mkstemp(dir=out_dir, suffix=".csv.part")
+    try:
+        fd, tmp_path = tempfile.mkstemp(dir=out_dir, suffix=".csv.part")
+    except OSError as exc:
+        raise InvalidInputError(f"cannot write {args.out}: {exc}") from exc
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=CENSUS_COLUMNS)
@@ -433,8 +441,10 @@ def _cmd_census(args: argparse.Namespace) -> int:
             for key in sorted(rows):
                 writer.writerow(rows[key])
         os.replace(tmp_path, args.out)
-    except BaseException:
+    except BaseException as exc:
         os.unlink(tmp_path)
+        if isinstance(exc, OSError):
+            raise InvalidInputError(f"cannot write {args.out}: {exc}") from exc
         raise
     print(f"wrote {len(rows)} rows to {args.out}")
     return 0

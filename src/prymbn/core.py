@@ -175,7 +175,8 @@ class ShapeIndex:
     ``boxes`` is the canonical order and ``slot`` its inverse.  ``west``
     and ``south`` hold the slot of each box's west and south neighbour, or
     ``-1`` where the box set lacks it.  When ``chained`` (the module's cover
-    rule) holds, ``covers`` lists the west/south cover pairs ``(lo, hi)``.
+    rule) holds, ``covers`` lists the (west or south neighbour, box) slot
+    pairs, west pairs first.
     :meth:`classes` and :attr:`reflection` are built on first use.
     """
 
@@ -197,16 +198,12 @@ class ShapeIndex:
             and self.south.count(-1) == len({x for x, _ in boxes})
             and sum(w == s == -1 for w, s in zip(self.west, self.south)) <= 1
         )
-        self.covers = tuple(self.neighbour_pairs()) if self.chained else ()
-        self._classes: dict[int, tuple[int, ...]] = {}
-        self._reflection: tuple[int, ...] | None = None
-
-    def neighbour_pairs(self) -> list[tuple[int, int]]:
-        """The (west or south neighbour, box) slot pairs, west pairs first."""
-        return [
+        self.covers = tuple([
             (j, i) for nbrs in (self.west, self.south)
             for i, j in enumerate(nbrs) if j >= 0
-        ]
+        ]) if self.chained else ()
+        self._classes: dict[int, tuple[int, ...]] = {}
+        self._reflection: tuple[int, ...] | None = None
 
     def violations(self, values: Sequence[int]) -> Iterator[tuple[int, int]]:
         """The ``(lo, hi)`` slot pairs whose values fail to increase: among
@@ -247,10 +244,9 @@ class ShapeIndex:
 class Shape:
     """A finite box set, tagged with how it was constructed.
 
-    ``kind`` is one of ``"square"``, ``"staircase"``, ``"strip"`` or
-    ``"explicit"``; ``r`` records the defining size parameter where one
-    exists (side minus one for squares, the staircase order, the ambient
-    staircase order for strips).
+    ``kind`` is one of ``"square"``, ``"staircase"`` or ``"explicit"``;
+    ``r`` records the defining size parameter of a named kind (side minus
+    one for squares, the staircase order).
     """
 
     kind: str
@@ -258,7 +254,7 @@ class Shape:
     r: int | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("square", "staircase", "strip", "explicit"):
+        if self.kind not in ("square", "staircase", "explicit"):
             raise InvalidInputError(f"unknown shape kind {self.kind!r}")
         for box in self.boxes:
             if not (isinstance(box, tuple) and len(box) == 2

@@ -10,13 +10,13 @@ where each route applies.  Everything is exact integer/rational arithmetic.
 
 The brute route's kernel, :func:`count_linext`, is a layered dynamic
 program over the reachable down-sets of the strip poset built by
-:func:`strip_poset_succ_masks`; it needs no recursion.
+:func:`strip_poset_succ_masks`; the lattice-path walk is layered the same
+way.  Neither needs recursion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
 from itertools import product
 from math import comb, factorial
 
@@ -161,21 +161,21 @@ def count_lattice_paths(r: int, k: int) -> int:
     def valid(z: tuple[int, ...]) -> bool:
         return all(z[i] > z[i + 1] for i in range(l - 1)) and z[-1] > z[0] - k
 
-    @cache
-    def walk(z: tuple[int, ...]) -> int:
-        if z == start:
-            return 1
-        total = 0
-        for i in range(l):
-            if z[i] > start[i]:
-                prev = z[:i] + (z[i] - 1,) + z[i + 1 :]
-                if valid(prev):
-                    total += walk(prev)
-        return total
-
     if not (valid(start) and valid(end)):
         raise InvariantError("lattice-path endpoints violate the chain constraint")
-    return walk(end)
+    # Layer j maps each valid point j unit steps above start, and at most
+    # end in every coordinate, to the number of paths reaching it.
+    layer = {start: 1}
+    for _ in range(sum(end) - sum(start)):
+        above: dict[tuple[int, ...], int] = {}
+        for z, ways in layer.items():
+            for i in range(l):
+                if z[i] < end[i]:
+                    nxt = z[:i] + (z[i] + 1,) + z[i + 1 :]
+                    if valid(nxt):
+                        above[nxt] = above.get(nxt, 0) + ways
+        layer = above
+    return layer.get(end, 0)
 
 
 def strip_poset_succ_masks(mu: StripShape, eps: int) -> list[int]:

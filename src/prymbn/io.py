@@ -2,7 +2,8 @@
 
 Tableau schema: ``{"shape": {"kind": "...", "r": ..., "boxes": [[x, y],
 ...]}, "entries": [[x, y, symbol], ...]}`` with boxes and entries in
-canonical order (ascending anti-diagonal, then ascending x).  Divisor
+canonical order (ascending anti-diagonal, then ascending x); a strip
+tableau names its strip ``explicit``, or ``staircase`` when degenerate.  Divisor
 schema: a list of ``{"loop": n, "pos": "p/q", "mult": m}`` records —
 positions are exact arc lengths, counter-clockwise from the rightmost
 vertex on loops up to the middle, clockwise from the leftmost vertex
@@ -12,7 +13,8 @@ beyond it — or ``{"loop": n, "free": true}`` markers.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any
+from itertools import islice
+from typing import Any, Iterator
 
 from .core import (
     Box,
@@ -21,7 +23,6 @@ from .core import (
     Tableau,
     _is_int,
     canonical_boxes,
-    canonical_key,
     explicit_shape,
     square_shape,
     staircase_shape,
@@ -56,7 +57,10 @@ def _require(cond: bool, message: str) -> None:
         raise InvalidInputError(message)
 
 
-def shape_from_json(data: Any) -> Shape:
+def _shape_spec(data: Any) -> tuple[str | None, Any, list[Box]]:
+    """The checked kind, order and boxes list of a shape object.  Nothing is
+    built, and a boxes list of the wrong length for a named shape is refused
+    here, so a short document never pays for a large shape."""
     _require(isinstance(data, dict), "shape must be an object")
     kind = data.get("kind")
     _require(kind is None or isinstance(kind, str), "shape kind must be a string")
@@ -76,21 +80,54 @@ def shape_from_json(data: Any) -> Shape:
         _require(len(set(boxes)) == len(boxes), "shape boxes contain duplicates")
     if kind == "staircase":
         _require(_is_int(r) and r >= 1, "staircase shape needs integer r >= 1")
-        shape = staircase_shape(r)
     elif kind == "square":
         _require(_is_int(r) and r >= 0, "square shape needs integer r >= 0")
-        shape = square_shape(r)
     elif kind in (None, "explicit"):
         _require(bool(boxes), "explicit shape needs a non-empty boxes list")
-        return explicit_shape(boxes)
+        return kind, r, boxes
     else:
         raise InvalidInputError(f"unknown shape kind {kind!r}")
-    if boxes:
-        _require(
-            set(boxes) == shape.boxes,
-            f"boxes list disagrees with the {kind} shape of order {r}",
-        )
+    _require(
+        not boxes or len(boxes) == _named_size(kind, r),
+        f"boxes list disagrees with the {kind} shape of order {r}",
+    )
+    return kind, r, boxes
+
+
+def _named_size(kind: str, r: int) -> int:
+    """Box count of ``staircase_shape(r)`` or ``square_shape(r)``."""
+    return r * (r + 1) // 2 if kind == "staircase" else (r + 1) ** 2
+
+
+def _in_named(kind: str, r: int, box: Box) -> bool:
+    """Whether ``box`` lies in the named shape, read off ``r``."""
+    x, y = box
+    if kind == "staircase":
+        return x >= 1 and y >= 1 and x + y <= r + 1
+    return 1 <= x <= r + 1 and 1 <= y <= r + 1
+
+
+def _named_boxes(kind: str, r: int) -> Iterator[Box]:
+    """The boxes of the named shape in canonical order, one at a time."""
+    side, last = (r, r) if kind == "staircase" else (r + 1, 2 * r + 1)
+    for n in range(1, last + 1):
+        for x in range(max(1, n - side + 1), min(n, side) + 1):
+            yield (x, n + 1 - x)
+
+
+def _build_shape(kind: str | None, r: Any, boxes: list[Box]) -> Shape:
+    if kind in (None, "explicit"):
+        return explicit_shape(boxes)
+    shape = staircase_shape(r) if kind == "staircase" else square_shape(r)
+    _require(
+        not boxes or set(boxes) == shape.boxes,
+        f"boxes list disagrees with the {kind} shape of order {r}",
+    )
     return shape
+
+
+def shape_from_json(data: Any) -> Shape:
+    return _build_shape(*_shape_spec(data))
 
 
 def tableau_to_json(t: Tableau) -> dict[str, Any]:
@@ -100,27 +137,42 @@ def tableau_to_json(t: Tableau) -> dict[str, Any]:
     }
 
 
+MISSING_SHOWN = 10  # missing boxes named in an error; the rest are counted
+
+
 def tableau_from_json(data: Any) -> Tableau:
     _require(isinstance(data, dict), "tableau must be an object")
     _require("shape" in data and "entries" in data, "tableau needs shape and entries")
-    shape = shape_from_json(data["shape"])
+    kind, r, boxes = _shape_spec(data["shape"])
     entries = data["entries"]
+    # A named shape is built only for a document as large as the shape; with
+    # any other entry count the document fails, and the failure is read off r.
+    count = len(entries) if isinstance(entries, list) else -1
+    shape = None
+    if kind in (None, "explicit") or boxes or count == _named_size(kind, r):
+        shape = _build_shape(kind, r, boxes)
     _require(isinstance(entries, list), "entries must be a list")
     mapping: dict[Box, int] = {}
     for item in entries:
-        _require(
-            isinstance(item, list) and len(item) == 3
-            and all(_is_int(c) for c in item),
-            f"each entry must be [x, y, symbol], got {item!r}",
-        )
+        if not (isinstance(item, list) and len(item) == 3 and all(_is_int(c) for c in item)):
+            raise InvalidInputError(f"each entry must be [x, y, symbol], got {item!r}")
         x, y, v = item
         box = (x, y)
-        _require(box not in mapping, f"duplicate entry for box {box}")
-        _require(box in shape, f"entry box {box} is outside the shape")
-        _require(v >= 1, f"symbols are positive integers, got {v}")
+        if box in mapping:
+            raise InvalidInputError(f"duplicate entry for box {box}")
+        if not (box in shape if shape is not None else _in_named(kind, r, box)):
+            raise InvalidInputError(f"entry box {box} is outside the shape")
+        if v < 1:
+            raise InvalidInputError(f"symbols are positive integers, got {v}")
         mapping[box] = v
-    missing = sorted(shape.boxes - set(mapping), key=canonical_key)
-    _require(not missing, f"entries missing for boxes {missing}")
+    order = canonical_boxes(shape) if shape is not None else _named_boxes(kind, r)
+    missing = list(islice((b for b in order if b not in mapping), MISSING_SHOWN))
+    if missing:
+        size = len(shape) if shape is not None else _named_size(kind, r)
+        more = size - len(mapping) - len(missing)
+        raise InvalidInputError(
+            f"entries missing for boxes {missing}" + (f" and {more} more" if more else "")
+        )
     return Tableau.from_mapping(shape, mapping)
 
 

@@ -12,14 +12,16 @@ right components of the complement copy strip values along translations by
 the torsion, and consecutive windows satisfy a gluing inequality.  Such a
 tableau is determined by its strip restriction, which is injective; this
 restriction is a strip tableau.  Torsion ``0`` and torsion above ``2r``
-degenerate the strip to ``T_r`` itself and strip tableaux to injective
-fillings.
+degenerate the strip to ``T_r`` itself, on ``staircase_shape(r)``, and
+strip tableaux to injective fillings.
 
 Consumers read a strip's geometry from two slot tables per torsion parity:
 :meth:`StripShape.repeat_map` and :meth:`StripShape.order_pairs`.  The
 repeat map is the only source of the repeating translations; it serves
 :func:`is_non_repeating`, :func:`extend_strip_tableau`,
-:func:`dominating_non_repeating` and ``locus.height_descent_step``.
+:func:`dominating_non_repeating` and ``locus.height_descent_step``.  The
+order pairs are the only source of the gluing pairs: one scan of them checks
+a strip filling, and they order the strip search and the brute count.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Box,
@@ -121,33 +123,17 @@ class StripShape:
 
     @_cached
     def boxes(self) -> frozenset[Box]:
-        return frozenset(b for n in range(1, self.r + 1) for b in self.window(n))
+        return self.shape.boxes
 
     @_cached
     def shape(self) -> Shape:
-        """The strip as a shape; every tableau on this strip shares it."""
-        return Shape("strip", self.boxes, self.r)
-
-    def gluing_pairs(self, eps: int) -> tuple[tuple[Box, Box], ...]:
-        """The (smaller, larger) box pairs of the gluing condition for
-        torsion parity ``eps``, one per move of the word.
-
-        The pair at index ``j`` belongs to anti-diagonal ``n = l + j`` and
-        its move ``word[j]``.  Odd torsion compares the window's two ends
-        (west below east after an east move, east below west after a north
-        move); even torsion compares one end with the opposite end of the
-        next window.
-        """
-        pairs = []
-        for n, move in enumerate(self.word, start=self.l):
-            lm, rm = self.leftmost(n), self.rightmost(n)
-            if eps == 1:
-                pairs.append((lm, rm) if move == "E" else (rm, lm))
-            elif move == "E":
-                pairs.append((lm, self.rightmost(n + 1)))
-            else:
-                pairs.append((rm, self.leftmost(n + 1)))
-        return tuple(pairs)
+        """The strip as a shape, shared by every tableau on it: ``T_r``'s
+        own shape when the strip is degenerate, else an explicit one."""
+        if self.degenerate:
+            return staircase_shape(self.r)
+        return Shape(
+            "explicit", frozenset(b for n in range(1, self.r + 1) for b in self.window(n))
+        )
 
     @_cached
     def _repeat_maps(self) -> dict[int, tuple[int, ...]]:
@@ -180,14 +166,37 @@ class StripShape:
         table = self._repeat_maps[eps] = tuple(map(lands.__getitem__, boxes))
         return table
 
-    def order_pairs(self, eps: int) -> list[tuple[int, int]]:
+    @_cached
+    def _order_pairs(self) -> dict[int, tuple[tuple[int, int], ...]]:
+        return {}
+
+    def order_pairs(self, eps: int) -> tuple[tuple[int, int], ...]:
         """The (smaller, larger) slot pairs of ``self.shape.index`` along
         which a strip tableau of torsion parity ``eps`` increases: the
-        west/south neighbour pairs inside the strip, then the gluing pairs.
+        west/south covers (a strip passes the cover rule, so they decide the
+        tableau condition), then the gluing pair of each move ``word[i]`` at
+        position ``i`` from the end, on anti-diagonal ``r + i``.  Odd torsion
+        compares the window's two ends (west below east after an east move,
+        east below west after a north move); even torsion compares one end
+        with the opposite end of the next window.
         """
+        pairs = self._order_pairs.get(eps)
+        if pairs is not None:
+            return pairs
         idx = self.shape.index
-        pairs = idx.neighbour_pairs()
-        pairs += ((idx.slot[lo], idx.slot[hi]) for lo, hi in self.gluing_pairs(eps))
+        if not idx.chained:
+            raise InvariantError(f"strip {self} fails the cover rule")
+        slot, glued = idx.slot, []
+        for n, move in enumerate(self.word, start=self.l):
+            lm, rm = self.leftmost(n), self.rightmost(n)
+            if eps == 1:
+                lo, hi = (lm, rm) if move == "E" else (rm, lm)
+            elif move == "E":
+                lo, hi = lm, self.rightmost(n + 1)
+            else:
+                lo, hi = rm, self.leftmost(n + 1)
+            glued.append((slot[lo], slot[hi]))
+        pairs = self._order_pairs[eps] = idx.covers + tuple(glued)
         return pairs
 
     @property
@@ -251,34 +260,14 @@ def _require_staircase(t: Tableau, p: PrymParams, op: str) -> None:
         raise InvalidInputError(f"{op} needs symbols in [1, g-1]; got {bad}")
 
 
-def _check_restriction(t: Tableau, mu: StripShape, p: PrymParams, op: str) -> Tableau:
-    """The restriction of ``t`` to ``mu``, checked for tableau + displacement
-    in one violation scan and one class scan."""
-    sub = _restrict(t, mu.shape)
-    idx = mu.shape.index
-    bad = next(idx.violations(sub.values), None)
-    if bad is not None:
-        raise InvalidInputError(
-            f"{op}: restriction to the strip violates the tableau condition"
-            f" at {idx.boxes[bad[0]]} -> {idx.boxes[bad[1]]}"
-        )
-    seen: dict[int, int] = {}
-    for c, v in zip(idx.classes(p.k), sub.values):
-        if seen.setdefault(v, c) != c:
-            raise InvalidInputError(
-                f"{op}: restriction to the strip violates displacement at symbol {v}"
-            )
-    return sub
-
-
-def _gluing_violation(
-    value_at, mu: StripShape, eps: int
-) -> tuple[int, str] | None:
-    """First failed gluing condition as (anti-diagonal, move), else None."""
-    for j, (lo, hi) in enumerate(mu.gluing_pairs(eps)):
-        if not value_at(lo) < value_at(hi):
-            return (mu.l + j, mu.word[j])
-    return None
+def _order_failure(mu: StripShape, eps: int, values: Sequence[int]) -> int:
+    """Position from the end of the first order pair of ``mu`` whose values
+    fail to increase (below ``-len(mu.word)``: a cover), or 0 if none does."""
+    pairs = mu.order_pairs(eps)
+    for i, (lo, hi) in enumerate(pairs, start=-len(pairs)):
+        if not values[lo] < values[hi]:
+            return i
+    return 0
 
 
 def is_non_repeating(t: Tableau, mu: StripShape, p: PrymParams) -> bool:
@@ -293,13 +282,25 @@ def is_non_repeating(t: Tableau, mu: StripShape, p: PrymParams) -> bool:
     _require_staircase(t, p, "is_non_repeating")
     if mu.r != p.r:
         raise InvalidInputError("strip and tableau live in different staircases")
-    sub = _check_restriction(t, mu, p, "is_non_repeating")
+    idx = mu.shape.index
+    sub = tuple(map(t.at, idx.boxes))
+    i = _order_failure(mu, p.eps, sub)
+    if i < -len(mu.word):
+        lo, hi = mu.order_pairs(p.eps)[i]
+        raise InvalidInputError(
+            "is_non_repeating: restriction to the strip violates the tableau condition"
+            f" at {idx.boxes[lo]} -> {idx.boxes[hi]}"
+        )
+    seen: dict[int, int] = {}
+    for c, v in zip(idx.classes(p.k), sub):
+        if seen.setdefault(v, c) != c:
+            raise InvalidInputError(
+                f"is_non_repeating: restriction to the strip violates displacement at symbol {v}"
+            )
     if mu.degenerate:
         return True
     # Each box must carry the strip value its repeat chase lands on.
-    if t.values != tuple(map(sub.values.__getitem__, mu.repeat_map(p.eps))):
-        return False
-    return _gluing_violation(sub.at, mu, p.eps) is None
+    return i == 0 and t.values == tuple(map(sub.__getitem__, mu.repeat_map(p.eps)))
 
 
 @dataclass(frozen=True)
@@ -329,13 +330,13 @@ class StripTableau:
             raise InvalidInputError(f"strip symbols must lie in [1, g-1]; got {bad}")
         if len(self.entries.symbols) != len(mu.boxes):
             raise InvalidInputError("strip tableau entries must be injective")
-        if not is_tableau(self.entries):
+        i = _order_failure(mu, p.eps, self.entries.values)
+        if i < -len(mu.word):
             raise InvalidInputError("strip entries violate the tableau condition")
-        viol = _gluing_violation(self.entries.at, mu, p.eps)
-        if viol is not None:
+        if i:
             raise InvalidInputError(
-                f"strip entries violate the gluing condition at anti-diagonal {viol[0]}"
-                f" ({viol[1]} move)"
+                f"strip entries violate the gluing condition at anti-diagonal {mu.r + i}"
+                f" ({mu.word[i]} move)"
             )
 
     @property
@@ -363,14 +364,9 @@ def extend_strip_tableau(st: StripTableau) -> Tableau:
     return ext
 
 
-def _restrict(t: Tableau, shape: Shape) -> Tableau:
-    """The restriction of ``t`` to the boxes of ``shape``."""
-    return Tableau(shape, tuple(map(t.at, shape.index.boxes)))
-
-
 def restrict_to_strip(t: Tableau, mu: StripShape, p: PrymParams) -> StripTableau:
     """Package the strip restriction of a non-repeating tableau."""
-    return StripTableau(mu, _restrict(t, mu.shape), p)
+    return StripTableau(mu, Tableau(mu.shape, tuple(map(t.at, mu.shape.index.boxes))), p)
 
 
 def strips_admitting(t: Tableau, p: PrymParams) -> list[StripShape]:

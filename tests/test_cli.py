@@ -9,8 +9,10 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from concurrent.futures import Future
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import prymbn
 
@@ -21,6 +23,7 @@ from prymbn.io import SCHEMA_VERSION, tableau_from_json, tableau_to_json
 from prymbn.selftest import REFLECTION_TRACE
 
 from helpers import square, stair
+from test_io import tableau_docs
 
 
 def run(capsys, *argv):
@@ -64,6 +67,19 @@ def test_dim_builds_nothing_it_does_not_print(capsys):
     finally:
         tracemalloc.stop()
     assert (code, out) == (0, "n(r,k) = 180300\ndim = 1819699\n")
+    assert peak < 2**20
+
+
+def test_a_short_tableau_file_exits_2_without_building_its_shape(capsys, tmp_path):
+    src = tmp_path / "short.json"
+    src.write_text(json.dumps({"shape": {"kind": "square", "r": 400}, "entries": []}))
+    tracemalloc.start()
+    try:
+        code, _, err = run(capsys, "reflectify", "--g", "5", "--k", "2", "--in", str(src))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and "and 160791 more" in err
     assert peak < 2**20
 
 
@@ -198,6 +214,13 @@ def test_graph_summary_and_dot(capsys, tmp_path):
 
     code, out, _ = run(capsys, "graph", "--g", "5", "--r", "3", "--k", "2")
     assert code == 0 and "betti = 4" in out
+
+
+def test_graph_dot_to_a_missing_directory_exits_2(capsys, tmp_path):
+    missing = tmp_path / "missing" / "locus.dot"
+    code, _, err = run(capsys, "graph", "--g", "5", "--r", "3", "--k", "2",
+                       "--dot", str(missing))
+    assert code == 2 and f"cannot write {missing}" in err
 
 
 # --------------------------------------------------------------------------
@@ -356,6 +379,54 @@ def test_census_rejects_bad_bounds(capsys):
     assert code == 2 and "rmax" in err
 
 
+def test_census_out_to_a_missing_directory_exits_2(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "census.csv"
+    code, _, err = run(capsys, "census", "--rmax", "1", "--kmax", "0",
+                       "--out", str(out_path), "--jobs", "1")
+    assert code == 2 and f"cannot write {out_path}" in err
+
+
+class RecordingPool:
+    """A stand-in for ProcessPoolExecutor that records its size and runs
+    each task in this process, so the test starts no worker."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+def test_census_starts_no_more_workers_than_tasks_or_cores(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("prymbn.cli.ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    out = str(tmp_path / "census.csv")
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    # --rmax 1 --kmax 2 is two tasks: (1, 0) and (1, 2).
+    assert run(capsys, "census", "--rmax", "1", "--kmax", "2", "--out", out,
+               "--jobs", "6")[0] == 0
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert run(capsys, "census", "--rmax", "2", "--kmax", "3", "--out", out,
+               "--jobs", "6")[0] == 0
+    assert run(capsys, "census", "--rmax", "2", "--kmax", "3", "--out", out)[0] == 0
+    assert RecordingPool.sizes == [2, 3, 3]
+    with open(out, newline="") as fh:
+        assert len(list(csv.DictReader(fh))) == 6
+    code, _, err = run(capsys, "census", "--rmax", "1", "--out", out, "--jobs", "-1")
+    assert code == 2 and "--jobs >= 0" in err
+    assert RecordingPool.sizes == [2, 3, 3]
+
+
 def test_census_row_keeps_the_brute_guard():
     # n(8, 5) = 21 exceeds the guard, and odd torsion leaves count_brute as
     # the only route, so the row needs --force like `count` does.
@@ -408,3 +479,81 @@ def test_python_dash_m_runs_the_cli_without_warnings():
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, "n(r,k) = 5\ndim = 1\n", ""
     )
+
+
+# --------------------------------------------------------------------------
+# contract fuzz: every argv ends in exit 0, 2 or 3, never in a traceback
+
+# Valid tableaux with a type (g, k) they fit, so that some requests succeed.
+TYPED_DOCS = [
+    (tableau_to_json(t), g, k)
+    for t, g, k in (
+        (minimal_witness(PrymParams(7, 3, 4)), 7, 4),
+        (minimal_witness(PrymParams(6, 2, 0)), 6, 0),
+        (stair(WALK_START), 12, 0),
+        (square([[3, 5], [1, 3]]), 3, 2),
+        (square([list(row) for row in REFLECTION_TRACE[0]]), 23, 5),
+    )
+]
+small_ints = st.integers(-1, 9).map(str)
+
+
+@st.composite
+def cli_requests(draw):
+    """An argv for one of the cheap verbs and the tableau documents its
+    ``A``/``B`` file arguments name (``None``: the file does not exist)."""
+    verb = draw(st.sampled_from(
+        ["dim", "count", "cells", "betti", "path", "reflectify", "divisor"]
+    ))
+    g, r, k = draw(small_ints), draw(st.integers(-1, 6).map(str)), draw(small_ints)
+    docs = []
+    if verb == "count":
+        argv = ["count", "--r", r, "--k", k, "--method",
+                draw(st.sampled_from(["auto", "hook", "det", "paths", "brute", "all"]))]
+    elif verb in ("dim", "cells", "betti"):
+        argv = [verb, "--g", g, "--r", r, "--k", k]
+        if verb == "cells":
+            argv.append("--count-only")
+        if verb == "betti":
+            argv += ["--method", draw(st.sampled_from(["graph", "closed", "both"]))]
+    else:
+        files = ["--from", "A", "--to", "B"] if verb == "path" else ["--in", "A"]
+        argv = [verb, "--g", g, "--k", k, *files]
+        if draw(st.booleans()):
+            argv += ["--r", r]
+        if verb == "reflectify" and draw(st.booleans()):
+            argv.append("--trace")
+        doc, dg, dk = draw(st.sampled_from(TYPED_DOCS))
+        if draw(st.booleans()):  # the request's type fits the first document
+            argv[2], argv[4] = str(dg), str(dk)
+        other = st.sampled_from([doc]) | tableau_docs() | st.none()
+        docs = [doc if draw(st.booleans()) else draw(other)]
+        if verb == "path":
+            docs.append(draw(other))
+    if draw(st.booleans()):
+        argv.append("--json")
+    if draw(st.integers(0, 5)) == 0:  # now and then a token is dropped or junk
+        i = draw(st.integers(0, len(argv) - 1))
+        argv[i:i + 1] = draw(st.sampled_from([[], ["x"], ["1.5"], ["--nope"]]))
+    return argv, docs
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cli_requests())
+def test_cli_main_exits_0_2_or_3_on_any_request(capsys, tmp_path, request_):
+    argv, docs = request_
+    paths = {}
+    for name, doc in zip("AB", docs):
+        path = tmp_path / f"{name}.json"
+        path.unlink(missing_ok=True)
+        if doc is not None:
+            path.write_text(json.dumps(doc))
+        paths[name] = str(path)
+    argv = [paths.get(tok, tok) for tok in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse refusing the argv
+        code = exc.code
+    capsys.readouterr()
+    assert code in (0, 2, 3), argv

@@ -86,6 +86,11 @@ def test_even_routes_reject_out_of_range_torsion():
             fn(1, 2)
 
 
+def test_lattice_paths_walk_long_paths_without_recursion():
+    # 599 unit steps, past the interpreter's recursion limit; R2's C(r, 4) = 2^(r-1).
+    assert count_lattice_paths(300, 4) == 2 ** 299
+
+
 def test_determinant_support_box_is_finite():
     for widen in (1, 3):
         assert count_even_determinant(4, 4, widen=widen) == count_even_determinant(4, 4)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -19,7 +20,7 @@ from prymbn.core import (
     square_shape,
     staircase_shape,
 )
-from prymbn.dimension import minimal_witness
+from prymbn.dimension import minimal_witness, pbn_dimension
 from prymbn.divisors import make_folded_chain, tableau_to_divisor
 from prymbn.io import (
     SCHEMA_VERSION,
@@ -29,7 +30,12 @@ from prymbn.io import (
     shape_to_json,
     tableau_from_json,
     tableau_to_json,
+    _in_named,
+    _named_boxes,
+    _named_size,
 )
+from prymbn.selftest import _grid
+from prymbn.strips import enumerate_strip_tableaux
 
 from helpers import square, stair
 
@@ -137,6 +143,44 @@ def test_tableau_from_json_validation():
         {"shape": shape, "entries": [[1, 1, 5], [2, 1, 1], [1, 2, 1]]}
     )
     assert not is_tableau(crooked)
+
+
+def test_every_strip_tableau_of_the_cell_grid_round_trips():
+    for r, k, gm1, _ in _grid():
+        p = PrymParams(gm1 + 1, r, k)
+        if (pbn_dimension(p) or -1) < 0:
+            continue
+        for st in enumerate_strip_tableaux(p):
+            doc = tableau_to_json(st.entries)
+            assert doc["shape"]["kind"] in ("explicit", "staircase")
+            assert tableau_from_json(doc) == st.entries
+
+
+def test_a_short_document_builds_no_named_shape():
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInputError, match=r"\[\(1, 1\), .*\] and 160791 more$"):
+            tableau_from_json({"shape": {"kind": "square", "r": 400}, "entries": []})
+        with pytest.raises(InvalidInputError, match="outside the shape"):
+            tableau_from_json({"shape": {"kind": "staircase", "r": 10**9},
+                               "entries": [[1, 1, 1], [0, 1, 2]]})
+        with pytest.raises(InvalidInputError, match="boxes list disagrees"):
+            shape_from_json({"kind": "staircase", "r": 10**9, "boxes": [[1, 1]]})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+def test_named_shapes_read_off_r_match_the_built_shapes():
+    for kind, build in (("staircase", staircase_shape), ("square", square_shape)):
+        for r in range(kind == "staircase", 6):
+            shape = build(r)
+            assert _named_size(kind, r) == len(shape)
+            assert tuple(_named_boxes(kind, r)) == canonical_boxes(shape)
+            for x in range(-1, r + 4):
+                for y in range(-1, r + 4):
+                    assert _in_named(kind, r, (x, y)) == ((x, y) in shape)
 
 
 def test_tableau_from_json_rejects_boolean_symbols():

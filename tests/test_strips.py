@@ -11,9 +11,11 @@ from prymbn.core import (
     InvalidInputError,
     InvariantError,
     PrymParams,
+    Shape,
     Tableau,
     codimension,
     dominates,
+    explicit_shape,
     staircase_shape,
 )
 from prymbn.counting import cardinality, strip_poset_succ_masks
@@ -32,8 +34,6 @@ from prymbn.strips import (
     is_non_repeating,
     restrict_to_strip,
     strips_admitting,
-    _check_restriction,
-    _gluing_violation,
     _horizontal_strip,
     _require_staircase,
 )
@@ -42,6 +42,31 @@ from helpers import stair
 
 # --------------------------------------------------------------------------
 # Strip shapes
+
+
+def test_strips_live_on_the_staircase_or_an_explicit_shape():
+    # A cached strip keeps the T_r it was built with, even once the bounded
+    # staircase cache has dropped that object, so start from fresh strips.
+    _horizontal_strip.cache_clear()
+    for r in range(1, 6):
+        for k in (0, 2 * r + 1, 2 * r + 4):
+            assert horizontal_strip(r, k).shape is staircase_shape(r)
+    mu = StripShape(4, 2, "EN")
+    assert mu.shape.kind == "explicit" and mu.shape.r is None
+    with pytest.raises(InvalidInputError, match="unknown shape kind"):
+        Shape("strip", mu.boxes, 4)
+
+
+def test_order_pairs_are_one_tuple_per_parity_of_a_chained_strip():
+    mu = StripShape(5, 2, "ENE")
+    for eps in (0, 1):
+        pairs = mu.order_pairs(eps)
+        assert isinstance(pairs, tuple) and mu.order_pairs(eps) is pairs
+        assert pairs[: -len(mu.word)] == mu.shape.index.covers
+    broken = StripShape(3, 1, "EE")
+    broken.__dict__["shape"] = explicit_shape([(1, 1), (2, 1), (3, 3)])  # fails the cover rule
+    with pytest.raises(InvariantError, match="cover rule"):
+        broken.order_pairs(0)
 
 
 def test_effective_width():
@@ -250,12 +275,46 @@ def test_dominating_non_repeating_fixes_non_repeating_inputs():
 # Strip tables against the per-box formulas they replaced
 
 
+def ref_gluing_pairs(mu, eps):
+    """The (smaller, larger) box pairs of the gluing condition, one per move
+    ``word[j]``, read off the window ends of anti-diagonal ``l + j``."""
+    pairs = []
+    for n, move in enumerate(mu.word, start=mu.l):
+        lm, rm = mu.leftmost(n), mu.rightmost(n)
+        if eps == 1:
+            pairs.append((lm, rm) if move == "E" else (rm, lm))
+        elif move == "E":
+            pairs.append((lm, mu.rightmost(n + 1)))
+        else:
+            pairs.append((rm, mu.leftmost(n + 1)))
+    return pairs
+
+
+def ref_check_restriction(t, mu, p):
+    """The restriction of ``t`` to ``mu`` as a tableau, checked for the
+    tableau condition on its covers and then for displacement."""
+    sub = Tableau(mu.shape, tuple(map(t.at, mu.shape.index.boxes)))
+    idx = mu.shape.index
+    bad = next(idx.violations(sub.values), None)
+    if bad is not None:
+        raise InvalidInputError(
+            "is_non_repeating: restriction to the strip violates the tableau condition"
+            f" at {idx.boxes[bad[0]]} -> {idx.boxes[bad[1]]}"
+        )
+    seen = {}
+    for c, v in zip(idx.classes(p.k), sub.values):
+        if seen.setdefault(v, c) != c:
+            raise InvalidInputError(
+                f"is_non_repeating: restriction to the strip violates displacement at symbol {v}"
+            )
+
+
 def ref_is_non_repeating(t, mu, p):
     """The repeating conditions tested box by box through ``side_of``."""
     _require_staircase(t, p, "is_non_repeating")
     if mu.r != p.r:
         raise InvalidInputError("strip and tableau live in different staircases")
-    _check_restriction(t, mu, p, "is_non_repeating")
+    ref_check_restriction(t, mu, p)
     if mu.degenerate:
         return True
     l, eps = mu.l, p.eps
@@ -266,7 +325,7 @@ def ref_is_non_repeating(t, mu, p):
             return False
         if side == 1 and v != m[(box[0] - l, box[1] + l - eps)]:
             return False
-    return _gluing_violation(lambda b: m[b], mu, eps) is None
+    return all(m[lo] < m[hi] for lo, hi in ref_gluing_pairs(mu, eps))
 
 
 def ref_extension(entries, mu, eps):
@@ -301,7 +360,7 @@ def ref_succ_masks(mu, eps):
         for nb in ((x + 1, y), (x, y + 1)):
             if nb in slot:
                 succ[i] |= 1 << slot[nb]
-    for lo, hi in mu.gluing_pairs(eps):
+    for lo, hi in ref_gluing_pairs(mu, eps):
         succ[slot[lo]] |= 1 << slot[hi]
     return succ
 
@@ -329,6 +388,53 @@ def test_every_strip_table_matches_the_chase():
             chased = ref_extension(slots, mu, eps).values
             assert mu.repeat_map(eps) == tuple(v - 1 for v in chased), (mu, eps)
             assert strip_poset_succ_masks(mu, eps) == ref_succ_masks(mu, eps)
+
+
+def ref_strip_tableau_error(entries, mu, eps):
+    """The message of the first failed condition of an injective strip
+    filling: the tableau condition by the pairwise scan, then the gluing
+    pairs in move order; None when both hold."""
+    m = entries.mapping
+    if any(a != b and a[0] <= b[0] and a[1] <= b[1] and not m[a] < m[b]
+           for a in m for b in m):
+        return "strip entries violate the tableau condition"
+    for j, (lo, hi) in enumerate(ref_gluing_pairs(mu, eps)):
+        if not m[lo] < m[hi]:
+            return (f"strip entries violate the gluing condition at anti-diagonal"
+                    f" {mu.l + j} ({mu.word[j]} move)")
+    return None
+
+
+def test_strip_checks_on_swapped_fillings_match_the_per_box_formulas():
+    # Every transposition of one linear extension of each strip's order.
+    for r, k, mu in ALL_STRIPS:
+        n = len(mu.boxes)
+        p = PrymParams(n + 1, r, k)
+        succ, order, placed = ref_succ_masks(mu, p.eps), [], 0
+        while len(order) < n:
+            j = next(j for j in range(n) if not placed >> j & 1 and all(
+                placed >> i & 1 for i in range(n) if succ[i] >> j & 1))
+            order.append(j)
+            placed |= 1 << j
+        values = [0] * n
+        for v, j in enumerate(order, start=1):
+            values[j] = v
+        for a in range(n):
+            for b in range(a, n):
+                swapped = list(values)
+                swapped[a], swapped[b] = swapped[b], swapped[a]
+                entries = Tableau(mu.shape, tuple(swapped))
+                t = ref_extension(entries, mu, p.eps)
+                assert outcome(is_non_repeating, t, mu, p) == outcome(
+                    ref_is_non_repeating, t, mu, p), (mu, swapped)
+                if mu not in cell_strips(p):
+                    continue
+                try:
+                    StripTableau(mu, entries, p)
+                    got = None
+                except InvalidInputError as exc:
+                    got = str(exc)
+                assert got == ref_strip_tableau_error(entries, mu, p.eps), (mu, swapped)
 
 
 @st.composite
