@@ -73,10 +73,13 @@ __all__ = [
     "equivalent",
     "explicit_shape",
     "generic_regime",
+    "in_named_shape",
     "is_displacement",
     "is_prym",
     "is_reflective",
     "is_tableau",
+    "named_shape_boxes",
+    "named_shape_size",
     "rank_map",
     "reflect_box",
     "shape_family",
@@ -135,9 +138,31 @@ def generic_regime(r: int, k: int) -> bool:
     return k == 0 or k >= 2 * r - 1
 
 
+def named_shape_size(kind: str, r: int) -> int:
+    """Box count of the ``"staircase"`` ``T_r`` or the ``"square"`` of side r+1."""
+    return r * (r + 1) // 2 if kind == "staircase" else (r + 1) ** 2
+
+
+def in_named_shape(kind: str, r: int, box: Box) -> bool:
+    """Whether ``box`` lies in the named shape of order ``r``."""
+    x, y = box
+    if kind == "staircase":
+        return x >= 1 and y >= 1 and x + y <= r + 1
+    return 1 <= x <= r + 1 and 1 <= y <= r + 1
+
+
+def named_shape_boxes(kind: str, r: int) -> Iterator[Box]:
+    """The boxes of the named shape of order ``r`` in canonical order, one
+    at a time, so a caller can stop early without building the shape."""
+    side, last = (r, r) if kind == "staircase" else (r + 1, 2 * r + 1)
+    for n in range(1, last + 1):
+        for x in range(max(1, n - side + 1), min(n, side) + 1):
+            yield (x, n + 1 - x)
+
+
 def staircase_boxes(n: int) -> frozenset[Box]:
     """Boxes of the staircase ``T_n`` (anti-diagonals 1 through n)."""
-    return frozenset((x, y) for y in range(1, n + 1) for x in range(1, n + 2 - y))
+    return frozenset(named_shape_boxes("staircase", n))
 
 
 def _is_int(v: object) -> bool:
@@ -283,9 +308,7 @@ def square_shape(r: int) -> Shape:
     """The (r+1) x (r+1) square, ``r >= 0``."""
     if r < 0:
         raise InvalidInputError(f"square_shape needs r >= 0, got {r}")
-    side = r + 1
-    boxes = frozenset((x, y) for x in range(1, side + 1) for y in range(1, side + 1))
-    return Shape("square", boxes, r)
+    return Shape("square", frozenset(named_shape_boxes("square", r)), r)
 
 
 @lru_cache(maxsize=SHAPE_CACHE, typed=True)
@@ -306,8 +329,9 @@ def explicit_shape(boxes: Iterable[Box]) -> Shape:
     shape = Shape("explicit", box_set)
     side, n = max((x for x, _ in box_set), default=0), len(box_set)
     # The size picks the one candidate, so a far box builds no huge shape.
-    named = (staircase_shape(side) if n == side * (side + 1) // 2
-             else square_shape(side - 1) if n == side * side else shape)
+    named = (staircase_shape(side) if n == named_shape_size("staircase", side)
+             else square_shape(side - 1) if n == named_shape_size("square", side - 1)
+             else shape)
     return named if n and named.boxes == box_set else shape
 
 

@@ -13,8 +13,9 @@ beyond it — or ``{"loop": n, "free": true}`` markers.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import islice
-from typing import Any, Iterator
+from typing import Any
 
 from .core import (
     Box,
@@ -23,7 +24,11 @@ from .core import (
     Tableau,
     _is_int,
     canonical_boxes,
+    canonical_key,
     explicit_shape,
+    in_named_shape,
+    named_shape_boxes,
+    named_shape_size,
     square_shape,
     staircase_shape,
 )
@@ -59,8 +64,8 @@ def _require(cond: bool, message: str) -> None:
 
 def _shape_spec(data: Any) -> tuple[str | None, Any, list[Box]]:
     """The checked kind, order and boxes list of a shape object.  Nothing is
-    built, and a boxes list of the wrong length for a named shape is refused
-    here, so a short document never pays for a large shape."""
+    built: a named shape's boxes list is checked against ``r`` by arithmetic,
+    so a short document never pays for a large shape."""
     _require(isinstance(data, dict), "shape must be an object")
     kind = data.get("kind")
     _require(kind is None or isinstance(kind, str), "shape kind must be a string")
@@ -87,43 +92,19 @@ def _shape_spec(data: Any) -> tuple[str | None, Any, list[Box]]:
         return kind, r, boxes
     else:
         raise InvalidInputError(f"unknown shape kind {kind!r}")
+    # Distinct boxes, as many as the shape has, all inside it: the same set.
     _require(
-        not boxes or len(boxes) == _named_size(kind, r),
+        not boxes or (len(boxes) == named_shape_size(kind, r)
+                      and all(in_named_shape(kind, r, b) for b in boxes)),
         f"boxes list disagrees with the {kind} shape of order {r}",
     )
     return kind, r, boxes
 
 
-def _named_size(kind: str, r: int) -> int:
-    """Box count of ``staircase_shape(r)`` or ``square_shape(r)``."""
-    return r * (r + 1) // 2 if kind == "staircase" else (r + 1) ** 2
-
-
-def _in_named(kind: str, r: int, box: Box) -> bool:
-    """Whether ``box`` lies in the named shape, read off ``r``."""
-    x, y = box
-    if kind == "staircase":
-        return x >= 1 and y >= 1 and x + y <= r + 1
-    return 1 <= x <= r + 1 and 1 <= y <= r + 1
-
-
-def _named_boxes(kind: str, r: int) -> Iterator[Box]:
-    """The boxes of the named shape in canonical order, one at a time."""
-    side, last = (r, r) if kind == "staircase" else (r + 1, 2 * r + 1)
-    for n in range(1, last + 1):
-        for x in range(max(1, n - side + 1), min(n, side) + 1):
-            yield (x, n + 1 - x)
-
-
 def _build_shape(kind: str | None, r: Any, boxes: list[Box]) -> Shape:
     if kind in (None, "explicit"):
         return explicit_shape(boxes)
-    shape = staircase_shape(r) if kind == "staircase" else square_shape(r)
-    _require(
-        not boxes or set(boxes) == shape.boxes,
-        f"boxes list disagrees with the {kind} shape of order {r}",
-    )
-    return shape
+    return staircase_shape(r) if kind == "staircase" else square_shape(r)
 
 
 def shape_from_json(data: Any) -> Shape:
@@ -141,17 +122,19 @@ MISSING_SHOWN = 10  # missing boxes named in an error; the rest are counted
 
 
 def tableau_from_json(data: Any) -> Tableau:
+    """The tableau of a document.  The entries are checked against the
+    shape's box set, or against ``r`` for a named shape, and the shape is
+    built only once they fill it."""
     _require(isinstance(data, dict), "tableau must be an object")
     _require("shape" in data and "entries" in data, "tableau needs shape and entries")
     kind, r, boxes = _shape_spec(data["shape"])
     entries = data["entries"]
-    # A named shape is built only for a document as large as the shape; with
-    # any other entry count the document fails, and the failure is read off r.
-    count = len(entries) if isinstance(entries, list) else -1
-    shape = None
-    if kind in (None, "explicit") or boxes or count == _named_size(kind, r):
-        shape = _build_shape(kind, r, boxes)
     _require(isinstance(entries, list), "entries must be a list")
+    if kind in (None, "explicit"):
+        box_set = frozenset(boxes)
+        inside, size = box_set.__contains__, len(box_set)
+    else:
+        inside, size = partial(in_named_shape, kind, r), named_shape_size(kind, r)
     mapping: dict[Box, int] = {}
     for item in entries:
         if not (isinstance(item, list) and len(item) == 3 and all(_is_int(c) for c in item)):
@@ -160,20 +143,21 @@ def tableau_from_json(data: Any) -> Tableau:
         box = (x, y)
         if box in mapping:
             raise InvalidInputError(f"duplicate entry for box {box}")
-        if not (box in shape if shape is not None else _in_named(kind, r, box)):
+        if not inside(box):
             raise InvalidInputError(f"entry box {box} is outside the shape")
         if v < 1:
             raise InvalidInputError(f"symbols are positive integers, got {v}")
         mapping[box] = v
-    order = canonical_boxes(shape) if shape is not None else _named_boxes(kind, r)
-    missing = list(islice((b for b in order if b not in mapping), MISSING_SHOWN))
-    if missing:
-        size = len(shape) if shape is not None else _named_size(kind, r)
+    # Distinct entries inside the shape, as many as its boxes, fill it.
+    if len(mapping) < size:
+        order = (sorted(box_set, key=canonical_key) if kind in (None, "explicit")
+                 else named_shape_boxes(kind, r))
+        missing = list(islice((b for b in order if b not in mapping), MISSING_SHOWN))
         more = size - len(mapping) - len(missing)
         raise InvalidInputError(
             f"entries missing for boxes {missing}" + (f" and {more} more" if more else "")
         )
-    return Tableau.from_mapping(shape, mapping)
+    return Tableau.from_mapping(_build_shape(kind, r, boxes), mapping)
 
 
 def _entry_to_json(e: ChipEntry) -> dict[str, Any]:

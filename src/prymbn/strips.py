@@ -121,16 +121,20 @@ class StripShape:
         x, y = self.leftmost(n)
         return tuple((x + i, y - i) for i in range(min(n, self.l)))
 
-    @_cached
+    @property
     def boxes(self) -> frozenset[Box]:
         return self.shape.boxes
 
-    @_cached
+    @property
     def shape(self) -> Shape:
         """The strip as a shape, shared by every tableau on it: ``T_r``'s
-        own shape when the strip is degenerate, else an explicit one."""
-        if self.degenerate:
-            return staircase_shape(self.r)
+        own shape when the strip is degenerate, read from the staircase
+        cache on every call so the strip never pins an old copy, else an
+        explicit one built once."""
+        return staircase_shape(self.r) if self.degenerate else self._explicit_shape
+
+    @_cached
+    def _explicit_shape(self) -> Shape:
         return Shape(
             "explicit", frozenset(b for n in range(1, self.r + 1) for b in self.window(n))
         )

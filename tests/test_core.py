@@ -32,10 +32,13 @@ from prymbn.core import (
     equivalent,
     explicit_shape,
     generic_regime,
+    in_named_shape,
     is_displacement,
     is_prym,
     is_reflective,
     is_tableau,
+    named_shape_boxes,
+    named_shape_size,
     rank_map,
     reflect_box,
     shape_family,
@@ -105,6 +108,17 @@ def test_named_shapes_sit_in_fixed_caches():
         for r in range(3 * SHAPE_CACHE):
             assert make(r).r == r  # no index is built
         assert make.cache_info().currsize == SHAPE_CACHE
+
+
+def test_named_shapes_read_off_r_match_the_built_shapes():
+    for kind, build in (("staircase", staircase_shape), ("square", square_shape)):
+        for r in range(6):
+            shape = build(r)
+            assert named_shape_size(kind, r) == len(shape)
+            assert tuple(named_shape_boxes(kind, r)) == canonical_boxes(shape)
+            for x in range(-1, r + 4):
+                for y in range(-1, r + 4):
+                    assert in_named_shape(kind, r, (x, y)) == ((x, y) in shape)
 
 
 def test_shape_rejects_bad_input():

@@ -30,9 +30,6 @@ from prymbn.io import (
     shape_to_json,
     tableau_from_json,
     tableau_to_json,
-    _in_named,
-    _named_boxes,
-    _named_size,
 )
 from prymbn.selftest import _grid
 from prymbn.strips import enumerate_strip_tableaux
@@ -83,6 +80,16 @@ def test_shape_from_json_validation():
         shape_from_json({"boxes": [[1, 1], [1, 1]]})
     with pytest.raises(InvalidInputError, match="disagrees"):
         shape_from_json({"kind": "staircase", "r": 2, "boxes": [[1, 1], [9, 9]]})
+    with pytest.raises(InvalidInputError, match="disagrees"):
+        shape_from_json({"kind": "staircase", "r": 2, "boxes": [[1, 1], [1, 2], [2, 2]]})
+
+
+def test_missing_entries_are_named_in_canonical_order():
+    shape = {"boxes": [[5, 7], [2, 1], [1, 1]]}
+    with pytest.raises(InvalidInputError, match=r"boxes \[\(2, 1\), \(5, 7\)\]$"):
+        tableau_from_json({"shape": shape, "entries": [[1, 1, 1]]})
+    with pytest.raises(InvalidInputError, match=r"boxes \[\(1, 2\), \(2, 1\)\]$"):
+        tableau_from_json({"shape": {"kind": "staircase", "r": 2}, "entries": [[1, 1, 1]]})
 
 
 def test_shape_from_json_refuses_a_kind_that_is_not_a_string():
@@ -170,17 +177,6 @@ def test_a_short_document_builds_no_named_shape():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-
-
-def test_named_shapes_read_off_r_match_the_built_shapes():
-    for kind, build in (("staircase", staircase_shape), ("square", square_shape)):
-        for r in range(kind == "staircase", 6):
-            shape = build(r)
-            assert _named_size(kind, r) == len(shape)
-            assert tuple(_named_boxes(kind, r)) == canonical_boxes(shape)
-            for x in range(-1, r + 4):
-                for y in range(-1, r + 4):
-                    assert _in_named(kind, r, (x, y)) == ((x, y) in shape)
 
 
 def test_tableau_from_json_rejects_boolean_symbols():

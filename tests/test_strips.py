@@ -45,12 +45,14 @@ from helpers import stair
 
 
 def test_strips_live_on_the_staircase_or_an_explicit_shape():
-    # A cached strip keeps the T_r it was built with, even once the bounded
-    # staircase cache has dropped that object, so start from fresh strips.
-    _horizontal_strip.cache_clear()
     for r in range(1, 6):
         for k in (0, 2 * r + 1, 2 * r + 4):
             assert horizontal_strip(r, k).shape is staircase_shape(r)
+    # A cached strip outlives the staircase cache's copy of T_r and still
+    # shares the copy that cache holds now.
+    held = horizontal_strip(3, 0)
+    staircase_shape.cache_clear()
+    assert held.shape is staircase_shape(3) and held.boxes is staircase_shape(3).boxes
     mu = StripShape(4, 2, "EN")
     assert mu.shape.kind == "explicit" and mu.shape.r is None
     with pytest.raises(InvalidInputError, match="unknown shape kind"):
@@ -64,7 +66,7 @@ def test_order_pairs_are_one_tuple_per_parity_of_a_chained_strip():
         assert isinstance(pairs, tuple) and mu.order_pairs(eps) is pairs
         assert pairs[: -len(mu.word)] == mu.shape.index.covers
     broken = StripShape(3, 1, "EE")
-    broken.__dict__["shape"] = explicit_shape([(1, 1), (2, 1), (3, 3)])  # fails the cover rule
+    broken.__dict__["_explicit_shape"] = explicit_shape([(1, 1), (2, 1), (3, 3)])  # fails the cover rule
     with pytest.raises(InvariantError, match="cover rule"):
         broken.order_pairs(0)
 
