@@ -146,14 +146,11 @@ def named_shape_size(kind: str, r: int) -> int:
 def in_named_shape(kind: str, r: int, box: Box) -> bool:
     """Whether ``box`` lies in the named shape of order ``r``."""
     x, y = box
-    if kind == "staircase":
-        return x >= 1 and y >= 1 and x + y <= r + 1
-    return 1 <= x <= r + 1 and 1 <= y <= r + 1
+    return x >= 1 and y >= 1 and (x + y if kind == "staircase" else max(x, y)) <= r + 1
 
 
 def named_shape_boxes(kind: str, r: int) -> Iterator[Box]:
-    """The boxes of the named shape of order ``r`` in canonical order, one
-    at a time, so a caller can stop early without building the shape."""
+    """The named shape's boxes in canonical order, built one at a time."""
     side, last = (r, r) if kind == "staircase" else (r + 1, 2 * r + 1)
     for n in range(1, last + 1):
         for x in range(max(1, n - side + 1), min(n, side) + 1):

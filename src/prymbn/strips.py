@@ -127,10 +127,8 @@ class StripShape:
 
     @property
     def shape(self) -> Shape:
-        """The strip as a shape, shared by every tableau on it: ``T_r``'s
-        own shape when the strip is degenerate, read from the staircase
-        cache on every call so the strip never pins an old copy, else an
-        explicit one built once."""
+        """The strip as a shape: ``staircase_shape(r)``, looked up on every
+        read, when degenerate, else an explicit shape built once."""
         return staircase_shape(self.r) if self.degenerate else self._explicit_shape
 
     @_cached
