@@ -415,27 +415,29 @@ def _cmd_census(args: argparse.Namespace) -> int:
         for k in range(0, args.kmax + 1)
         if k != 1
     ]
-    rows: dict[tuple[int, int], dict[str, Any]] = {}
-    # A fork pool starts all its workers on the first submit, so never ask
-    # for more than there are tasks or cores.
-    jobs = min(args.jobs or 4, len(tasks), os.cpu_count() or 1)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = {pool.submit(_census_row, t): t for t in tasks}
-            for fut in as_completed(futures):
-                row = fut.result()
-                rows[(row["r"], row["k"])] = row
-    else:
-        for task in tasks:
-            row = _census_row(task)
-            rows[(row["r"], row["k"])] = row
+    # The output file is opened before the sweep, so an unwritable --out
+    # fails before any row is computed.
     out_dir = os.path.dirname(os.path.abspath(args.out))
     try:
         fd, tmp_path = tempfile.mkstemp(dir=out_dir, suffix=".csv.part")
     except OSError as exc:
         raise InvalidInputError(f"cannot write {args.out}: {exc}") from exc
+    rows: dict[tuple[int, int], dict[str, Any]] = {}
+    # A fork pool starts all its workers on the first submit, so never ask
+    # for more than there are tasks or cores.
+    jobs = min(args.jobs or 4, len(tasks), os.cpu_count() or 1)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            if jobs > 1:
+                with ProcessPoolExecutor(max_workers=jobs) as pool:
+                    futures = {pool.submit(_census_row, t): t for t in tasks}
+                    for fut in as_completed(futures):
+                        row = fut.result()
+                        rows[(row["r"], row["k"])] = row
+            else:
+                for task in tasks:
+                    row = _census_row(task)
+                    rows[(row["r"], row["k"])] = row
             writer = csv.DictWriter(fh, fieldnames=CENSUS_COLUMNS)
             writer.writeheader()
             for key in sorted(rows):

@@ -35,6 +35,19 @@ of ``b`` lacking both neighbours, but walking down from ``b`` ends at a
 second one.  Lower sets and strips pass; the rule reads the boxes, never
 ``Shape.kind``.  Any other box set is checked by the full pairwise scan,
 generated on each call, so an index never holds more than O(boxes).
+
+A displacement tableau on the staircase ``T_r`` indexes a cell, and the cell
+is its set of (diagonal class mod ``k``, symbol) pairs (``_cell_pairs``).
+Displacement is one pair per symbol, dominance is containment of the pair
+sets, and two cells with equally many symbols are adjacent when their pair
+sets differ by one pair each way carrying different symbols.
+
+The staircase-input contract is stated once, by functions that return the
+first fault of a tableau as a phrase, or ``None``: :func:`staircase_fault`
+(the shape ``T_r``, then symbols in ``[1, g-1]``), :func:`symbol_fault` (the
+symbols alone) and :func:`displacement_fault` (the tableau condition, one
+cover scan, then displacement, one class scan).  An input check raises
+``InvalidInputError`` from the phrase, an output check ``InvariantError``.
 """
 
 from __future__ import annotations
@@ -67,6 +80,7 @@ __all__ = [
     "codimension",
     "diag_class",
     "diag_offset",
+    "displacement_fault",
     "dominance_signature",
     "dominates",
     "dual_symbol",
@@ -85,7 +99,9 @@ __all__ = [
     "shape_family",
     "square_shape",
     "staircase_boxes",
+    "staircase_fault",
     "staircase_shape",
+    "symbol_fault",
 ]
 
 
@@ -131,6 +147,12 @@ def reflect_box(box: Box, r: int) -> Box:
     """Reflection of ``box`` across the main anti-diagonal of the (r+1)-square."""
     x, y = box
     return (r + 2 - y, r + 2 - x)
+
+
+def _check_torsion(k: int) -> None:
+    """Refuse a torsion order other than 0 or at least 2."""
+    if k < 0 or k == 1:
+        raise InvalidInputError(f"k must be 0 or at least 2, got {k}")
 
 
 def generic_regime(r: int, k: int) -> bool:
@@ -479,8 +501,7 @@ class PrymParams:
             raise InvalidInputError(f"g must be at least 2, got {self.g}")
         if self.r < 0:
             raise InvalidInputError(f"r must be non-negative, got {self.r}")
-        if self.k < 0 or self.k == 1:
-            raise InvalidInputError(f"k must be 0 or at least 2, got {self.k}")
+        _check_torsion(self.k)
 
     @property
     def l(self) -> int:
@@ -510,6 +531,15 @@ def is_tableau(t: Tableau) -> bool:
     return next(t.shape.index.violations(t.values), None) is None
 
 
+def _cell_pairs(t: Tableau, k: int) -> frozenset[tuple[int, int]]:
+    """The (diagonal class mod ``k``, symbol) pairs of ``t``: for a
+    displacement tableau on a staircase, the cell it indexes."""
+    return frozenset(zip(t.shape.index.classes(k), t.values))
+
+
+_NOT_A_TABLEAU = "violates the tableau condition"
+
+
 def is_displacement(t: Tableau, k: int) -> bool:
     """True iff every symbol's boxes share one diagonal class mod ``k``.
 
@@ -517,12 +547,39 @@ def is_displacement(t: Tableau, k: int) -> bool:
     condition is a prerequisite and is validated (violations raise rather
     than returning False).
     """
-    if k < 0 or k == 1:
-        raise InvalidInputError(f"k must be 0 or at least 2, got {k}")
-    if not is_tableau(t):
+    _check_torsion(k)
+    fault = displacement_fault(t, k)
+    if fault == _NOT_A_TABLEAU:
         raise InvalidInputError("is_displacement requires the tableau condition to hold")
-    # One class per symbol: as many (class, symbol) pairs as symbols.
-    return len(set(zip(t.shape.index.classes(k), t.values))) == len(t.symbols)
+    return fault is None
+
+
+def displacement_fault(t: Tableau, k: int) -> str | None:
+    """Why ``t`` is not a displacement tableau at torsion ``k``: the tableau
+    condition, then one class per symbol (as many cell pairs as symbols)."""
+    if not is_tableau(t):
+        return _NOT_A_TABLEAU
+    if len(_cell_pairs(t, k)) != len(t.symbols):
+        return f"is not a {k}-uniform displacement tableau"
+    return None
+
+
+def symbol_fault(t: Tableau, g: int) -> str | None:
+    """Why the symbols of ``t`` are not all in ``[1, g-1]``, the codomain of
+    a staircase tableau."""
+    bad = [v for v in t.symbols if v >= g]
+    if bad:
+        return f"uses symbols outside [1, g-1], which exceed the codomain: {sorted(bad)}"
+    return None
+
+
+def staircase_fault(t: Tableau, p: PrymParams) -> str | None:
+    """Why ``t`` cannot be a staircase tableau of type ``p``: the shape
+    ``T_r``, then the symbols.  :func:`displacement_fault` follows it where
+    a cell is needed."""
+    if t.shape.boxes != staircase_shape(p.r).boxes:
+        return f"is not on the staircase T_{p.r}"
+    return symbol_fault(t, p.g)
 
 
 def class_symbol_sets(
@@ -530,7 +587,7 @@ def class_symbol_sets(
 ) -> dict[int, frozenset[int]]:
     """Diagonal class -> set of symbols appearing on it (optionally excluding one)."""
     out: dict[int, list[int]] = {}
-    for c, v in set(zip(t.shape.index.classes(k), t.values)):
+    for c, v in _cell_pairs(t, k):
         if v != exclude:
             out.setdefault(c, []).append(v)
     return {c: frozenset(s) for c, s in out.items()}
@@ -607,15 +664,6 @@ def is_reflective(t: Tableau, p: PrymParams) -> bool:
     return _reflective_signature(t, p) is not None
 
 
-def _staircase_symbols(t: Tableau, p: PrymParams, op: str) -> frozenset[int]:
-    bad = [v for v in t.symbols if v > p.g - 1]
-    if bad:
-        raise InvalidInputError(
-            f"{op} on a non-square shape needs symbols in [1, g-1]; got {sorted(bad)}"
-        )
-    return t.symbols
-
-
 def codimension(t: Tableau, p: PrymParams) -> int:
     """Codimension of the cell indexed by ``t``.
 
@@ -627,7 +675,9 @@ def codimension(t: Tableau, p: PrymParams) -> int:
     if t.shape == square_shape(p.r):
         syms = t.symbols
         return sum(1 for a in range(1, p.g) if a in syms or dual_symbol(a, p.g) in syms)
-    return len(_staircase_symbols(t, p, "codimension"))
+    if fault := symbol_fault(t, p.g):
+        raise InvalidInputError(f"codimension on a non-square shape: tableau {fault}")
+    return len(t.symbols)
 
 
 def dominance_signature(t: Tableau, p: PrymParams) -> Signature:
@@ -640,8 +690,9 @@ def dominance_signature(t: Tableau, p: PrymParams) -> Signature:
     """
     if _on_square(t, p):
         return _square_signature(t, p)
-    _staircase_symbols(t, p, "dominates")
-    return frozenset(zip(t.shape.index.classes(p.k), t.values)), frozenset()
+    if fault := symbol_fault(t, p.g):
+        raise InvalidInputError(f"dominates on a non-square shape: tableau {fault}")
+    return _cell_pairs(t, p.k), frozenset()
 
 
 def dominates(t: Tableau, s: Tableau, p: PrymParams) -> bool:

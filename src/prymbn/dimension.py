@@ -26,10 +26,9 @@ from .core import (
     InvalidInputError,
     PrymParams,
     Tableau,
-    generic_regime,
     staircase_shape,
 )
-from .strips import StripTableau, extend_strip_tableau, horizontal_strip
+from .strips import StripTableau, effective_width, extend_strip_tableau, horizontal_strip
 
 __all__ = [
     "BRUTE_BOX_LIMIT",
@@ -50,17 +49,13 @@ BRUTE_BOX_LIMIT = 10
 def expected_codim(r: int, k: int) -> int:
     """Closed-form minimal codimension ``n(r, k)``.
 
-    ``binom(l+1, 2) + l(r-l)`` when the strip width ``l = ceil(k/2)`` is
-    below ``r``, else ``binom(r+1, 2)``; torsion 0 uses the wide branch.
+    ``binom(l+1, 2) + l(r-l)``, the box count of a strip of width
+    ``l = effective_width(r, k)``; at ``l = r`` it is ``binom(r+1, 2)``.
     """
     if r < 0:
         raise InvalidInputError(f"rank must be non-negative, got {r}")
-    if k < 0 or k == 1:
-        raise InvalidInputError(f"k must be 0 or at least 2, got {k}")
-    l = r if k == 0 else (k + 1) // 2
-    if l <= r - 1:
-        return comb(l + 1, 2) + l * (r - l)
-    return comb(r + 1, 2)
+    l = effective_width(r, k)
+    return comb(l + 1, 2) + l * (r - l)
 
 
 def pbn_dimension(p: PrymParams) -> int | None:
@@ -157,7 +152,7 @@ def min_codim_staircase(r: int, k: int, gmax: int, use_budget: bool = True) -> i
     n = len(cls)
     if n == 0:
         return 0
-    leff = r if generic_regime(r, k) else (k + 1) // 2
+    leff = effective_width(r, k)
     suf = [0] * (r + 2)
     for m in range(r, 0, -1):
         suf[m] = suf[m + 1] + min(m, leff)

@@ -23,11 +23,11 @@ from .core import (
     Tableau,
     codimension,
     diag_offset,
+    displacement_fault,
     dual_symbol,
-    is_displacement,
     is_prym,
-    is_tableau,
     shape_family,
+    symbol_fault,
 )
 
 __all__ = [
@@ -226,16 +226,8 @@ def tableau_to_divisor(t: Tableau, chain: FoldedChain) -> ChipDivisor | None:
     if family == "square":
         if not is_prym(t, PrymParams(g, r, k)):
             raise InvalidInputError("square tableaux must satisfy the Prym conditions")
-        limit = 2 * g - 1
-    else:
-        if not is_tableau(t):
-            raise InvalidInputError("not a tableau")
-        if not is_displacement(t, k):
-            raise InvalidInputError(f"not a {k}-uniform displacement tableau")
-        limit = g - 1
-    bad = sorted(v for v in t.symbols if v > limit)
-    if bad:
-        raise InvalidInputError(f"symbols exceed the codomain [1, {limit}]: {bad}")
+    elif fault := displacement_fault(t, k) or symbol_fault(t, g):
+        raise InvalidInputError(f"staircase tableau {fault}")
 
     fibers: dict[int, set[int]] = {}
     for box, v in t.items():

@@ -26,12 +26,14 @@ from .core import (
     PrymParams,
     Shape,
     Tableau,
+    _cell_pairs,
     canonical_boxes,
-    class_symbol_sets,
+    displacement_fault,
     dominates,
-    is_displacement,
+    generic_regime,
     is_tableau,
     staircase_shape,
+    symbol_fault,
 )
 from .counting import count_generic, max_cell_count
 from .dimension import expected_codim, minimal_witness, pbn_dimension
@@ -207,56 +209,27 @@ def cycle_out(t: Tableau, b: int, a: int) -> Tableau:
 def is_adjacent(t: Tableau, s: Tableau, p: PrymParams) -> bool:
     """Whether the cells of ``t`` and ``s`` share a codimension-1 face.
 
-    Per diagonal class, the symbol sets of ``s`` may differ from those of
-    ``t`` in exactly one of three ways: not at all, by trading one symbol
-    for another within a single class, or by a pure one-symbol gain in one
-    class paired with a pure one-symbol loss in another.
+    The two cells, as (diagonal class, symbol) pair sets of equal size,
+    are equal (and not empty), or each has exactly one pair the other
+    lacks and those two pairs carry different symbols: one symbol traded
+    for another within a class, or a symbol gained on one class paired
+    with another lost on a second.
     """
     if t.shape.boxes != s.shape.boxes:
         raise InvalidInputError("adjacency needs tableaux of the same shape")
     for name, tab in (("first", t), ("second", s)):
-        if not is_displacement(tab, p.k):
-            raise InvalidInputError(
-                f"{name} tableau is not a {p.k}-uniform displacement tableau"
-            )
-        bad = sorted(v for v in tab.symbols if v > p.g - 1)
-        if bad:
-            raise InvalidInputError(
-                f"{name} tableau uses symbols outside [1, g-1]: {bad}"
-            )
+        if fault := displacement_fault(tab, p.k) or symbol_fault(tab, p.g):
+            raise InvalidInputError(f"{name} tableau {fault}")
     if len(t.symbols) != len(s.symbols):
         raise InvalidInputError(
             "adjacency needs the same number of distinct symbols"
             f" ({len(t.symbols)} vs {len(s.symbols)})"
         )
-    st = class_symbol_sets(t, p.k)
-    ss = class_symbol_sets(s, p.k)
-    empty: frozenset[int] = frozenset()
-    dif = [
-        c
-        for c in set(st) | set(ss)
-        if st.get(c, empty) != ss.get(c, empty)
-    ]
-    if not dif:
+    ct, cs = _cell_pairs(t, p.k), _cell_pairs(s, p.k)
+    gained, lost = cs - ct, ct - cs
+    if not (gained or lost):
         return bool(t.symbols)
-    if len(dif) == 1:
-        c = dif[0]
-        gained = ss.get(c, empty) - st.get(c, empty)
-        lost = st.get(c, empty) - ss.get(c, empty)
-        return len(gained) == 1 and len(lost) == 1
-    if len(dif) == 2:
-        deltas = [
-            (ss.get(c, empty) - st.get(c, empty), st.get(c, empty) - ss.get(c, empty))
-            for c in dif
-        ]
-        pure_gain = [g for g, lo in deltas if len(g) == 1 and not lo]
-        pure_loss = [lo for g, lo in deltas if len(lo) == 1 and not g]
-        return (
-            len(pure_gain) == 1
-            and len(pure_loss) == 1
-            and pure_gain[0] != pure_loss[0]
-        )
-    return False
+    return len(gained) == len(lost) == 1 and {a for _, a in gained} != {b for _, b in lost}
 
 
 # --------------------------------------------------------------------------
@@ -367,8 +340,8 @@ def height_descent_step(t: Tableau, p: PrymParams) -> HeightDescent:
         filling[lands[slot[box]]] = u.at(box)
     s = Tableau(u.shape, tuple(map(filling.__getitem__, lands)))
 
-    if not is_tableau(s) or not is_displacement(s, p.k):
-        raise InvariantError("descent produced an invalid tableau")
+    if fault := displacement_fault(s, p.k):
+        raise InvariantError(f"descent result {fault}")
     if not is_non_repeating(s, nu, p):
         raise InvariantError("descent result is not non-repeating in the lower strip")
     if len(s.symbols) != expected_codim(r, p.k):
@@ -550,10 +523,6 @@ class IntersectionGraph:
     circle_vertex_counts: tuple[int, ...]
 
 
-def _sigma_key(sig: dict[int, frozenset[int]]) -> tuple:
-    return tuple(sorted((c, tuple(sorted(fs))) for c, fs in sig.items()))
-
-
 def build_intersection_graph(
     p: PrymParams, *, force: bool = False
 ) -> IntersectionGraph:
@@ -575,19 +544,13 @@ def build_intersection_graph(
         if len(cell.free_symbols) != 1:
             raise InvariantError("dim-1 circles carry exactly one free symbol")
         frees.append(next(iter(cell.free_symbols)))
-    sigmas = [class_symbol_sets(cell.tableau, p.k) for cell in cells]
 
-    buckets: defaultdict[tuple, list[int]] = defaultdict(list)
-    for idx, sig in enumerate(sigmas):
-        for cls, fs in sig.items():
-            for sym in fs:
-                reduced = dict(sig)
-                rest = fs - {sym}
-                if rest:
-                    reduced[cls] = rest
-                else:
-                    del reduced[cls]
-                buckets[_sigma_key(reduced)].append(idx)
+    # Two adjacent circles share their cell less one pair each.
+    buckets: defaultdict[frozenset, list[int]] = defaultdict(list)
+    for idx, cell in enumerate(cells):
+        pairs = _cell_pairs(cell.tableau, p.k)
+        for pair in pairs:
+            buckets[pairs - {pair}].append(idx)
 
     vertices: dict[tuple[int, int], GraphVertex] = {}
     for members in buckets.values():
@@ -642,11 +605,11 @@ def betti_number(graph: IntersectionGraph) -> int:
 
 
 def betti_closed_form(p: PrymParams) -> int:
-    """Closed-form first Betti number for torsion 0 (or above 2r-2), 2, or 4."""
+    """Closed-form first Betti number in the generic regime or at torsion 2 or 4."""
     if pbn_dimension(p) != 1:
         raise InvalidInputError("closed-form Betti numbers require dimension 1")
     r = p.r
-    if p.k == 0 or p.k > 2 * r - 2:
+    if generic_regime(r, p.k):
         num = r * count_generic(r) * (comb(r + 1, 2) + 1)
         half, rem = divmod(num, 2)
         if rem:

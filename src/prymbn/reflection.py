@@ -30,19 +30,20 @@ from .core import (
     PrymParams,
     Shape,
     Tableau,
+    _check_torsion,
     _prym_signature,
     _reflective_signature,
     _signature_dominates,
     anti_diagonal,
     anti_diagonal_boxes,
     diag_class,
+    displacement_fault,
     dual_symbol,
     explicit_shape,
-    is_displacement,
     is_reflective,
-    is_tableau,
     reflect_box,
     square_shape,
+    staircase_fault,
     staircase_shape,
 )
 
@@ -84,8 +85,7 @@ def loose_boxes(
     neighbours are inside (or it sits on the respective axis), and its
     diagonal class lies in ``classes`` (``None`` places no class filter).
     """
-    if k < 0 or k == 1:
-        raise InvalidInputError(f"k must be 0 or at least 2, got {k}")
+    _check_torsion(k)
     return _loose_boxes(_as_shape(lam).boxes, classes, k)
 
 
@@ -276,17 +276,8 @@ def extend_to_reflective(t: Tableau, p: PrymParams) -> Tableau:
     Every box ``b`` of ``T_r`` keeps its value, its reflection receives the
     dual value ``2g - t(b)``, and the main anti-diagonal receives ``g``.
     """
-    if t.shape.boxes != staircase_shape(p.r).boxes:
-        raise InvalidInputError(
-            f"extend_to_reflective needs a tableau on the staircase T_{p.r}"
-        )
-    bad = [v for v in t.symbols if v > p.g - 1]
-    if bad:
-        raise InvalidInputError(f"staircase symbols must lie in [1, g-1]; got {sorted(bad)}")
-    if not is_tableau(t):
-        raise InvalidInputError("extend_to_reflective needs the tableau condition to hold")
-    if not is_displacement(t, p.k):
-        raise InvalidInputError("extend_to_reflective needs k-uniform displacement")
+    if fault := staircase_fault(t, p) or displacement_fault(t, p.k):
+        raise InvalidInputError(f"extend_to_reflective: tableau {fault}")
     g, r = p.g, p.r
     mapping: dict[Box, int] = {}
     for b, v in t.items():

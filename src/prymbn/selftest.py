@@ -28,11 +28,9 @@ from .core import (
 )
 from .counting import (
     BRUTE_SYMBOL_LIMIT,
+    applicable_routes,
     cardinality,
-    count_brute,
     count_even_determinant,
-    count_generic,
-    count_lattice_paths,
 )
 from .dimension import (
     brute_min_codim,
@@ -159,20 +157,17 @@ def _row_cardinality(ctx: RunContext) -> str:
     for (r, k), want in sorted(CARDINALITY_TABLE.items()):
         got = cardinality(r, k)
         assert got == want, f"C({r},{k}) = {got}, table says {want}"
-        if k == 0 or k >= 2 * r - 1:
-            assert count_generic(r) == want, f"generic route differs at ({r},{k})"
-        else:
-            det = count_even_determinant(r, k)
-            paths = count_lattice_paths(r, k)
-            assert det == want, f"determinant C({r},{k}) = {det} != {want}"
-            assert paths == want, f"lattice paths C({r},{k}) = {paths} != {want}"
+        for route in applicable_routes(r, k):
+            if route == "brute":
+                if expected_codim(r, k) > BRUTE_SYMBOL_LIMIT:
+                    continue
+                brutes += 1
+            got = cardinality(r, k, route)
+            assert got == want, f"{route} route: C({r},{k}) = {got} != {want}"
         if k == 2:
             assert want == 1
         if k == 4:
             assert want == 2 ** (r - 1)
-        if expected_codim(r, k) <= BRUTE_SYMBOL_LIMIT:
-            assert count_brute(r, k) == want, f"brute C({r},{k}) != {want}"
-            brutes += 1
     dt = time.perf_counter() - t0
     assert dt < 300.0, f"table took {dt:.1f}s, budget 300s"
     return (
@@ -188,7 +183,7 @@ def _row_finite_support(ctx: RunContext) -> str:
         (r, k)
         for r in range(2, 7)
         for k in (2, 4, 6, 8)
-        if 2 <= k <= 2 * r - 2
+        if "det" in applicable_routes(r, k)
     ]
     if ctx.narrow_alpha:
         diverged = [

@@ -11,9 +11,9 @@ A tableau on ``T_r`` is non-repeating in a strip when boxes in the left and
 right components of the complement copy strip values along translations by
 the torsion, and consecutive windows satisfy a gluing inequality.  Such a
 tableau is determined by its strip restriction, which is injective; this
-restriction is a strip tableau.  Torsion ``0`` and torsion above ``2r``
-degenerate the strip to ``T_r`` itself, on ``staircase_shape(r)``, and
-strip tableaux to injective fillings.
+restriction is a strip tableau.  In the generic regime (torsion ``0`` or at
+least ``2r - 1``) the strip degenerates to ``T_r`` itself, on
+``staircase_shape(r)``, and strip tableaux to injective fillings.
 
 Consumers read a strip's geometry from two slot tables per torsion parity:
 :meth:`StripShape.repeat_map` and :meth:`StripShape.order_pairs`.  The
@@ -40,11 +40,14 @@ from .core import (
     Shape,
     Tableau,
     _cached,
+    _check_torsion,
     anti_diagonal,
+    displacement_fault,
     dominates,
-    is_displacement,
-    is_tableau,
+    generic_regime,
+    staircase_fault,
     staircase_shape,
+    symbol_fault,
 )
 
 __all__ = [
@@ -66,14 +69,11 @@ __all__ = [
 def effective_width(r: int, k: int) -> int:
     """Strip width for torsion ``k`` inside ``T_r``: ceil(k/2), capped at r.
 
-    Torsion 0 and torsion above ``2r`` degenerate to width ``r`` (the strip
-    is all of ``T_r``).
+    In the generic regime (:func:`~prymbn.core.generic_regime`) the width
+    is ``r``: the strip is all of ``T_r``.
     """
-    if k < 0 or k == 1:
-        raise InvalidInputError(f"k must be 0 or at least 2, got {k}")
-    if k == 0 or k > 2 * r:
-        return r
-    return (k + 1) // 2
+    _check_torsion(k)
+    return r if generic_regime(r, k) else (k + 1) // 2
 
 
 @dataclass(frozen=True)
@@ -246,20 +246,12 @@ def _horizontal_strip(r: int, l: int) -> StripShape:
 def enumerate_strips(p: PrymParams) -> list[StripShape]:
     """All strips for the given type, in lexicographic word order (E < N).
 
-    Torsion outside ``[2, 2r]`` yields the single degenerate strip ``T_r``.
+    The generic regime yields the single degenerate strip ``T_r``.
     """
     l = effective_width(p.r, p.k)
     return [
         StripShape(p.r, l, "".join(w)) for w in product("EN", repeat=p.r - l)
     ]
-
-
-def _require_staircase(t: Tableau, p: PrymParams, op: str) -> None:
-    if t.shape.boxes != staircase_shape(p.r).boxes:
-        raise InvalidInputError(f"{op} needs a tableau on the staircase T_{p.r}")
-    bad = sorted(v for v in t.symbols if v > p.g - 1)
-    if bad:
-        raise InvalidInputError(f"{op} needs symbols in [1, g-1]; got {bad}")
 
 
 def _order_failure(mu: StripShape, eps: int, values: Sequence[int]) -> int:
@@ -281,7 +273,8 @@ def is_non_repeating(t: Tableau, mu: StripShape, p: PrymParams) -> bool:
     errors, not a False result.  Degenerate strips (all of ``T_r``) make
     every condition vacuous.
     """
-    _require_staircase(t, p, "is_non_repeating")
+    if fault := staircase_fault(t, p):
+        raise InvalidInputError(f"is_non_repeating: tableau {fault}")
     if mu.r != p.r:
         raise InvalidInputError("strip and tableau live in different staircases")
     idx = mu.shape.index
@@ -327,9 +320,8 @@ class StripTableau:
             )
         if self.entries.shape.boxes != mu.boxes:
             raise InvalidInputError("entries must fill the strip exactly")
-        bad = sorted(v for v in self.entries.symbols if v > p.g - 1)
-        if bad:
-            raise InvalidInputError(f"strip symbols must lie in [1, g-1]; got {bad}")
+        if fault := symbol_fault(self.entries, p.g):
+            raise InvalidInputError(f"strip tableau {fault}")
         if len(self.entries.symbols) != len(mu.boxes):
             raise InvalidInputError("strip tableau entries must be injective")
         i = _order_failure(mu, p.eps, self.entries.values)
@@ -355,10 +347,8 @@ def extend_strip_tableau(st: StripTableau) -> Tableau:
     p, mu = st.params, st.strip
     values = tuple(map(st.entries.values.__getitem__, mu.repeat_map(p.eps)))
     ext = Tableau(staircase_shape(p.r), values)
-    if not is_tableau(ext):
-        raise InvariantError("non-repeating extension violates the tableau condition")
-    if not is_displacement(ext, p.k):
-        raise InvariantError("non-repeating extension violates displacement")
+    if fault := displacement_fault(ext, p.k):
+        raise InvariantError(f"non-repeating extension {fault}")
     if not is_non_repeating(ext, mu, p):
         raise InvariantError("extension is not non-repeating in its own strip")
     if len(ext.symbols) != len(mu.boxes):
@@ -376,11 +366,8 @@ def strips_admitting(t: Tableau, p: PrymParams) -> list[StripShape]:
 
     Odd torsion admits at most one; even torsion admits either none or all.
     """
-    _require_staircase(t, p, "strips_admitting")
-    if not is_tableau(t):
-        raise InvalidInputError("strips_admitting needs a tableau")
-    if not is_displacement(t, p.k):
-        raise InvalidInputError("strips_admitting needs k-uniform displacement")
+    if fault := staircase_fault(t, p) or displacement_fault(t, p.k):
+        raise InvalidInputError(f"strips_admitting: tableau {fault}")
     return [mu for mu in enumerate_strips(p) if is_non_repeating(t, mu, p)]
 
 
@@ -390,16 +377,13 @@ def dominating_non_repeating(t: Tableau, p: PrymParams) -> tuple[StripShape, Tab
     Odd torsion grows the strip greedily (east exactly when the window's
     west value is below its east value) and copies ``t`` along it; even
     torsion takes per-class anti-diagonal maxima on the horizontal strip.
-    Degenerate torsion (0 or above 2r) returns ``t`` unchanged on ``T_r``.
+    A degenerate strip (the generic regime) returns ``t`` unchanged on ``T_r``.
     """
-    _require_staircase(t, p, "dominating_non_repeating")
-    if not is_tableau(t):
-        raise InvalidInputError("dominating_non_repeating needs a tableau")
-    if not is_displacement(t, p.k):
-        raise InvalidInputError("dominating_non_repeating needs k-uniform displacement")
+    if fault := staircase_fault(t, p) or displacement_fault(t, p.k):
+        raise InvalidInputError(f"dominating_non_repeating: tableau {fault}")
     r = p.r
-    if p.k == 0 or p.k > 2 * r:
-        mu = horizontal_strip(r, p.k)
+    mu = horizontal_strip(r, p.k)
+    if mu.degenerate:
         if len(t.symbols) != len(t.values):
             raise InvariantError("degenerate-torsion tableau should be injective")
         return mu, t
@@ -427,7 +411,6 @@ def dominating_non_repeating(t: Tableau, p: PrymParams) -> tuple[StripShape, Tab
     else:
         # The boxes that repeat one box of mu_0 are those of its anti-diagonal
         # and diagonal class, so the maximum over them is one per strip slot.
-        mu = horizontal_strip(r, p.k)
         lands = mu.repeat_map(0)
         best = [0] * len(mu.boxes)
         for j, v in zip(lands, t.values):

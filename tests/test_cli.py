@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import prymbn
 
+from prymbn import cli
 from prymbn.cli import CENSUS_COLUMNS, _census_row, main
 from prymbn.core import GuardRefused, PrymParams
 from prymbn.dimension import minimal_witness
@@ -384,6 +385,29 @@ def test_census_out_to_a_missing_directory_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "census", "--rmax", "1", "--kmax", "0",
                        "--out", str(out_path), "--jobs", "1")
     assert code == 2 and f"cannot write {out_path}" in err
+
+
+def test_census_out_fails_before_computing_a_row(capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_census_row", lambda task: calls.append(task) or _census_row(task))
+    out_path = tmp_path / "missing" / "census.csv"
+    code, _, err = run(capsys, "census", "--out", str(out_path), "--jobs", "1")
+    assert code == 2 and f"cannot write {out_path}" in err and calls == []
+    # The stand-in counts the rows of a run that can write.
+    out = str(tmp_path / "census.csv")
+    assert run(capsys, "census", "--rmax", "1", "--kmax", "2", "--out", out, "--jobs", "1")[0] == 0
+    assert calls == [(1, 0, False), (1, 2, False)]
+
+
+def test_census_removes_its_partial_file_when_a_row_fails(capsys, tmp_path, monkeypatch):
+    def refuse(task):
+        raise GuardRefused(f"row {task} refused")
+
+    monkeypatch.setattr(cli, "_census_row", refuse)
+    out = tmp_path / "census.csv"
+    code, _, err = run(capsys, "census", "--rmax", "1", "--out", str(out), "--jobs", "1")
+    assert code == 3 and "refused" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 class RecordingPool:

@@ -7,7 +7,7 @@ import pickle
 import random
 import time
 import weakref
-from itertools import product
+from itertools import islice, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +17,7 @@ from prymbn.core import (
     InvalidInputError,
     PrymParams,
     Shape,
+    ShapeIndex,
     Tableau,
     anti_diagonal,
     anti_diagonal_boxes,
@@ -49,9 +50,17 @@ from prymbn.core import (
     _reflective_signature,
     _signature_dominates,
 )
-from prymbn.dimension import enumerate_staircase_tableaux
-from prymbn.reflection import extend_to_reflective
-from prymbn.strips import StripShape
+from prymbn.dimension import enumerate_staircase_tableaux, expected_codim
+from prymbn.divisors import make_folded_chain, tableau_to_divisor
+from prymbn.reflection import extend_to_reflective, loose_boxes
+from prymbn.strips import (
+    StripShape,
+    dominating_non_repeating,
+    effective_width,
+    enumerate_strip_tableaux,
+    extend_strip_tableau,
+    strips_admitting,
+)
 
 from helpers import square, stair
 
@@ -685,3 +694,49 @@ def test_shapes_and_tableaux_are_not_cached_globally():
     del shape, t, u, mu
     gc.collect()
     assert [ref for ref in refs if ref() is not None] == []
+
+
+# --------------------------------------------------------------------------
+# The torsion rule and the staircase-input contract
+
+
+def test_every_torsion_check_refuses_with_one_message():
+    t = stair([[2], [1, 2]])
+    for k in (-1, 1):
+        for call in (
+            lambda: PrymParams(5, 2, k),
+            lambda: is_displacement(t, k),
+            lambda: effective_width(2, k),
+            lambda: expected_codim(2, k),
+            lambda: loose_boxes([], None, k),
+        ):
+            with pytest.raises(InvalidInputError, match=f"^k must be 0 or at least 2, got {k}$"):
+                call()
+
+
+def test_each_staircase_entry_point_scans_its_input_once(monkeypatch):
+    scanned = []
+    violations = ShapeIndex.violations
+
+    def spy(self, values):
+        scanned.append(values)
+        return violations(self, values)
+
+    monkeypatch.setattr(ShapeIndex, "violations", spy)
+    for g, r, k in ((8, 3, 3), (8, 3, 4), (8, 3, 0)):
+        p = PrymParams(g, r, k)
+        calls = [strips_admitting, dominating_non_repeating, extend_to_reflective]
+        if k:
+            chain = make_folded_chain(g, k)
+            calls.append(lambda t, p: tableau_to_divisor(t, chain))
+        for t in islice(enumerate_staircase_tableaux(p), 0, 300, 30):
+            for fn in calls:
+                scanned.clear()
+                fn(t, p)
+                assert sum(v is t.values for v in scanned) == 1, (fn, t)
+        # The strip tableau's own checks read its order pairs; the one
+        # scan is of the extension.
+        for st in islice(enumerate_strip_tableaux(p), 0, 300, 30):
+            scanned.clear()
+            extend_strip_tableau(st)
+            assert len(scanned) == 1, st

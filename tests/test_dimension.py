@@ -11,6 +11,7 @@ from prymbn.core import (
     InvalidInputError,
     PrymParams,
     codimension,
+    generic_regime,
     is_displacement,
     is_tableau,
 )
@@ -23,6 +24,7 @@ from prymbn.dimension import (
     minimal_witness,
     pbn_dimension,
 )
+from prymbn.strips import effective_width
 from prymbn.strips import horizontal_strip, is_non_repeating
 
 
@@ -113,3 +115,18 @@ def test_enumerate_staircase_tableaux_torsion_two_allows_repeats():
     assert {tuple(t.values) for t in got} == {
         (1, 2, 2), (1, 2, 3), (1, 3, 2), (1, 3, 3), (2, 3, 3),
     }
+
+
+def ref_expected_codim(r, k):
+    """The closed form with its two branches: a strip narrower than r, or T_r."""
+    l = r if k == 0 else (k + 1) // 2
+    if l <= r - 1:
+        return comb(l + 1, 2) + l * (r - l)
+    return comb(r + 1, 2)
+
+
+def test_the_strip_is_all_of_the_staircase_exactly_in_the_generic_regime():
+    for r in range(40):
+        for k in (0, *range(2, 90)):
+            assert (effective_width(r, k) == r) == generic_regime(r, k), (r, k)
+            assert expected_codim(r, k) == ref_expected_codim(r, k), (r, k)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -14,10 +15,16 @@ from prymbn.core import (
     PrymParams,
     Tableau,
     canonical_boxes,
+    class_symbol_sets,
     dominates,
     staircase_shape,
 )
-from prymbn.dimension import expected_codim, minimal_witness, pbn_dimension
+from prymbn.dimension import (
+    enumerate_staircase_tableaux,
+    expected_codim,
+    minimal_witness,
+    pbn_dimension,
+)
 from prymbn.locus import (
     IntersectionGraph,
     MaximalCell,
@@ -360,6 +367,51 @@ def test_is_adjacent_cases():
         is_adjacent(stair([[4], [1, 4]]), stair([[4], [1, 4]]), PrymParams(4, 2, 2))
 
 
+def ref_is_adjacent(t, s, p):
+    """The per-class adjacency rule on two valid tableaux with equally many
+    symbols: per diagonal class the symbol sets agree, or one class trades
+    one symbol for another, or one class gains a symbol another loses."""
+    st, ss = class_symbol_sets(t, p.k), class_symbol_sets(s, p.k)
+    empty = frozenset()
+    dif = [c for c in set(st) | set(ss) if st.get(c, empty) != ss.get(c, empty)]
+    if not dif:
+        return bool(t.symbols)
+    deltas = [
+        (ss.get(c, empty) - st.get(c, empty), st.get(c, empty) - ss.get(c, empty))
+        for c in dif
+    ]
+    if len(dif) == 1:
+        gained, lost = deltas[0]
+        return len(gained) == 1 and len(lost) == 1
+    if len(dif) == 2:
+        pure_gain = [g for g, lo in deltas if len(g) == 1 and not lo]
+        pure_loss = [lo for g, lo in deltas if len(lo) == 1 and not g]
+        return len(pure_gain) == 1 and len(pure_loss) == 1 and pure_gain[0] != pure_loss[0]
+    return False
+
+
+def test_is_adjacent_matches_the_per_class_rule():
+    rng = random.Random(5)
+    verdicts = defaultdict(int)
+    for r in (1, 2, 3):
+        for k in (0, 2, 3, 4, 5):
+            n = expected_codim(r, k)
+            for g in range(n + 1, min(n + 4, 9)):
+                p = PrymParams(g, r, k)
+                by_size = defaultdict(list)
+                for t in enumerate_staircase_tableaux(p):
+                    by_size[len(t.symbols)].append(t)
+                for group in by_size.values():
+                    pairs = [(a, b) for a in group for b in group]
+                    if len(pairs) > 2000:
+                        pairs = rng.sample(pairs, 2000)
+                    for t, s in pairs:
+                        got = is_adjacent(t, s, p)
+                        assert got == ref_is_adjacent(t, s, p), (p, t, s)
+                        verdicts[got] += 1
+    assert verdicts[True] > 1000 and verdicts[False] > 1000, dict(verdicts)
+
+
 def test_random_pairs_walk_and_land():
     rng = random.Random(7)
     for g, r, k in ((9, 3, 3), (8, 3, 2), (10, 3, 0)):
@@ -431,6 +483,52 @@ def test_small_torsion_chain_betti():
         p = PrymParams(expected_codim(r, 2) + 2, r, 2)
         G = build_intersection_graph(p)
         assert betti_number(G) == r + 1 == betti_closed_form(p)
+
+
+def ref_vertex_pairs(cells, p):
+    """Vertex pairs of the circle graph by per-class keying: each circle is
+    bucketed under its class -> symbol sets with one symbol removed, as a
+    sorted tuple, and two circles of one bucket with different free
+    symbols meet."""
+    def key(sig):
+        return tuple(sorted((c, tuple(sorted(fs))) for c, fs in sig.items()))
+
+    buckets = defaultdict(list)
+    for idx, cell in enumerate(cells):
+        sig = class_symbol_sets(cell.tableau, p.k)
+        for cls, fs in sig.items():
+            for sym in fs:
+                reduced = dict(sig)
+                if fs - {sym}:
+                    reduced[cls] = fs - {sym}
+                else:
+                    del reduced[cls]
+                buckets[key(reduced)].append(idx)
+    return {
+        (i, j)
+        for members in buckets.values()
+        for i in members
+        for j in members
+        if i < j and cells[i].free_symbols != cells[j].free_symbols
+    }
+
+
+R4_INSTANCES = (
+    [(7, 3, 4)]
+    + [(expected_codim(r, 2) + 2, r, 2) for r in range(1, 7)]
+    + [(expected_codim(r, 4) + 2, r, 4) for r in range(2, 6)]
+    + [(expected_codim(r, 0) + 2, r, 0) for r in (2, 3)]
+)
+
+
+@pytest.mark.parametrize("g,r,k", R4_INSTANCES)
+def test_graph_vertices_match_the_per_class_bucketing(g, r, k):
+    p = PrymParams(g, r, k)
+    G = build_intersection_graph(p)
+    want = ref_vertex_pairs(G.circles, p)
+    assert [(w.i, w.j) for w in G.vertices] == sorted(want)
+    for w in G.vertices:
+        assert {w.a} == G.circles[w.i].free_symbols and {w.b} == G.circles[w.j].free_symbols
 
 
 def test_intersection_graph_requires_dimension_one():

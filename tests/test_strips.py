@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import islice
 from math import comb
 
 import pytest
@@ -16,6 +17,7 @@ from prymbn.core import (
     codimension,
     dominates,
     explicit_shape,
+    staircase_fault,
     staircase_shape,
 )
 from prymbn.counting import cardinality, strip_poset_succ_masks
@@ -35,7 +37,6 @@ from prymbn.strips import (
     restrict_to_strip,
     strips_admitting,
     _horizontal_strip,
-    _require_staircase,
 )
 
 from helpers import stair
@@ -266,6 +267,17 @@ def test_dominating_non_repeating_smallest_instances(g, r, k):
         assert is_non_repeating(s, mu, p)
 
 
+@pytest.mark.parametrize("r", [2, 3])
+def test_dominating_non_repeating_returns_its_input_at_the_generic_regime_edge(r):
+    # k = 2r - 1 and 2r are generic, but their width (k + 1) // 2 is r
+    # without a cap, so each torsion parity reaches the degenerate strip.
+    for k in (2 * r - 1, 2 * r):
+        p = PrymParams(comb(r + 1, 2) + 2, r, k)
+        for t in islice(enumerate_staircase_tableaux(p), 200):
+            mu, s = dominating_non_repeating(t, p)
+            assert s is t and mu == horizontal_strip(r, k) and mu.degenerate
+
+
 def test_dominating_non_repeating_fixes_non_repeating_inputs():
     p = PrymParams(7, 3, 4)
     w = minimal_witness(p)
@@ -313,7 +325,8 @@ def ref_check_restriction(t, mu, p):
 
 def ref_is_non_repeating(t, mu, p):
     """The repeating conditions tested box by box through ``side_of``."""
-    _require_staircase(t, p, "is_non_repeating")
+    if fault := staircase_fault(t, p):
+        raise InvalidInputError(f"is_non_repeating: tableau {fault}")
     if mu.r != p.r:
         raise InvalidInputError("strip and tableau live in different staircases")
     ref_check_restriction(t, mu, p)
