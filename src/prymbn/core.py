@@ -554,12 +554,17 @@ def is_displacement(t: Tableau, k: int) -> bool:
     return fault is None
 
 
-def displacement_fault(t: Tableau, k: int) -> str | None:
+def displacement_fault(
+    t: Tableau, k: int, pairs: frozenset[tuple[int, int]] | None = None
+) -> str | None:
     """Why ``t`` is not a displacement tableau at torsion ``k``: the tableau
-    condition, then one class per symbol (as many cell pairs as symbols)."""
+    condition, then one class per symbol (as many cell pairs as symbols).
+    A caller that reads the cell too passes its ``_cell_pairs(t, k)``."""
     if not is_tableau(t):
         return _NOT_A_TABLEAU
-    if len(_cell_pairs(t, k)) != len(t.symbols):
+    if pairs is None:
+        pairs = _cell_pairs(t, k)
+    if len(pairs) != len(t.symbols):
         return f"is not a {k}-uniform displacement tableau"
     return None
 

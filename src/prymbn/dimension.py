@@ -13,6 +13,19 @@ Two search kernels over staircase displacement tableaux live here:
 ``staircase_shape(r).index`` in order, reading its west/south neighbour
 slots, so a value list they build is a ``Tableau`` value tuple.  Both run
 on an explicit stack, so neither depends on the recursion limit.
+
+The codimension search caps the value of each slot by symbol compression
+(a counting argument of this module, not a lemma of the paper).  Relabel
+the symbols of a filling by their rank among the symbols it uses: the
+tableau condition, displacement and the distinct count ``d`` are kept,
+and every value lands in ``[1, d]``.  A slot with ``up`` boxes on the
+longest chain strictly north-east of it in ``T_r`` (``r + 1 - x - y``
+for the box ``(x, y)``) is below ``up`` larger values, so in the
+relabelled filling it holds at most ``d - up``.  A filling that beats the
+incumbent ``best`` has ``d <= best - 1``, and every filling has
+``d <= gmax``, so the search tries at most ``min(gmax, best - 1) - up``
+there, before the first incumbent too, and still meets the relabelled
+copy of every filling it must beat.
 """
 
 from __future__ import annotations
@@ -108,7 +121,10 @@ def brute_min_codim(
 
     Logically independent of the strip machinery.  Refuses staircases above
     ``BRUTE_BOX_LIMIT`` boxes unless ``force`` is set; ``use_budget=False``
-    disables the per-anti-diagonal new-symbol prune (paranoid mode).
+    disables the per-anti-diagonal new-symbol prune (paranoid mode).  That
+    prune is the only part of the search that reads the strip width;
+    paranoid mode keeps the incumbent test and the symbol-compression cap
+    on slot values (see the module docstring), which read only ``T_r``.
     """
     boxes = p.r * (p.r + 1) // 2
     if boxes > BRUTE_BOX_LIMIT and not force:
@@ -141,9 +157,18 @@ def min_codim_staircase(r: int, k: int, gmax: int, use_budget: bool = True) -> i
     Branch and bound over the slots in canonical order, on an explicit
     stack; a symbol may recur only on its recorded diagonal class.  A
     branch is dropped once its distinct count cannot beat the incumbent.
-    With ``use_budget`` it is dropped once that count plus the
-    per-anti-diagonal new-symbol budget cannot (each full anti-diagonal
-    ``A_m`` still to come introduces at least ``min(m, l)`` fresh symbols).
+    Slot ``i`` tries values up to ``min(gmax, best - 1) - up[i]``, where
+    ``up[i]`` counts the boxes on the longest chain strictly north-east of
+    it: relabelling a filling's symbols by rank keeps it a displacement
+    tableau with the same distinct count ``d <= gmax`` and puts slot ``i``
+    at most ``d - up[i]``, so every filling that beats the incumbent has a
+    copy under the cap (module docstring).  The cap is rebuilt only when
+    ``best`` drops.  With ``use_budget`` a branch is also dropped once its
+    count plus the per-anti-diagonal new-symbol budget cannot beat the
+    incumbent (each full anti-diagonal ``A_m`` still to come introduces
+    at least ``min(m, l)`` fresh symbols).  That budget is the one prune
+    that reads the strip width, and paranoid mode (no ``use_budget``)
+    skips it alone.
 
     Returns ``-1`` when no tableau exists (``gmax`` too small).
     """
@@ -162,6 +187,10 @@ def min_codim_staircase(r: int, k: int, gmax: int, use_budget: bool = True) -> i
     if use_budget:
         for i, (x, y) in enumerate(idx.boxes):
             need[i] = suf[x + y - 1] if x == 1 else suf[x + y]
+    # up[i]: the boxes on the longest chain strictly north-east of slot i;
+    # top[i] = min(gmax, best - 1) - up[i], rebuilt when best drops.
+    up = [r + 1 - x - y for x, y in idx.boxes]
+    top = [min(gmax, n) - u for u in up]
     sym_class: list[int | None] = [None] * (gmax + 1)
     sym_count = [0] * (gmax + 1)
     # values[n] stays 0, so values[-1], a missing neighbour, is below every symbol.
@@ -172,10 +201,11 @@ def min_codim_staircase(r: int, k: int, gmax: int, use_budget: bool = True) -> i
     v = 0  # the last value tried at slot i
     while True:
         ci = cls[i]
+        cap = top[i]
         v += 1
-        while v <= gmax and sym_class[v] is not None and sym_class[v] != ci:
+        while v <= cap and sym_class[v] is not None and sym_class[v] != ci:
             v += 1
-        if v > gmax:
+        if v > cap:
             if i == 0:
                 break
             i -= 1
@@ -188,7 +218,8 @@ def min_codim_staircase(r: int, k: int, gmax: int, use_budget: bool = True) -> i
         if d + need[i + 1] >= best:
             continue
         if i + 1 == n:
-            best = d
+            best = d  # d <= gmax, so the new cap is d - 1
+            top = [d - 1 - u for u in up]
             continue
         sym_class[v] = ci
         sym_count[v] += 1

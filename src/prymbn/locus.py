@@ -217,15 +217,15 @@ def is_adjacent(t: Tableau, s: Tableau, p: PrymParams) -> bool:
     """
     if t.shape.boxes != s.shape.boxes:
         raise InvalidInputError("adjacency needs tableaux of the same shape")
-    for name, tab in (("first", t), ("second", s)):
-        if fault := displacement_fault(tab, p.k) or symbol_fault(tab, p.g):
+    ct, cs = _cell_pairs(t, p.k), _cell_pairs(s, p.k)
+    for name, tab, pairs in (("first", t, ct), ("second", s, cs)):
+        if fault := displacement_fault(tab, p.k, pairs) or symbol_fault(tab, p.g):
             raise InvalidInputError(f"{name} tableau {fault}")
     if len(t.symbols) != len(s.symbols):
         raise InvalidInputError(
             "adjacency needs the same number of distinct symbols"
             f" ({len(t.symbols)} vs {len(s.symbols)})"
         )
-    ct, cs = _cell_pairs(t, p.k), _cell_pairs(s, p.k)
     gained, lost = cs - ct, ct - cs
     if not (gained or lost):
         return bool(t.symbols)

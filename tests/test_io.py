@@ -197,6 +197,26 @@ def test_tableau_from_json_rejects_boolean_coordinates():
         shape_from_json({"kind": "explicit", "boxes": [[True, 1]]})
 
 
+class Num(int):
+    """An int subclass that is not a bool."""
+
+
+def test_entries_take_int_subclass_coordinates_and_refuse_bools_anywhere():
+    want = stair([[3], [1, 2]])
+    plain = tableau_to_json(want)
+    for i in range(3):
+        for j in range(3):
+            doc = json.loads(json.dumps(plain))
+            if j < 2:
+                doc["entries"][i][j] = Num(doc["entries"][i][j])
+                assert tableau_from_json(doc) == want
+            doc["entries"][i][j] = bool(doc["entries"][i][j])
+            with pytest.raises(InvalidInputError, match=r"\[x, y, symbol\]"):
+                tableau_from_json(doc)
+    shape = shape_from_json({"kind": "explicit", "boxes": [[Num(1), 1], [1, Num(2)]]})
+    assert shape.boxes == {(1, 1), (1, 2)}
+
+
 def test_tableau_rejects_boolean_values():
     with pytest.raises(InvalidInputError, match="positive integers, got True"):
         Tableau(staircase_shape(1), (True,))

@@ -14,6 +14,7 @@ from prymbn.counting import count_linext
 from prymbn.dimension import (
     brute_min_codim,
     enumerate_staircase_values,
+    expected_codim,
     min_codim_staircase,
 )
 from prymbn.strips import enumerate_strip_tableaux
@@ -95,6 +96,39 @@ def test_min_codim_budget_prune_matches_the_exhaustive_search():
                 assert got == min_codim_staircase(r, k, gmax, use_budget=False)
                 results.add(got)
     assert -1 in results  # the grid reaches unfillable targets too
+
+
+def test_min_codim_staircase_is_the_exhaustive_minimum():
+    # Every gmax a filling can use, and beyond: the value cap must never
+    # cut the cheapest filling, with or without the budget.
+    for r in range(4):
+        boxes = r * (r + 1) // 2
+        for k in (0, 2, 3, 4, 5):
+            for gmax in range(1, boxes + 3):
+                counts = [len(set(vals)) for vals in enumerate_staircase_values(r, k, gmax)]
+                want = min(counts, default=-1)
+                for use_budget in (True, False):
+                    assert min_codim_staircase(r, k, gmax, use_budget) == want, (
+                        r, k, gmax, use_budget,
+                    )
+
+
+@pytest.mark.parametrize("r", [4, 5])
+def test_budget_and_no_budget_agree_on_the_grid_rows(r):
+    for k in (0, 2, 3, 4, 5):
+        if (r, k) == (5, 0):  # no symbol recurs: about 1 s per gmax
+            continue
+        n = expected_codim(r, k)
+        for gmax in range(n - 1, n + 3):
+            want = n if gmax >= n else -1
+            assert min_codim_staircase(r, k, gmax, True) == want, (r, k, gmax)
+            assert min_codim_staircase(r, k, gmax, False) == want, (r, k, gmax)
+
+
+@pytest.mark.parametrize("g, r, k", [(12, 5, 3), (13, 5, 6)])
+def test_no_budget_mode_meets_the_formula_on_the_benchmark_instances(g, r, k):
+    p = PrymParams(g, r, k)
+    assert brute_min_codim(p, force=True, use_budget=False) == expected_codim(r, k)
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from prymbn import core, locus
 from prymbn.core import (
     GuardRefused,
     InvalidInputError,
@@ -365,6 +366,26 @@ def test_is_adjacent_cases():
         is_adjacent(t, t, PrymParams(5, 2, 0))
     with pytest.raises(InvalidInputError, match=r"outside \[1, g-1\]"):
         is_adjacent(stair([[4], [1, 4]]), stair([[4], [1, 4]]), PrymParams(4, 2, 2))
+
+
+def test_is_adjacent_builds_each_cell_once(monkeypatch):
+    built = []
+
+    def spy(t, k):
+        built.append(t)
+        return cell_pairs(t, k)
+
+    cell_pairs = core._cell_pairs
+    monkeypatch.setattr(core, "_cell_pairs", spy)
+    monkeypatch.setattr(locus, "_cell_pairs", spy)
+    p = PrymParams(7, 3, 4)
+    tabs = list(enumerate_staircase_tableaux(p))[:40]
+    for t in tabs:
+        for s in tabs:
+            if len(t.symbols) == len(s.symbols):
+                built.clear()
+                is_adjacent(t, s, p)
+                assert built == [t, s]
 
 
 def ref_is_adjacent(t, s, p):
