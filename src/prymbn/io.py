@@ -76,9 +76,7 @@ def _shape_spec(data: Any) -> tuple[str | None, Any, list[Box]]:
     if raw is not None:
         _require(isinstance(raw, list), "shape boxes must be a list")
         for item in raw:
-            # Plain ints pass on one type test; anything else goes through _is_int.
-            if not (isinstance(item, list) and len(item) == 2
-                    and (type(item[0]) is type(item[1]) is int or all(map(_is_int, item)))
+            if not (isinstance(item, list) and len(item) == 2 and all(map(_is_int, item))
                     and item[0] >= 1 and item[1] >= 1):
                 raise InvalidInputError(
                     f"each box must be a pair of positive integers, got {item!r}"
@@ -139,9 +137,7 @@ def tableau_from_json(data: Any) -> Tableau:
         inside, size = partial(in_named_shape, kind, r), named_shape_size(kind, r)
     mapping: dict[Box, int] = {}
     for item in entries:
-        if not (isinstance(item, list) and len(item) == 3
-                and (type(item[0]) is type(item[1]) is type(item[2]) is int
-                     or all(map(_is_int, item)))):
+        if not (isinstance(item, list) and len(item) == 3 and all(map(_is_int, item))):
             raise InvalidInputError(f"each entry must be [x, y, symbol], got {item!r}")
         x, y, v = item
         box = (x, y)

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from prymbn.core import PrymParams
+from prymbn.core import PrymParams, ShapeIndex
 from prymbn.counting import count_linext
 from prymbn.dimension import (
     brute_min_codim,
@@ -88,29 +88,31 @@ def test_min_codim_staircase_sentinel_and_empty():
 
 
 def test_min_codim_budget_prune_matches_the_exhaustive_search():
+    # Every gmax from 1 to boxes + 2 (at most 8 for r <= 3): neither the
+    # budget nor the value cap may cut the cheapest filling.
     results = set()
-    for r in (2, 3):
-        for k in (0, 2, 3, 4):
-            for gmax in (3, 5, 8):
-                got = min_codim_staircase(r, k, gmax, use_budget=True)
-                assert got == min_codim_staircase(r, k, gmax, use_budget=False)
-                results.add(got)
-    assert -1 in results  # the grid reaches unfillable targets too
-
-
-def test_min_codim_staircase_is_the_exhaustive_minimum():
-    # Every gmax a filling can use, and beyond: the value cap must never
-    # cut the cheapest filling, with or without the budget.
     for r in range(4):
-        boxes = r * (r + 1) // 2
         for k in (0, 2, 3, 4, 5):
-            for gmax in range(1, boxes + 3):
+            for gmax in range(1, 9):
                 counts = [len(set(vals)) for vals in enumerate_staircase_values(r, k, gmax)]
                 want = min(counts, default=-1)
                 for use_budget in (True, False):
-                    assert min_codim_staircase(r, k, gmax, use_budget) == want, (
-                        r, k, gmax, use_budget,
-                    )
+                    got = min_codim_staircase(r, k, gmax, use_budget)
+                    assert got == want, (r, k, gmax, use_budget)
+                results.add(want)
+    assert -1 in results  # the grid reaches unfillable targets too
+
+
+def test_min_codim_value_cap_keeps_searching_after_a_worse_incumbent(monkeypatch):
+    # The value cap reads only the chains of T_r, so it must stay exact
+    # under any class map.  On this one the first filling the search finds
+    # uses 5 symbols and the cheapest uses 4, so the cap rebuilt at the
+    # first incumbent must still let a 4-symbol filling through.
+    classes = (0, 2, 1, 0, 0, 2)
+    monkeypatch.setattr(ShapeIndex, "classes", lambda self, k: classes)
+    for gmax in (5, 6):
+        assert min(len(set(vals)) for vals in enumerate_staircase_values(3, 2, gmax)) == 4
+        assert min_codim_staircase(3, 2, gmax, use_budget=False) == 4
 
 
 @pytest.mark.parametrize("r", [4, 5])
