@@ -189,6 +189,22 @@ def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _symbol_fault(values: Iterable[object]) -> str | None:
+    """The one rule for tableau symbols: each is an exact ``int`` of at least 1.
+
+    ``bool`` and every other ``int`` subclass are refused by type, so a
+    stored symbol is always a plain ``int``.  Returns the message for the
+    first value that breaks the rule, naming its type, or ``None``.
+    """
+    for v in values:
+        if type(v) is not int or v < 1:
+            return (
+                f"tableau symbols must be positive integers,"
+                f" got {v!r} of type {type(v).__name__}"
+            )
+    return None
+
+
 _second = itemgetter(1)
 
 
@@ -397,9 +413,9 @@ class Tableau:
             raise InvalidInputError(
                 f"expected {len(self.shape.boxes)} values, got {len(self.values)}"
             )
-        for v in self.values:
-            if type(v) is not int or v < 1:  # bool, a subclass of int, is refused
-                raise InvalidInputError(f"tableau values must be positive integers, got {v!r}")
+        fault = _symbol_fault(self.values)
+        if fault is not None:
+            raise InvalidInputError(fault)
 
     @classmethod
     def from_mapping(cls, shape: Shape, mapping: Mapping[Box, int]) -> "Tableau":

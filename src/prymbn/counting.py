@@ -8,17 +8,23 @@ torsion up to ``2r-2``), and per-strip linear-extension counting (any
 torsion, desk-scale).  :func:`applicable_routes` is the one statement of
 where each route applies.  Everything is exact integer/rational arithmetic.
 
+The determinant route scales column ``j`` of each term's matrix by
+``top_j!``, the factorial of its largest argument, so that every entry
+``1/m!`` becomes the integer ``top_j!/m!``.  Each term is then one integer
+determinant by fraction-free (Bareiss) elimination, ``O(l^3)`` integer
+operations per tuple that survives, divided by ``prod top_j!``.
+
 The brute route's kernel, :func:`count_linext`, is a layered dynamic
 program over the reachable down-sets of the strip poset built by
 :func:`strip_poset_succ_masks`; the lattice-path walk is layered the same
-way.  Neither needs recursion.
+way.  No route needs recursion.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 from .core import (
     GuardRefused,
@@ -51,7 +57,20 @@ def applicable_routes(r: int, k: int) -> tuple[str, ...]:
 
     ``hook`` applies at torsion 0 or above ``2r-2``, ``det`` and ``paths``
     at even torsion in ``[2, 2r-2]``, and ``brute`` everywhere, subject to
-    its ``BRUTE_SYMBOL_LIMIT`` guard.
+    its ``BRUTE_SYMBOL_LIMIT`` guard.  Odd torsion has ``brute`` alone:
+    C(r, k) = C(r, k+1) there is checked by acceptance row R10, not used.
+
+    The order rests on timing every route at every even (r, k) with
+    ``r <= 10`` (median of 3 calls, Python 3.11 on a 2-core VM).  Up to
+    about 15 symbols every route takes under 0.2 ms.  Above that ``det``,
+    always under 2 ms, is the cheapest wherever it applies (``brute`` ties
+    it within 0.05 ms at k = 4 and 6), while ``paths`` and ``brute`` grow
+    by orders of magnitude with the symbol count: at (10, 16), 52 symbols,
+    ``det`` takes under 1 ms, ``brute`` over 100 ms and ``paths`` over
+    150 ms.  ``hook`` stays under 0.1 ms.  Past the first route, the order
+    is only the listing order of ``count --method all``, where the guarded
+    ``brute`` comes last although it beats ``paths`` above about 12
+    symbols.
     """
     routes = ("hook",) if generic_regime(r, k) else ()
     if k % 2 == 0 and 2 <= k <= 2 * r - 2:
@@ -94,22 +113,45 @@ def _check_even(r: int, k: int, op: str) -> int:
     return k // 2
 
 
-def _det(m: list[list[Fraction]]) -> Fraction:
+def _bareiss_det(m: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination.
+
+    Bareiss's update ``(pivot * a - b * c) // previous pivot`` divides
+    exactly, so every entry stays an integer (a minor of the input) and the
+    last pivot is the determinant.  A zero pivot swaps in a lower row with
+    a nonzero entry in its column, flipping the sign; a column with none
+    makes the matrix singular.  ``O(n^3)`` integer operations; ``m`` is
+    overwritten.
+    """
     n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = Fraction(0)
-    sign = 1
-    for j in range(n):
-        if m[0][j]:
-            minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-            total += sign * m[0][j] * _det(minor)
-        sign = -sign
-    return total
+    sign, prev = 1, 1
+    for i in range(n - 1):
+        if not m[i][i]:
+            swap = next((j for j in range(i + 1, n) if m[j][i]), None)
+            if swap is None:
+                return 0
+            m[i], m[swap] = m[swap], m[i]
+            sign = -sign
+        pivot_row = m[i]
+        pivot = pivot_row[i]
+        for row in m[i + 1 :]:
+            lead = row[i]
+            for c in range(i + 1, n):
+                row[c] = (pivot * row[c] - lead * pivot_row[c]) // prev
+        prev = pivot
+    return sign * m[-1][-1]
 
 
-def _inv_factorial(m: int) -> Fraction:
-    return Fraction(1, factorial(m)) if m >= 0 else Fraction(0)
+def _falling(top: int, l: int) -> list[int]:
+    """``top! / (top - d)!`` for ``d = l-1, ..., 0``: one scaled column of
+    the determinant, top row first.  The product passes through the factor
+    0 once ``d > top >= 0``, which is the ``1/m! = 0`` of negative ``m``."""
+    col, v = [], 1
+    for d in range(l):
+        col.append(v)
+        v *= top - d
+    col.reverse()
+    return col
 
 
 def count_even_determinant(r: int, k: int, *, widen: int = 0) -> int:
@@ -121,6 +163,14 @@ def count_even_determinant(r: int, k: int, *, widen: int = 0) -> int:
     argument goes negative, which bounds each coordinate below; the zero-sum
     constraint bounds it above.  ``widen`` grows that bounding box (the
     result must not change; tests use it as a finite-support check).
+
+    Column ``j``'s largest argument is ``top_j = r + (l-1) - 2(j-1) + a_j k``
+    (row ``l``).  An ``a`` with a negative ``top_j`` has a zero column and
+    is skipped.  Otherwise column ``j`` is scaled by ``top_j!``, so its
+    entries become the integers ``top_j!/m!`` (0 for ``m < 0``); the term
+    is then the integer determinant, found by fraction-free elimination
+    (:func:`_bareiss_det`), over ``prod top_j!``.  That is ``O(l^3)``
+    integer operations per surviving ``a``.
     """
     l = _check_even(r, k, "count_even_determinant")
     n = expected_codim(r, k)
@@ -133,15 +183,13 @@ def count_even_determinant(r: int, k: int, *, widen: int = 0) -> int:
     for alpha in product(*ranges):
         if sum(alpha) != 0:
             continue
-        mat = [
-            [
-                _inv_factorial(r + (i - 1) - 2 * (j - 1) + alpha[j - 1] * k)
-                for j in range(1, l + 1)
-            ]
-            for i in range(1, l + 1)
-        ]
-        total += _det(mat)
-    count = Fraction(factorial(n)) * total
+        tops = [r + l - 1 - 2 * j + a * k for j, a in enumerate(alpha)]
+        if min(tops) < 0:
+            continue
+        cols = [_falling(top, l) for top in tops]
+        det = _bareiss_det([list(row) for row in zip(*cols)])
+        total += Fraction(det, prod(map(factorial, tops)))
+    count = factorial(n) * total
     if count.denominator != 1 or count < 0:
         raise InvariantError(f"determinant sum is not a nonnegative integer: {count}")
     return int(count)

@@ -23,6 +23,7 @@ from .core import (
     Shape,
     Tableau,
     _is_int,
+    _symbol_fault,
     canonical_boxes,
     canonical_key,
     explicit_shape,
@@ -145,8 +146,9 @@ def tableau_from_json(data: Any) -> Tableau:
             raise InvalidInputError(f"duplicate entry for box {box}")
         if not inside(box):
             raise InvalidInputError(f"entry box {box} is outside the shape")
-        if v < 1:
-            raise InvalidInputError(f"symbols are positive integers, got {v}")
+        fault = _symbol_fault((v,))
+        if fault is not None:
+            raise InvalidInputError(fault)
         mapping[box] = v
     # Distinct entries inside the shape, as many as its boxes, fill it.
     if len(mapping) < size:

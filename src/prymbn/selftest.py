@@ -30,7 +30,9 @@ from .counting import (
     BRUTE_SYMBOL_LIMIT,
     applicable_routes,
     cardinality,
+    count_brute,
     count_even_determinant,
+    count_lattice_paths,
 )
 from .dimension import (
     brute_min_codim,
@@ -202,6 +204,46 @@ def _row_finite_support(ctx: RunContext) -> str:
             wide = count_even_determinant(r, k, widen=widen)
             assert wide == base, f"widening by {widen} moved C({r},{k}): {wide} != {base}"
     return f"{len(cells)} determinant cells invariant under box widening (+1, +2)"
+
+
+# --------------------------------------------------------------------------
+# Row 10: odd torsion against even torsion.
+# --------------------------------------------------------------------------
+
+
+def _row_odd_torsion(ctx: RunContext) -> str:
+    """C(r, k) = C(r, k+1) for odd k in [3, 2r-3] and r <= 8, plus the odd
+    columns k = 3 and 5 pinned for r = 3..9 and C(9, 7).  Odd torsion has
+    one route, ``brute`` (forced past its symbol guard); the identity is
+    checked, not used, so ``det`` and ``paths`` stay even-torsion routes."""
+    if ctx.instance is not None:
+        return _SKIPPED
+    t0 = time.perf_counter()
+    checked = 0
+    for r in range(3, 9):
+        for k in range(3, 2 * r - 2, 2):
+            assert not {"det", "paths"} & set(applicable_routes(r, k)), (
+                f"an even-torsion route is offered at odd k={k}, r={r}"
+            )
+            odd = count_brute(r, k, force=True)
+            even = count_even_determinant(r, k + 1)
+            paths = count_lattice_paths(r, k + 1)
+            assert odd == even == paths, (
+                f"C({r},{k}) = {odd} by brute, C({r},{k + 1}) = {even} by det"
+                f" and {paths} by paths"
+            )
+            checked += 1
+    pins = [(r, 3, 2 ** (r - 1)) for r in range(3, 10)]
+    pins += [(r, 5, 2 ** (3 * r - 5)) for r in range(3, 10)]
+    for r, k, want in pins + [(9, 7, 169412132864)]:
+        got = count_brute(r, k, force=True)
+        assert got == want, f"C({r},{k}) = {got}, pin says {want}"
+    dt = time.perf_counter() - t0
+    assert dt < 2.0, f"odd-torsion row took {dt:.2f}s, budget 2s"
+    return (
+        f"{checked} odd cells equal their even successor by det and paths;"
+        f" C(r,3) = 2^(r-1) and C(r,5) = 2^(3r-5) for r = 3..9, C(9,7) in {dt:.2f}s"
+    )
 
 
 # --------------------------------------------------------------------------
@@ -533,6 +575,7 @@ ROWS: tuple[Row, ...] = (
     Row("R7", "pure dimensionality pipeline", _row_pure_dimension),
     Row("R8", "generic average intersections", _row_average),
     Row("R9", "divisor layer sweeps", _row_divisors),
+    Row("R10", "odd torsion against even torsion", _row_odd_torsion),
 )
 
 

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from fractions import Fraction
 
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from prymbn import counting
 from prymbn.core import GuardRefused, InvalidInputError, PrymParams
 from prymbn.counting import (
     BRUTE_SYMBOL_LIMIT,
+    applicable_routes,
     cardinality,
     count_brute,
     count_even_determinant,
@@ -68,6 +72,65 @@ def test_count_generic_matches_staircase_hooks():
 # Determinant and lattice paths (even torsion)
 
 
+def laplace_det(m: list[list[int]]) -> Fraction:
+    """The oracle: Laplace expansion along the first row, over fractions."""
+    if len(m) == 1:
+        return Fraction(m[0][0])
+    total, sign = Fraction(0), 1
+    for j, entry in enumerate(m[0]):
+        if entry:
+            total += sign * entry * laplace_det([row[:j] + row[j + 1 :] for row in m[1:]])
+        sign = -sign
+    return total
+
+
+def square_matrices(entries=st.integers(-6, 6)):
+    return st.integers(1, 6).flatmap(
+        lambda n: st.lists(
+            st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+
+
+@given(square_matrices())
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 1], [0, 1, 0], [1, 0, 0]])
+@example([[0, 2], [0, 3]])
+@settings(max_examples=300)
+def test_bareiss_det_matches_the_laplace_oracle(m):
+    assert counting._bareiss_det([row[:] for row in m]) == laplace_det(m)
+
+
+@given(square_matrices(), st.data())
+@settings(max_examples=150)
+def test_bareiss_det_swaps_rows_past_zero_leading_pivots(m, data):
+    # Zero the leading entries of a prefix of rows, so the first pivot, or a
+    # later one, is zero and the elimination must swap a lower row in.
+    n = len(m)
+    zeroed = data.draw(st.integers(1, n))
+    for row in m[:zeroed]:
+        row[0] = 0
+    assert counting._bareiss_det([row[:] for row in m]) == laplace_det(m)
+
+
+@given(square_matrices(), st.data())
+@settings(max_examples=150)
+def test_bareiss_det_of_singular_matrices_is_zero(m, data):
+    # A row repeated, scaled, or a sum of two others makes the matrix singular.
+    n = len(m)
+    if n == 1:
+        m[0][0] = 0
+    else:
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        c = data.draw(st.integers(-2, 2))
+        m[i] = [c * v for v in m[j]]
+        if n > 2 and data.draw(st.booleans()):
+            h = next(h for h in range(n) if h not in (i, j))
+            m[h] = [a + b for a, b in zip(m[i], m[j])]
+    assert laplace_det(m) == 0
+    assert counting._bareiss_det([row[:] for row in m]) == 0
+
+
 def test_even_routes_agree_on_every_applicable_cell():
     for r in range(2, 7):
         for k in range(2, 2 * r - 1, 2):
@@ -89,6 +152,29 @@ def test_even_routes_reject_out_of_range_torsion():
 def test_lattice_paths_walk_long_paths_without_recursion():
     # 599 unit steps, past the interpreter's recursion limit; R2's C(r, 4) = 2^(r-1).
     assert count_lattice_paths(300, 4) == 2 ** 299
+
+
+def test_determinant_at_scale_agrees_with_lattice_paths():
+    want = 7091178212579018378920476016640
+    assert count_even_determinant(10, 16) == want
+    assert count_lattice_paths(10, 16) == want
+
+
+def test_determinant_at_scale_runs_one_elimination_per_zero_sum_alpha(monkeypatch):
+    # At (11, 20) the box holds 10 zero-sum tuples: all zero, and -1 on the
+    # first coordinate with +1 on one of the nine others.  The value was
+    # confirmed once by count_lattice_paths, which takes seconds here.
+    calls = []
+    eliminate = counting._bareiss_det
+
+    def counted(m):
+        calls.append(len(m))
+        return eliminate(m)
+
+    monkeypatch.setattr(counting, "_bareiss_det", counted)
+    assert count_even_determinant(11, 20) == 5580411042398079970470240387028751021506560
+    assert 0 < len(calls) <= 10
+    assert set(calls) == {10}
 
 
 def test_determinant_support_box_is_finite():
@@ -140,6 +226,14 @@ def test_cardinality_route_selection():
     assert cardinality(5, 9) == count_generic(5)  # above 2r - 2: generic regime
     assert cardinality(5, 4) == count_even_determinant(5, 4)
     assert cardinality(3, 3) == count_brute(3, 3)
+
+
+def test_even_routes_are_not_offered_at_odd_torsion():
+    # C(r, k) = C(r, k + 1) at odd k is checked by row R10, not used.
+    for r in range(1, 12):
+        for k in range(3, 2 * r + 4, 2):
+            assert not {"det", "paths"} & set(applicable_routes(r, k))
+            assert applicable_routes(r, k)[-1] == "brute"
 
 
 def test_cardinality_named_methods():

@@ -222,6 +222,19 @@ def test_tableau_rejects_boolean_values():
         Tableau(staircase_shape(1), (True,))
 
 
+def test_symbols_follow_one_exact_int_rule_on_both_paths():
+    # A symbol is an exact int: an int subclass is refused by the document
+    # reader and by the library constructor alike, and the message names the
+    # type, since the value itself looks valid.
+    doc = tableau_to_json(stair([[3], [1, 2]]))
+    doc["entries"][0][2] = Num(doc["entries"][0][2])
+    with pytest.raises(InvalidInputError, match=r"got \d+ of type Num") as from_doc:
+        tableau_from_json(doc)
+    with pytest.raises(InvalidInputError, match=r"got 1 of type Num") as from_lib:
+        Tableau(staircase_shape(1), (Num(1),))
+    assert str(from_doc.value).split(", got")[0] == str(from_lib.value).split(", got")[0]
+
+
 # --------------------------------------------------------------------------
 # Divisors
 
