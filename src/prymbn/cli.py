@@ -157,7 +157,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_symbols(spec: str, g: int) -> list[int]:
+def _parse_symbols(spec: str) -> list[int]:
     try:
         symbols = sorted({int(tok) for tok in spec.split(",") if tok.strip()})
     except ValueError as exc:
@@ -193,8 +193,10 @@ def _cmd_cells(args: argparse.Namespace) -> int:
             print(total)
         return 0
     if args.symbols is not None:
-        symbols = _parse_symbols(args.symbols, p.g)
-        total = cardinality(p.r, p.k, force=args.force) * comb(len(symbols), n)
+        symbols = _parse_symbols(args.symbols)
+        # Fewer symbols than a cell needs: no cell, so no C(r, k) to count.
+        factor = comb(len(symbols), n)
+        total = cardinality(p.r, p.k, force=args.force) * factor if factor else 0
         if total > CELL_GUARD and not args.force:
             raise GuardRefused(
                 f"{total} strip tableaux exceed the desk-scale limit of"
@@ -462,6 +464,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
                 f"--instance wants g,r,k integers, got {args.instance!r}"
             ) from exc
         instance = (g, r, k)
+        PrymParams(g, r, k)  # refuses a triple that is no type
     ctx = RunContext(instance=instance, narrow_alpha=args.narrow_alpha)
     if args.json:
         results = run_rows(ctx)

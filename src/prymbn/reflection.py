@@ -7,15 +7,25 @@ implemented by :func:`reflectify` turns any Prym tableau whose ``g``-fiber
 sits in the parity class ``r mod 2`` into a reflective tableau dominating it,
 growing a reflective partition ``kappa`` one symbol threshold at a time.
 
-Each step writes the threshold on the loose boxes that reach it and its dual
-on their reflections, then checks that the new tableau is Prym and dominates
-the previous one; the threshold range and the "stuck" and "replaced no
-boxes" conditions are checked too, and the end checks that the result is
-reflective and dominates the input.  Every failed check raises
-``InvariantError``.  The Prym (or reflective) check of each state builds
-its square signature once, and the dominance checks compare those
-signatures, so no state's signature is built twice.  The loose set is
-carried from step to step and updated around the replaced boxes only.
+The paper's sweep writes, at each step, the least threshold
+``min(t(w), 2g - t(w*))`` over the loose boxes ``w`` of ``kappa`` inside
+``T_r`` (``w*`` is ``reflect_box(w)``) on the loose boxes reaching it, and
+its dual on their reflections.  It only writes boxes of ``kappa`` and their
+reflections, so a box and its reflection still hold the input's values when
+the box turns loose: box ``w`` receives ``f(w) = min(t(w), 2g - t(w*))``,
+read off the input once.  The sweep finishes exactly when ``f`` increases
+along the covers of ``T_r`` and stays at most ``g - 1``; step ``j`` then
+writes the ``j``-th least value of ``f`` on all the boxes carrying it.
+The canonical slots of ``T_r`` are the square's first ``r(r+1)/2`` slots,
+in the same order, so ``f`` is one list and is checked by the staircase's
+own cover scan; :func:`extend_to_reflective` and
+:func:`restrict_to_staircase` are slot copies on the same fact.
+
+Each state is checked to be Prym and to dominate the state before it, and
+the end checks that the result is reflective and dominates the input.
+Every failed check raises ``InvariantError``.  The Prym (or reflective)
+check of each state builds its square signature once, and the dominance
+checks compare those signatures, so no state's signature is built twice.
 """
 
 from __future__ import annotations
@@ -34,14 +44,10 @@ from .core import (
     _prym_signature,
     _reflective_signature,
     _signature_dominates,
-    anti_diagonal,
-    anti_diagonal_boxes,
     diag_class,
     displacement_fault,
-    dual_symbol,
     explicit_shape,
     is_reflective,
-    reflect_box,
     square_shape,
     staircase_fault,
     staircase_shape,
@@ -127,46 +133,19 @@ class ReflectionState:
 
     ``tableau`` is the current filling; ``threshold`` the symbol written at
     this step (0 before the first step, ``g`` at the final one); ``kappa``
-    the staircase boxes already reflective; ``loose`` the loose boxes of
-    ``kappa`` below the main anti-diagonal; ``replaced`` the staircase boxes
-    overwritten at this step.
+    the staircase boxes already reflective; ``replaced`` the boxes
+    overwritten at this step: the boxes ``w`` of ``T_r`` with
+    ``min(t(w), 2g - t(w*)) == threshold``, or the main anti-diagonal at
+    the final step.  Each ``w`` was loose for the previous ``kappa``
+    (``loose_boxes(kappa, None, k)``), and its reflection ``w*`` receives
+    the dual ``2g - threshold``.
     """
 
     step: int
     tableau: Tableau
     threshold: int
     kappa: frozenset[Box]
-    loose: frozenset[Box]
     replaced: frozenset[Box]
-
-
-def _staircase_loose(kappa: frozenset[Box], r: int, k: int) -> frozenset[Box]:
-    return frozenset(
-        b for b in _loose_boxes(kappa, None, k) if anti_diagonal(b) <= r
-    )
-
-
-def _grown_loose(
-    loose: frozenset[Box], kappa: frozenset[Box], replaced: frozenset[Box], r: int
-) -> frozenset[Box]:
-    """The loose boxes inside ``T_r`` of ``kappa``, which grew from the
-    partition with loose set ``loose`` by ``replaced``, a subset of it.
-
-    The other loose boxes stay loose, and a box that was not loose can only
-    become so once its west or south neighbour joins ``kappa``, so the new
-    ones are east or north of a replaced box.  Such a box is outside
-    ``kappa``: it is not loose itself, and ``kappa`` is a partition.
-    """
-    out = set(loose - replaced)
-    for x, y in replaced:
-        for bx, by in ((x + 1, y), (x, y + 1)):
-            if (
-                bx + by - 1 <= r
-                and (bx == 1 or (bx - 1, by) in kappa)
-                and (by == 1 or (bx, by - 1) in kappa)
-            ):
-                out.add((bx, by))
-    return frozenset(out)
 
 
 def reflectify_states(t: Tableau, p: PrymParams) -> list[ReflectionState]:
@@ -176,9 +155,11 @@ def reflectify_states(t: Tableau, p: PrymParams) -> list[ReflectionState]:
     class ``r mod 2``; otherwise no reflective tableau can dominate it (the
     final step pins ``g`` to that class) and the input is rejected.
 
-    Each step must stay Prym and dominate the state before it, and the
-    result must be reflective and dominate the input; a failure raises
-    ``InvariantError``.  Each state's square signature (see
+    The thresholds ``f(w) = min(t(w), 2g - t(w*))`` of the boxes of ``T_r``
+    must increase along its covers and stay at most ``g - 1``, each step
+    must stay Prym and dominate the state before it, and the result must be
+    reflective and dominate the input; a failure raises ``InvariantError``.
+    Each state's square signature (see
     :func:`~prymbn.core.dominance_signature`) is built once, by its Prym or
     reflective check, and the dominance checks compare those signatures.
     """
@@ -192,45 +173,41 @@ def reflectify_states(t: Tableau, p: PrymParams) -> list[ReflectionState]:
                 f"symbol g = {g} at {box} sits in the parity class {(box[0] - box[1]) % 2};"
                 f" a dominating reflective tableau needs it in class {r % 2}"
             )
-    staircase = staircase_shape(r).boxes
+    stair = staircase_shape(r).index
+    boxes, mirror = stair.boxes, t.shape.index.reflection
+    values = list(t.values)
+    f = [min(v, 2 * g - values[j]) for v, j in zip(values[: len(boxes)], mirror)]
+    bad = next(stair.violations(f), None)
+    if bad is not None:
+        raise InvariantError(
+            f"reflectification thresholds fail to increase from {boxes[bad[0]]}"
+            f" to {boxes[bad[1]]}"
+        )
+    if max(f, default=0) > g - 1:
+        raise InvariantError(f"reflectification threshold {max(f)} exceeds g - 1 = {g - 1}")
+    by_threshold: dict[int, list[int]] = {}
+    for i, n in enumerate(f):
+        by_threshold.setdefault(n, []).append(i)
     kappa: frozenset[Box] = frozenset()
-    loose = _staircase_loose(kappa, r, p.k)
-    s, sig = t, sig_t
-    states = [ReflectionState(0, t, 0, kappa, loose, frozenset())]
-    prev_n = 0
-    while kappa != staircase:
-        if not loose:
-            raise InvariantError("reflectification stuck: no loose boxes below A_{r+1}")
-        values = s.values
-        slot, mirror = s.shape.index.slot, s.shape.index.reflection
-        below = {w: values[slot[w]] for w in loose}
-        above = {w: 2 * g - values[mirror[slot[w]]] for w in loose}
-        n = min(min(below.values()), min(above.values()))
-        if not prev_n < n <= g - 1:
-            raise InvariantError(
-                f"reflectification threshold {n} outside ({prev_n}, {g - 1}]"
-            )
-        replaced = frozenset(w for w in loose if below[w] == n or above[w] == n)
-        if not replaced:
-            raise InvariantError("reflectification step replaced no boxes")
-        new_values = list(values)
-        for w in replaced:
-            i = slot[w]
-            new_values[i] = n
-            new_values[mirror[i]] = 2 * g - n
-        s2 = Tableau(s.shape, tuple(new_values))
-        sig2 = _prym_signature(s2, p)
-        if sig2 is None:
+    prev_sig = sig_t
+    states = [ReflectionState(0, t, 0, kappa, frozenset())]
+    for n in sorted(by_threshold):
+        for i in by_threshold[n]:
+            values[i] = n
+            values[mirror[i]] = 2 * g - n
+        s = Tableau(t.shape, tuple(values))
+        sig = _prym_signature(s, p)
+        if sig is None:
             raise InvariantError(f"reflectification step {len(states)} left the Prym class")
-        if not _signature_dominates(sig2, sig):
+        if not _signature_dominates(sig, prev_sig):
             raise InvariantError(f"reflectification step {len(states)} broke dominance")
+        replaced = frozenset(boxes[i] for i in by_threshold[n])
         kappa = kappa | replaced
-        loose = _grown_loose(loose, kappa, replaced, r)
-        states.append(ReflectionState(len(states), s2, n, kappa, loose, replaced))
-        s, sig = s2, sig2
-        prev_n = n
-    main = anti_diagonal_boxes(square_shape(r), r + 1)
-    final = s.with_values({b: g for b in main})
+        states.append(ReflectionState(len(states), s, n, kappa, replaced))
+        prev_sig = sig
+    main = slice(len(boxes), len(boxes) + r + 1)  # the main anti-diagonal's slots
+    values[main] = [g] * (r + 1)
+    final = Tableau(t.shape, tuple(values))
     sig_final = _reflective_signature(final, p)
     if sig_final is None:
         raise InvariantError("reflectification produced a non-reflective tableau")
@@ -244,7 +221,7 @@ def reflectify_states(t: Tableau, p: PrymParams) -> list[ReflectionState]:
     if not ok:
         raise InvariantError("reflectification result does not dominate its input")
     states.append(
-        ReflectionState(len(states), final, g, kappa, frozenset(), frozenset(main))
+        ReflectionState(len(states), final, g, kappa, frozenset(t.shape.index.boxes[main]))
     )
     return states
 
@@ -260,11 +237,12 @@ def reflectify(t: Tableau, p: PrymParams) -> Tableau:
 
 
 def restrict_to_staircase(s: Tableau, p: PrymParams) -> Tableau:
-    """Restriction of a reflective tableau to the staircase ``T_r``."""
+    """Restriction of a reflective tableau to the staircase ``T_r``: the
+    square's first ``r(r+1)/2`` slots."""
     if not is_reflective(s, p):
         raise InvalidInputError("restrict_to_staircase needs a reflective tableau")
     shape = staircase_shape(p.r)
-    out = Tableau.from_mapping(shape, {b: s.at(b) for b in shape.boxes})
+    out = Tableau(shape, s.values[: len(shape)])
     if any(v > p.g - 1 for v in out.values):
         raise InvariantError("reflective tableau exceeds g-1 below the main anti-diagonal")
     return out
@@ -275,17 +253,16 @@ def extend_to_reflective(t: Tableau, p: PrymParams) -> Tableau:
 
     Every box ``b`` of ``T_r`` keeps its value, its reflection receives the
     dual value ``2g - t(b)``, and the main anti-diagonal receives ``g``.
+    In slots: the staircase's values, then ``g`` on the next ``r + 1``,
+    then the duals of the mirrored slots.
     """
     if fault := staircase_fault(t, p) or displacement_fault(t, p.k):
         raise InvalidInputError(f"extend_to_reflective: tableau {fault}")
-    g, r = p.g, p.r
-    mapping: dict[Box, int] = {}
-    for b, v in t.items():
-        mapping[b] = v
-        mapping[reflect_box(b, r)] = dual_symbol(v, g)
-    for b in anti_diagonal_boxes(square_shape(r), r + 1):
-        mapping[b] = g
-    out = Tableau.from_mapping(square_shape(r), mapping)
+    g, shape = p.g, square_shape(p.r)
+    mirror = shape.index.reflection
+    values = [*t.values, *[g] * (p.r + 1)]
+    values += [2 * g - values[mirror[i]] for i in range(len(values), len(mirror))]
+    out = Tableau(shape, tuple(values))
     if not is_reflective(out, p):
         raise InvariantError("reflective extension failed its defining symmetry")
     return out

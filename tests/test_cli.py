@@ -173,6 +173,17 @@ def test_cells_symbol_subset(capsys):
     assert code == 2 and "bad --symbols" in err
 
 
+def test_cells_with_too_few_symbols_for_a_cell_prints_nothing(capsys):
+    # n(8, 5) = 21 symbols per cell and comb(3, 21) = 0: no cell, and no
+    # count of C(8, 5), which the brute guard would refuse.
+    code, out, err = run(capsys, "cells", "--g", "30", "--r", "8", "--k", "5",
+                         "--symbols", "1,2,3")
+    assert (code, out, err) == (0, "", "")
+    code, _, err = run(capsys, "cells", "--g", "30", "--r", "8", "--k", "5",
+                       "--symbols", "1,30")
+    assert code == 2 and "[1, g-1]" in err
+
+
 def test_cells_guard(capsys):
     code, _, err = run(capsys, "cells", "--g", "17", "--r", "5", "--k", "0")
     assert code == 3 and "desk-scale" in err
@@ -477,6 +488,16 @@ def test_selftest_bad_instance(capsys):
     assert code == 2 and "--instance wants g,r,k" in err
 
 
+@pytest.mark.parametrize("instance, message", [
+    ("1,1,1", "g must be at least 2"),
+    ("7,-1,4", "r must be non-negative"),
+    ("7,3,1", "k must be 0 or at least 2"),
+])
+def test_selftest_refuses_an_instance_that_is_no_type(capsys, instance, message):
+    code, out, err = run(capsys, "selftest", "--instance", instance)
+    assert (code, out) == (2, "") and message in err
+
+
 # --------------------------------------------------------------------------
 # argparse plumbing
 
@@ -522,12 +543,21 @@ TYPED_DOCS = [
 small_ints = st.integers(-1, 9).map(str)
 
 
+instances = (
+    st.tuples(st.integers(-1, 9), st.integers(-1, 2), st.integers(-1, 9))
+    .map(lambda t: ",".join(map(str, t)))
+    | st.sampled_from(["7,3", "7,3,4,5", "x", "1.5,2,3", "7,,4"])
+)
+
+
 @st.composite
 def cli_requests(draw):
     """An argv for one of the cheap verbs and the tableau documents its
-    ``A``/``B`` file arguments name (``None``: the file does not exist)."""
+    ``A``/``B`` file arguments name (``None``: the file does not exist).
+    ``OUT`` names a writable file and ``MISSING`` one in a missing directory."""
     verb = draw(st.sampled_from(
-        ["dim", "count", "cells", "betti", "path", "reflectify", "divisor"]
+        ["dim", "count", "cells", "betti", "path", "reflectify", "divisor",
+         "census", "selftest"]
     ))
     g, r, k = draw(small_ints), draw(st.integers(-1, 6).map(str)), draw(small_ints)
     docs = []
@@ -540,6 +570,13 @@ def cli_requests(draw):
             argv.append("--count-only")
         if verb == "betti":
             argv += ["--method", draw(st.sampled_from(["graph", "closed", "both"]))]
+    elif verb == "census":
+        bound = st.integers(-1, 2).map(str)
+        argv = ["census", "--rmax", draw(bound), "--kmax", draw(bound),
+                "--jobs", draw(st.sampled_from(["-1", "1"])),
+                "--out", draw(st.sampled_from(["OUT", "MISSING"]))]
+    elif verb == "selftest":
+        argv = ["selftest", "--instance", draw(instances)]
     else:
         files = ["--from", "A", "--to", "B"] if verb == "path" else ["--in", "A"]
         argv = [verb, "--g", g, "--k", k, *files]
@@ -554,7 +591,7 @@ def cli_requests(draw):
         docs = [doc if draw(st.booleans()) else draw(other)]
         if verb == "path":
             docs.append(draw(other))
-    if draw(st.booleans()):
+    if verb != "census" and draw(st.booleans()):
         argv.append("--json")
     if draw(st.integers(0, 5)) == 0:  # now and then a token is dropped or junk
         i = draw(st.integers(0, len(argv) - 1))
@@ -565,9 +602,11 @@ def cli_requests(draw):
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(cli_requests())
-def test_cli_main_exits_0_2_or_3_on_any_request(capsys, tmp_path, request_):
+def test_cli_main_exits_0_2_or_3_on_any_request(capsys, tmp_path, monkeypatch, request_):
     argv, docs = request_
-    paths = {}
+    monkeypatch.chdir(tmp_path)  # a junk --out value names a file here
+    paths = {"OUT": str(tmp_path / "census.csv"),
+             "MISSING": str(tmp_path / "missing" / "census.csv")}
     for name, doc in zip("AB", docs):
         path = tmp_path / f"{name}.json"
         path.unlink(missing_ok=True)

@@ -2,18 +2,25 @@
 
 from __future__ import annotations
 
+import random
 from itertools import islice
 
 import pytest
 
-from prymbn import core
+from prymbn import core, reflection
 from prymbn.core import (
     InvalidInputError,
+    InvariantError,
     PrymParams,
+    Tableau,
+    anti_diagonal,
+    anti_diagonal_boxes,
     dominates,
     explicit_shape,
     is_prym,
     is_reflective,
+    reflect_box,
+    square_shape,
     staircase_shape,
 )
 from prymbn.dimension import enumerate_staircase_tableaux
@@ -25,7 +32,6 @@ from prymbn.reflection import (
     reflectify_trace,
     restrict_to_staircase,
     upward_displacement,
-    _staircase_loose,
 )
 from prymbn.selftest import REFLECTION_TRACE, _grid
 
@@ -94,7 +100,7 @@ def test_reflectify_step_invariants_on_the_golden_trace():
         assert is_prym(cur.tableau, p)
         assert dominates(cur.tableau, prev.tableau, p)
         if cur.step < len(states) - 1:
-            assert cur.replaced <= prev.loose
+            assert cur.replaced <= loose_boxes(prev.kappa, None, p.k)
 
 
 def _grid_tableaux():
@@ -106,12 +112,76 @@ def _grid_tableaux():
                 yield extend_to_reflective(t, p), p
 
 
-def test_incremental_loose_sets_are_exact():
+def paper_sweep(t, p):
+    """The paper's sweep, transcribed step by step: the loose boxes of
+    ``kappa`` inside ``T_r``, their least threshold ``min(t(w), 2g - t(w*))``,
+    and that threshold on the boxes reaching it, its dual on their mirrors.
+    Returns each state as ``(step, tableau, threshold, kappa, replaced)``."""
+    r, g = p.r, p.g
+    kappa, s = frozenset(), t
+    states = [(0, t, 0, kappa, frozenset())]
+    while kappa != staircase_shape(r).boxes:
+        loose = [w for w in loose_boxes(kappa, None, p.k) if anti_diagonal(w) <= r]
+        below = {w: s.at(w) for w in loose}
+        above = {w: 2 * g - s.at(reflect_box(w, r)) for w in loose}
+        n = min(min(below.values()), min(above.values()))
+        replaced = frozenset(w for w in loose if n in (below[w], above[w]))
+        updates = {}
+        for w in replaced:
+            updates[w], updates[reflect_box(w, r)] = n, 2 * g - n
+        s = s.with_values(updates)
+        kappa |= replaced
+        states.append((len(states), s, n, kappa, replaced))
+    main = anti_diagonal_boxes(square_shape(r), r + 1)
+    states.append((len(states), s.with_values({b: g for b in main}), g, kappa,
+                   frozenset(main)))
+    return states
+
+
+def _states(t, p):
+    return [(st.step, st.tableau, st.threshold, st.kappa, st.replaced)
+            for st in reflectify_states(t, p)]
+
+
+def test_the_sweep_matches_the_papers_on_the_golden_input_and_the_grid():
     cases = [(_trace_tableaux()[0], PrymParams(11, 4, 3)), *_grid_tableaux()]
     assert len(cases) == 950
     for t, p in cases:
-        for state in reflectify_states(t, p)[:-1]:
-            assert state.loose == _staircase_loose(state.kappa, p.r, p.k)
+        assert _states(t, p) == paper_sweep(t, p)
+
+
+def _perturbed_squares(count, seed):
+    """``count`` Prym squares at r = 3, 4 that are not reflective: reflective
+    extensions with a few values moved inside their cover bounds, kept when
+    Prym with the g-fiber in the parity class r mod 2."""
+    rng = random.Random(seed)
+    bases = list(_grid_tableaux())
+    out = []
+    while len(out) < count:
+        e, p = rng.choice(bases)
+        idx = e.shape.index
+        values = list(e.values)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(values))
+            x, y = idx.boxes[i]
+            lo = max((values[j] for j in (idx.west[i], idx.south[i]) if j >= 0), default=0)
+            hi = min((values[idx.slot[b]] for b in ((x + 1, y), (x, y + 1))
+                      if b in idx.slot), default=2 * p.g)
+            if hi - lo > 1:
+                values[i] = rng.randrange(lo + 1, hi)
+        t = Tableau(e.shape, tuple(values))
+        if (is_prym(t, p) and not is_reflective(t, p)
+                and all((x - y) % 2 == p.r % 2 for x, y in t.fiber(p.g))):
+            out.append((t, p))
+    return out
+
+
+def test_the_sweep_matches_the_papers_on_non_reflective_squares():
+    cases = _perturbed_squares(300, seed=1912)
+    assert len({t.values for t, _ in cases}) > 250
+    assert {p.r for _, p in cases} == {3, 4}
+    for t, p in cases:
+        assert _states(t, p) == paper_sweep(t, p)
 
 
 def test_the_sweep_builds_each_signature_once(monkeypatch):
@@ -152,6 +222,72 @@ def test_reflectify_rejects_misparitied_middle_symbol():
     assert is_prym(t, p)
     with pytest.raises(InvalidInputError, match="parity"):
         reflectify(t, p)
+
+
+def test_reflectify_on_the_one_box_square():
+    # T_0 is empty: no step, and the final state fills the one box with g.
+    p = PrymParams(2, 0, 0)
+    for v in (1, 2, 3):
+        t = square([[v]])
+        assert reflectify(t, p) == square([[2]])
+        assert reflectify_trace(t, p) == [t, square([[2]])]
+
+
+def _lenient_input_check(monkeypatch):
+    """Let the input check pass any square, Prym or not."""
+    monkeypatch.setattr(reflection, "_prym_signature", core._square_signature)
+
+
+def test_thresholds_that_fail_to_increase_along_a_cover_raise(monkeypatch):
+    # f(1,1) = min(5, 20 - 15) = 5 but f(2,1) = min(3, 20 - 17) = 3.
+    t = square([[10, 13, 15], [7, 10, 17], [5, 3, 10]])
+    p = PrymParams(10, 2, 0)
+    with pytest.raises(InvalidInputError):
+        reflectify(t, p)
+    _lenient_input_check(monkeypatch)
+    with pytest.raises(InvariantError, match=r"increase from \(1, 1\) to \(2, 1\)"):
+        reflectify_states(t, p)
+
+
+def test_a_threshold_of_g_or_more_raises(monkeypatch):
+    # f(1,1) = min(4, 6 - 2) = 4 > g - 1 = 2.
+    t = square([[3, 2], [4, 3]])
+    p = PrymParams(3, 1, 0)
+    with pytest.raises(InvalidInputError):
+        reflectify(t, p)
+    _lenient_input_check(monkeypatch)
+    with pytest.raises(InvariantError, match="threshold 4 exceeds g - 1 = 2"):
+        reflectify_states(t, p)
+
+
+def _second_call_returns_none(fn):
+    calls = []
+
+    def patched(t, p):
+        calls.append(t)
+        return None if len(calls) == 2 else fn(t, p)
+
+    return patched
+
+
+def _adds_a_pair(fn):
+    def patched(t, p):
+        pairs, g_parities = fn(t, p)
+        return pairs | {(-1, 1)}, g_parities
+
+    return patched
+
+
+@pytest.mark.parametrize("name, wrap, message", [
+    ("_prym_signature", _second_call_returns_none, "step 1 left the Prym class"),
+    ("_signature_dominates", lambda fn: lambda a, b: False, "step 1 broke dominance"),
+    ("_reflective_signature", lambda fn: lambda t, p: None, "non-reflective"),
+    ("_reflective_signature", _adds_a_pair, "does not dominate its input"),
+])
+def test_each_state_check_fires_under_an_injected_fault(monkeypatch, name, wrap, message):
+    monkeypatch.setattr(reflection, name, wrap(getattr(reflection, name)))
+    with pytest.raises(InvariantError, match=message):
+        reflectify_states(_trace_tableaux()[0], PrymParams(11, 4, 3))
 
 
 # --------------------------------------------------------------------------
