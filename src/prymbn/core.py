@@ -20,7 +20,8 @@ would otherwise re-derive on every call:
 
 - the canonical box tuple and the box -> slot map;
 - the slot of every box's west and south neighbour, for any box set;
-- for a box set passing the cover rule, the ``(lo, hi)`` slot pairs compared;
+- for a box set passing the cover rule, the ``(lo, hi)`` slot pairs compared,
+  and the pairs each slot takes part in;
 - the diagonal class of every slot, one tuple per ``k``, built on first use;
 - for squares, the slot permutation of the reflection across the main
   anti-diagonal.
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -143,6 +144,11 @@ def dual_symbol(a: int, g: int) -> int:
     return 2 * g - a
 
 
+def _fold(a: int, g: int) -> int:
+    """The fold's one symbol for ``a`` and its dual ``2g - a``: ``min(a, 2g - a)``."""
+    return a if a < g else 2 * g - a
+
+
 def reflect_box(box: Box, r: int) -> Box:
     """Reflection of ``box`` across the main anti-diagonal of the (r+1)-square."""
     x, y = box
@@ -150,7 +156,9 @@ def reflect_box(box: Box, r: int) -> Box:
 
 
 def _check_torsion(k: int) -> None:
-    """Refuse a torsion order other than 0 or at least 2."""
+    """Refuse a torsion order other than an integer 0 or at least 2."""
+    if not _is_int(k):
+        raise InvalidInputError(f"k must be an integer, got {k!r}")
     if k < 0 or k == 1:
         raise InvalidInputError(f"k must be 0 or at least 2, got {k}")
 
@@ -237,11 +245,13 @@ class ShapeIndex:
     ``-1`` where the box set lacks it.  When ``chained`` (the module's cover
     rule) holds, ``covers`` lists the (west or south neighbour, box) slot
     pairs, west pairs first.
-    :meth:`classes` and :attr:`reflection` are built on first use.
+    :meth:`classes`, :attr:`incident` and :attr:`reflection` are built on
+    first use.
     """
 
     __slots__ = (
         "boxes", "slot", "west", "south", "chained", "covers", "_classes", "_reflection",
+        "_incident",
     )
 
     def __init__(self, shape: Shape) -> None:
@@ -264,6 +274,7 @@ class ShapeIndex:
         ]) if self.chained else ()
         self._classes: dict[int, tuple[int, ...]] = {}
         self._reflection: tuple[int, ...] | None = None
+        self._incident: tuple[tuple[tuple[int, int], ...], ...] | None = None
 
     def violations(self, values: Sequence[int]) -> Iterator[tuple[int, int]]:
         """The ``(lo, hi)`` slot pairs whose values fail to increase: among
@@ -286,6 +297,22 @@ class ShapeIndex:
         if out is None:
             out = self._classes[k] = tuple(diag_class(b, k) for b in self.boxes)
         return out
+
+    @property
+    def incident(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """The :attr:`covers` each slot takes part in, as the box above or
+        below.  Rewriting some slots of a filling that passes the cover
+        scan, the new filling passes it when it passes on the covers
+        incident to the rewritten slots."""
+        if self._incident is None:
+            if not self.chained:
+                raise InvalidInputError("incident covers need a box set passing the cover rule")
+            out: list[list[tuple[int, int]]] = [[] for _ in self.boxes]
+            for lo, hi in self.covers:
+                out[lo].append((lo, hi))
+                out[hi].append((lo, hi))
+            self._incident = tuple(map(tuple, out))
+        return self._incident
 
     @property
     def reflection(self) -> tuple[int, ...]:
@@ -626,17 +653,23 @@ def _check_square(t: Tableau, p: PrymParams, op: str) -> None:
         raise InvalidInputError(f"symbols out of range [1, 2g-1]: {bad}")
 
 
-def _square_signature(t: Tableau, p: PrymParams) -> Signature:
-    """(class mod k, folded symbol) for each symbol other than ``g``, and the
-    parity classes carrying ``g``.  The fold sends ``a`` and ``2g - a`` to
-    ``min(a, 2g - a)``."""
+def _square_keys(t: Tableau, p: PrymParams) -> tuple[Iterator[tuple[int, int]], Iterator[int]]:
+    """The square signature's keys, one per slot: (class mod k, folded
+    symbol) of each slot not carrying ``g``, and the parity class of each
+    slot carrying ``g``.  The fold (:func:`_fold`) sends ``a`` and ``2g - a``
+    to ``min(a, 2g - a)``."""
     idx = t.shape.index
     g = p.g
     values = t.values
-    folded = (a if a < g else 2 * g - a for a in values)
-    pairs = frozenset(compress(zip(idx.classes(p.k), folded), map(g.__ne__, values)))
-    g_parities = frozenset(compress(idx.classes(2), map(g.__eq__, values)))
-    return pairs, g_parities
+    pairs = compress(zip(idx.classes(p.k), map(_fold, values, repeat(g))), map(g.__ne__, values))
+    return pairs, compress(idx.classes(2), map(g.__eq__, values))
+
+
+def _square_signature(t: Tableau, p: PrymParams) -> Signature:
+    """The sets of :func:`_square_keys`: (class mod k, folded symbol) for each
+    symbol other than ``g``, and the parity classes carrying ``g``."""
+    pairs, g_parities = _square_keys(t, p)
+    return frozenset(pairs), frozenset(g_parities)
 
 
 def _prym_signature(t: Tableau, p: PrymParams) -> Signature | None:

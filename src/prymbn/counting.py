@@ -23,7 +23,6 @@ way.  No route needs recursion.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import product
 from math import comb, factorial, prod
 
 from .core import (
@@ -154,6 +153,38 @@ def _falling(top: int, l: int) -> list[int]:
     return col
 
 
+def _alpha_box(r: int, k: int, widen: int) -> list[range]:
+    """The box of :func:`count_even_determinant`'s sum, one range per
+    coordinate: from the least ``a_j`` keeping ``top_j`` nonnegative up to
+    where the others, at their least, leave a zero sum; ``widen`` grows it."""
+    l = k // 2
+    lo = [-((r + l - 1 - 2 * j) // k) for j in range(l)]
+    total_lo = sum(lo)
+    return [range(a - widen, a - total_lo + widen + 1) for a in lo]
+
+
+def _zero_sum_tuples(ranges: list[range]) -> list[tuple[int, ...]]:
+    """The tuples of ``product(*ranges)`` that sum to 0, in its order.
+
+    A prefix is extended only by values whose sum the remaining ranges can
+    still cancel, so the last coordinate is forced and no other tuple is
+    built.  The ranges have step 1.
+    """
+    # rest_lo[j], rest_hi[j]: the least and greatest sums over ranges[j+1:].
+    rest_lo, rest_hi = [0] * len(ranges), [0] * len(ranges)
+    for j in range(len(ranges) - 2, -1, -1):
+        rest_lo[j] = rest_lo[j + 1] + ranges[j + 1].start
+        rest_hi[j] = rest_hi[j + 1] + ranges[j + 1].stop - 1
+    layer: list[tuple[tuple[int, ...], int]] = [((), 0)]
+    for rng, least, most in zip(ranges, rest_lo, rest_hi):
+        layer = [
+            (prefix + (a,), s + a)
+            for prefix, s in layer
+            for a in range(max(rng.start, -s - most), min(rng.stop, -s - least + 1))
+        ]
+    return [alpha for alpha, _ in layer]
+
+
 def count_even_determinant(r: int, k: int, *, widen: int = 0) -> int:
     """C(r, k) for even torsion via the factorial-determinant sum.
 
@@ -162,7 +193,8 @@ def count_even_determinant(r: int, k: int, *, widen: int = 0) -> int:
     negative ``m``.  A column is identically zero once its largest entry's
     argument goes negative, which bounds each coordinate below; the zero-sum
     constraint bounds it above.  ``widen`` grows that bounding box (the
-    result must not change; tests use it as a finite-support check).
+    result must not change; tests use it as a finite-support check).  The
+    sum visits only the box's zero-sum tuples (:func:`_zero_sum_tuples`).
 
     Column ``j``'s largest argument is ``top_j = r + (l-1) - 2(j-1) + a_j k``
     (row ``l``).  An ``a`` with a negative ``top_j`` has a zero column and
@@ -174,15 +206,8 @@ def count_even_determinant(r: int, k: int, *, widen: int = 0) -> int:
     """
     l = _check_even(r, k, "count_even_determinant")
     n = expected_codim(r, k)
-    lo = [-((r + l - 1 - 2 * (j - 1)) // k) for j in range(1, l + 1)]
-    total_lo = sum(lo)
-    ranges = [
-        range(lo[j] - widen, lo[j] - total_lo + widen + 1) for j in range(l)
-    ]
     total = Fraction(0)
-    for alpha in product(*ranges):
-        if sum(alpha) != 0:
-            continue
+    for alpha in _zero_sum_tuples(_alpha_box(r, k, widen)):
         tops = [r + l - 1 - 2 * j + a * k for j, a in enumerate(alpha)]
         if min(tops) < 0:
             continue

@@ -21,17 +21,23 @@ in the same order, so ``f`` is one list and is checked by the staircase's
 own cover scan; :func:`extend_to_reflective` and
 :func:`restrict_to_staircase` are slot copies on the same fact.
 
-Each state is checked to be Prym and to dominate the state before it, and
-the end checks that the result is reflective and dominates the input.
-Every failed check raises ``InvariantError``.  The Prym (or reflective)
-check of each state builds its square signature once, and the dominance
-checks compare those signatures, so no state's signature is built twice.
+The two ends are checked in full: the input's Prym signature and
+``g``-fiber and the cover scan of ``f`` at the start, and at the end that
+the result is reflective and dominates the input.  Each step between is
+checked to stay Prym and to dominate the state before it, on the slots it
+changes alone: the sweep holds the state's square signature as counts
+(:class:`_SignatureCounts`), updates them on the changed slots, and scans
+only the covers incident to those slots (``ShapeIndex.incident``).  Every
+failed check raises ``InvariantError``.  :func:`reflectify_states` builds
+a tableau per state; :func:`reflectify` runs the same sweep and builds the
+result alone.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     Box,
@@ -41,9 +47,12 @@ from .core import (
     Shape,
     Tableau,
     _check_torsion,
+    _fold,
+    _is_int,
     _prym_signature,
     _reflective_signature,
     _signature_dominates,
+    _square_keys,
     diag_class,
     displacement_fault,
     explicit_shape,
@@ -90,17 +99,12 @@ def loose_boxes(
     A box is loose when it is outside ``lam``, both its west and south
     neighbours are inside (or it sits on the respective axis), and its
     diagonal class lies in ``classes`` (``None`` places no class filter).
+    A class is an ``int`` in ``[0, k)``, or any ``int`` at ``k == 0``.
     """
     _check_torsion(k)
-    return _loose_boxes(_as_shape(lam).boxes, classes, k)
-
-
-def _loose_boxes(
-    boxes: frozenset[Box], classes: Iterable[int] | None, k: int
-) -> frozenset[Box]:
-    """:func:`loose_boxes` on boxes already known to be well formed."""
+    boxes = _as_shape(lam).boxes
+    allowed = None if classes is None else _class_set(classes, k)
     _require_partition(boxes, "loose_boxes")
-    allowed = None if classes is None else frozenset(classes)
     candidates = {(1, 1)}
     for x, y in boxes:
         candidates.add((x + 1, y))
@@ -117,6 +121,19 @@ def _loose_boxes(
             continue
         out.add((x, y))
     return frozenset(out)
+
+
+def _class_set(classes: Iterable[int], k: int) -> frozenset[int]:
+    """``classes`` as a set, each a diagonal class at torsion ``k``."""
+    try:
+        out = frozenset(classes)
+    except TypeError as exc:  # not iterable, or an unhashable class
+        raise InvalidInputError(f"expected an iterable of diagonal classes: {exc}") from None
+    for c in out:
+        if not _is_int(c) or (k and not 0 <= c < k):
+            bound = "an int" if not k else f"an int in [0, {k})"
+            raise InvalidInputError(f"diagonal class {c!r} is not {bound}")
+    return out
 
 
 def upward_displacement(
@@ -148,20 +165,89 @@ class ReflectionState:
     replaced: frozenset[Box]
 
 
-def reflectify_states(t: Tableau, p: PrymParams) -> list[ReflectionState]:
-    """Run the reflectification sweep, returning every intermediate state.
+class _SignatureCounts:
+    """The square signature (see :func:`~prymbn.core.dominance_signature`)
+    of a Prym filling, held as counts so that a rewrite of a few slots is
+    checked on those slots alone.
 
-    The input must be a Prym tableau whose ``g``-fiber lies in the parity
-    class ``r mod 2``; otherwise no reflective tableau can dominate it (the
-    final step pins ``g`` to that class) and the input is rejected.
+    ``pairs`` counts the slots carrying each (class mod k, folded symbol),
+    ``per_symbol`` the classes carrying each folded symbol, and
+    ``g_parities`` the slots carrying ``g`` in each parity class.  A key
+    whose count drops to zero is dropped, so the signature is the key sets
+    of ``pairs`` and ``g_parities``.
+    """
 
-    The thresholds ``f(w) = min(t(w), 2g - t(w*))`` of the boxes of ``T_r``
-    must increase along its covers and stay at most ``g - 1``, each step
-    must stay Prym and dominate the state before it, and the result must be
-    reflective and dominate the input; a failure raises ``InvariantError``.
-    Each state's square signature (see
-    :func:`~prymbn.core.dominance_signature`) is built once, by its Prym or
-    reflective check, and the dominance checks compare those signatures.
+    __slots__ = (
+        "values", "g", "classes", "parities", "incident", "pairs", "per_symbol", "g_parities",
+    )
+
+    def __init__(self, t: Tableau, p: PrymParams) -> None:
+        idx = t.shape.index
+        self.values = list(t.values)
+        self.g = p.g
+        self.classes = idx.classes(p.k)
+        self.parities = idx.classes(2)
+        self.incident = idx.incident
+        pairs, g_parities = _square_keys(t, p)
+        self.pairs = Counter(pairs)
+        self.per_symbol = Counter(a for _, a in self.pairs)
+        self.g_parities = Counter(g_parities)
+
+    def _count(self, i: int, v: int, step: int) -> bool:
+        """Add ``step`` to the count of the key that value ``v`` gives slot
+        ``i``; whether the key was absent before."""
+        if v == self.g:
+            return not _bump(self.g_parities, self.parities[i], step)
+        a = _fold(v, self.g)
+        before = _bump(self.pairs, (self.classes[i], a), step)
+        if not before or before + step == 0:  # the pair appeared or went
+            _bump(self.per_symbol, a, step)
+        return not before
+
+    def write(self, updates: Mapping[int, int]) -> str | None:
+        """Rewrite slots (slot -> value) of the filling.
+
+        Returns the check that the new filling fails, ``"left the Prym
+        class"`` or ``"broke dominance"`` (over the old filling), or
+        ``None``.  The old filling must be Prym: then the new one is when
+        the covers incident to the changed slots increase, no folded symbol
+        they write gains a second class, and ``g`` keeps one parity class.
+        It dominates the old one when it carries no key the old one lacks.
+        """
+        values, g = self.values, self.g
+        changed = [(i, v) for i, v in updates.items() if values[i] != v]
+        if not changed:
+            return None
+        # The new keys are counted before the old ones are dropped, so a
+        # key is fresh exactly when the old filling lacks it.
+        fresh = [self._count(i, v, 1) for i, v in changed]
+        for i, v in changed:
+            self._count(i, values[i], -1)
+            values[i] = v
+        incident = self.incident
+        if (len(self.g_parities) > 1
+                or any(self.per_symbol[_fold(v, g)] > 1 for _, v in changed if v != g)
+                or any(values[lo] >= values[hi] for i, _ in changed for lo, hi in incident[i])):
+            return "left the Prym class"
+        return "broke dominance" if any(fresh) else None
+
+
+def _bump(counts: dict, key: object, step: int) -> int:
+    """Add ``step`` to ``counts[key]``, dropping a zero count; the count before."""
+    before = counts.get(key, 0)
+    if before + step:
+        counts[key] = before + step
+    else:
+        del counts[key]
+    return before
+
+
+def _sweep(t: Tableau, p: PrymParams) -> Iterator[tuple[int, Sequence[int], Sequence[int]]]:
+    """The checked sweep of :func:`reflectify_states`.
+
+    Yields each step's threshold, replaced slots and filling, the final
+    step included.  A step's filling is one list, rewritten by the next
+    step.
     """
     sig_t = _prym_signature(t, p)
     if sig_t is None:
@@ -175,7 +261,7 @@ def reflectify_states(t: Tableau, p: PrymParams) -> list[ReflectionState]:
             )
     stair = staircase_shape(r).index
     boxes, mirror = stair.boxes, t.shape.index.reflection
-    values = list(t.values)
+    values = t.values
     f = [min(v, 2 * g - values[j]) for v, j in zip(values[: len(boxes)], mirror)]
     bad = next(stair.violations(f), None)
     if bad is not None:
@@ -188,26 +274,18 @@ def reflectify_states(t: Tableau, p: PrymParams) -> list[ReflectionState]:
     by_threshold: dict[int, list[int]] = {}
     for i, n in enumerate(f):
         by_threshold.setdefault(n, []).append(i)
-    kappa: frozenset[Box] = frozenset()
-    prev_sig = sig_t
-    states = [ReflectionState(0, t, 0, kappa, frozenset())]
-    for n in sorted(by_threshold):
-        for i in by_threshold[n]:
-            values[i] = n
-            values[mirror[i]] = 2 * g - n
-        s = Tableau(t.shape, tuple(values))
-        sig = _prym_signature(s, p)
-        if sig is None:
-            raise InvariantError(f"reflectification step {len(states)} left the Prym class")
-        if not _signature_dominates(sig, prev_sig):
-            raise InvariantError(f"reflectification step {len(states)} broke dominance")
-        replaced = frozenset(boxes[i] for i in by_threshold[n])
-        kappa = kappa | replaced
-        states.append(ReflectionState(len(states), s, n, kappa, replaced))
-        prev_sig = sig
-    main = slice(len(boxes), len(boxes) + r + 1)  # the main anti-diagonal's slots
-    values[main] = [g] * (r + 1)
-    final = Tableau(t.shape, tuple(values))
+    counts = _SignatureCounts(t, p)
+    for step, n in enumerate(sorted(by_threshold), 1):
+        slots = by_threshold[n]
+        updates = dict.fromkeys(slots, n)
+        updates.update(dict.fromkeys([mirror[i] for i in slots], 2 * g - n))
+        fault = counts.write(updates)
+        if fault is not None:
+            raise InvariantError(f"reflectification step {step} {fault}")
+        yield n, slots, counts.values
+    main = range(len(boxes), len(boxes) + r + 1)  # the main anti-diagonal's slots
+    counts.values[main.start : main.stop] = [g] * len(main)
+    final = Tableau(t.shape, tuple(counts.values))
     sig_final = _reflective_signature(final, p)
     if sig_final is None:
         raise InvariantError("reflectification produced a non-reflective tableau")
@@ -220,9 +298,34 @@ def reflectify_states(t: Tableau, p: PrymParams) -> list[ReflectionState]:
         ok = sig_final[0] <= sig_t[0]
     if not ok:
         raise InvariantError("reflectification result does not dominate its input")
-    states.append(
-        ReflectionState(len(states), final, g, kappa, frozenset(t.shape.index.boxes[main]))
-    )
+    yield g, main, final.values
+
+
+def reflectify_states(t: Tableau, p: PrymParams) -> list[ReflectionState]:
+    """Run the reflectification sweep, returning every intermediate state.
+
+    The input must be a Prym tableau whose ``g``-fiber lies in the parity
+    class ``r mod 2``; otherwise no reflective tableau can dominate it (the
+    final step pins ``g`` to that class) and the input is rejected.
+
+    The anchors at both ends are checked in full: the input's Prym
+    signature and ``g``-fiber; the thresholds ``f(w) = min(t(w), 2g -
+    t(w*))`` of the boxes of ``T_r``, which must increase along its covers
+    and stay at most ``g - 1``; and the result, which must be reflective
+    and dominate the input.  Each step between is checked on the slots it
+    changes: it must stay Prym and dominate the state before it.  A failure
+    raises ``InvariantError``.
+    """
+    boxes = t.shape.index.boxes
+    kappa: frozenset[Box] = frozenset()
+    states = [ReflectionState(0, t, 0, kappa, frozenset())]
+    for n, slots, values in _sweep(t, p):
+        replaced = frozenset(boxes[i] for i in slots)
+        if n < p.g:  # the final step writes the main anti-diagonal, outside T_r
+            kappa = kappa | replaced
+        states.append(
+            ReflectionState(len(states), Tableau(t.shape, tuple(values)), n, kappa, replaced)
+        )
     return states
 
 
@@ -232,8 +335,11 @@ def reflectify_trace(t: Tableau, p: PrymParams) -> list[Tableau]:
 
 
 def reflectify(t: Tableau, p: PrymParams) -> Tableau:
-    """The dominating reflective tableau produced by the sweep."""
-    return reflectify_states(t, p)[-1].tableau
+    """The dominating reflective tableau produced by the sweep; it runs the
+    sweep of :func:`reflectify_states` and builds no intermediate state."""
+    for *_, values in _sweep(t, p):
+        pass
+    return Tableau(t.shape, values)
 
 
 def restrict_to_staircase(s: Tableau, p: PrymParams) -> Tableau:

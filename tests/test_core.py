@@ -608,6 +608,10 @@ def test_chained_sets_check_covers_only():
     assert list(stair_index.violations((1, 2, 3, 4, 2, 5))) == [(1, 4), (2, 4)]
     strip = StripShape(4, 2, "NE").shape.index  # not a lower set
     assert strip.chained and len(strip.covers) == 8
+    for idx in (stair_index, strip, square_shape(3).index):
+        # Each cover is incident to its two slots, below and above.
+        assert [sorted(c) for c in idx.incident] == [
+            sorted(c for c in idx.covers if i in c) for i in range(len(idx.boxes))]
     moved = explicit_shape([(2, 2), (3, 2), (2, 3)])
     assert moved.index.chained and list(moved.index.violations((1, 2, 1))) == [(0, 2)]
     # A column gap and a row gap, each around the one box lacking both
@@ -622,6 +626,8 @@ def test_chained_sets_check_covers_only():
         assert [[idx.boxes[i], idx.boxes[j]] for i, j in idx.violations(t.values)] == [pair]
     odd = Shape("square", frozenset({(1, 1), (2, 2)}), 1)
     assert not odd.index.chained and odd.index.covers == ()
+    with pytest.raises(InvalidInputError, match="cover rule"):
+        odd.index.incident
     assert list(odd.index.violations((2, 2))) == [(0, 1)]
     assert not is_tableau(Tableau(odd, (2, 2)))
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -175,6 +176,16 @@ def test_determinant_at_scale_runs_one_elimination_per_zero_sum_alpha(monkeypatc
     assert count_even_determinant(11, 20) == 5580411042398079970470240387028751021506560
     assert 0 < len(calls) <= 10
     assert set(calls) == {10}
+
+
+@pytest.mark.parametrize("r, k, widen", [
+    (4, 4, 0), (4, 4, 3), (4, 4, -1), (6, 4, -1), (7, 6, 1), (9, 6, 0), (8, 8, 2), (12, 8, 0),
+])
+def test_the_determinant_visits_the_zero_sum_tuples_of_its_box(r, k, widen):
+    box = counting._alpha_box(r, k, widen)
+    want = [alpha for alpha in product(*box) if sum(alpha) == 0]
+    assert counting._zero_sum_tuples(box) == want
+    assert want or widen < 0
 
 
 def test_determinant_support_box_is_finite():

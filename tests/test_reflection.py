@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -71,6 +72,31 @@ def test_loose_boxes_check_caller_boxes_like_a_shape(lam):
         upward_displacement(lam, None, 0)
     with pytest.raises(InvalidInputError, match="box"):
         explicit_shape(lam)
+
+
+@pytest.mark.parametrize("classes, k", [
+    (3, 2), (0, 0), ("01", 2),  # not an iterable of classes
+    (["a"], 2), ([1.0], 2), ([True], 2), ([None], 0),  # not an int
+    ([2], 2), ([-1], 3), ([0, 5], 5),  # outside [0, k)
+])
+def test_loose_boxes_refuse_a_bad_class_argument(classes, k):
+    with pytest.raises(InvalidInputError, match="class"):
+        loose_boxes([(1, 1)], classes, k)
+    with pytest.raises(InvalidInputError, match="class"):
+        upward_displacement([(1, 1)], classes, k)
+
+
+@pytest.mark.parametrize("k", ["a", None, 2.5, 2.0, True])
+def test_loose_boxes_refuse_a_torsion_order_that_is_no_int(k):
+    with pytest.raises(InvalidInputError, match="k must be"):
+        loose_boxes([(1, 1)], None, k)
+    with pytest.raises(InvalidInputError, match="k must be"):
+        upward_displacement([(1, 1)], [0], k)
+
+
+def test_loose_boxes_take_any_integer_class_at_torsion_zero():
+    assert loose_boxes([(1, 1)], [-1, 7], 0) == frozenset({(1, 2)})
+    assert loose_boxes([(1, 1)], (), 3) == frozenset()
 
 
 def test_upward_displacement_grows_by_the_loose_boxes():
@@ -185,8 +211,10 @@ def test_the_sweep_matches_the_papers_on_non_reflective_squares():
 
 
 def test_the_sweep_builds_each_signature_once(monkeypatch):
-    # One signature per state; rebuilding one per dominance check, as a
-    # sweep that calls is_prym and dominates does, costs about three per step.
+    # Only the anchors build a whole signature, the input's and the result's;
+    # the steps between update counts.  Rebuilding one per dominance check,
+    # as a sweep that calls is_prym and dominates does, costs about three per
+    # step.
     calls = []
     build = core._square_signature
 
@@ -198,8 +226,8 @@ def test_the_sweep_builds_each_signature_once(monkeypatch):
     golden = (_trace_tableaux()[0], PrymParams(11, 4, 3))
     for t, p in [golden, *islice(_grid_tableaux(), 0, None, 25)]:
         calls.clear()
-        states = reflectify_states(t, p)
-        assert len(calls) <= len(states) + 1
+        reflectify_states(t, p)
+        assert len(calls) == 2
 
 
 def test_reflectify_is_idempotent():
@@ -260,16 +288,6 @@ def test_a_threshold_of_g_or_more_raises(monkeypatch):
         reflectify_states(t, p)
 
 
-def _second_call_returns_none(fn):
-    calls = []
-
-    def patched(t, p):
-        calls.append(t)
-        return None if len(calls) == 2 else fn(t, p)
-
-    return patched
-
-
 def _adds_a_pair(fn):
     def patched(t, p):
         pairs, g_parities = fn(t, p)
@@ -279,8 +297,6 @@ def _adds_a_pair(fn):
 
 
 @pytest.mark.parametrize("name, wrap, message", [
-    ("_prym_signature", _second_call_returns_none, "step 1 left the Prym class"),
-    ("_signature_dominates", lambda fn: lambda a, b: False, "step 1 broke dominance"),
     ("_reflective_signature", lambda fn: lambda t, p: None, "non-reflective"),
     ("_reflective_signature", _adds_a_pair, "does not dominate its input"),
 ])
@@ -288,6 +304,129 @@ def test_each_state_check_fires_under_an_injected_fault(monkeypatch, name, wrap,
     monkeypatch.setattr(reflection, name, wrap(getattr(reflection, name)))
     with pytest.raises(InvariantError, match=message):
         reflectify_states(_trace_tableaux()[0], PrymParams(11, 4, 3))
+
+
+def _golden_slot(box):
+    return square_shape(4).index.slot[box]
+
+
+# Each bad step rewrites the golden sweep's updates at one step (g = 11).
+# Step 1 writes 1 on (1, 1) and keeps 21 on its mirror (5, 5); step 2
+# writes 3 on (2, 1) and 19 on its mirror (5, 4).
+@pytest.mark.parametrize("step, bad, message", [
+    # g on (1, 1) is no new key (g sits in parity class 0 already) and no
+    # second class, but it exceeds (1, 2) = 4 and (2, 1) = 5 above it.
+    (1, {(1, 1): 11}, "step 1 left the Prym class"),
+    # The mirror (5, 4) keeps the dual of step 1's threshold, 21, which
+    # meets (5, 5) = 21 above it.
+    (2, {(5, 4): 21}, "step 2 left the Prym class"),
+    # 2 on (1, 2) moves the folded symbol 2 from class 0, which step 1
+    # empties, to class 2: still Prym, but a pair the state before lacks.
+    (1, {(1, 2): 2}, "step 1 broke dominance"),
+], ids=["wrong-value", "stale-mirror", "new-pair"])
+def test_each_step_check_fires_on_an_injected_bad_step(monkeypatch, step, bad, message):
+    write, calls = reflection._SignatureCounts.write, []
+
+    def corrupted(self, updates):
+        calls.append(updates)
+        if len(calls) == step:
+            updates = {**updates, **{_golden_slot(b): v for b, v in bad.items()}}
+        return write(self, updates)
+
+    monkeypatch.setattr(reflection._SignatureCounts, "write", corrupted)
+    with pytest.raises(InvariantError, match=message):
+        reflectify(_trace_tableaux()[0], PrymParams(11, 4, 3))
+
+
+def _full_verdict(before, after, p):
+    """The verdict of :meth:`_SignatureCounts.write` on a step from
+    ``before`` to ``after``, read off their whole signatures."""
+    sig = core._prym_signature(after, p)
+    if sig is None:
+        return "left the Prym class"
+    return None if core._signature_dominates(sig, core._square_signature(before, p)) else (
+        "broke dominance")
+
+
+def _assert_counts_hold_the_signature(counts, t, p):
+    assert (frozenset(counts.pairs), frozenset(counts.g_parities)) == (
+        core._square_signature(t, p))
+    assert sum(counts.pairs.values()) + sum(counts.g_parities.values()) == len(t.values)
+    assert counts.per_symbol == Counter(a for _, a in counts.pairs)
+
+
+def test_incremental_checks_match_the_full_ones_on_random_steps():
+    # Random walks from Prym squares: each step rewrites 1 or 2 random slots
+    # (and, half the time, their mirrors) with values drawn inside their
+    # cover bounds or from the symbols in use, so keys move between slots.
+    # A walk goes on from each state its step reaches when that state is Prym.
+    rng = random.Random(2863)
+    verdicts = Counter()
+    for t, p in _perturbed_squares(60, seed=13):
+        idx = t.shape.index
+        counts = reflection._SignatureCounts(t, p)
+        for _ in range(60):
+            updates = {}
+            for i in rng.sample(range(len(t.values)), rng.randint(1, 2)):
+                lo = max((t.values[a] for a, b in idx.incident[i] if b == i), default=0)
+                hi = min((t.values[b] for a, b in idx.incident[i] if a == i), default=2 * p.g)
+                inside = range(lo + 1, hi)
+                updates[i] = rng.choice(inside if inside and rng.random() < 0.7 else t.values)
+                if rng.random() < 0.5:
+                    updates[idx.reflection[i]] = 2 * p.g - updates[i]
+            values = list(t.values)
+            for i, v in updates.items():
+                values[i] = v
+            after = Tableau(t.shape, tuple(values))
+            verdict = counts.write(updates)
+            assert verdict == _full_verdict(t, after, p), (t.rows(), updates)
+            verdicts[verdict] += 1
+            if verdict == "left the Prym class":
+                counts = reflection._SignatureCounts(t, p)
+            else:
+                _assert_counts_hold_the_signature(counts, after, p)
+                t = after
+    assert min(verdicts.values()) > 100 and len(verdicts) == 3, verdicts
+
+
+def _r7_inputs():
+    """R7's inputs: every reflective extension on its r <= 3 rows, and a
+    seeded sample of up to 20 from each of its r = 4 rows."""
+    rng = random.Random(1219)
+    for r, k, gm1, _ in _grid():
+        p = PrymParams(gm1 + 1, r, k)
+        tableaux = list(enumerate_staircase_tableaux(p))
+        if r == 4:
+            tableaux = rng.sample(tableaux, min(len(tableaux), 20))
+        for t in tableaux:
+            yield extend_to_reflective(t, p), p
+
+
+def test_incremental_checks_match_the_full_ones_state_by_state(monkeypatch):
+    # Each write of the sweep checks one step; on R7's inputs and on
+    # non-reflective squares, its verdict and counts must match the whole
+    # signatures of the states on either side, and the states the paper's.
+    write, steps = reflection._SignatureCounts.write, []
+
+    def checked(self, updates):
+        before = Tableau(shape, tuple(self.values))
+        verdict = write(self, updates)
+        after = Tableau(shape, tuple(self.values))
+        assert verdict is None
+        assert _full_verdict(before, after, p) is None
+        _assert_counts_hold_the_signature(self, after, p)
+        steps.append(after)
+        return verdict
+
+    monkeypatch.setattr(reflection._SignatureCounts, "write", checked)
+    cases = [*_r7_inputs(), *_perturbed_squares(100, seed=7)]
+    assert {p.r for _, p in cases} == {1, 2, 3, 4}
+    for t, p in cases:
+        shape = t.shape
+        steps.clear()
+        states = _states(t, p)
+        assert states == paper_sweep(t, p)
+        assert steps == [s for _, s, *_ in states[1:-1]]
 
 
 # --------------------------------------------------------------------------
