@@ -33,7 +33,7 @@ from .core import (
     generic_regime,
 )
 from .dimension import expected_codim, pbn_dimension
-from .strips import StripShape, cell_strips
+from .strips import StripShape, _scan_cell_strips
 
 __all__ = [
     "BRUTE_SYMBOL_LIMIT",
@@ -300,11 +300,8 @@ def count_brute(r: int, k: int, *, force: bool = False) -> int:
             f" {BRUTE_SYMBOL_LIMIT}; pass force=True to run anyway"
         )
     p = PrymParams(g=max(n + 1, 2), r=r, k=k)
-    strips = cell_strips(p)
-    total = 0
-    while strips:  # one strip, with its shape index, alive at a time
-        total += count_linext(strip_poset_succ_masks(strips.pop(), p.eps))
-    return total
+    # One strip, with its shape index, alive at a time.
+    return sum(count_linext(strip_poset_succ_masks(mu, p.eps)) for mu in _scan_cell_strips(p))
 
 
 def cardinality(r: int, k: int, method: str = "auto", *, force: bool = False) -> int:

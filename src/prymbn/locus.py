@@ -39,6 +39,7 @@ from .counting import count_generic, max_cell_count
 from .dimension import expected_codim, minimal_witness, pbn_dimension
 from .strips import (
     StripShape,
+    _strip,
     extend_strip_tableau,
     horizontal_strip,
     is_non_repeating,
@@ -329,7 +330,7 @@ def height_descent_step(t: Tableau, p: PrymParams) -> HeightDescent:
     idx = (q - 1) - l
     if mu.word[idx] != "N" or any(c != "E" for c in mu.word[idx + 1 :]):
         raise InvariantError("strip word disagrees with the height row")
-    nu = StripShape(r, l, mu.word[:idx] + "E" * (len(mu.word) - idx))
+    nu = _strip(r, l, mu.word[:idx] + "E" * (len(mu.word) - idx))
 
     # The row-H boxes psi leave the strip in nu: the strip slot each one
     # repeats takes its value, and s is the extension of that filling.

@@ -242,12 +242,14 @@ def _bump(counts: dict, key: object, step: int) -> int:
     return before
 
 
-def _sweep(t: Tableau, p: PrymParams) -> Iterator[tuple[int, Sequence[int], Sequence[int]]]:
+def _sweep(
+    t: Tableau, p: PrymParams
+) -> Iterator[tuple[int, Sequence[int], Sequence[int] | Tableau]]:
     """The checked sweep of :func:`reflectify_states`.
 
-    Yields each step's threshold, replaced slots and filling, the final
-    step included.  A step's filling is one list, rewritten by the next
-    step.
+    Yields each step's threshold, replaced slots and filling.  A step's
+    filling is one list, rewritten by the next step; the final step yields
+    the result ``Tableau`` it checked instead.
     """
     sig_t = _prym_signature(t, p)
     if sig_t is None:
@@ -298,7 +300,7 @@ def _sweep(t: Tableau, p: PrymParams) -> Iterator[tuple[int, Sequence[int], Sequ
         ok = sig_final[0] <= sig_t[0]
     if not ok:
         raise InvariantError("reflectification result does not dominate its input")
-    yield g, main, final.values
+    yield g, main, final
 
 
 def reflectify_states(t: Tableau, p: PrymParams) -> list[ReflectionState]:
@@ -319,13 +321,12 @@ def reflectify_states(t: Tableau, p: PrymParams) -> list[ReflectionState]:
     boxes = t.shape.index.boxes
     kappa: frozenset[Box] = frozenset()
     states = [ReflectionState(0, t, 0, kappa, frozenset())]
-    for n, slots, values in _sweep(t, p):
+    for n, slots, filling in _sweep(t, p):
         replaced = frozenset(boxes[i] for i in slots)
         if n < p.g:  # the final step writes the main anti-diagonal, outside T_r
             kappa = kappa | replaced
-        states.append(
-            ReflectionState(len(states), Tableau(t.shape, tuple(values)), n, kappa, replaced)
-        )
+            filling = Tableau(t.shape, tuple(filling))
+        states.append(ReflectionState(len(states), filling, n, kappa, replaced))
     return states
 
 
@@ -337,9 +338,9 @@ def reflectify_trace(t: Tableau, p: PrymParams) -> list[Tableau]:
 def reflectify(t: Tableau, p: PrymParams) -> Tableau:
     """The dominating reflective tableau produced by the sweep; it runs the
     sweep of :func:`reflectify_states` and builds no intermediate state."""
-    for *_, values in _sweep(t, p):
+    for *_, final in _sweep(t, p):
         pass
-    return Tableau(t.shape, values)
+    return final
 
 
 def restrict_to_staircase(s: Tableau, p: PrymParams) -> Tableau:

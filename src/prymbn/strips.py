@@ -21,12 +21,21 @@ repeat map is the only source of the repeating translations; it serves
 :func:`is_non_repeating`, :func:`extend_strip_tableau`,
 :func:`dominating_non_repeating` and ``locus.height_descent_step``.  The
 order pairs are the only source of the gluing pairs: one scan of them checks
-a strip filling, and they order the strip search and the brute count.
+a strip filling, and they order the strip search and the brute count.  The
+search's one prune, :meth:`StripShape.up_set_sizes`, is derived from them too.
+
+The strips the module hands out come from one bounded cache keyed by
+``(r, l, word)`` (:data:`STRIP_CACHE` strips), so a strip's shape, index,
+order pairs and repeat maps are built once while it stays cached:
+:func:`enumerate_strips`, :func:`horizontal_strip`, the greedy strip of
+:func:`dominating_non_repeating` and ``locus.height_descent_step`` read it.
+Only the brute count's one pass over odd torsion's strips builds them
+outside it.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -41,6 +50,8 @@ from .core import (
     Tableau,
     _cached,
     _check_torsion,
+    _is_int,
+    _symbol_fault,
     anti_diagonal,
     displacement_fault,
     dominates,
@@ -72,6 +83,8 @@ def effective_width(r: int, k: int) -> int:
     In the generic regime (:func:`~prymbn.core.generic_regime`) the width
     is ``r``: the strip is all of ``T_r``.
     """
+    if not _is_int(r):
+        raise InvalidInputError(f"r must be an integer, got {r!r}")
     _check_torsion(k)
     return r if generic_regime(r, k) else (k + 1) // 2
 
@@ -85,6 +98,12 @@ class StripShape:
     word: str
 
     def __post_init__(self) -> None:
+        if not (_is_int(self.r) and _is_int(self.l)):
+            raise InvalidInputError(
+                f"strip order and width must be integers, got {self.r!r} and {self.l!r}"
+            )
+        if not isinstance(self.word, str):
+            raise InvalidInputError(f"strip word must be a string, got {self.word!r}")
         if not 0 <= self.l <= self.r:
             raise InvalidInputError(f"strip width {self.l} outside [0, {self.r}]")
         if len(self.word) != self.r - self.l:
@@ -201,6 +220,41 @@ class StripShape:
         pairs = self._order_pairs[eps] = idx.covers + tuple(glued)
         return pairs
 
+    @_cached
+    def _up_set_sizes(self) -> dict[int, tuple[int, ...]]:
+        return {}
+
+    def up_set_sizes(self, eps: int) -> tuple[int, ...]:
+        """For each slot of ``self.shape.index``, the number of slots above
+        it in the transitive closure of :meth:`order_pairs`.  A strip
+        tableau is injective and increases along the pairs, so each of
+        those slots holds its own symbol larger than the slot's.  The
+        closure is one bitmask per slot, taken in reverse topological order.
+        """
+        sizes = self._up_set_sizes.get(eps)
+        if sizes is not None:
+            return sizes
+        n = len(self.shape.index.boxes)
+        succ: list[list[int]] = [[] for _ in range(n)]
+        pred: list[list[int]] = [[] for _ in range(n)]
+        for lo, hi in self.order_pairs(eps):
+            succ[lo].append(hi)
+            pred[hi].append(lo)
+        left = list(map(len, succ))  # successors whose up-set is not yet known
+        up = [0] * n
+        done = [i for i in range(n) if not left[i]]
+        for i in done:  # grows while it is read: every slot once its successors are in
+            for j in succ[i]:
+                up[i] |= up[j] | 1 << j
+            for h in pred[i]:
+                left[h] -= 1
+                if not left[h]:
+                    done.append(h)
+        if len(done) < n:
+            raise InvariantError(f"order pairs of strip {self} form a cycle")
+        sizes = self._up_set_sizes[eps] = tuple(u.bit_count() for u in up)
+        return sizes
+
     @property
     def height(self) -> int:
         """Row of the r-th leftmost box (``l`` exactly for the horizontal strip)."""
@@ -224,34 +278,38 @@ class StripShape:
         return 0
 
 
-# Distinct (r, width) pairs whose mu_0 is kept; a fixed bound, so the cache
-# never grows with the requests a process serves.
-HORIZONTAL_STRIP_CACHE = 32
+# Strips kept by (r, l, word); a fixed bound on strips, not on types, so the
+# cache never grows with the requests a process serves.
+STRIP_CACHE = 32
+
+
+@lru_cache(maxsize=STRIP_CACHE, typed=True)
+def _strip(r: int, l: int, word: str) -> StripShape:
+    """The one strip for ``(r, l, word)`` while it stays cached, so its
+    shape, index, order pairs and repeat maps are built once."""
+    return StripShape(r, l, word)
 
 
 def horizontal_strip(r: int, k: int) -> StripShape:
-    """The all-east strip mu_0 for torsion ``k`` in ``T_r``.
-
-    The same object serves every call with the same ``r`` and width, so its
-    shape, index and repeat maps are built once per type.
-    """
-    return _horizontal_strip(r, effective_width(r, k))
-
-
-@lru_cache(maxsize=HORIZONTAL_STRIP_CACHE, typed=True)
-def _horizontal_strip(r: int, l: int) -> StripShape:
-    return StripShape(r, l, "E" * (r - l))
+    """The all-east strip mu_0 for torsion ``k`` in ``T_r``, from the strip
+    cache: ``k`` values of one width share it."""
+    l = effective_width(r, k)
+    return _strip(r, l, "E" * (r - l))
 
 
 def enumerate_strips(p: PrymParams) -> list[StripShape]:
-    """All strips for the given type, in lexicographic word order (E < N).
+    """All strips for the given type, in lexicographic word order (E < N),
+    from the strip cache.
 
     The generic regime yields the single degenerate strip ``T_r``.
     """
     l = effective_width(p.r, p.k)
-    return [
-        StripShape(p.r, l, "".join(w)) for w in product("EN", repeat=p.r - l)
-    ]
+    return [_strip(p.r, l, w) for w in _words(p.r, l)]
+
+
+def _words(r: int, l: int) -> Iterator[str]:
+    """The words of the width-``l`` strips in ``T_r``, in lexicographic order."""
+    return map("".join, product("EN", repeat=r - l))
 
 
 def _order_failure(mu: StripShape, eps: int, values: Sequence[int]) -> int:
@@ -406,7 +464,7 @@ def dominating_non_repeating(t: Tableau, p: PrymParams) -> tuple[StripShape, Tab
             else:
                 word.append("N")
                 y += 1
-        mu = StripShape(r, l, "".join(word))
+        mu = _strip(r, l, "".join(word))
         s = extend_strip_tableau(restrict_to_strip(t, mu, p))
     else:
         # The boxes that repeat one box of mu_0 are those of its anti-diagonal
@@ -432,11 +490,20 @@ def enumerate_strip_tableaux(
     then entries lexicographic over the strip's canonical box order.  When
     ``symbol_set`` is given, entries draw from it instead of ``[g-1]``.
     """
-    symbols = (
-        tuple(range(1, p.g)) if symbol_set is None else tuple(sorted(set(symbol_set)))
-    )
-    if any(v < 1 or v > p.g - 1 for v in symbols):
-        raise InvalidInputError("symbol_set must be a subset of [1, g-1]")
+    if symbol_set is None:
+        symbols = tuple(range(1, p.g))
+    else:
+        try:
+            given = list(symbol_set)
+        except TypeError:
+            raise InvalidInputError(
+                f"symbol_set must be an iterable of symbols, got {symbol_set!r}"
+            ) from None
+        if fault := _symbol_fault(given):
+            raise InvalidInputError(f"symbol_set: {fault}")
+        symbols = tuple(sorted(set(given)))
+        if symbols and symbols[-1] > p.g - 1:
+            raise InvalidInputError("symbol_set must be a subset of [1, g-1]")
     for mu in cell_strips(p):
         yield from _fill_strip(mu, p, symbols)
 
@@ -448,12 +515,31 @@ def cell_strips(p: PrymParams) -> list[StripShape]:
     return enumerate_strips(p)
 
 
+def _scan_cell_strips(p: PrymParams) -> Iterator[StripShape]:
+    """:func:`cell_strips` one at a time, for a caller that reads each strip
+    once per call: mu_0 comes from the strip cache, and odd torsion's strips
+    are built outside it.  So one strip is alive at a time, and a type with
+    more strips than the cache holds (256 at r = 10, k = 3) does not flush
+    the strips other requests keep reading."""
+    if p.eps == 0:
+        yield horizontal_strip(p.r, p.k)
+        return
+    l = effective_width(p.r, p.k)
+    for w in _words(p.r, l):
+        yield StripShape(p.r, l, w)
+
+
 def _fill_strip(
     mu: StripShape, p: PrymParams, symbols: tuple[int, ...]
 ) -> Iterator[StripTableau]:
     """Injective fillings of ``mu`` from the ascending ``symbols`` that
     increase along its order pairs, in lexicographic order of the value
-    tuple: a depth-first search on an explicit stack."""
+    tuple: a depth-first search on an explicit stack.
+
+    Slot ``i`` takes a symbol index below ``m - up``, where ``up`` is its
+    up-set size (:meth:`StripShape.up_set_sizes`): each slot above it needs
+    its own larger symbol.  The cap cuts only subtrees without a filling,
+    so the fillings and their order are those of the uncapped search."""
     shape = mu.shape
     n, m = len(shape.index.boxes), len(symbols)
     if m < n:
@@ -468,10 +554,11 @@ def _fill_strip(
             floors[j].append(i)
         else:
             ceilings[i].append(j)
+    room = [m - u for u in mu.up_set_sizes(p.eps)]
     values = [0] * n
     used = [False] * m
     chosen = [-1] * n  # symbol index placed at each slot; -1 on entry
-    high = [0] * n  # ceiling of each slot, set on entry
+    end = [0] * n  # bound on each slot's symbol index, set on entry
     i = 0
     while i >= 0:
         if i == n:
@@ -481,13 +568,14 @@ def _fill_strip(
         si = chosen[i]
         if si < 0:
             si = bisect_right(symbols, max(map(values.__getitem__, floors[i]), default=0))
-            high[i] = min(map(values.__getitem__, ceilings[i]), default=symbols[-1] + 1)
+            high = min(map(values.__getitem__, ceilings[i]), default=symbols[-1] + 1)
+            end[i] = min(room[i], bisect_left(symbols, high))
         else:
             used[si] = False
             si += 1
-        while si < m and used[si]:
+        while si < end[i] and used[si]:
             si += 1
-        if si < m and symbols[si] < high[i]:
+        if si < end[i]:
             used[si] = True
             values[i] = symbols[si]
             chosen[i] = si

@@ -1,11 +1,13 @@
-"""Row-order builders shared by the test modules.
+"""Row-order builders and search oracles shared by the test modules.
 
 Hand-written examples read best with the top row first, while
 :meth:`Tableau.from_rows` takes the bottom row first (French convention);
-these helpers bridge the two.
+``stair`` and ``square`` bridge the two.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 from prymbn.core import Tableau, square_shape, staircase_shape
 
@@ -20,3 +22,49 @@ def square(rows_top_down: list[list[int]]) -> Tableau:
     """Square tableau from rows written top-down."""
     rows = list(reversed(rows_top_down))
     return Tableau.from_rows(rows, square_shape(len(rows) - 1))
+
+
+def unpruned_strip_fillings(mu, eps: int, symbols: tuple[int, ...]):
+    """Value tuples of the injective fillings of strip ``mu`` from the
+    ascending ``symbols`` that increase along ``mu.order_pairs(eps)``, in
+    lexicographic order: the strip search without its up-set cap, kept as
+    the oracle of the capped one.  A slot takes any unused symbol above its
+    floors and below its ceilings; a dead end is found only at a later slot.
+    """
+    n, m = len(mu.shape.index.boxes), len(symbols)
+    if m < n:
+        return
+    floors = [[] for _ in range(n)]
+    ceilings = [[] for _ in range(n)]
+    for i, j in mu.order_pairs(eps):
+        if i < j:
+            floors[j].append(i)
+        else:
+            ceilings[i].append(j)
+    values = [0] * n
+    used = [False] * m
+    chosen = [-1] * n
+    high = [0] * n
+    i = 0
+    while i >= 0:
+        if i == n:
+            yield tuple(values)
+            i -= 1
+            continue
+        si = chosen[i]
+        if si < 0:
+            si = bisect_right(symbols, max(map(values.__getitem__, floors[i]), default=0))
+            high[i] = min(map(values.__getitem__, ceilings[i]), default=symbols[-1] + 1)
+        else:
+            used[si] = False
+            si += 1
+        while si < m and used[si]:
+            si += 1
+        if si < m and symbols[si] < high[i]:
+            used[si] = True
+            values[i] = symbols[si]
+            chosen[i] = si
+            i += 1
+        else:
+            chosen[i] = -1
+            i -= 1

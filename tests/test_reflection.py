@@ -230,6 +230,25 @@ def test_the_sweep_builds_each_signature_once(monkeypatch):
         assert len(calls) == 2
 
 
+def test_reflectify_returns_the_tableau_its_final_check_read(monkeypatch):
+    # The result is built once, for the final reflective check, and handed over.
+    calls = []
+    build = core._square_signature
+
+    def counted(t, p):
+        calls.append(t)
+        return build(t, p)
+
+    monkeypatch.setattr(core, "_square_signature", counted)
+    golden = (_trace_tableaux()[0], PrymParams(11, 4, 3))
+    for t, p in [golden, *islice(_grid_tableaux(), 0, None, 25)]:
+        calls.clear()
+        final = reflectify(t, p)
+        assert len(calls) == 2 and calls[-1] is final
+        states = reflectify_states(t, p)
+        assert states[-1].tableau == final and calls[-1] is states[-1].tableau
+
+
 def test_reflectify_is_idempotent():
     p = PrymParams(11, 4, 3)
     final = reflectify(_trace_tableaux()[0], p)

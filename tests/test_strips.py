@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import islice
 from math import comb
 
@@ -20,10 +21,12 @@ from prymbn.core import (
     staircase_fault,
     staircase_shape,
 )
-from prymbn.counting import cardinality, strip_poset_succ_masks
+from prymbn.counting import cardinality, count_brute, strip_poset_succ_masks
 from prymbn.dimension import enumerate_staircase_tableaux, expected_codim, minimal_witness
+from prymbn.locus import height_descent_step
+from prymbn.selftest import _grid
 from prymbn.strips import (
-    HORIZONTAL_STRIP_CACHE,
+    STRIP_CACHE,
     StripShape,
     StripTableau,
     cell_strips,
@@ -36,10 +39,10 @@ from prymbn.strips import (
     is_non_repeating,
     restrict_to_strip,
     strips_admitting,
-    _horizontal_strip,
+    _strip,
 )
 
-from helpers import stair
+from helpers import stair, unpruned_strip_fillings
 
 # --------------------------------------------------------------------------
 # Strip shapes
@@ -146,12 +149,61 @@ def test_horizontal_strip_is_built_once_per_type_in_a_fixed_cache():
     assert horizontal_strip(4, 3) is mu
     assert horizontal_strip(4, 4) is mu  # k = 3 and k = 4 share the width 2
     assert mu == StripShape(4, 2, "EE")
-    assert _horizontal_strip.cache_info().maxsize == HORIZONTAL_STRIP_CACHE
-    for r in range(1, 3 * HORIZONTAL_STRIP_CACHE):
+    assert _strip.cache_info().maxsize == STRIP_CACHE
+    for r in range(1, 3 * STRIP_CACHE):
         assert horizontal_strip(r, 2).l == 1
-    assert _horizontal_strip.cache_info().currsize == HORIZONTAL_STRIP_CACHE
+    assert _strip.cache_info().currsize == STRIP_CACHE
     with pytest.raises(InvalidInputError):
         horizontal_strip(4, 1)
+
+
+def test_every_reader_of_a_strip_gets_the_one_cached_object():
+    _strip.cache_clear()
+    odd = PrymParams(9, 4, 3)
+    strips = enumerate_strips(odd)
+    assert [mu.word for mu in strips] == ["EE", "EN", "NE", "NN"]
+    assert enumerate_strips(odd) == strips
+    assert all(a is b for a, b in zip(enumerate_strips(odd), strips))
+    assert horizontal_strip(4, 3) is strips[0]
+    assert cell_strips(odd)[1] is strips[1]
+    for st in islice(enumerate_strip_tableaux(odd), 0, None, 7):
+        t = extend_strip_tableau(st)
+        (mu,) = strips_admitting(t, odd)
+        assert mu is st.strip
+        assert dominating_non_repeating(t, odd)[0] is st.strip  # the greedy strip
+    # The descent's lower strip nu is the cached strip of its word.
+    start = next(st for st in enumerate_strip_tableaux(odd) if st.strip.word == "EN")
+    assert height_descent_step(extend_strip_tableau(start), odd).strip is strips[0]
+    assert StripShape(4, 2, "EE") is not strips[0]  # the constructor builds anew
+
+
+def test_count_brute_keeps_no_more_strips_than_the_cache_bound():
+    _strip.cache_clear()
+    assert len(enumerate_strips(PrymParams(2, 10, 3))) == 256 > STRIP_CACHE
+    assert _strip.cache_info().currsize == STRIP_CACHE
+    kept = [horizontal_strip(r, 2) for r in range(1, 9)]
+    assert count_brute(10, 3, force=True) == 512
+    assert _strip.cache_info().currsize <= STRIP_CACHE
+    # The 256 strips of (10, 3) are read once each and leave the cache alone.
+    assert all(horizontal_strip(r, 2) is mu for r, mu in enumerate(kept, start=1))
+    hits = _strip.cache_info().hits
+    assert count_brute(10, 4, force=True) == count_brute(10, 4, force=True) == 512
+    assert _strip.cache_info().hits == hits + 1  # the second reads mu_0 from the cache
+
+
+@pytest.mark.parametrize("bad", [
+    ("3", 1, "EE"), (3, 1, 5), (3, 1.0, "EE"), (3, True, "EE"), (3.0, 1, "EE"), (3, 1, ["E", "E"]),
+])
+def test_strip_shape_refuses_arguments_of_the_wrong_type(bad):
+    with pytest.raises(InvalidInputError):
+        StripShape(*bad)
+
+
+@pytest.mark.parametrize("fn", [horizontal_strip, effective_width])
+@pytest.mark.parametrize("r", ["3", 3.0, None, True])
+def test_strip_width_refuses_an_order_that_is_not_an_integer(fn, r):
+    with pytest.raises(InvalidInputError, match="r must be an integer"):
+        fn(r, 4)
 
 
 # --------------------------------------------------------------------------
@@ -250,6 +302,55 @@ def test_enumerate_strip_tableaux_with_symbol_subset():
         list(enumerate_strip_tableaux(p, [0, 1]))
     with pytest.raises(InvalidInputError):
         list(enumerate_strip_tableaux(p, [7]))
+
+
+@pytest.mark.parametrize("symbols", [["a"], [None], 5, [1.0, 2], [True, 2], "12", [1, 2, 3, 4, -5]])
+def test_enumerate_strip_tableaux_refuses_symbols_that_are_not_positive_integers(symbols):
+    with pytest.raises(InvalidInputError, match="symbol_set"):
+        next(enumerate_strip_tableaux(PrymParams(7, 3, 4), symbols))
+
+
+# --------------------------------------------------------------------------
+# The capped strip search against the uncapped oracle
+
+
+def capped_cells(p, symbols=None):
+    return [(st.strip, st.entries.values) for st in enumerate_strip_tableaux(p, symbols)]
+
+
+def oracle_cells(p, symbols=None):
+    pool = tuple(range(1, p.g)) if symbols is None else tuple(sorted(symbols))
+    return [(mu, v) for mu in cell_strips(p) for v in unpruned_strip_fillings(mu, p.eps, pool)]
+
+
+def test_capped_strip_search_matches_the_uncapped_oracle_on_the_grid():
+    for r, k, gm1, _ in _grid():
+        p = PrymParams(gm1 + 1, r, k)
+        assert capped_cells(p) == oracle_cells(p), p
+
+
+@pytest.mark.parametrize("g,r,k", [(11, 5, 4), (9, 4, 3), (11, 4, 5), (13, 5, 5)])
+def test_capped_strip_search_matches_the_uncapped_oracle_on_larger_types(g, r, k):
+    got = capped_cells(PrymParams(g, r, k))
+    assert got == oracle_cells(PrymParams(g, r, k))
+    assert len(got) == cardinality(r, k) * comb(g - 1, expected_codim(r, k))
+
+
+def test_capped_strip_search_matches_the_uncapped_oracle_on_symbol_subsets():
+    # Odd torsion with north moves (slots with ceilings) and even torsion;
+    # each subset has at most three spare symbols and at most 2000 cells.
+    rng = random.Random(14)
+    for r, k in ((3, 3), (4, 3), (4, 4), (4, 5), (5, 3), (5, 4), (5, 5), (6, 3)):
+        n, c = expected_codim(r, k), cardinality(r, k, force=True)
+        for spare in range(4):
+            if c * comb(n + spare, n) > 2000:
+                break
+            p = PrymParams(n + spare + 4, r, k)
+            for _ in range(2):
+                symbols = rng.sample(range(1, p.g), n + spare)
+                got = capped_cells(p, symbols)
+                assert got == oracle_cells(p, symbols), (p, symbols)
+                assert len(got) == c * comb(n + spare, n)
 
 
 # --------------------------------------------------------------------------
