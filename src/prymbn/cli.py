@@ -4,6 +4,8 @@ Verbs map one-to-one onto library entry points; ``--json`` switches any
 verb to machine-readable output carrying a ``schema`` version field.
 Exit codes: 0 success, 1 internal assertion failure, 2 usage or invalid
 input, 3 refused desk-scale bound (override with ``--force``).
+The parser is built once per process, and ``census`` imports its process
+pool only when it runs more than one job.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor, as_completed
+from functools import cache
 from math import comb
 from typing import Any
 
@@ -66,6 +68,10 @@ def _load_tableau(path: str) -> Tableau:
         raise InvalidInputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"{path} is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{path} is not UTF-8 text: {exc}") from exc
+    except RecursionError as exc:
+        raise InvalidInputError(f"{path} nests too deeply to read as JSON") from exc
     return tableau_from_json(data)
 
 
@@ -417,11 +423,13 @@ def _cmd_census(args: argparse.Namespace) -> int:
         for k in range(0, args.kmax + 1)
         if k != 1
     ]
-    # The output file is opened before the sweep, so an unwritable --out
-    # fails before any row is computed.
-    out_dir = os.path.dirname(os.path.abspath(args.out))
+    # The output file is opened before the sweep, in the directory that
+    # --out names, so an unwritable --out fails before any row is computed.
+    out_dir, name = os.path.split(args.out)
+    if not name or os.path.isdir(args.out):
+        raise InvalidInputError(f"cannot write {args.out}: it names a directory")
     try:
-        fd, tmp_path = tempfile.mkstemp(dir=out_dir, suffix=".csv.part")
+        fd, tmp_path = tempfile.mkstemp(dir=out_dir or os.curdir, suffix=".csv.part")
     except OSError as exc:
         raise InvalidInputError(f"cannot write {args.out}: {exc}") from exc
     rows: dict[tuple[int, int], dict[str, Any]] = {}
@@ -431,6 +439,10 @@ def _cmd_census(args: argparse.Namespace) -> int:
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             if jobs > 1:
+                # Loading the pool loads multiprocessing: only a sweep that
+                # fans out pays for it.
+                from concurrent.futures import ProcessPoolExecutor, as_completed
+
                 with ProcessPoolExecutor(max_workers=jobs) as pool:
                     futures = {pool.submit(_census_row, t): t for t in tasks}
                     for fut in as_completed(futures):
@@ -588,8 +600,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every request parses with: ``parse_args`` fills a new
+    namespace per call and leaves the parser as it was."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InvalidInputError as exc:

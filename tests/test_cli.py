@@ -276,6 +276,21 @@ def test_path_input_validation(capsys, tmp_path):
     assert code == 2 and "not valid JSON" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe{}", "is not UTF-8 text"),
+    (b"[" * 100000, "nests too deeply"),
+], ids=["not-utf8", "deep-nesting"])
+def test_a_tableau_file_that_json_cannot_read_exits_2(capsys, tmp_path, content, message):
+    src = dump(tmp_path, "src.json", stair(WALK_START))
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    for argv in (["path", "--g", "12", "--k", "0", "--from", str(bad), "--to", src],
+                 ["divisor", "--g", "12", "--k", "0", "--in", str(bad)],
+                 ["reflectify", "--g", "12", "--k", "0", "--in", str(bad)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "") and err.startswith(f"error: {bad} {message}")
+
+
 # --------------------------------------------------------------------------
 # reflectify
 
@@ -410,6 +425,22 @@ def test_census_out_fails_before_computing_a_row(capsys, tmp_path, monkeypatch):
     assert calls == [(1, 0, False), (1, 2, False)]
 
 
+def test_census_out_naming_a_directory_exits_2_before_computing_a_row(
+        capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_census_row", lambda task: calls.append(task) or _census_row(task))
+    target = tmp_path / "target"
+    target.mkdir()
+    for out in (str(target), str(target) + os.sep):
+        code, _, err = run(capsys, "census", "--rmax", "1", "--kmax", "0",
+                           "--out", out, "--jobs", "1")
+        assert code == 2 and f"cannot write {out}" in err
+        assert calls == []
+        assert "it names a directory" in err
+    # No partial file is left beside the directory or in it.
+    assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
+
+
 def test_census_removes_its_partial_file_when_a_row_fails(capsys, tmp_path, monkeypatch):
     def refuse(task):
         raise GuardRefused(f"row {task} refused")
@@ -443,7 +474,8 @@ class RecordingPool:
 
 
 def test_census_starts_no_more_workers_than_tasks_or_cores(capsys, tmp_path, monkeypatch):
-    monkeypatch.setattr("prymbn.cli.ProcessPoolExecutor", RecordingPool)
+    # Census imports the pool from concurrent.futures when it fans out.
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(RecordingPool, "sizes", [])
     out = str(tmp_path / "census.csv")
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -511,15 +543,64 @@ def test_missing_required_arguments_exit_2(capsys):
     assert exc.value.code == 2
 
 
-def test_python_dash_m_runs_the_cli_without_warnings():
+def test_main_builds_one_parser_for_every_request(capsys, monkeypatch):
+    built = []
+    real = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or real())
+    cli._parser.cache_clear()
+    for _ in range(5):
+        assert run(capsys, "dim", "--g", "7", "--r", "3", "--k", "4")[0] == 0
+        assert run(capsys, "count", "--r", "3", "--k", "3", "--method", "det")[0] == 2
+    assert built == [1]
+    # build_parser itself still hands out a fresh parser on every call.
+    assert real() is not real()
+
+
+def test_a_flag_of_one_request_does_not_reach_the_next(capsys, tmp_path):
+    code, _, err = run(capsys, "count", "--r", "8", "--k", "5", "--method", "all", "--force")
+    assert code == 0 and "--force" in err
+    code, out, err = run(capsys, "count", "--r", "8", "--k", "5", "--method", "all")
+    assert (code, out) == (3, "") and err.startswith("refused:")
+    src = dump(tmp_path, "square.json", square([list(row) for row in REFLECTION_TRACE[0]]))
+    argv = ["reflectify", "--g", "11", "--k", "3", "--in", src]
+    plain = run(capsys, *argv)
+    assert plain[0] == 0 and run(capsys, *argv, "--trace")[1].count("-- state") == 9
+    assert run(capsys, *argv) == plain and "-- state" not in plain[1]
+
+
+def test_a_usage_error_leaves_the_parser_serving(capsys):
+    for bad in (["dim", "--g", "7"], ["count", "--r", "3", "--k", "3", "--method", "nope"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert run(capsys, "dim", "--g", "7", "--r", "3", "--k", "4") == (
+            0, "n(r,k) = 5\ndim = 1\n", ""
+        )
+
+
+def src_env() -> dict[str, str]:
+    """The environment with this checkout's ``src`` first on ``PYTHONPATH``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [os.path.dirname(os.path.dirname(prymbn.__file__)), env.get("PYTHONPATH", "")]
     )
+    return env
+
+
+def test_importing_prymbn_loads_no_process_pool():
+    probe = ("import sys, prymbn; print([m for m in ('multiprocessing',"
+             " 'concurrent.futures.process') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=src_env(), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_python_dash_m_runs_the_cli_without_warnings():
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "prymbn", "dim", "--g", "7", "--r", "3",
          "--k", "4"],
-        capture_output=True, text=True, env=env, timeout=60,
+        capture_output=True, text=True, env=src_env(), timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (
         0, "n(r,k) = 5\ndim = 1\n", ""

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prymbn.core import (
+    FOLD_TABLE_G,
     SHAPE_CACHE,
     InvalidInputError,
     PrymParams,
@@ -600,6 +601,26 @@ def test_square_predicates_stay_cheap_for_a_huge_g():
     start = time.perf_counter()
     assert is_prym(t, p) and is_reflective(t, p) and dominates(t, t, p)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("g", [3, FOLD_TABLE_G, FOLD_TABLE_G + 1])
+def test_the_square_signature_folds_every_symbol_by_min_a_2g_minus_a(g):
+    # With a fold table and without, and on symbols above 2g - 1, which
+    # dominance reads and is_prym refuses.
+    p = PrymParams(g, 1, 2)
+    for rows in ([[g, 2 * g - 1], [1, g]], [[2 * g, 2 * g + 3], [1, 2 * g]]):
+        t = square(rows)
+        boxes = t.shape.index.boxes
+        pairs = {(diag_class(b, 2), min(v, 2 * g - v)) for b, v in zip(boxes, t.values)
+                 if v != g}
+        parities = {diag_class(b, 2) for b, v in zip(boxes, t.values) if v == g}
+        assert dominance_signature(t, p) == (pairs, parities)
+        assert dominates(t, t, p)
+        if max(t.values) < 2 * g:
+            assert is_prym(t, p)
+        else:
+            with pytest.raises(InvalidInputError, match="out of range"):
+                is_prym(t, p)
 
 
 def test_chained_sets_check_covers_only():
