@@ -426,8 +426,10 @@ def _cmd_census(args: argparse.Namespace) -> int:
     # The output file is opened before the sweep, in the directory that
     # --out names, so an unwritable --out fails before any row is computed.
     out_dir, name = os.path.split(args.out)
-    if not name or os.path.isdir(args.out):
+    if os.path.isdir(args.out):
         raise InvalidInputError(f"cannot write {args.out}: it names a directory")
+    if not name:
+        raise InvalidInputError(f"cannot write {args.out}: it names no file")
     try:
         fd, tmp_path = tempfile.mkstemp(dir=out_dir or os.curdir, suffix=".csv.part")
     except OSError as exc:

@@ -149,16 +149,6 @@ def _fold(a: int, g: int) -> int:
     return a if a < g else 2 * g - a
 
 
-FOLD_TABLE_G = 256  # largest g given a fold table: 2g entries, 32 tables kept
-
-
-@lru_cache(maxsize=32)
-def _fold_table(g: int) -> tuple[int, ...]:
-    """:func:`_fold` of every symbol ``0 <= a < 2g``, indexed by ``a``;
-    empty when ``g`` exceeds ``FOLD_TABLE_G``."""
-    return tuple([_fold(a, g) for a in range(2 * g)]) if g <= FOLD_TABLE_G else ()
-
-
 def reflect_box(box: Box, r: int) -> Box:
     """Reflection of ``box`` across the main anti-diagonal of the (r+1)-square."""
     x, y = box
@@ -671,11 +661,7 @@ def _square_keys(t: Tableau, p: PrymParams) -> tuple[Iterator[tuple[int, int]], 
     idx = t.shape.index
     g = p.g
     values = t.values
-    try:
-        folded = tuple(map(_fold_table(g).__getitem__, values))
-    except IndexError:  # a symbol off the table: a huge g, or one above 2g - 1
-        folded = map(_fold, values, repeat(g))
-    pairs = compress(zip(idx.classes(p.k), folded), map(g.__ne__, values))
+    pairs = compress(zip(idx.classes(p.k), map(_fold, values, repeat(g))), map(g.__ne__, values))
     return pairs, compress(idx.classes(2), map(g.__eq__, values))
 
 

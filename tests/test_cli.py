@@ -429,15 +429,20 @@ def test_census_out_naming_a_directory_exits_2_before_computing_a_row(
         capsys, tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr(cli, "_census_row", lambda task: calls.append(task) or _census_row(task))
+    monkeypatch.chdir(tmp_path)
     target = tmp_path / "target"
     target.mkdir()
-    for out in (str(target), str(target) + os.sep):
+    missing = str(tmp_path / "missing") + os.sep
+    for out, reason in ((str(target), "it names a directory"),
+                        (str(target) + os.sep, "it names a directory"),
+                        ("", "it names no file"),
+                        (missing, "it names no file")):
         code, _, err = run(capsys, "census", "--rmax", "1", "--kmax", "0",
                            "--out", out, "--jobs", "1")
-        assert code == 2 and f"cannot write {out}" in err
+        assert code == 2 and f"cannot write {out}: {reason}" in err
         assert calls == []
-        assert "it names a directory" in err
-    # No partial file is left beside the directory or in it.
+    # No partial file is left beside the directory, in it, or in the
+    # working directory.
     assert list(tmp_path.iterdir()) == [target] and list(target.iterdir()) == []
 
 
