@@ -4,8 +4,8 @@
 ``[1..n(r,k)]`` (equivalently, the maximal cells per fixed symbol choice).
 Routes: hook-length formula on the staircase (torsion 0 or above ``2r-2``),
 an alternating factorial-determinant sum and a lattice-path walk (even
-torsion up to ``2r-2``), and per-strip linear-extension counting (any
-torsion, desk-scale).  :func:`applicable_routes` is the one statement of
+torsion up to ``2r-2``), and linear-extension counting on the strip posets
+(any torsion, desk-scale).  :func:`applicable_routes` is the one statement of
 where each route applies.  Everything is exact integer/rational arithmetic.
 
 The determinant route scales column ``j`` of each term's matrix by
@@ -14,10 +14,14 @@ The determinant route scales column ``j`` of each term's matrix by
 determinant by fraction-free (Bareiss) elimination, ``O(l^3)`` integer
 operations per tuple that survives, divided by ``prod top_j!``.
 
-The brute route's kernel, :func:`count_linext`, is a layered dynamic
-program over the reachable down-sets of the strip poset built by
-:func:`strip_poset_succ_masks`; the lattice-path walk is layered the same
-way.  No route needs recursion.
+The brute route has two kernels, both layered dynamic programs over
+reachable down-sets.  Even torsion and the generic regime have one strip,
+mu_0, and :func:`count_linext` counts the linear extensions of its poset
+(:func:`strip_poset_succ_masks`).  Odd torsion has one strip per E/N word,
+``2^(r-l)`` of them, and :func:`_count_strip_words` counts the pairs (word,
+linear extension) in one pass: its key is a down-set plus the letters that
+still decide the predecessors of an unplaced slot.  The lattice-path walk
+is layered the same way.  No route needs recursion.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .core import (
     generic_regime,
 )
 from .dimension import expected_codim, pbn_dimension
-from .strips import StripShape, _scan_cell_strips
+from .strips import StripShape, horizontal_strip
 
 __all__ = [
     "BRUTE_SYMBOL_LIMIT",
@@ -69,7 +73,10 @@ def applicable_routes(r: int, k: int) -> tuple[str, ...]:
     150 ms.  ``hook`` stays under 0.1 ms.  Past the first route, the order
     is only the listing order of ``count --method all``, where the guarded
     ``brute`` comes last although it beats ``paths`` above about 12
-    symbols.
+    symbols.  Timed the same way at every odd (r, k) with ``r <= 10``,
+    ``brute`` takes under 2 ms at k = 3 and 5 (up to 27 symbols), 5.7 ms
+    at (10, 7) and 0.55 s at (10, 17), 54 symbols: its cost grows with the
+    strip width, not with the number of strips.
     """
     routes = ("hook",) if generic_regime(r, k) else ()
     if k % 2 == 0 and 2 <= k <= 2 * r - 2:
@@ -291,8 +298,114 @@ def count_linext(succ_masks: list[int]) -> int:
     return layer.get(0, 0)
 
 
+def _letter_pairs(r: int, l: int) -> tuple[set[tuple[int, int]], list[tuple[set, set]]]:
+    """The odd-torsion order pairs of the width-``l`` strips in ``T_r``,
+    split by the move letter that decides them: the pairs of ``T_l``, and
+    for each ``word[i]`` the pairs it adds when it is ``E`` and when ``N``.
+
+    A strip's slots do not depend on its word: ``T_l``, then one window of
+    ``l`` slots per anti-diagonal, west to east.  Letter ``i`` adds the
+    covers from window ``l+i`` to window ``l+i+1`` and the gluing pair of
+    window ``l+i``, so a pair belongs to the window of its smaller slot.
+    Both tables are read from :meth:`StripShape.order_pairs` of the all-E
+    and all-N strips, built outside the strip cache.
+    """
+    base = l * (l - 1) // 2  # first slot of window l, the last anti-diagonal of T_l
+    tables = []
+    for move in "EN":
+        own: dict[int, set[tuple[int, int]]] = {i: set() for i in range(-1, r - l)}
+        for lo, hi in StripShape(r, l, move * (r - l)).order_pairs(1):
+            own[max((min(lo, hi) - base) // l, -1)].add((lo, hi))  # -1: inside T_l
+        tables.append(own)
+    east, north = tables
+    if east[-1] != north[-1]:
+        raise InvariantError(f"the all-E and all-N strips of T_{r} disagree on T_{l}")
+    return east[-1], [(east[i], north[i]) for i in range(r - l)]
+
+
+def _count_strip_words(r: int, l: int) -> int:
+    """Pairs (word, linear extension of the word's strip poset at odd
+    torsion) over the width-``l`` strips in ``T_r``, by one layered DP.
+
+    Layer ``j`` maps each reachable key to its number of ways.  A key is a
+    down-set of ``j`` slots and the letters of the live moves.  A slot's
+    predecessors are fixed, except for the pairs its letters add
+    (:func:`_letter_pairs`).  A letter is chosen, E or N, when the first
+    slot whose predecessors depend on it is placed, and leaves the key once
+    every such slot is placed.  Each path then fixes one word and one
+    linear extension of its strip, so the layers sum the per-strip counts.
+    """
+    fixed, letters = _letter_pairs(r, l)
+    n = l * (l + 1) // 2 + l * (r - l)
+    pred = [0] * n  # predecessors under every word
+    for lo, hi in fixed:
+        pred[hi] |= 1 << lo
+    # choice[s][i]: the predecessors letter i adds to slot s under E and N.
+    choice: list[dict[int, list[int]]] = [{} for _ in range(n)]
+    for i, sides in enumerate(letters):
+        for v, pairs in enumerate(sides):
+            for lo, hi in pairs:
+                choice[hi].setdefault(i, [0, 0])[v] |= 1 << lo
+    deps = [0] * len(letters)  # the slots whose predecessors letter i decides
+    for s, own in enumerate(choice):
+        for i, (east, north) in list(own.items()):
+            pred[s] |= east & north
+            if east == north:
+                del own[i]
+            else:
+                deps[i] |= 1 << s
+    # A key codes letter i by bit 2i (chosen) and bit 2i+1 (N).  moves[s]
+    # maps the code of slot s's chosen letters to each way of placing s:
+    # the predecessors it needs and the code bits of its newly chosen letters.
+    span, moves, retire = [0] * n, [], []
+    for s, own in enumerate(choice):
+        ways = [(0, pred[s], 0)]  # (code of the chosen letters, need, add)
+        for i, sides in own.items():
+            span[s] |= 3 << 2 * i
+            ways = [
+                (have | c, need | side, add) if known else (have, need | side, add | c)
+                for have, need, add in ways
+                for c, side in zip((1 << 2 * i, 3 << 2 * i), sides)
+                for known in (True, False)
+            ]
+        table: dict[int, list[tuple[int, int]]] = {}
+        for have, need, add in ways:
+            table.setdefault(have, []).append((need, add))
+        moves.append(table)
+        retire.append([(deps[i], ~(3 << 2 * i)) for i in own])
+    full = (1 << n) - 1
+    layer = {(0, 0): 1}
+    for _ in range(n):
+        above: dict[tuple[int, int], int] = {}
+        for (mask, code), ways in layer.items():
+            free = full ^ mask
+            rest = free
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                s = bit.bit_length() - 1
+                sub = mask | bit
+                for need, add in moves[s][code & span[s]]:
+                    if need & free:
+                        continue
+                    c = code | add
+                    for dep, clear in retire[s]:
+                        if not dep & ~sub:
+                            c &= clear
+                    above[sub, c] = above.get((sub, c), 0) + ways
+        layer = above
+    return layer.get((full, 0), 0)
+
+
 def count_brute(r: int, k: int, *, force: bool = False) -> int:
-    """C(r, k) by summing linear-extension counts over the type's strips."""
+    """C(r, k) by counting linear extensions of strip posets, guarded by
+    :data:`BRUTE_SYMBOL_LIMIT`.
+
+    Even torsion and the generic regime have one strip, the horizontal
+    strip mu_0 (all of ``T_r`` when degenerate), and count its linear
+    extensions with :func:`count_linext`.  Odd torsion sums over all
+    ``2^(r-l)`` strips at once, in :func:`_count_strip_words`.
+    """
     n = expected_codim(r, k)
     if n > BRUTE_SYMBOL_LIMIT and not force:
         raise GuardRefused(
@@ -300,8 +413,9 @@ def count_brute(r: int, k: int, *, force: bool = False) -> int:
             f" {BRUTE_SYMBOL_LIMIT}; pass force=True to run anyway"
         )
     p = PrymParams(g=max(n + 1, 2), r=r, k=k)
-    # One strip, with its shape index, alive at a time.
-    return sum(count_linext(strip_poset_succ_masks(mu, p.eps)) for mu in _scan_cell_strips(p))
+    if p.eps == 1 and not generic_regime(r, k):
+        return _count_strip_words(r, p.l)
+    return count_linext(strip_poset_succ_masks(horizontal_strip(r, k), p.eps))
 
 
 def cardinality(r: int, k: int, method: str = "auto", *, force: bool = False) -> int:

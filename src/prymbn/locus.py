@@ -402,8 +402,12 @@ def _descend(t: Tableau, mu0: StripShape, p: PrymParams) -> list[Tableau]:
     lowers the strip height to that of mu_0, then the strip walk runs."""
     states = [t]
     if p.eps == 1 and not mu0.degenerate:
-        while height(states[-1], p) > p.l:
-            states.extend(height_descent_step(states[-1], p).path[1:])
+        # Each step checks that its result lies in a strip one row lower.
+        h = height(t, p)
+        while h > p.l:
+            step = height_descent_step(states[-1], p)
+            states.extend(step.path[1:])
+            h = step.strip.height
     states.extend(_descend_strip(states[-1], mu0, p)[1:])
     return states
 

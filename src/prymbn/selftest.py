@@ -257,7 +257,7 @@ def _row_cells(ctx: RunContext) -> str:
         if not ctx.wants(gm1 + 1, r, k):
             continue
         p = PrymParams(gm1 + 1, r, k)
-        if (pbn_dimension(p) or -1) < 0:
+        if pbn_dimension(p) is None:
             continue
         cells = enumerate_maximal_cells(p)
         want = cardinality(r, k) * comb(gm1, n)

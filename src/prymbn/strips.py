@@ -29,8 +29,8 @@ The strips the module hands out come from one bounded cache keyed by
 order pairs and repeat maps are built once while it stays cached:
 :func:`enumerate_strips`, :func:`horizontal_strip`, the greedy strip of
 :func:`dominating_non_repeating` and ``locus.height_descent_step`` read it.
-Only the brute count's one pass over odd torsion's strips builds them
-outside it.
+Only the brute count at odd torsion builds strips outside it: the all-E
+and all-N strips, whose order pairs it splits by move letter.
 """
 
 from __future__ import annotations
@@ -513,20 +513,6 @@ def cell_strips(p: PrymParams) -> list[StripShape]:
     if p.eps == 0:
         return [horizontal_strip(p.r, p.k)]
     return enumerate_strips(p)
-
-
-def _scan_cell_strips(p: PrymParams) -> Iterator[StripShape]:
-    """:func:`cell_strips` one at a time, for a caller that reads each strip
-    once per call: mu_0 comes from the strip cache, and odd torsion's strips
-    are built outside it.  So one strip is alive at a time, and a type with
-    more strips than the cache holds (256 at r = 10, k = 3) does not flush
-    the strips other requests keep reading."""
-    if p.eps == 0:
-        yield horizontal_strip(p.r, p.k)
-        return
-    l = effective_width(p.r, p.k)
-    for w in _words(p.r, l):
-        yield StripShape(p.r, l, w)
 
 
 def _fill_strip(

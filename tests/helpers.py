@@ -10,6 +10,8 @@ from __future__ import annotations
 from bisect import bisect_right
 
 from prymbn.core import Tableau, square_shape, staircase_shape
+from prymbn.counting import count_linext, strip_poset_succ_masks
+from prymbn.strips import enumerate_strips
 
 
 def stair(rows_top_down: list[list[int]]) -> Tableau:
@@ -22,6 +24,13 @@ def square(rows_top_down: list[list[int]]) -> Tableau:
     """Square tableau from rows written top-down."""
     rows = list(reversed(rows_top_down))
     return Tableau.from_rows(rows, square_shape(len(rows) - 1))
+
+
+def per_strip_count(p) -> int:
+    """C(r, k) at odd torsion as the sum, over every strip of the type, of
+    the linear extensions of its poset: one count per strip, kept as the
+    oracle of the brute count's single pass over all strip words."""
+    return sum(count_linext(strip_poset_succ_masks(mu, 1)) for mu in enumerate_strips(p))
 
 
 def unpruned_strip_fillings(mu, eps: int, symbols: tuple[int, ...]):

@@ -27,3 +27,10 @@ def test_negative_control_narrowed_support_box():
     row = next(row for row in ROWS if row.ident == "R2b")
     detail = row.run(RunContext(narrow_alpha=True))
     assert "negative control" in detail
+
+
+def test_cell_row_checks_a_dimension_zero_instance():
+    # g - 1 = n(3, 4) = 5: the locus has dimension 0, and its cells still
+    # obey the product count.
+    row = next(row for row in ROWS if row.ident == "R3")
+    assert row.run(RunContext(instance=(6, 3, 4))) == "1 instances match the product count"

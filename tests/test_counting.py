@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from prymbn import counting
-from prymbn.core import GuardRefused, InvalidInputError, PrymParams
+from prymbn.core import GuardRefused, InvalidInputError, InvariantError, PrymParams
 from prymbn.counting import (
     BRUTE_SYMBOL_LIMIT,
     applicable_routes,
@@ -25,7 +25,11 @@ from prymbn.counting import (
 )
 from prymbn.dimension import expected_codim
 from prymbn.selftest import CARDINALITY_TABLE
-from prymbn.strips import horizontal_strip
+from prymbn.strips import StripShape, _words, horizontal_strip
+
+from helpers import per_strip_count
+
+ODD_CELLS = [(r, k) for r in range(3, 9) for k in range(3, 2 * r - 2, 2)]
 
 # --------------------------------------------------------------------------
 # Hook lengths
@@ -219,6 +223,33 @@ def test_count_brute_guard():
     assert expected_codim(6, 0) > BRUTE_SYMBOL_LIMIT
     with pytest.raises(GuardRefused):
         count_brute(6, 0)
+
+
+def test_count_brute_equals_the_per_strip_sum_at_odd_torsion():
+    for r, k in ODD_CELLS:
+        p = PrymParams(expected_codim(r, k) + 1, r, k)
+        assert count_brute(r, k, force=True) == per_strip_count(p), (r, k)
+
+
+def test_each_odd_strip_takes_its_pairs_from_its_letters():
+    for r, k in ODD_CELLS:
+        l = (k + 1) // 2
+        fixed, letters = counting._letter_pairs(r, l)
+        for word in _words(r, l):
+            pairs = StripShape(r, l, word).order_pairs(1)
+            own = set(fixed).union(*(sides[c == "N"] for c, sides in zip(word, letters)))
+            assert len(pairs) == len(own) and set(pairs) == own, (r, l, word)
+
+
+def test_letter_pairs_refuse_strips_that_disagree_on_t_l(monkeypatch):
+    class Shifted(StripShape):
+        def order_pairs(self, eps):
+            pairs = super().order_pairs(eps)
+            return pairs[1:] if "N" in self.word else pairs
+
+    monkeypatch.setattr(counting, "StripShape", Shifted)
+    with pytest.raises(InvariantError, match="disagree"):
+        counting._letter_pairs(4, 2)
 
 
 def test_strip_poset_masks_of_the_degenerate_strip():

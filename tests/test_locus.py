@@ -261,6 +261,23 @@ def test_full_descent_reaches_the_witness():
     assert path[0] == t and path[-1] == minimal_witness(p)
 
 
+def test_descent_scans_the_strips_once_per_step(monkeypatch):
+    # The golden tableau sits two rows above mu_0.  Each endpoint's height
+    # is read once; after that every step reads its result's strip.
+    p = PrymParams(23, 8, 5)
+    t = stair([list(row) for row in DESCENT_START])
+    assert height(t, p) == p.l + 2
+    scans = []
+
+    def spy(tab, params):
+        scans.append(tab)
+        return strips_admitting(tab, params)
+
+    monkeypatch.setattr(locus, "strips_admitting", spy)
+    connect_path(t, minimal_witness(p), p)
+    assert len(scans) == 2 + 2 + 2  # endpoint checks, heights, descent steps
+
+
 def ref_descent_s(t, u, p):
     """``height_descent_step(t, p).s`` from its pivot ``u``, with the
     translation chain from each row-H box written out by hand."""

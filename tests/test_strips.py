@@ -184,7 +184,7 @@ def test_count_brute_keeps_no_more_strips_than_the_cache_bound():
     kept = [horizontal_strip(r, 2) for r in range(1, 9)]
     assert count_brute(10, 3, force=True) == 512
     assert _strip.cache_info().currsize <= STRIP_CACHE
-    # The 256 strips of (10, 3) are read once each and leave the cache alone.
+    # Odd torsion reads its pair tables from two strips built outside the cache.
     assert all(horizontal_strip(r, 2) is mu for r, mu in enumerate(kept, start=1))
     hits = _strip.cache_info().hits
     assert count_brute(10, 4, force=True) == count_brute(10, 4, force=True) == 512
