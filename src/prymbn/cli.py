@@ -18,7 +18,7 @@ import sys
 import tempfile
 from functools import cache
 from math import comb
-from typing import Any
+from typing import Any, Iterable
 
 from .core import (
     GuardRefused,
@@ -34,6 +34,7 @@ from .divisors import make_folded_chain, tableau_to_divisor
 from .io import SCHEMA_VERSION, divisor_to_json, tableau_from_json, tableau_to_json
 from .locus import (
     CELL_GUARD,
+    MaximalCell,
     betti_closed_form,
     betti_number,
     build_intersection_graph,
@@ -173,13 +174,13 @@ def _parse_symbols(spec: str) -> list[int]:
     return symbols
 
 
-def _cell_line(index: int, word: str, t: Tableau, free: list[int]) -> dict[str, Any]:
+def _cell_line(index: int, cell: MaximalCell) -> dict[str, Any]:
     return {
         "schema": SCHEMA_VERSION,
         "index": index,
-        "word": word,
-        "free_symbols": free,
-        "tableau": tableau_to_json(t),
+        "word": cell.strip.word,
+        "free_symbols": sorted(cell.free_symbols),
+        "tableau": tableau_to_json(cell.tableau),
     }
 
 
@@ -208,16 +209,14 @@ def _cmd_cells(args: argparse.Namespace) -> int:
                 f"{total} strip tableaux exceed the desk-scale limit of"
                 f" {CELL_GUARD}; pass --force to stream anyway"
             )
-        for i, st in enumerate(enumerate_strip_tableaux(p, symbols)):
-            t = extend_strip_tableau(st)
-            free = sorted(set(range(1, p.g)) - t.symbols)
-            _emit_json(_cell_line(i, st.strip.word, t, free))
-        return 0
-    cells = enumerate_maximal_cells(p, force=args.force)
-    for i, cell in enumerate(cells):
-        _emit_json(
-            _cell_line(i, cell.strip.word, cell.tableau, sorted(cell.free_symbols))
+        cells: Iterable[MaximalCell] = (
+            MaximalCell(p, st.strip, extend_strip_tableau(st))
+            for st in enumerate_strip_tableaux(p, symbols)
         )
+    else:
+        cells = enumerate_maximal_cells(p, force=args.force)
+    for i, cell in enumerate(cells):
+        _emit_json(_cell_line(i, cell))
     return 0
 
 
@@ -379,6 +378,9 @@ CENSUS_COLUMNS = (
     "C_method_brute", "cells", "betti_closed", "betti_graph", "agree",
 )
 
+# Rows a census sweeps without --force; the default sweep is 20 rows.
+CENSUS_ROW_GUARD = 1_000
+
 
 def _census_row(task: tuple[int, int, bool]) -> dict[str, Any]:
     r, k, force = task
@@ -417,6 +419,13 @@ def _cmd_census(args: argparse.Namespace) -> int:
         _warn_force()
     if args.rmax < 1 or args.kmax < 0 or args.jobs < 0:
         raise InvalidInputError("census needs --rmax >= 1, --kmax >= 0 and --jobs >= 0")
+    # Every k in 0..kmax but k = 1, for each r: counted before any row is listed.
+    count = args.rmax * max(args.kmax, 1)
+    if count > CENSUS_ROW_GUARD and not args.force:
+        raise GuardRefused(
+            f"{count} census rows exceed the desk-scale limit of {CENSUS_ROW_GUARD};"
+            " pass --force to sweep anyway"
+        )
     tasks = [
         (r, k, args.force)
         for r in range(1, args.rmax + 1)

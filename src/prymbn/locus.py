@@ -40,6 +40,7 @@ from .dimension import expected_codim, minimal_witness, pbn_dimension
 from .strips import (
     StripShape,
     _strip,
+    enumerate_strip_tableaux,
     extend_strip_tableau,
     horizontal_strip,
     is_non_repeating,
@@ -466,38 +467,39 @@ def connect_path(t: Tableau, s: Tableau, p: PrymParams) -> list[Tableau]:
 
 @dataclass(frozen=True)
 class MaximalCell:
-    """A maximal cell: a non-repeating tableau plus its unused symbols."""
+    """A maximal cell: the non-repeating tableau extending a strip tableau.
+
+    The tableau's facts were checked where they arose: its strip filling
+    when the :class:`~prymbn.strips.StripTableau` was built, its
+    displacement by :func:`~prymbn.strips.extend_strip_tableau`.  The free
+    symbols are read off the tableau, so the cell stores nothing to check.
+    """
 
     params: PrymParams
     strip: StripShape
     tableau: Tableau
-    free_symbols: frozenset[int]
 
-    def __post_init__(self) -> None:
-        dim = self.params.g - 1 - len(self.tableau.symbols)
-        if len(self.free_symbols) != dim:
-            raise InvariantError(
-                "free symbols must number exactly the cell dimension"
-            )
+    @property
+    def free_symbols(self) -> frozenset[int]:
+        """Symbols of ``[g-1]`` the tableau does not use: the cell's
+        coordinates, as many as its dimension."""
+        return frozenset(range(1, self.params.g)) - self.tableau.symbols
 
 
 def enumerate_maximal_cells(
     p: PrymParams, *, force: bool = False
 ) -> list[MaximalCell]:
     """All maximal cells of the locus, in enumeration order of strip tableaux."""
-    from .strips import enumerate_strip_tableaux
-
     total = max_cell_count(p, force=force)
     if total > CELL_GUARD and not force:
         raise GuardRefused(
             f"{total} maximal cells exceed the desk-scale limit of {CELL_GUARD};"
             " pass force=True to enumerate anyway"
         )
-    cells = []
-    for st in enumerate_strip_tableaux(p):
-        cells.append(
-            MaximalCell(p, st.strip, extend_strip_tableau(st), st.free_symbols)
-        )
+    cells = [
+        MaximalCell(p, st.strip, extend_strip_tableau(st))
+        for st in enumerate_strip_tableaux(p)
+    ]
     if len(cells) != total:
         raise InvariantError(
             f"enumerated {len(cells)} cells but the closed form gives {total}"
@@ -546,9 +548,10 @@ def build_intersection_graph(
     cells = enumerate_maximal_cells(p, force=force)
     frees = []
     for cell in cells:
-        if len(cell.free_symbols) != 1:
+        free = cell.free_symbols
+        if len(free) != 1:
             raise InvariantError("dim-1 circles carry exactly one free symbol")
-        frees.append(next(iter(cell.free_symbols)))
+        frees.append(next(iter(free)))
 
     # Two adjacent circles share their cell less one pair each.
     buckets: defaultdict[frozenset, list[int]] = defaultdict(list)

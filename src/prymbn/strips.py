@@ -17,12 +17,17 @@ least ``2r - 1``) the strip degenerates to ``T_r`` itself, on
 
 Consumers read a strip's geometry from two slot tables per torsion parity:
 :meth:`StripShape.repeat_map` and :meth:`StripShape.order_pairs`.  The
-repeat map is the only source of the repeating translations; it serves
-:func:`is_non_repeating`, :func:`extend_strip_tableau`,
-:func:`dominating_non_repeating` and ``locus.height_descent_step``.  The
-order pairs are the only source of the gluing pairs: one scan of them checks
-a strip filling, and they order the strip search and the brute count.  The
-search's one prune, :meth:`StripShape.up_set_sizes`, is derived from them too.
+repeat map is the only source of the repeating translations.  It builds
+the extension of a strip tableau (:func:`extend_strip_tableau`); since it
+fixes every strip slot, checked once when the map is built, the extension
+restricts to the strip tableau exactly, and the strip filling is checked
+once, by :class:`StripTableau`.  It also tests a given tableau for the
+repeat condition (:func:`is_non_repeating`) and spreads strip values over
+``T_r`` in the even-torsion maxima of :func:`dominating_non_repeating` and
+the descent result of ``locus.height_descent_step``.  The order pairs are
+the only source of the gluing pairs: one scan of them checks a strip
+filling, and they order the strip search and the brute count.  The search's
+one prune, :meth:`StripShape.up_set_sizes`, is derived from them too.
 
 The strips the module hands out come from one bounded cache keyed by
 ``(r, l, word)`` (:data:`STRIP_CACHE` strips), so a strip's shape, index,
@@ -165,26 +170,37 @@ class StripShape:
         ``self.shape.index`` whose value that box copies in a tableau
         non-repeating in this strip at torsion parity ``eps``.  A left box
         copies ``(x + l - eps, y - l)`` and a right box ``(x - l, y + l - eps)``;
-        the chase follows them onto the strip, once per strip and parity."""
+        the chase follows them onto the strip, once per strip and parity.
+
+        Every strip box must land on its own slot: :func:`extend_strip_tableau`
+        relies on it to restrict to its strip tableau exactly.  The map is
+        checked for it once, before it is cached, and a map that moves a
+        strip box raises :class:`~prymbn.core.InvariantError`."""
         table = self._repeat_maps.get(eps)
         if table is not None:
             return table
         l = self.l
-        boxes = staircase_shape(self.r).index.boxes
-        lands = dict(self.shape.index.slot)  # a strip box lands on itself
-        for box in boxes:
+        stair = staircase_shape(self.r).index
+        strip = self.shape.index
+        lands: dict[Box, int] = {}
+        for box in stair.boxes:
             path, b = [], box
             while b not in lands:
                 if len(path) > 2 * self.r:
                     raise InvariantError(f"repeat chase from {box} did not reach the strip")
                 side = self.side_of(b)
                 if side == 0:
-                    raise InvariantError(f"strip box {b} missing an entry")
+                    lands[b] = strip.slot[b]
+                    break
                 path.append(b)
                 b = (b[0] + l - eps, b[1] - l) if side == -1 else (b[0] - l, b[1] + l - eps)
             for q in path:
                 lands[q] = lands[b]
-        table = self._repeat_maps[eps] = tuple(map(lands.__getitem__, boxes))
+        table = tuple(map(lands.__getitem__, stair.boxes))
+        for j, b in enumerate(strip.boxes):
+            if table[stair.slot[b]] != j:
+                raise InvariantError(f"repeat map moves strip box {b} off its own slot")
+        self._repeat_maps[eps] = table
         return table
 
     @_cached
@@ -358,7 +374,15 @@ def is_non_repeating(t: Tableau, mu: StripShape, p: PrymParams) -> bool:
 
 @dataclass(frozen=True)
 class StripTableau:
-    """An injective, glued filling of a strip with symbols in ``[g-1]``."""
+    """An injective, glued filling of a strip with symbols in ``[g-1]``.
+
+    Construction is the one check of a strip filling: the strip fits the
+    type, the entries fill it exactly with symbols in ``[g-1]``, they are
+    injective, and they increase along every order pair (the tableau and
+    gluing conditions, one scan of :meth:`StripShape.order_pairs`).  Every
+    fact about the extension that reads only the strip restriction follows
+    from these, so :func:`extend_strip_tableau` does not check them again.
+    """
 
     strip: StripShape
     entries: Tableau
@@ -366,6 +390,13 @@ class StripTableau:
 
     def __post_init__(self) -> None:
         p, mu = self.params, self.strip
+        for name, value, cls in (
+            ("strip", mu, StripShape), ("entries", self.entries, Tableau), ("params", p, PrymParams)
+        ):
+            if not isinstance(value, cls):
+                raise InvalidInputError(
+                    f"strip tableau {name} must be a {cls.__name__}, got {value!r}"
+                )
         if mu.r != p.r:
             raise InvalidInputError("strip does not match the type's staircase order")
         if p.k != 0 and not mu.degenerate and mu.l != p.l:
@@ -401,16 +432,23 @@ def extend_strip_tableau(st: StripTableau) -> Tableau:
     """The unique non-repeating tableau on ``T_r`` extending ``st``: every
     box takes the strip value its repeat chase lands on
     (:meth:`StripShape.repeat_map`).
+
+    The repeat map sends each strip box to its own slot (checked once per
+    strip and parity), so the extension restricts to ``st.entries``
+    exactly.  Its strip order pairs, injectivity and symbol range were
+    checked when ``st`` was built, the repeat condition holds by
+    construction, and its symbols are the entries', one per strip box: it
+    is non-repeating in its strip and minimal with no second check.  What
+    remains is the paper's claim that it is a displacement tableau on
+    ``T_r``, checked here.
     """
+    if not isinstance(st, StripTableau):
+        raise InvalidInputError(f"extend_strip_tableau needs a StripTableau, got {st!r}")
     p, mu = st.params, st.strip
     values = tuple(map(st.entries.values.__getitem__, mu.repeat_map(p.eps)))
     ext = Tableau(staircase_shape(p.r), values)
     if fault := displacement_fault(ext, p.k):
         raise InvariantError(f"non-repeating extension {fault}")
-    if not is_non_repeating(ext, mu, p):
-        raise InvariantError("extension is not non-repeating in its own strip")
-    if len(ext.symbols) != len(mu.boxes):
-        raise InvariantError("non-repeating extension is not minimal")
     return ext
 
 

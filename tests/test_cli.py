@@ -499,6 +499,25 @@ def test_census_starts_no_more_workers_than_tasks_or_cores(capsys, tmp_path, mon
     assert RecordingPool.sizes == [2, 3, 3]
 
 
+def test_census_refuses_a_sweep_over_the_row_bound_before_listing_it(
+        capsys, tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "_census_row", lambda task: calls.append(task) or _census_row(task))
+    out = tmp_path / "census.csv"
+    code, _, err = run(capsys, "census", "--rmax", "1", "--kmax", "100000000",
+                       "--out", str(out), "--jobs", "1")
+    assert code == 3 and "100000000 census rows" in err and "--force" in err
+    assert calls == [] and list(tmp_path.iterdir()) == []
+    # The bound counts rows without k = 1: --rmax 1 --kmax 5 is five rows.
+    monkeypatch.setattr(cli, "CENSUS_ROW_GUARD", 5)
+    assert run(capsys, "census", "--rmax", "1", "--kmax", "5", "--out", str(out),
+               "--jobs", "1")[0] == 0
+    assert len(calls) == 5
+    code, _, err = run(capsys, "census", "--rmax", "1", "--kmax", "6", "--out", str(out),
+                       "--jobs", "1")
+    assert code == 3 and "6 census rows" in err and len(calls) == 5
+
+
 def test_census_row_keeps_the_brute_guard():
     # n(8, 5) = 21 exceeds the guard, and odd torsion leaves count_brute as
     # the only route, so the row needs --force like `count` does.

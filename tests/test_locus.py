@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import random
 from collections import defaultdict
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
-from prymbn import core, locus
+from prymbn import core, locus, strips
 from prymbn.core import (
     GuardRefused,
     InvalidInputError,
-    InvariantError,
     PrymParams,
     Tableau,
     canonical_boxes,
@@ -475,11 +475,26 @@ def test_enumerate_maximal_cells_counts_and_free_symbols():
     assert all(c.free_symbols.isdisjoint(c.tableau.symbols) for c in cells)
 
 
-def test_maximal_cell_free_symbol_count_is_checked():
+def test_a_maximal_cell_derives_its_free_symbols_from_its_tableau():
+    assert [f.name for f in fields(MaximalCell)] == ["params", "strip", "tableau"]
     p = PrymParams(7, 3, 4)
-    cell = enumerate_maximal_cells(p)[0]
-    with pytest.raises(InvariantError, match="free symbols"):
-        MaximalCell(p, cell.strip, cell.tableau, frozenset({1, 2}))
+    for cell in enumerate_maximal_cells(p):
+        assert cell.free_symbols == frozenset(range(1, p.g)) - cell.tableau.symbols
+
+
+def test_enumerating_cells_scans_each_strip_filling_once(monkeypatch):
+    calls = {"_order_failure": 0, "is_non_repeating": 0}
+    for module, name in ((strips, "_order_failure"), (strips, "is_non_repeating"),
+                         (locus, "is_non_repeating")):
+        real = getattr(module, name)
+
+        def spy(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, spy)
+    assert len(enumerate_maximal_cells(PrymParams(7, 3, 4))) == 24
+    assert calls == {"_order_failure": 24, "is_non_repeating": 0}
 
 
 def test_enumerate_maximal_cells_guard():

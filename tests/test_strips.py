@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import islice
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,6 +262,53 @@ def test_strip_tableau_validation():
         StripTableau(mu, entries.with_values({boxes[-1]: entries.at(boxes[-2])}), p)
     with pytest.raises(InvalidInputError, match="width"):
         StripTableau(StripShape(3, 1, "EE"), entries, p)
+
+
+@pytest.mark.parametrize("field", ["strip", "entries", "params"])
+def test_strip_tableau_refuses_fields_of_the_wrong_type(field):
+    p = PrymParams(9, 3, 3)
+    mu = horizontal_strip(3, 3)
+    entries = next(enumerate_strip_tableaux(p)).entries
+    good = {"strip": mu, "entries": entries, "params": p}
+    bad = {"strip": "EE", "entries": entries.values, "params": (9, 3, 3)}
+    with pytest.raises(InvalidInputError, match=field):
+        StripTableau(**{**good, field: bad[field]})
+
+
+def test_extend_strip_tableau_refuses_a_look_alike():
+    p = PrymParams(9, 3, 3)
+    mu = horizontal_strip(3, 3)
+    # Repeated entries: no StripTableau holds them, so nothing may extend them.
+    fake = SimpleNamespace(strip=mu, entries=Tableau(mu.shape, (1,) * len(mu.boxes)), params=p)
+    with pytest.raises(InvalidInputError, match="StripTableau"):
+        extend_strip_tableau(fake)
+
+
+def test_repeat_map_refuses_a_chase_that_moves_a_strip_box(monkeypatch):
+    mu = StripShape(4, 2, "EN")  # not the cached strip: this one is broken below
+    moved = mu.shape.index.boxes[-1]
+    real = StripShape.side_of
+    monkeypatch.setattr(
+        StripShape, "side_of", lambda self, b: -1 if b == moved else real(self, b)
+    )
+    with pytest.raises(InvariantError, match=re.escape(f"moves strip box {moved}")):
+        mu.repeat_map(1)
+
+
+def test_an_extension_that_breaks_displacement_is_an_invariant_failure():
+    p = PrymParams(7, 3, 4)
+    mu = StripShape(3, 2, "E")  # not the cached strip: its repeat map is broken below
+    st = StripTableau(mu, next(enumerate_strip_tableaux(p)).entries, p)
+    lands = list(mu.repeat_map(0))
+    stair_slot = staircase_shape(3).index.slot
+    (outside,) = staircase_shape(3).boxes - mu.boxes
+    classes = mu.shape.index.classes(p.k)
+    # Send the box off the strip to a strip slot of another diagonal class.
+    i = stair_slot[outside]
+    lands[i] = next(j for j, c in enumerate(classes) if c != classes[lands[i]])
+    mu._repeat_maps[0] = tuple(lands)
+    with pytest.raises(InvariantError, match="non-repeating extension"):
+        extend_strip_tableau(st)
 
 
 def test_even_torsion_rejects_north_strips():
