@@ -23,9 +23,28 @@ longest chain strictly north-east of it in ``T_r`` (``r + 1 - x - y``
 for the box ``(x, y)``) is below ``up`` larger values, so in the
 relabelled filling it holds at most ``d - up``.  A filling that beats the
 incumbent ``best`` has ``d <= best - 1``, and every filling has
-``d <= gmax``, so the search tries at most ``min(gmax, best - 1) - up``
-there, before the first incumbent too, and still meets the relabelled
-copy of every filling it must beat.
+``d <= min(gmax, boxes)``, so the search starts from the incumbent
+``min(gmax, boxes) + 1``, tries at most ``best - 1 - up`` at each slot,
+and still meets the relabelled copy of every filling it must beat.
+
+Besides the cap, each mode of the search has one lower bound on the
+symbols a partial filling ends with, and drops a branch once that bound
+reaches the incumbent:
+
+- the budget (``use_budget``, the default) reads the strip width ``l``:
+  each full anti-diagonal ``A_m`` still to come introduces at least
+  ``min(m, l)`` fresh symbols.  At the root it is ``n(r, k)`` itself, so
+  it cannot test the formula's lower half.
+- the chain bound (paranoid mode) reads only ``T_r``'s order and the
+  classes.  The symbols on a chain of same-class boxes are all different
+  and all of that class, so a filling uses at least ``L_c`` symbols of
+  class ``c``, where ``L_c`` is the longest class-``c`` chain
+  (:func:`class_chain_lengths`).  A partial filling with ``p_c`` distinct
+  class-``c`` symbols still needs ``sum_c max(0, L_c - p_c)`` fresh ones.
+  ``sum_c L_c`` equals ``n(r, k)`` in the generic regime and at every even
+  ``k`` (pinned for ``r <= 10``), so there the search stops right after
+  its first ``n``-symbol filling.  At odd ``k`` outside the generic regime
+  it falls short, and the search still has to rule out cheaper fillings.
 """
 
 from __future__ import annotations
@@ -47,6 +66,7 @@ __all__ = [
     "BRUTE_BOX_LIMIT",
     "DimensionReport",
     "brute_min_codim",
+    "class_chain_lengths",
     "dimension_report",
     "enumerate_staircase_tableaux",
     "enumerate_staircase_values",
@@ -120,11 +140,12 @@ def brute_min_codim(
     tableaux ``T_r -> [g-1]``.
 
     Logically independent of the strip machinery.  Refuses staircases above
-    ``BRUTE_BOX_LIMIT`` boxes unless ``force`` is set; ``use_budget=False``
-    disables the per-anti-diagonal new-symbol prune (paranoid mode).  That
-    prune is the only part of the search that reads the strip width;
-    paranoid mode keeps the incumbent test and the symbol-compression cap
-    on slot values (see the module docstring), which read only ``T_r``.
+    ``BRUTE_BOX_LIMIT`` boxes unless ``force`` is set.  The search keeps
+    the incumbent test and the symbol-compression cap in both modes, and
+    prunes with one lower bound per mode (module docstring): the
+    per-anti-diagonal budget by default, which reads the strip width, or
+    with ``use_budget=False`` (paranoid mode) the class-chain bound, which
+    reads only ``T_r``'s order and the diagonal classes.
     """
     boxes = p.r * (p.r + 1) // 2
     if boxes > BRUTE_BOX_LIMIT and not force:
@@ -151,24 +172,40 @@ def enumerate_staircase_tableaux(p: PrymParams) -> Iterator[Tableau]:
         yield Tableau(shape, tuple(values))
 
 
+def class_chain_lengths(r: int, k: int) -> dict[int, int]:
+    """The most boxes of each diagonal class on one chain of ``T_r``.
+
+    One pass over the slots per class, ``F(slot) = max(F(west), F(south))
+    + [slot in class c]``; ``L_c`` is the largest ``F``.  The symbols on a
+    chain of class-``c`` boxes are all different and all belong to class
+    ``c``, so a filling uses at least ``L_c`` symbols of class ``c``.
+    """
+    idx = staircase_shape(r).index
+    west, south, cls = idx.west, idx.south, idx.classes(k)
+    longest = {}
+    for c in set(cls):
+        f = [0] * (len(cls) + 1)  # f[-1] = 0 stands for a missing neighbour
+        for i, ci in enumerate(cls):
+            f[i] = max(f[west[i]], f[south[i]]) + (ci == c)
+        longest[c] = max(f)
+    return longest
+
+
 def min_codim_staircase(r: int, k: int, gmax: int, use_budget: bool = True) -> int:
     """Minimum distinct-symbol count over displacement tableaux T_r -> [gmax].
 
     Branch and bound over the slots in canonical order, on an explicit
-    stack; a symbol may recur only on its recorded diagonal class.  A
-    branch is dropped once its distinct count cannot beat the incumbent.
-    Slot ``i`` tries values up to ``min(gmax, best - 1) - up[i]``, where
+    stack; a symbol may recur only on its recorded diagonal class.  The
+    incumbent starts at ``min(gmax, boxes) + 1``, above every filling's
+    count, and slot ``i`` tries values up to ``best - 1 - up[i]``, where
     ``up[i]`` counts the boxes on the longest chain strictly north-east of
-    it: relabelling a filling's symbols by rank keeps it a displacement
-    tableau with the same distinct count ``d <= gmax`` and puts slot ``i``
-    at most ``d - up[i]``, so every filling that beats the incumbent has a
-    copy under the cap (module docstring).  The cap is rebuilt only when
-    ``best`` drops.  With ``use_budget`` a branch is also dropped once its
-    count plus the per-anti-diagonal new-symbol budget cannot beat the
-    incumbent (each full anti-diagonal ``A_m`` still to come introduces
-    at least ``min(m, l)`` fresh symbols).  That budget is the one prune
-    that reads the strip width, and paranoid mode (no ``use_budget``)
-    skips it alone.
+    it (symbol compression, module docstring); the cap is rebuilt only
+    when ``best`` drops.  A branch is dropped once its mode's one lower
+    bound reaches the incumbent: with ``use_budget`` the distinct count
+    plus the per-anti-diagonal budget, which reads the strip width;
+    without it (paranoid mode) the distinct count plus the chain deficit
+    ``sum_c max(0, L_c - p_c)``, which reads only ``T_r``'s order and the
+    classes.  Budget mode keeps no chain state, and its deficit is 0.
 
     Returns ``-1`` when no tableau exists (``gmax`` too small).
     """
@@ -184,19 +221,31 @@ def min_codim_staircase(r: int, k: int, gmax: int, use_budget: bool = True) -> i
     # need[i]: the fewest new symbols slots i.. still add (0 without the
     # budget); need[n] = 0 leaves the incumbent test for a complete filling.
     need = [0] * (n + 1)
+    # short[c] = L_c - p_c, in paranoid mode only; it changes only when a
+    # symbol first enters or finally leaves the filling.
+    chains = not use_budget
+    short = class_chain_lengths(r, k) if chains else {}
     if use_budget:
         for i, (x, y) in enumerate(idx.boxes):
             need[i] = suf[x + y - 1] if x == 1 else suf[x + y]
     # up[i]: the boxes on the longest chain strictly north-east of slot i;
-    # top[i] = min(gmax, best - 1) - up[i], rebuilt when best drops.
+    # top[i] = best - 1 - up[i], rebuilt when best drops.
     up = [r + 1 - x - y for x, y in idx.boxes]
-    top = [min(gmax, n) - u for u in up]
+    cap0 = min(gmax, n)
+    top = [cap0 - u for u in up]
     sym_class: list[int | None] = [None] * (gmax + 1)
     sym_count = [0] * (gmax + 1)
     # values[n] stays 0, so values[-1], a missing neighbour, is below every symbol.
     values = [0] * (n + 1)
-    distinct = [0] * n  # distinct symbols among the slots before i
-    best = n + 1  # above any filling's count until one is found
+    # low[i]: distinct count plus deficit with the slots before i filled;
+    # fresh[i]: the same once slot i takes a fresh symbol too.  Both hold
+    # while slot i is open, since the search undoes everything placed past
+    # it before it comes back.
+    low = [0] * n
+    fresh = [0] * n
+    low[0] = sum(short.values())
+    fresh[0] = low[0] + (short[cls[0]] <= 0 if chains else 1)
+    best = cap0 + 1  # above any filling's count
     i = 0
     v = 0  # the last value tried at slot i
     while True:
@@ -212,24 +261,33 @@ def min_codim_staircase(r: int, k: int, gmax: int, use_budget: bool = True) -> i
             v = values[i]
             sym_count[v] -= 1
             if not sym_count[v]:
+                if chains:
+                    short[sym_class[v]] += 1
                 sym_class[v] = None
             continue
-        d = distinct[i] + (not sym_count[v])
+        count = sym_count[v]
+        d = low[i] if count else fresh[i]
         if d + need[i + 1] >= best:
             continue
         if i + 1 == n:
-            best = d  # d <= gmax, so the new cap is d - 1
+            # Every class chain is placed, so the deficit is 0 and d is
+            # the filling's distinct count; d < best, so the cap drops.
+            best = d
             top = [d - 1 - u for u in up]
             continue
-        sym_class[v] = ci
-        sym_count[v] += 1
+        if not count:
+            sym_class[v] = ci
+            if chains:
+                short[ci] -= 1
+        sym_count[v] = count + 1
         values[i] = v
         i += 1
-        distinct[i] = d
+        low[i] = d
+        fresh[i] = d + (short[cls[i]] <= 0 if chains else 1)
         v = values[west[i]]
         if values[south[i]] > v:
             v = values[south[i]]
-    return best if best <= n else -1
+    return best if best <= cap0 else -1
 
 
 def enumerate_staircase_values(r: int, k: int, gmax: int) -> Iterator[tuple[int, ...]]:

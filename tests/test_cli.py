@@ -532,7 +532,7 @@ def test_census_row_keeps_the_brute_guard():
 def test_selftest_single_instance(capsys):
     code, out, _ = run(capsys, "selftest", "--instance", "7,3,4")
     assert code == 0
-    assert out.splitlines()[-1] == "11/11 rows passed"
+    assert out.splitlines()[-1] == "12/12 rows passed"
     data = run_json(capsys, "selftest", "--instance", "7,3,4", "--json")[0]
     assert data["passed"] is True
     details = " ".join(row["detail"] for row in data["rows"])

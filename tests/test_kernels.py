@@ -5,14 +5,16 @@ in :mod:`prymbn.dimension` and linear-extension counting in
 from __future__ import annotations
 
 import math
+import random
 import sys
 
 import pytest
 
-from prymbn.core import PrymParams, ShapeIndex
+from prymbn.core import PrymParams, ShapeIndex, generic_regime
 from prymbn.counting import count_linext
 from prymbn.dimension import (
     brute_min_codim,
+    class_chain_lengths,
     enumerate_staircase_values,
     expected_codim,
     min_codim_staircase,
@@ -115,11 +117,60 @@ def test_min_codim_value_cap_keeps_searching_after_a_worse_incumbent(monkeypatch
         assert min_codim_staircase(3, 2, gmax, use_budget=False) == 4
 
 
-@pytest.mark.parametrize("r", [4, 5])
+def class_maps(boxes):
+    """Every class map of ``boxes`` slots up to relabelling the classes."""
+    maps = [()]
+    for _ in range(boxes):
+        maps = [m + (c,) for m in maps for c in range(max(m, default=-1) + 2)]
+    return maps
+
+
+def test_min_codim_chain_bound_is_exact_under_any_class_map(monkeypatch):
+    # The chain bound reads only T_r's order and the classes, so paranoid
+    # mode must stay exact under any class map: every map of T_3 and seeded
+    # maps of T_4 into 1, 2, 3, 4, 5 or 10 classes, every gmax <= 8.
+    rng = random.Random(2026)
+    maps = [(3, classes) for classes in class_maps(6)]
+    maps += [(4, tuple(rng.randrange(m) for _ in range(10)))
+             for m in (1, 2, 3, 4, 5, 10) for _ in range(10)]
+    seen = set()
+    for r, classes in maps:
+        monkeypatch.setattr(ShapeIndex, "classes", lambda self, k, c=classes: c)
+        for gmax in range(1, 9):
+            want = min((len(set(vals)) for vals in enumerate_staircase_values(r, 0, gmax)),
+                       default=-1)
+            assert min_codim_staircase(r, 0, gmax, use_budget=False) == want, (r, classes, gmax)
+            seen.add(want)
+    assert len(maps) == 263 and seen == {-1, 3, 4, 5, 6, 7, 8}
+
+
+def test_class_chains_sum_to_the_formula_in_the_generic_regime_and_at_even_torsion():
+    for r in range(1, 11):
+        for k in [0, *range(2, 2 * r + 2)]:
+            total, n = sum(class_chain_lengths(r, k).values()), expected_codim(r, k)
+            if generic_regime(r, k) or k % 2 == 0:
+                assert total == n, (r, k)
+            else:
+                assert total < n, (r, k)
+    # T_3 at k = 3: class 0 holds the chain (1,1) < (2,2); classes 1 and 2
+    # hold two incomparable boxes each, so 2 + 1 + 1 = 4 < n(3, 3) = 5.
+    assert class_chain_lengths(3, 3) == {0: 2, 1: 1, 2: 1}
+
+
+@pytest.mark.parametrize(
+    "r, k", [(5, 0), (5, 9), (5, 10), (5, 11), (5, 12), (6, 0), (8, 0), (8, 6)]
+)
+def test_min_codim_below_the_formula_finds_no_tableau_in_both_modes(r, k):
+    # The incumbent starts at gmax + 1, so the budget, or the chain bound in
+    # the generic regime and at even k, refuses the root at gmax = n - 1.
+    n = expected_codim(r, k)
+    assert min_codim_staircase(r, k, n - 1, True) == -1
+    assert min_codim_staircase(r, k, n - 1, False) == -1
+
+
+@pytest.mark.parametrize("r", [4, 5, 6])
 def test_budget_and_no_budget_agree_on_the_grid_rows(r):
     for k in (0, 2, 3, 4, 5):
-        if (r, k) == (5, 0):  # no symbol recurs: about 1 s per gmax
-            continue
         n = expected_codim(r, k)
         for gmax in range(n - 1, n + 3):
             want = n if gmax >= n else -1
