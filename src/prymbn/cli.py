@@ -18,7 +18,7 @@ import sys
 import tempfile
 from functools import cache
 from math import comb
-from typing import Any, Iterable
+from typing import Any
 
 from .core import (
     GuardRefused,
@@ -44,7 +44,6 @@ from .locus import (
 )
 from .reflection import reflectify, reflectify_trace
 from .selftest import RunContext, run_rows
-from .strips import enumerate_strip_tableaux, extend_strip_tableau
 
 __all__ = ["main"]
 
@@ -188,7 +187,6 @@ def _cmd_cells(args: argparse.Namespace) -> int:
     if args.force:
         _warn_force()
     p = _params(args)
-    n = expected_codim(p.r, p.k)
     if args.count_only:
         total = max_cell_count(p)
         if args.json:
@@ -199,23 +197,8 @@ def _cmd_cells(args: argparse.Namespace) -> int:
         else:
             print(total)
         return 0
-    if args.symbols is not None:
-        symbols = _parse_symbols(args.symbols)
-        # Fewer symbols than a cell needs: no cell, so no C(r, k) to count.
-        factor = comb(len(symbols), n)
-        total = cardinality(p.r, p.k, force=args.force) * factor if factor else 0
-        if total > CELL_GUARD and not args.force:
-            raise GuardRefused(
-                f"{total} strip tableaux exceed the desk-scale limit of"
-                f" {CELL_GUARD}; pass --force to stream anyway"
-            )
-        cells: Iterable[MaximalCell] = (
-            MaximalCell(p, st.strip, extend_strip_tableau(st))
-            for st in enumerate_strip_tableaux(p, symbols)
-        )
-    else:
-        cells = enumerate_maximal_cells(p, force=args.force)
-    for i, cell in enumerate(cells):
+    symbols = None if args.symbols is None else _parse_symbols(args.symbols)
+    for i, cell in enumerate(enumerate_maximal_cells(p, symbols, force=args.force)):
         _emit_json(_cell_line(i, cell))
     return 0
 

@@ -85,9 +85,9 @@ def expected_codim(r: int, k: int) -> int:
     ``binom(l+1, 2) + l(r-l)``, the box count of a strip of width
     ``l = effective_width(r, k)``; at ``l = r`` it is ``binom(r+1, 2)``.
     """
+    l = effective_width(r, k)
     if r < 0:
         raise InvalidInputError(f"rank must be non-negative, got {r}")
-    l = effective_width(r, k)
     return comb(l + 1, 2) + l * (r - l)
 
 

@@ -21,6 +21,7 @@ from .core import (
     InvariantError,
     PrymParams,
     Tableau,
+    _is_int,
     codimension,
     diag_offset,
     displacement_fault,
@@ -110,19 +111,20 @@ def make_folded_chain(g: int, k: int, lengths=None) -> FoldedChain:
     Custom ``lengths`` (one ``(m, l)`` pair per base loop, exact rationals)
     are accepted if every loop passes the torsion test.
     """
+    if not (_is_int(g) and _is_int(k)):
+        raise InvalidInputError(f"g and k must be integers, got {g!r} and {k!r}")
     if k == 0:
         raise InvalidInputError(
             "torsion 0 has no folded-chain model: rational arc lengths"
             " always give finite torsion"
         )
     if lengths is None:
-        if k < 2:
-            raise InvalidInputError(f"torsion must be at least 2, got {k}")
         lengths = [(Fraction(1), Fraction(k - 1))] * g
-    pairs = tuple(
-        (_as_fraction(m), _as_fraction(length)) for m, length in lengths
-    )
-    return FoldedChain(g, k, pairs)
+    try:
+        pairs = [(m, length) for m, length in lengths]
+    except (TypeError, ValueError):
+        raise InvalidInputError("lengths need one (m, l) pair per base loop") from None
+    return FoldedChain(g, k, tuple((_as_fraction(m), _as_fraction(x)) for m, x in pairs))
 
 
 @dataclass(frozen=True)

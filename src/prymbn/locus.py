@@ -1,14 +1,15 @@
 """Maximal cells, adjacency, connectivity walks, and the dim-1 circle graph.
 
 The locus decomposes into maximal cells indexed by strip tableaux.  Two
-cells touch when their tableaux differ by one symbol per diagonal class
-(adjacency); every pair of cells is joined by a constructive walk built
-from three edit operations (swap into a box, swap a symbol in for another,
-cycle a symbol out).  One walk down the horizontal strip mu_0 serves every
-torsion, degenerate torsion included; odd torsion first lowers the strip
-height to that of mu_0.  When the locus is one-dimensional it is a union of
-circles meeting at points; this module builds that graph, computes its
-first Betti number, and exports it as DOT.
+cells are adjacent when their (diagonal class, symbol) pair sets differ by
+one pair each way, the two dropped pairs carrying different symbols: one
+rule, ``_pairs_adjacent``, for :func:`is_adjacent` and the circle graph.
+Every pair of cells is joined by a constructive walk built from three edit
+operations (swap into a box, swap a symbol in for another, cycle a symbol
+out).  One walk down the horizontal strip mu_0 serves every torsion; odd
+torsion first lowers the strip height to that of mu_0.  A one-dimensional
+locus is a union of circles meeting at points; this module builds that
+graph, computes its first Betti number, and exports it as DOT.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import Iterable
 
 from .core import (
     Box,
@@ -35,10 +37,11 @@ from .core import (
     staircase_shape,
     symbol_fault,
 )
-from .counting import count_generic, max_cell_count
+from .counting import cardinality, count_generic
 from .dimension import expected_codim, minimal_witness, pbn_dimension
 from .strips import (
     StripShape,
+    _cell_symbols,
     _strip,
     enumerate_strip_tableaux,
     extend_strip_tableau,
@@ -208,15 +211,19 @@ def cycle_out(t: Tableau, b: int, a: int) -> Tableau:
 # Adjacency
 
 
-def is_adjacent(t: Tableau, s: Tableau, p: PrymParams) -> bool:
-    """Whether the cells of ``t`` and ``s`` share a codimension-1 face.
+def _pairs_adjacent(ct: frozenset, cs: frozenset) -> bool:
+    """The adjacency rule on two cells' pair sets of equal size: equal and
+    not empty, or one pair apart each way, the two carrying different symbols
+    (traded within a class, or one gained on a class and one lost on another)."""
+    gained, lost = cs - ct, ct - cs
+    if not (gained or lost):
+        return bool(ct)
+    return len(gained) == len(lost) == 1 and {a for _, a in gained} != {b for _, b in lost}
 
-    The two cells, as (diagonal class, symbol) pair sets of equal size,
-    are equal (and not empty), or each has exactly one pair the other
-    lacks and those two pairs carry different symbols: one symbol traded
-    for another within a class, or a symbol gained on one class paired
-    with another lost on a second.
-    """
+
+def is_adjacent(t: Tableau, s: Tableau, p: PrymParams) -> bool:
+    """Whether the cells of ``t`` and ``s`` share a codimension-1 face: the
+    tableaux are checked, then their cells meet :func:`_pairs_adjacent`."""
     if t.shape.boxes != s.shape.boxes:
         raise InvalidInputError("adjacency needs tableaux of the same shape")
     ct, cs = _cell_pairs(t, p.k), _cell_pairs(s, p.k)
@@ -228,10 +235,7 @@ def is_adjacent(t: Tableau, s: Tableau, p: PrymParams) -> bool:
             "adjacency needs the same number of distinct symbols"
             f" ({len(t.symbols)} vs {len(s.symbols)})"
         )
-    gained, lost = cs - ct, ct - cs
-    if not (gained or lost):
-        return bool(t.symbols)
-    return len(gained) == len(lost) == 1 and {a for _, a in gained} != {b for _, b in lost}
+    return _pairs_adjacent(ct, cs)
 
 
 # --------------------------------------------------------------------------
@@ -242,12 +246,15 @@ def height(t: Tableau, p: PrymParams) -> int:
     """Row of the r-th leftmost strip box of the unique strip admitting ``t``."""
     if p.k == 0 or p.eps == 0:
         raise InvalidInputError("height is defined only for odd torsion")
-    mus = strips_admitting(t, p)
+    return _odd_strip(strips_admitting(t, p)).height
+
+
+def _odd_strip(mus: list[StripShape]) -> StripShape:
     if not mus:
         raise InvalidInputError("tableau is not non-repeating in any strip")
     if len(mus) > 1:
         raise InvariantError("odd torsion admits at most one strip")
-    return mus[0].height
+    return mus[0]
 
 
 @dataclass(frozen=True)
@@ -348,13 +355,9 @@ def height_descent_step(t: Tableau, p: PrymParams) -> HeightDescent:
         raise InvariantError("descent result is not non-repeating in the lower strip")
     if len(s.symbols) != expected_codim(r, p.k):
         raise InvariantError("descent result is not minimal")
-    if nu.height != H - 1:
-        raise InvariantError("descent did not lower the height by exactly one")
     if not (dominates(v, u, p) and dominates(s, u, p)):
         raise InvariantError("the pivot tableau is not dominated by both endpoints")
-    if not is_adjacent(v, s, p):
-        raise InvariantError("descent endpoints are not adjacent")
-    states.append(s)
+    states.append(s)  # v, s is the path's last step, checked below
     for a, b in zip(states, states[1:]):
         if a != b and not is_adjacent(a, b, p):
             raise InvariantError("descent path contains a non-adjacent step")
@@ -398,13 +401,13 @@ def _descend_strip(t: Tableau, mu0: StripShape, p: PrymParams) -> list[Tableau]:
             raise InvariantError("walk left the non-repeating family")
 
 
-def _descend(t: Tableau, mu0: StripShape, p: PrymParams) -> list[Tableau]:
-    """Walk ``t`` down to the standard base tableau: odd torsion first
-    lowers the strip height to that of mu_0, then the strip walk runs."""
+def _descend(t: Tableau, mus: list, mu0: StripShape, p: PrymParams) -> list[Tableau]:
+    """Walk ``t``, admitted by the strips ``mus``, down to the standard base
+    tableau: odd torsion first lowers the strip height to that of mu_0."""
     states = [t]
     if p.eps == 1 and not mu0.degenerate:
         # Each step checks that its result lies in a strip one row lower.
-        h = height(t, p)
+        h = _odd_strip(mus).height
         while h > p.l:
             step = height_descent_step(states[-1], p)
             states.extend(step.path[1:])
@@ -439,16 +442,19 @@ def connect_path(t: Tableau, s: Tableau, p: PrymParams) -> list[Tableau]:
             "connectivity in codimension 1 needs a locus of dimension >= 1"
         )
     t, s = _canon(t, p), _canon(s, p)
+    admitting = []
     for name, tab in (("source", t), ("target", s)):
-        if not strips_admitting(tab, p):
+        mus = strips_admitting(tab, p)
+        if not mus:
             raise InvalidInputError(f"{name} tableau is not non-repeating in any strip")
         if len(tab.symbols) != expected_codim(p.r, p.k):
             raise InvalidInputError(f"{name} tableau is not minimal")
+        admitting.append(mus)
     if t == s:
         return [t]
     mu0 = horizontal_strip(p.r, p.k)
-    down_t = _descend(t, mu0, p)
-    down_s = _descend(s, mu0, p)
+    down_t = _descend(t, admitting[0], mu0, p)
+    down_s = _descend(s, admitting[1], mu0, p)
     base = minimal_witness(p)
     if down_t[-1] != base or down_s[-1] != base:
         raise InvariantError("descents missed the standard base tableau")
@@ -487,10 +493,19 @@ class MaximalCell:
 
 
 def enumerate_maximal_cells(
-    p: PrymParams, *, force: bool = False
+    p: PrymParams, symbols: Iterable[int] | None = None, *, force: bool = False
 ) -> list[MaximalCell]:
-    """All maximal cells of the locus, in enumeration order of strip tableaux."""
-    total = max_cell_count(p, force=force)
+    """The maximal cells of a non-empty locus, or those whose symbols lie in
+    ``symbols``, in strip-tableau order: ``C(r, k) * binom(len(symbols), n)``
+    of them, guarded by :data:`CELL_GUARD` (C(r, k) unread when that is 0)."""
+    if symbols is None and pbn_dimension(p) is None:
+        raise InvalidInputError(
+            f"the locus of type (g={p.g}, r={p.r}, k={p.k}) is empty;"
+            " it has no maximal cells"
+        )
+    symbols = _cell_symbols(p, symbols)
+    factor = comb(len(symbols), expected_codim(p.r, p.k))
+    total = cardinality(p.r, p.k, force=force) * factor if factor else 0
     if total > CELL_GUARD and not force:
         raise GuardRefused(
             f"{total} maximal cells exceed the desk-scale limit of {CELL_GUARD};"
@@ -498,7 +513,7 @@ def enumerate_maximal_cells(
         )
     cells = [
         MaximalCell(p, st.strip, extend_strip_tableau(st))
-        for st in enumerate_strip_tableaux(p)
+        for st in enumerate_strip_tableaux(p, symbols)
     ]
     if len(cells) != total:
         raise InvariantError(
@@ -535,48 +550,29 @@ def build_intersection_graph(
 ) -> IntersectionGraph:
     """The circle/intersection graph of a 1-dimensional locus.
 
-    Circles are the maximal cells; a vertex joins two circles with distinct
-    free symbols whose tableaux are adjacent (equivalently, per diagonal
-    class their symbol sets differ by trading the two free symbols).  Two
-    circles meet in at most one point; each vertex lies on exactly two
-    circles, so ``e = 2v``.
+    Circles are the maximal cells.  Adjacent cells share their pair set less
+    one pair each, so each circle is bucketed under those keys and the rule
+    (:func:`_pairs_adjacent`) runs only within a bucket; a vertex joins two
+    adjacent circles, which trade their free symbols.  Two circles meet in
+    at most one point, and each vertex lies on two, so ``e = 2v``.
     """
     if pbn_dimension(p) != 1:
         raise InvalidInputError(
             "the intersection graph is defined for 1-dimensional loci only"
         )
     cells = enumerate_maximal_cells(p, force=force)
-    frees = []
-    for cell in cells:
-        free = cell.free_symbols
-        if len(free) != 1:
-            raise InvariantError("dim-1 circles carry exactly one free symbol")
-        frees.append(next(iter(free)))
-
-    # Two adjacent circles share their cell less one pair each.
+    frees, pairs = [], []
     buckets: defaultdict[frozenset, list[int]] = defaultdict(list)
     for idx, cell in enumerate(cells):
-        pairs = _cell_pairs(cell.tableau, p.k)
-        for pair in pairs:
-            buckets[pairs - {pair}].append(idx)
+        if len(free := cell.free_symbols) != 1:
+            raise InvariantError("dim-1 circles carry exactly one free symbol")
+        frees.append(next(iter(free)))
+        cp = _cell_pairs(cell.tableau, p.k)
+        pairs.append(cp)
+        for pair in cp:
+            buckets[cp - {pair}].append(idx)
 
     vertices: dict[tuple[int, int], GraphVertex] = {}
-    for members in buckets.values():
-        for ii in range(len(members)):
-            for jj in range(ii + 1, len(members)):
-                i, j = sorted((members[ii], members[jj]))
-                if frees[i] == frees[j]:
-                    continue
-                if (i, j) in vertices:
-                    raise InvariantError(
-                        f"circles {i} and {j} meet in more than one point"
-                    )
-                if not is_adjacent(cells[i].tableau, cells[j].tableau, p):
-                    raise InvariantError(
-                        f"bucketed circles {i} and {j} fail the adjacency check"
-                    )
-                vertices[(i, j)] = GraphVertex(i, j, frees[i], frees[j])
-
     counts = [0] * len(cells)
     parent = list(range(len(cells)))
 
@@ -586,19 +582,26 @@ def build_intersection_graph(
             a = parent[a]
         return a
 
-    for i, j in vertices:
-        counts[i] += 1
-        counts[j] += 1
-        parent[find(i)] = find(j)
+    for members in buckets.values():
+        for ii in range(len(members)):
+            for jj in range(ii + 1, len(members)):
+                i, j = sorted((members[ii], members[jj]))
+                if not _pairs_adjacent(pairs[i], pairs[j]):
+                    continue
+                if (i, j) in vertices:
+                    raise InvariantError(
+                        f"circles {i} and {j} meet in more than one point"
+                    )
+                vertices[(i, j)] = GraphVertex(i, j, frees[i], frees[j])
+                counts[i] += 1
+                counts[j] += 1
+                parent[find(i)] = find(j)
 
     v = len(vertices)
-    e = sum(counts)
-    if e != 2 * v:
-        raise InvariantError("every vertex must lie on exactly two circles")
     components = len({find(i) for i in range(len(cells))})
     ordered = tuple(sorted(vertices.values(), key=lambda w: (w.i, w.j)))
     return IntersectionGraph(
-        p, tuple(cells), ordered, v, e, components, tuple(counts)
+        p, tuple(cells), ordered, v, 2 * v, components, tuple(counts)
     )
 
 

@@ -528,22 +528,27 @@ def enumerate_strip_tableaux(
     then entries lexicographic over the strip's canonical box order.  When
     ``symbol_set`` is given, entries draw from it instead of ``[g-1]``.
     """
-    if symbol_set is None:
-        symbols = tuple(range(1, p.g))
-    else:
-        try:
-            given = list(symbol_set)
-        except TypeError:
-            raise InvalidInputError(
-                f"symbol_set must be an iterable of symbols, got {symbol_set!r}"
-            ) from None
-        if fault := _symbol_fault(given):
-            raise InvalidInputError(f"symbol_set: {fault}")
-        symbols = tuple(sorted(set(given)))
-        if symbols and symbols[-1] > p.g - 1:
-            raise InvalidInputError("symbol_set must be a subset of [1, g-1]")
+    symbols = _cell_symbols(p, symbol_set)
     for mu in cell_strips(p):
         yield from _fill_strip(mu, p, symbols)
+
+
+def _cell_symbols(p: PrymParams, symbol_set: Iterable[int] | None) -> tuple[int, ...]:
+    """The ascending symbols cell entries draw from: ``[g-1]`` or a checked subset."""
+    if symbol_set is None:
+        return tuple(range(1, p.g))
+    try:
+        given = list(symbol_set)
+    except TypeError:
+        raise InvalidInputError(
+            f"symbol_set must be an iterable of symbols, got {symbol_set!r}"
+        ) from None
+    if fault := _symbol_fault(given):
+        raise InvalidInputError(f"symbol_set: {fault}")
+    symbols = tuple(sorted(set(given)))
+    if symbols and symbols[-1] > p.g - 1:
+        raise InvalidInputError("symbol_set must be a subset of [1, g-1]")
+    return symbols
 
 
 def cell_strips(p: PrymParams) -> list[StripShape]:

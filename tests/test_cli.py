@@ -189,6 +189,14 @@ def test_cells_guard(capsys):
     assert code == 3 and "desk-scale" in err
 
 
+def test_cells_symbol_subset_guard(capsys):
+    # C(5, 0) * comb(16, 15) = 292,864 * 16 = 4,685,824 cells.
+    symbols = ",".join(map(str, range(1, 17)))
+    code, out, err = run(capsys, "cells", "--g", "17", "--r", "5", "--k", "0",
+                         "--symbols", symbols)
+    assert code == 3 and out == "" and "desk-scale" in err
+
+
 # --------------------------------------------------------------------------
 # betti and graph
 

@@ -305,6 +305,29 @@ def test_torsion_two_and_four_columns():
         assert cardinality(r, 4) == (2 ** (r - 1) if r >= 2 else 1)
 
 
+# Each counting entry point checks r and k as PrymParams does: a value of
+# the wrong type, bool included, is refused and never computed with.
+@pytest.mark.parametrize(
+    "call, args",
+    [
+        (expected_codim, ("3", 2)),
+        (cardinality, (2.0, 0)),
+        (cardinality, (True, 0)),
+        (count_generic, (True,)),
+        (count_generic, ("3",)),
+        (count_lattice_paths, (3, "a")),
+        (count_even_determinant, (3.0, 2)),
+        (count_brute, (3, None)),
+        (applicable_routes, (3, 2.5)),
+        (hook_length_syt_count, ([2.5],)),
+        (hook_length_syt_count, ([True],)),
+    ],
+)
+def test_counting_refuses_orders_of_the_wrong_type(call, args):
+    with pytest.raises(InvalidInputError):
+        call(*args)
+
+
 def test_max_cell_count():
     assert max_cell_count(PrymParams(7, 3, 4)) == 24
     assert max_cell_count(PrymParams(12, 4, 0)) == 768 * 11

@@ -73,6 +73,17 @@ def test_make_folded_chain_custom_lengths():
         make_folded_chain(3, 2, [(1, 1)])
 
 
+def test_make_folded_chain_refuses_malformed_arguments():
+    with pytest.raises(InvalidInputError, match="must be integers"):
+        make_folded_chain("3", 2)
+    with pytest.raises(InvalidInputError, match="must be integers"):
+        make_folded_chain(3, "2")
+    with pytest.raises(InvalidInputError, match=r"\(m, l\) pair"):
+        make_folded_chain(2, 2, [(1, 1), (1,)])
+    with pytest.raises(InvalidInputError, match=r"\(m, l\) pair"):
+        make_folded_chain(2, 2, [(1, 1), 3])
+
+
 def test_folded_chain_validation():
     with pytest.raises(InvalidInputError, match="g must be"):
         FoldedChain(1, 2, ((Fraction(1), Fraction(1)),))

@@ -169,13 +169,13 @@ def test_min_codim_below_the_formula_finds_no_tableau_in_both_modes(r, k):
 
 
 @pytest.mark.parametrize("r", [4, 5, 6])
-def test_budget_and_no_budget_agree_on_the_grid_rows(r):
+def test_budget_mode_meets_the_formula_on_the_grid_rows(r):
+    # Paranoid mode on these instances is acceptance row R11.
     for k in (0, 2, 3, 4, 5):
         n = expected_codim(r, k)
         for gmax in range(n - 1, n + 3):
             want = n if gmax >= n else -1
             assert min_codim_staircase(r, k, gmax, True) == want, (r, k, gmax)
-            assert min_codim_staircase(r, k, gmax, False) == want, (r, k, gmax)
 
 
 @pytest.mark.parametrize("g, r, k", [(12, 5, 3), (13, 5, 6)])

@@ -262,8 +262,9 @@ def test_full_descent_reaches_the_witness():
 
 
 def test_descent_scans_the_strips_once_per_step(monkeypatch):
-    # The golden tableau sits two rows above mu_0.  Each endpoint's height
-    # is read once; after that every step reads its result's strip.
+    # The golden tableau sits two rows above mu_0.  Each endpoint's strip
+    # is found once, by the endpoint check, and gives its height; after that
+    # every step reads its result's strip.
     p = PrymParams(23, 8, 5)
     t = stair([list(row) for row in DESCENT_START])
     assert height(t, p) == p.l + 2
@@ -275,7 +276,7 @@ def test_descent_scans_the_strips_once_per_step(monkeypatch):
 
     monkeypatch.setattr(locus, "strips_admitting", spy)
     connect_path(t, minimal_witness(p), p)
-    assert len(scans) == 2 + 2 + 2  # endpoint checks, heights, descent steps
+    assert len(scans) == 2 + 2  # endpoint checks, descent steps
 
 
 def ref_descent_s(t, u, p):
@@ -497,6 +498,18 @@ def test_enumerating_cells_scans_each_strip_filling_once(monkeypatch):
     assert calls == {"_order_failure": 24, "is_non_repeating": 0}
 
 
+def test_a_symbol_subset_keeps_the_cells_drawing_from_it(monkeypatch):
+    p = PrymParams(7, 3, 4)
+    subset = [5, 1, 2, 4, 3, 3]
+    want = [c for c in enumerate_maximal_cells(p) if c.tableau.symbols <= {1, 2, 3, 4, 5}]
+    assert enumerate_maximal_cells(p, subset) == want and len(want) == 4
+    with pytest.raises(InvalidInputError, match=r"\[1, g-1\]"):
+        enumerate_maximal_cells(p, [1, 7])
+    # Too few symbols for one cell: no cell, and C(r, k) is never counted.
+    monkeypatch.setattr(locus, "cardinality", None)
+    assert enumerate_maximal_cells(p, [1, 2, 3, 4]) == []
+
+
 def test_enumerate_maximal_cells_guard():
     p = PrymParams(17, 5, 0)  # 292864 tableaux, one free-symbol choice each
     with pytest.raises(GuardRefused, match="desk-scale"):
@@ -582,6 +595,23 @@ def test_graph_vertices_match_the_per_class_bucketing(g, r, k):
     assert [(w.i, w.j) for w in G.vertices] == sorted(want)
     for w in G.vertices:
         assert {w.a} == G.circles[w.i].free_symbols and {w.b} == G.circles[w.j].free_symbols
+
+
+@pytest.mark.parametrize("g, r, k", [(8, 3, 0), (7, 3, 4)])
+def test_graph_reads_each_circle_once_and_never_calls_is_adjacent(monkeypatch, g, r, k):
+    calls = {"is_adjacent": 0, "_cell_pairs": 0}
+
+    def spy(name, real):
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(locus, "is_adjacent", spy("is_adjacent", is_adjacent))
+    monkeypatch.setattr(locus, "_cell_pairs", spy("_cell_pairs", locus._cell_pairs))
+    G = build_intersection_graph(PrymParams(g, r, k))
+    assert calls == {"is_adjacent": 0, "_cell_pairs": len(G.circles)}
+    assert G.e == 2 * G.v == sum(G.circle_vertex_counts)
 
 
 def test_intersection_graph_requires_dimension_one():
