@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, prod
+from typing import Iterable
 
 from .core import (
     GuardRefused,
@@ -38,7 +39,7 @@ from .core import (
     generic_regime,
 )
 from .dimension import expected_codim, pbn_dimension
-from .strips import StripShape, effective_width, horizontal_strip
+from .strips import StripShape, _cell_symbols, effective_width, horizontal_strip
 
 __all__ = [
     "BRUTE_SYMBOL_LIMIT",
@@ -439,13 +440,17 @@ def cardinality(r: int, k: int, method: str = "auto", *, force: bool = False) ->
     raise InvalidInputError(f"unknown counting method {method!r}")
 
 
-def max_cell_count(p: PrymParams, *, force: bool = False) -> int:
-    """Number of maximal cells, ``C(r,k) * binom(g-1, n(r,k))``."""
-    dim = pbn_dimension(p)
-    if dim is None:
+def max_cell_count(
+    p: PrymParams, symbols: Iterable[int] | None = None, *, force: bool = False
+) -> int:
+    """The product rule: ``C(r, k) * binom(|S|, n(r, k))`` maximal cells draw
+    from ``S``, which is ``[g-1]`` or the checked subset ``symbols``.  An empty
+    locus is refused unless a subset is given; C(r, k) is not counted when
+    the binomial is 0."""
+    if symbols is None and pbn_dimension(p) is None:
         raise InvalidInputError(
             f"the locus of type (g={p.g}, r={p.r}, k={p.k}) is empty;"
             " it has no maximal cells"
         )
-    n = expected_codim(p.r, p.k)
-    return cardinality(p.r, p.k, force=force) * comb(p.g - 1, n)
+    factor = comb(len(_cell_symbols(p, symbols)), expected_codim(p.r, p.k))
+    return cardinality(p.r, p.k, force=force) * factor if factor else 0

@@ -1,15 +1,16 @@
 """Maximal cells, adjacency, connectivity walks, and the dim-1 circle graph.
 
-The locus decomposes into maximal cells indexed by strip tableaux.  Two
-cells are adjacent when their (diagonal class, symbol) pair sets differ by
-one pair each way, the two dropped pairs carrying different symbols: one
-rule, ``_pairs_adjacent``, for :func:`is_adjacent` and the circle graph.
+The locus decomposes into maximal cells indexed by strip tableaux, counted
+by :func:`~prymbn.counting.max_cell_count`.  Two cells are adjacent when
+their (diagonal class, symbol) pair sets differ by one pair each way, the
+dropped pairs carrying different symbols: one rule, ``_pairs_adjacent``.
 Every pair of cells is joined by a constructive walk built from three edit
 operations (swap into a box, swap a symbol in for another, cycle a symbol
-out).  One walk down the horizontal strip mu_0 serves every torsion; odd
-torsion first lowers the strip height to that of mu_0.  A one-dimensional
-locus is a union of circles meeting at points; this module builds that
-graph, computes its first Betti number, and exports it as DOT.
+out), checked once by ``_check_walk``.  One walk down the horizontal strip
+mu_0 serves every torsion; odd torsion first lowers the strip height to
+that of mu_0.  A one-dimensional locus is a union of circles meeting at
+points; this module builds that graph, computes its first Betti number,
+and exports it as DOT.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .core import (
     Box,
@@ -37,7 +38,7 @@ from .core import (
     staircase_shape,
     symbol_fault,
 )
-from .counting import cardinality, count_generic
+from .counting import count_generic, max_cell_count
 from .dimension import expected_codim, minimal_witness, pbn_dimension
 from .strips import (
     StripShape,
@@ -238,6 +239,22 @@ def is_adjacent(t: Tableau, s: Tableau, p: PrymParams) -> bool:
     return _pairs_adjacent(ct, cs)
 
 
+def _check_walk(states: Sequence[Tableau], p: PrymParams) -> None:
+    """Check a walk built here, reading each state's cell once: every state is
+    a displacement tableau on ``[g-1]`` with as many symbols as the first, and
+    every step meets :func:`_pairs_adjacent`.  A fault is an ``InvariantError``."""
+    size, prev = len(states[0].symbols), None
+    for tab in states:
+        pairs = _cell_pairs(tab, p.k)
+        if fault := displacement_fault(tab, p.k, pairs) or symbol_fault(tab, p.g):
+            raise InvariantError(f"walk state {fault}")
+        if len(tab.symbols) != size:
+            raise InvariantError("walk states differ in their number of distinct symbols")
+        if prev is not None and not _pairs_adjacent(prev, pairs):
+            raise InvariantError("walk contains a non-adjacent step")
+        prev = pairs
+
+
 # --------------------------------------------------------------------------
 # Height and the odd-torsion descent
 
@@ -283,6 +300,13 @@ def _smallest_free(t: Tableau, p: PrymParams) -> int:
 
 def height_descent_step(t: Tableau, p: PrymParams) -> HeightDescent:
     """Connect ``t`` to a tableau whose strip height is lower by exactly one."""
+    step = _descent_step(t, p)
+    _check_walk(step.path, p)
+    return step
+
+
+def _descent_step(t: Tableau, p: PrymParams) -> HeightDescent:
+    """The step less its walk check, which :func:`connect_path` runs once."""
     if p.eps != 1 or p.k == 0:
         raise InvalidInputError("height descent applies to odd torsion only")
     dim = pbn_dimension(p)
@@ -357,10 +381,7 @@ def height_descent_step(t: Tableau, p: PrymParams) -> HeightDescent:
         raise InvariantError("descent result is not minimal")
     if not (dominates(v, u, p) and dominates(s, u, p)):
         raise InvariantError("the pivot tableau is not dominated by both endpoints")
-    states.append(s)  # v, s is the path's last step, checked below
-    for a, b in zip(states, states[1:]):
-        if a != b and not is_adjacent(a, b, p):
-            raise InvariantError("descent path contains a non-adjacent step")
+    states.append(s)  # v, s is the path's last step
     return HeightDescent(tuple(states), v, u, s, nu)
 
 
@@ -409,7 +430,7 @@ def _descend(t: Tableau, mus: list, mu0: StripShape, p: PrymParams) -> list[Tabl
         # Each step checks that its result lies in a strip one row lower.
         h = _odd_strip(mus).height
         while h > p.l:
-            step = height_descent_step(states[-1], p)
+            step = _descent_step(states[-1], p)
             states.extend(step.path[1:])
             h = step.strip.height
     states.extend(_descend_strip(states[-1], mu0, p)[1:])
@@ -461,9 +482,8 @@ def connect_path(t: Tableau, s: Tableau, p: PrymParams) -> list[Tableau]:
     path = _collapse(down_t + down_s[-2::-1])
     if path[0] != t or path[-1] != s:
         raise InvariantError("walk endpoints drifted")
-    for a, b in zip(path, path[1:]):
-        if not is_adjacent(a, b, p):
-            raise InvariantError("walk contains a non-adjacent step")
+    # Collapsing keeps only descent steps, and adjacency is symmetric.
+    _check_walk(path, p)
     return path
 
 
@@ -496,16 +516,10 @@ def enumerate_maximal_cells(
     p: PrymParams, symbols: Iterable[int] | None = None, *, force: bool = False
 ) -> list[MaximalCell]:
     """The maximal cells of a non-empty locus, or those whose symbols lie in
-    ``symbols``, in strip-tableau order: ``C(r, k) * binom(len(symbols), n)``
-    of them, guarded by :data:`CELL_GUARD` (C(r, k) unread when that is 0)."""
-    if symbols is None and pbn_dimension(p) is None:
-        raise InvalidInputError(
-            f"the locus of type (g={p.g}, r={p.r}, k={p.k}) is empty;"
-            " it has no maximal cells"
-        )
-    symbols = _cell_symbols(p, symbols)
-    factor = comb(len(symbols), expected_codim(p.r, p.k))
-    total = cardinality(p.r, p.k, force=force) * factor if factor else 0
+    ``symbols``, in strip-tableau order: :func:`~prymbn.counting.max_cell_count`
+    of them, guarded by :data:`CELL_GUARD` and checked against that count."""
+    symbols = None if symbols is None else _cell_symbols(p, symbols)  # read once
+    total = max_cell_count(p, symbols, force=force)
     if total > CELL_GUARD and not force:
         raise GuardRefused(
             f"{total} maximal cells exceed the desk-scale limit of {CELL_GUARD};"
@@ -599,7 +613,7 @@ def build_intersection_graph(
 
     v = len(vertices)
     components = len({find(i) for i in range(len(cells))})
-    ordered = tuple(sorted(vertices.values(), key=lambda w: (w.i, w.j)))
+    ordered = tuple(vertices[key] for key in sorted(vertices))
     return IntersectionGraph(
         p, tuple(cells), ordered, v, 2 * v, components, tuple(counts)
     )

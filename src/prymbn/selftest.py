@@ -3,9 +3,7 @@
 Each row re-derives a published pin or sweeps an exhaustive family and
 asserts exact agreement between independent routes.  Rows accept a
 ``RunContext`` so the command line can restrict the suite to a single
-``(g, r, k)`` instance or flip the negative-control knob that narrows the
-determinant's support box (a correct build then *reports* divergence,
-proving the finite-support row can detect bad bounds).
+``(g, r, k)`` instance.
 """
 
 from __future__ import annotations
@@ -64,10 +62,9 @@ __all__ = ["ROWS", "Row", "RowResult", "RunContext", "format_row", "run_rows"]
 
 @dataclass(frozen=True)
 class RunContext:
-    """Knobs threaded through every row."""
+    """The instance filter threaded through every row."""
 
     instance: tuple[int, int, int] | None = None  # restrict to one (g, r, k)
-    narrow_alpha: bool = False  # negative control: shrink the support box
 
     def wants(self, g: int, r: int, k: int) -> bool:
         return self.instance is None or self.instance == (g, r, k)
@@ -211,23 +208,8 @@ def _row_cardinality(ctx: RunContext) -> str:
 def _row_finite_support(ctx: RunContext) -> str:
     if ctx.instance is not None:
         return _SKIPPED
-    cells = [
-        (r, k)
-        for r in range(2, 7)
-        for k in (2, 4, 6, 8)
-        if "det" in applicable_routes(r, k)
-    ]
-    if ctx.narrow_alpha:
-        diverged = [
-            (r, k)
-            for r, k in cells
-            if count_even_determinant(r, k, widen=-1) != count_even_determinant(r, k)
-        ]
-        assert diverged, "narrowing the support box changed nothing; bounds look loose"
-        return (
-            f"negative control: narrowed box flagged {len(diverged)}/{len(cells)}"
-            f" cells (first at r,k={diverged[0]})"
-        )
+    cells = [(r, k) for r in range(2, 7) for k in (2, 4, 6, 8)
+             if "det" in applicable_routes(r, k)]
     for r, k in cells:
         base = count_even_determinant(r, k)
         for widen in (1, 2):

@@ -151,6 +151,26 @@ def test_cells_count_only(capsys):
     assert (code, out) == (0, "24\n")
 
 
+def test_cells_count_only_counts_the_symbol_subset(capsys):
+    # Four of the 24 cells of (7,3,4) draw from {1..5}: the count agrees
+    # with the stream, and a symbol outside [1, g-1] is refused by both.
+    argv = ["cells", "--g", "7", "--r", "3", "--k", "4", "--symbols", "1,2,3,4,5"]
+    assert len(run_json(capsys, *argv)) == 4
+    assert run(capsys, *argv, "--count-only") == (0, "4\n", "")
+    for extra in ((), ("--count-only",)):
+        code, out, err = run(capsys, "cells", "--g", "7", "--r", "3", "--k", "4",
+                             "--symbols", "1,2,3,4,5,9", *extra)
+        assert (code, out) == (2, "") and "[1, g-1]" in err
+
+
+def test_cells_count_only_passes_force_to_the_count(capsys):
+    # n(10, 3) = 19 symbols: C(10, 3) has the guarded brute route alone.
+    argv = ["cells", "--g", "21", "--r", "10", "--k", "3", "--count-only"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "") and "pass force=True" in err
+    assert run(capsys, *argv, "--force")[:2] == (0, "10240\n")
+
+
 def test_cells_stream(capsys):
     lines = run_json(capsys, "cells", "--g", "7", "--r", "3", "--k", "4")
     assert [rec["index"] for rec in lines] == list(range(24))
@@ -531,6 +551,26 @@ def test_census_row_keeps_the_brute_guard():
     # the only route, so the row needs --force like `count` does.
     with pytest.raises(GuardRefused):
         _census_row((8, 5, False))
+
+
+def test_census_row_passes_force_to_the_graph(monkeypatch):
+    # n(10, 3) = 19 exceeds the brute guard, while the dim-1 slice has only
+    # 10240 cells: a forced row builds its graph, whose cell count reads
+    # C(10, 3) by brute again, so the graph needs the force too.  (The real
+    # build gives betti_graph 14337 and agree "yes" in about 2 s.)
+    class Built(Exception):
+        pass
+
+    seen = []
+
+    def spy(p, *, force=False):
+        seen.append((p, force))
+        raise Built
+
+    monkeypatch.setattr(cli, "build_intersection_graph", spy)
+    with pytest.raises(Built):
+        _census_row((10, 3, True))
+    assert seen == [(PrymParams(21, 10, 3), True)]
 
 
 # --------------------------------------------------------------------------

@@ -333,3 +333,16 @@ def test_max_cell_count():
     assert max_cell_count(PrymParams(12, 4, 0)) == 768 * 11
     with pytest.raises(InvalidInputError, match="empty"):
         max_cell_count(PrymParams(2, 2, 0))
+
+
+def test_max_cell_count_of_a_symbol_subset(monkeypatch):
+    p = PrymParams(7, 3, 4)
+    assert max_cell_count(p, iter([5, 1, 2, 4, 3, 3])) == 4
+    assert max_cell_count(p, range(1, 7)) == 24
+    with pytest.raises(InvalidInputError, match=r"\[1, g-1\]"):
+        max_cell_count(p, [1, 7])
+    # Too few symbols for one cell: no cell, C(r, k) is never counted, and a
+    # subset of an empty locus counts its cells too.
+    monkeypatch.setattr(counting, "cardinality", None)
+    assert max_cell_count(p, [1, 2, 3, 4]) == 0
+    assert max_cell_count(PrymParams(2, 2, 0), [1]) == 0

@@ -9,10 +9,11 @@ from fractions import Fraction
 
 import pytest
 
-from prymbn import core, locus, strips
+from prymbn import core, counting, locus, strips
 from prymbn.core import (
     GuardRefused,
     InvalidInputError,
+    InvariantError,
     PrymParams,
     Tableau,
     canonical_boxes,
@@ -279,6 +280,45 @@ def test_descent_scans_the_strips_once_per_step(monkeypatch):
     assert len(scans) == 2 + 2  # endpoint checks, descent steps
 
 
+def test_walk_check_reads_each_state_once_and_never_calls_is_adjacent(monkeypatch):
+    # One check of the collapsed walk covers every descent step: no step is
+    # re-validated through is_adjacent, and each state's cell is read once.
+    calls = {"is_adjacent": 0, "_cell_pairs": 0}
+
+    def spy(name, real):
+        def wrapped(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapped
+
+    monkeypatch.setattr(locus, "is_adjacent", spy("is_adjacent", is_adjacent))
+    monkeypatch.setattr(locus, "_cell_pairs", spy("_cell_pairs", locus._cell_pairs))
+    odd = PrymParams(23, 8, 5)
+    even = PrymParams(7, 3, 4)
+    cells = enumerate_maximal_cells(even)
+    for a, b, p in ((stair([list(row) for row in DESCENT_START]), minimal_witness(odd), odd),
+                    (cells[-1].tableau, cells[3].tableau, even)):
+        calls.update(is_adjacent=0, _cell_pairs=0)
+        path = connect_path(a, b, p)
+        assert len(path) > 2
+        assert calls == {"is_adjacent": 0, "_cell_pairs": len(path)}
+
+
+def test_walk_check_raises_invariant_error_on_a_bad_state():
+    p = PrymParams(7, 3, 4)
+    cells = [c.tableau for c in enumerate_maximal_cells(p)]
+    a = cells[0]
+    locus._check_walk([a, cells[1]], p)
+    with pytest.raises(InvariantError, match="non-adjacent"):
+        locus._check_walk([a, cells[-1]], p)
+    with pytest.raises(InvariantError, match="walk state"):
+        locus._check_walk([a, a.with_values({(1, 1): 7})], p)
+    odd = PrymParams(23, 8, 5)
+    step = height_descent_step(stair([list(row) for row in DESCENT_START]), odd)
+    with pytest.raises(InvariantError, match="number of distinct symbols"):
+        locus._check_walk([step.v, step.u], odd)
+
+
 def ref_descent_s(t, u, p):
     """``height_descent_step(t, p).s`` from its pivot ``u``, with the
     translation chain from each row-H box written out by hand."""
@@ -506,7 +546,7 @@ def test_a_symbol_subset_keeps_the_cells_drawing_from_it(monkeypatch):
     with pytest.raises(InvalidInputError, match=r"\[1, g-1\]"):
         enumerate_maximal_cells(p, [1, 7])
     # Too few symbols for one cell: no cell, and C(r, k) is never counted.
-    monkeypatch.setattr(locus, "cardinality", None)
+    monkeypatch.setattr(counting, "cardinality", None)
     assert enumerate_maximal_cells(p, [1, 2, 3, 4]) == []
 
 
