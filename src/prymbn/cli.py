@@ -48,11 +48,8 @@ __all__ = ["main"]
 
 
 def _emit_json(obj: Any) -> None:
-    print(json.dumps(obj, sort_keys=True))
-
-
-def _warn_force() -> None:
-    print("warning: desk-scale guard overridden by --force", file=sys.stderr)
+    """Print one JSON record, stamped with the schema version."""
+    print(json.dumps({"schema": SCHEMA_VERSION, **obj}, sort_keys=True))
 
 
 def _params(args: argparse.Namespace) -> PrymParams:
@@ -90,7 +87,6 @@ def _cmd_dim(args: argparse.Namespace) -> int:
     if args.json:
         _emit_json(
             {
-                "schema": SCHEMA_VERSION,
                 "g": p.g,
                 "r": p.r,
                 "k": p.k,
@@ -128,8 +124,6 @@ def _all_routes(r: int, k: int, force: bool) -> dict[str, int]:
 
 
 def _cmd_count(args: argparse.Namespace) -> int:
-    if args.force:
-        _warn_force()
     r, k = args.r, args.k
     expected_codim(r, k)  # validates the pair
     if args.method == "all":
@@ -138,10 +132,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
             raise InvariantError(f"counting routes disagree: {routes}")
         value = next(iter(routes.values()))
         if args.json:
-            _emit_json(
-                {"schema": SCHEMA_VERSION, "r": r, "k": k, "count": value,
-                 "routes": routes}
-            )
+            _emit_json({"r": r, "k": k, "count": value, "routes": routes})
             return 0
         for route, got in routes.items():
             print(f"{route} = {got}")
@@ -153,10 +144,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         )
     value = cardinality(r, k, args.method, force=args.force)
     if args.json:
-        _emit_json(
-            {"schema": SCHEMA_VERSION, "r": r, "k": k, "count": value,
-             "method": args.method}
-        )
+        _emit_json({"r": r, "k": k, "count": value, "method": args.method})
     else:
         print(value)
     return 0
@@ -174,7 +162,6 @@ def _parse_symbols(spec: str) -> list[int]:
 
 def _cell_line(index: int, cell: MaximalCell) -> dict[str, Any]:
     return {
-        "schema": SCHEMA_VERSION,
         "index": index,
         "word": cell.strip.word,
         "free_symbols": sorted(cell.free_symbols),
@@ -183,17 +170,12 @@ def _cell_line(index: int, cell: MaximalCell) -> dict[str, Any]:
 
 
 def _cmd_cells(args: argparse.Namespace) -> int:
-    if args.force:
-        _warn_force()
     p = _params(args)
     symbols = None if args.symbols is None else _parse_symbols(args.symbols)
     if args.count_only:
         total = max_cell_count(p, symbols, force=args.force)
         if args.json:
-            _emit_json(
-                {"schema": SCHEMA_VERSION, "g": p.g, "r": p.r, "k": p.k,
-                 "cells": total}
-            )
+            _emit_json({"g": p.g, "r": p.r, "k": p.k, "cells": total})
         else:
             print(total)
         return 0
@@ -203,8 +185,6 @@ def _cmd_cells(args: argparse.Namespace) -> int:
 
 
 def _cmd_betti(args: argparse.Namespace) -> int:
-    if args.force:
-        _warn_force()
     p = _params(args)
     from_graph = from_closed = None
     if args.method in ("graph", "both"):
@@ -212,10 +192,7 @@ def _cmd_betti(args: argparse.Namespace) -> int:
     if args.method in ("closed", "both"):
         from_closed = betti_closed_form(p)
     if args.json:
-        out: dict[str, Any] = {
-            "schema": SCHEMA_VERSION, "g": p.g, "r": p.r, "k": p.k,
-            "method": args.method,
-        }
+        out: dict[str, Any] = {"g": p.g, "r": p.r, "k": p.k, "method": args.method}
         if from_graph is not None:
             out["graph"] = from_graph
         if from_closed is not None:
@@ -240,8 +217,6 @@ def _cmd_betti(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    if args.force:
-        _warn_force()
     p = _params(args)
     graph = build_intersection_graph(p, force=args.force)
     if args.dot:
@@ -259,7 +234,7 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     }
     if args.json:
         _emit_json(
-            {"schema": SCHEMA_VERSION, "g": p.g, "r": p.r, "k": p.k, **summary,
+            {"g": p.g, "r": p.r, "k": p.k, **summary,
              **({"dot": args.dot} if args.dot else {})}
         )
         return 0
@@ -281,9 +256,7 @@ def _cmd_path(args: argparse.Namespace) -> int:
     path = connect_path(start, goal, p)
     if args.json:
         for i, t in enumerate(path):
-            _emit_json(
-                {"schema": SCHEMA_VERSION, "index": i, "tableau": tableau_to_json(t)}
-            )
+            _emit_json({"index": i, "tableau": tableau_to_json(t)})
         return 0
     print(f"{len(path)} states, {len(path) - 1} steps")
     for i, t in enumerate(path):
@@ -303,9 +276,7 @@ def _cmd_reflectify(args: argparse.Namespace) -> int:
     states = reflectify_trace(t, p) if args.trace else [reflectify(t, p)]
     if args.json:
         for i, s in enumerate(states):
-            _emit_json(
-                {"schema": SCHEMA_VERSION, "index": i, "tableau": tableau_to_json(s)}
-            )
+            _emit_json({"index": i, "tableau": tableau_to_json(s)})
         return 0
     for i, s in enumerate(states):
         if args.trace:
@@ -323,15 +294,13 @@ def _cmd_divisor(args: argparse.Namespace) -> int:
     div = tableau_to_divisor(t, chain)
     if div is None:
         if args.json:
-            _emit_json({"schema": SCHEMA_VERSION, "g": args.g, "k": args.k,
-                        "empty": True})
+            _emit_json({"g": args.g, "k": args.k, "empty": True})
         else:
             print("empty")
         return 0
     if args.json:
         _emit_json(
             {
-                "schema": SCHEMA_VERSION,
                 "g": args.g,
                 "k": args.k,
                 "degree": div.degree,
@@ -397,8 +366,6 @@ def _census_row(task: tuple[int, int, bool]) -> dict[str, Any]:
 
 
 def _cmd_census(args: argparse.Namespace) -> int:
-    if args.force:
-        _warn_force()
     if args.rmax < 1 or args.kmax < 0 or args.jobs < 0:
         raise InvalidInputError("census needs --rmax >= 1, --kmax >= 0 and --jobs >= 0")
     # Every k in 0..kmax but k = 1, for each r: counted before any row is listed.
@@ -475,7 +442,6 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         results = run_rows(ctx)
         _emit_json(
             {
-                "schema": SCHEMA_VERSION,
                 "passed": all(res.passed for res in results),
                 "rows": [
                     {"ident": res.ident, "title": res.title, "passed": res.passed,
@@ -598,6 +564,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    if getattr(args, "force", False):
+        print("warning: desk-scale guard overridden by --force", file=sys.stderr)
     try:
         return args.func(args)
     except InvalidInputError as exc:

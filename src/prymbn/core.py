@@ -49,6 +49,14 @@ first fault of a tableau as a phrase, or ``None``: :func:`staircase_fault`
 symbols alone) and :func:`displacement_fault` (the tableau condition, one
 cover scan, then displacement, one class scan).  An input check raises
 ``InvalidInputError`` from the phrase, an output check ``InvariantError``.
+
+Two argument rules are stated once each, and every public entry point
+taking an order or a torsion reaches them: the order rule
+(:func:`_check_int`: an integer, not a bool, of at least a bound, for
+``g``, ``r``, ``n``, ``l`` and ``gmax``) and the torsion rule
+(:func:`_check_torsion`: ``k == 0`` or ``k >= 2``).  Class maps are read
+through :meth:`ShapeIndex.classes` alone, which applies the torsion rule
+on every read.
 """
 
 from __future__ import annotations
@@ -130,8 +138,9 @@ def diag_offset(box: Box) -> int:
 
 def diag_class(box: Box, k: int) -> int:
     """Diagonal class of ``box``: ``x - y`` mod ``k``, or exact when ``k == 0``."""
+    _check_torsion(k)
     d = box[0] - box[1]
-    return d % k if k >= 2 else d
+    return d % k if k else d
 
 
 def canonical_key(box: Box) -> tuple[int, int]:
@@ -155,8 +164,25 @@ def reflect_box(box: Box, r: int) -> Box:
     return (r + 2 - y, r + 2 - x)
 
 
+def _is_int(v: object) -> bool:
+    """An integer that is not a bool (JSON ``true`` must not pass as 1)."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_int(value: int, name: str, least: int = 0) -> int:
+    """The order rule: refuse ``value`` unless it is an integer (not a bool)
+    of at least ``least``; returns it."""
+    if not _is_int(value):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        bound = "non-negative" if least == 0 else f"at least {least}"
+        raise InvalidInputError(f"{name} must be {bound}, got {value}")
+    return value
+
+
 def _check_torsion(k: int) -> None:
-    """Refuse a torsion order other than an integer 0 or at least 2."""
+    """The torsion rule: refuse a torsion order other than an integer 0 or
+    at least 2."""
     if not _is_int(k):
         raise InvalidInputError(f"k must be an integer, got {k!r}")
     if k < 0 or k == 1:
@@ -165,6 +191,8 @@ def _check_torsion(k: int) -> None:
 
 def generic_regime(r: int, k: int) -> bool:
     """True when the diagonal classes cannot recur inside ``T_r`` (k=0 or k >= 2r-1)."""
+    _check_int(r, "r")
+    _check_torsion(k)
     return k == 0 or k >= 2 * r - 1
 
 
@@ -190,11 +218,6 @@ def named_shape_boxes(kind: str, r: int) -> Iterator[Box]:
 def staircase_boxes(n: int) -> frozenset[Box]:
     """Boxes of the staircase ``T_n`` (anti-diagonals 1 through n)."""
     return frozenset(named_shape_boxes("staircase", n))
-
-
-def _is_int(v: object) -> bool:
-    """An integer that is not a bool (JSON ``true`` must not pass as 1)."""
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def _symbol_fault(values: Iterable[object]) -> str | None:
@@ -292,9 +315,13 @@ class ShapeIndex:
                     yield (i, j)
 
     def classes(self, k: int) -> tuple[int, ...]:
-        """Diagonal class (``diag_class``) of each slot for torsion ``k``."""
-        out = self._classes.get(k)
+        """Diagonal class (``diag_class``) of each slot for torsion ``k``.
+
+        Only an exact ``int`` is looked up, so a ``k`` that the torsion rule
+        refuses, ``2.0`` or ``True`` among them, is refused on every read."""
+        out = self._classes.get(k) if type(k) is int else None
         if out is None:
+            _check_torsion(k)
             out = self._classes[k] = tuple(diag_class(b, k) for b in self.boxes)
         return out
 
@@ -343,6 +370,8 @@ class Shape:
     def __post_init__(self) -> None:
         if self.kind not in ("square", "staircase", "explicit"):
             raise InvalidInputError(f"unknown shape kind {self.kind!r}")
+        if self.r is not None:
+            _check_int(self.r, "r")
         for box in self.boxes:
             if not (isinstance(box, tuple) and len(box) == 2
                     and _is_int(box[0]) and _is_int(box[1])):
@@ -368,16 +397,14 @@ SHAPE_CACHE = 32  # sizes kept per named shape: a fixed bound, never grown by re
 @lru_cache(maxsize=SHAPE_CACHE, typed=True)
 def square_shape(r: int) -> Shape:
     """The (r+1) x (r+1) square, ``r >= 0``."""
-    if r < 0:
-        raise InvalidInputError(f"square_shape needs r >= 0, got {r}")
+    _check_int(r, "r")
     return Shape("square", frozenset(named_shape_boxes("square", r)), r)
 
 
 @lru_cache(maxsize=SHAPE_CACHE, typed=True)
 def staircase_shape(n: int) -> Shape:
     """The staircase ``T_n``, ``n >= 0`` (empty when n == 0)."""
-    if n < 0:
-        raise InvalidInputError(f"staircase_shape needs n >= 0, got {n}")
+    _check_int(n, "n")
     return Shape("staircase", staircase_boxes(n), n)
 
 
@@ -404,12 +431,12 @@ def shape_family(shape: Shape) -> tuple[str, int]:
     1x1 square stay apart; :func:`explicit_shape` names every staircase or
     square box set.  Anything else is an input error.
     """
-    r = shape.r
-    named = _is_int(r) and r >= 0
-    if shape.kind == "square" and named and shape == square_shape(r):
-        return "square", r
-    if shape.kind == "staircase" and named and shape == staircase_shape(r):
-        return "staircase", r
+    kind, r = shape.kind, shape.r
+    # A shape's r passed the order rule; the size test builds no named
+    # shape larger than the one at hand.
+    if kind != "explicit" and r is not None and len(shape) == named_shape_size(kind, r):
+        if shape == (square_shape(r) if kind == "square" else staircase_shape(r)):
+            return kind, r
     raise InvalidInputError("expected a tableau on a square or staircase shape")
 
 
@@ -466,11 +493,14 @@ class Tableau:
         ``rows[y-1][x-1]`` is the value at ``(x, y)``.  When ``shape`` is
         omitted, the row lengths determine an explicit shape.
         """
-        mapping = {
-            (x, y): v
-            for y, row in enumerate(rows, start=1)
-            for x, v in enumerate(row, start=1)
-        }
+        try:
+            mapping = {
+                (x, y): v
+                for y, row in enumerate(rows, start=1)
+                for x, v in enumerate(row, start=1)
+            }
+        except TypeError:  # rows, or a row, that is not iterable
+            raise InvalidInputError(f"expected a list of rows of values, got {rows!r}") from None
         if shape is None:
             shape = explicit_shape(mapping)
         return cls.from_mapping(shape, mapping)
@@ -537,13 +567,8 @@ class PrymParams:
     k: int
 
     def __post_init__(self) -> None:
-        for name, v in (("g", self.g), ("r", self.r), ("k", self.k)):
-            if not _is_int(v):
-                raise InvalidInputError(f"{name} must be an integer, got {v!r}")
-        if self.g < 2:
-            raise InvalidInputError(f"g must be at least 2, got {self.g}")
-        if self.r < 0:
-            raise InvalidInputError(f"r must be non-negative, got {self.r}")
+        _check_int(self.g, "g", 2)
+        _check_int(self.r, "r")
         _check_torsion(self.k)
 
     @property
@@ -590,7 +615,6 @@ def is_displacement(t: Tableau, k: int) -> bool:
     condition is a prerequisite and is validated (violations raise rather
     than returning False).
     """
-    _check_torsion(k)
     fault = displacement_fault(t, k)
     if fault == _NOT_A_TABLEAU:
         raise InvalidInputError("is_displacement requires the tableau condition to hold")

@@ -35,11 +35,11 @@ from .core import (
     InvalidInputError,
     InvariantError,
     PrymParams,
-    _is_int,
+    _check_int,
     generic_regime,
 )
 from .dimension import expected_codim, pbn_dimension
-from .strips import StripShape, _cell_symbols, effective_width, horizontal_strip
+from .strips import StripShape, _cell_symbols, horizontal_strip
 
 __all__ = [
     "BRUTE_SYMBOL_LIMIT",
@@ -80,7 +80,6 @@ def applicable_routes(r: int, k: int) -> tuple[str, ...]:
     at (10, 7) and 0.55 s at (10, 17), 54 symbols: its cost grows with the
     strip width, not with the number of strips.
     """
-    effective_width(r, k)  # refuses an r or k that is not an integer order
     routes = ("hook",) if generic_regime(r, k) else ()
     if k % 2 == 0 and 2 <= k <= 2 * r - 2:
         routes += ("det", "paths")
@@ -89,10 +88,11 @@ def applicable_routes(r: int, k: int) -> tuple[str, ...]:
 
 def hook_length_syt_count(partition: list[int] | tuple[int, ...]) -> int:
     """Number of standard fillings of a partition shape, by hook lengths."""
-    rows = tuple(partition)
-    if any(not _is_int(a) or a < 1 for a in rows) or any(
-        rows[i] < rows[i + 1] for i in range(len(rows) - 1)
-    ):
+    try:
+        rows = tuple(_check_int(a, "a part", 1) for a in partition)
+    except TypeError:  # not iterable
+        raise InvalidInputError(f"not a partition: {partition!r}") from None
+    if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
         raise InvalidInputError(f"not a partition: {rows}")
     n = sum(rows)
     denom = 1
@@ -109,8 +109,7 @@ def hook_length_syt_count(partition: list[int] | tuple[int, ...]) -> int:
 
 def count_generic(r: int) -> int:
     """C(r, 0): standard fillings of the staircase T_r."""
-    if not _is_int(r) or r < 1:
-        raise InvalidInputError(f"count_generic needs an integer r >= 1, got {r!r}")
+    _check_int(r, "r", 1)
     return hook_length_syt_count(tuple(range(r, 0, -1)))
 
 

@@ -58,6 +58,7 @@ from .core import (
     InvalidInputError,
     PrymParams,
     Tableau,
+    _check_int,
     staircase_shape,
 )
 from .strips import StripTableau, effective_width, extend_strip_tableau, horizontal_strip
@@ -86,8 +87,6 @@ def expected_codim(r: int, k: int) -> int:
     ``l = effective_width(r, k)``; at ``l = r`` it is ``binom(r+1, 2)``.
     """
     l = effective_width(r, k)
-    if r < 0:
-        raise InvalidInputError(f"rank must be non-negative, got {r}")
     return comb(l + 1, 2) + l * (r - l)
 
 
@@ -209,6 +208,7 @@ def min_codim_staircase(r: int, k: int, gmax: int, use_budget: bool = True) -> i
 
     Returns ``-1`` when no tableau exists (``gmax`` too small).
     """
+    _check_int(gmax, "gmax")
     idx = staircase_shape(r).index
     west, south, cls = idx.west, idx.south, idx.classes(k)
     n = len(cls)
@@ -293,6 +293,7 @@ def min_codim_staircase(r: int, k: int, gmax: int, use_budget: bool = True) -> i
 def enumerate_staircase_values(r: int, k: int, gmax: int) -> Iterator[tuple[int, ...]]:
     """Yield the canonical-order value tuple of every displacement tableau
     T_r -> [gmax], in lexicographic order.  Desk-scale helper for oracles."""
+    _check_int(gmax, "gmax")
     idx = staircase_shape(r).index
     west, south, cls = idx.west, idx.south, idx.classes(k)
     n = len(cls)

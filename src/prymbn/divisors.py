@@ -21,6 +21,7 @@ from .core import (
     InvariantError,
     PrymParams,
     Tableau,
+    _check_int,
     _is_int,
     codimension,
     diag_offset,
@@ -44,6 +45,7 @@ __all__ = [
 
 def loop_torsion(m: Fraction, length: Fraction) -> int:
     """Least positive ``K`` such that ``m + length`` divides ``K * m``."""
+    m, length = _as_fraction(m), _as_fraction(length)
     if m <= 0 or length <= 0:
         raise InvalidInputError("arc lengths must be positive")
     return Fraction(m, m + length).denominator
@@ -63,10 +65,8 @@ class FoldedChain:
     lengths: tuple[tuple[Fraction, Fraction], ...]
 
     def __post_init__(self) -> None:
-        if self.g < 2:
-            raise InvalidInputError(f"g must be at least 2, got {self.g}")
-        if self.k < 2:
-            raise InvalidInputError(f"torsion must be at least 2, got {self.k}")
+        _check_int(self.g, "g", 2)
+        _check_int(self.k, "k", 2)
         if len(self.lengths) != self.g:
             raise InvalidInputError(
                 f"need one (m, l) pair per base loop: got {len(self.lengths)},"
@@ -98,10 +98,12 @@ class FoldedChain:
 
 
 def _as_fraction(x) -> Fraction:
-    if isinstance(x, Rational):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
+    """``x`` as an exact rational: a ``Rational``, or a string that reads as one."""
+    if isinstance(x, (Rational, str)):
+        try:
+            return Fraction(x)
+        except (ValueError, ZeroDivisionError):  # "x", "1/0"
+            pass
     raise InvalidInputError(f"arc length must be rational, got {x!r}")
 
 

@@ -125,34 +125,35 @@ def _require_absent(t: Tableau, a: int, op: str) -> None:
 def swap_into(t: Tableau, a: int, box: Box, *, strict: bool = True) -> Tableau:
     """Place ``a`` at ``box``; the previous symbol there disappears.
 
-    ``a`` must be absent, exceed the west/south neighbors, and be exceeded
-    by the east/north neighbors.  In strict mode the replaced symbol must
-    occur exactly once, so the distinct-symbol count is preserved.
-    Swapping the resident symbol into its own box is the identity.
+    ``a`` must be absent, exceed every box below ``box`` and be exceeded by
+    every box above it.  The check reads the shape index: the covers
+    incident to the box's slot when the shape is chained, else the
+    comparable pairs through that slot (``ShapeIndex.violations``).  In
+    strict mode the replaced symbol must occur exactly once, so the
+    distinct-symbol count is preserved.  Swapping the resident symbol into
+    its own box is the identity.
     """
-    if box not in t.shape:
+    idx = t.shape.index
+    i = idx.slot.get(box)
+    if i is None:
         raise InvalidInputError(f"box {box} is outside the shape")
-    old = t.at(box)
+    old = t.values[i]
     if a == old:
         return t
+    values = list(t.values)
+    values[i] = a
+    out = Tableau(t.shape, tuple(values))  # refuses a symbol that is no positive int
     _require_absent(t, a, "swap_into")
-    x, y = box
-    for nb, want_smaller in (
-        ((x - 1, y), True),
-        ((x, y - 1), True),
-        ((x + 1, y), False),
-        ((x, y + 1), False),
-    ):
-        if nb in t.shape:
-            v = t.at(nb)
-            if want_smaller and not v < a:
-                raise InvalidInputError(
-                    f"symbol {a} does not exceed lower neighbor {nb} holding {v}"
-                )
-            if not want_smaller and not a < v:
-                raise InvalidInputError(
-                    f"symbol {a} is not exceeded by upper neighbor {nb} holding {v}"
-                )
+    for lo, hi in idx.incident[i] if idx.chained else idx.violations(values):
+        if values[lo] < values[hi] or i not in (lo, hi):
+            continue
+        if i == hi:
+            raise InvalidInputError(
+                f"symbol {a} does not exceed lower neighbor {idx.boxes[lo]} holding {values[lo]}"
+            )
+        raise InvalidInputError(
+            f"symbol {a} is not exceeded by upper neighbor {idx.boxes[hi]} holding {values[hi]}"
+        )
     if strict:
         mult = len(t.fiber(old))
         if mult != 1:
@@ -160,7 +161,7 @@ def swap_into(t: Tableau, a: int, box: Box, *, strict: bool = True) -> Tableau:
                 f"replaced symbol {old} appears {mult} times; swap_into would"
                 " change the distinct-symbol count"
             )
-    return t.with_values({box: a})
+    return out
 
 
 def swap_in_for(t: Tableau, a: int, b: int) -> Tableau:

@@ -54,8 +54,7 @@ from .core import (
     Shape,
     Tableau,
     _cached,
-    _check_torsion,
-    _is_int,
+    _check_int,
     _symbol_fault,
     anti_diagonal,
     displacement_fault,
@@ -85,12 +84,10 @@ __all__ = [
 def effective_width(r: int, k: int) -> int:
     """Strip width for torsion ``k`` inside ``T_r``: ceil(k/2), capped at r.
 
-    In the generic regime (:func:`~prymbn.core.generic_regime`) the width
-    is ``r``: the strip is all of ``T_r``.
+    In the generic regime (:func:`~prymbn.core.generic_regime`, which
+    refuses a bad ``r`` or ``k``) the width is ``r``: the strip is all of
+    ``T_r``.
     """
-    if not _is_int(r):
-        raise InvalidInputError(f"r must be an integer, got {r!r}")
-    _check_torsion(k)
     return r if generic_regime(r, k) else (k + 1) // 2
 
 
@@ -103,13 +100,11 @@ class StripShape:
     word: str
 
     def __post_init__(self) -> None:
-        if not (_is_int(self.r) and _is_int(self.l)):
-            raise InvalidInputError(
-                f"strip order and width must be integers, got {self.r!r} and {self.l!r}"
-            )
+        _check_int(self.r, "r")
+        _check_int(self.l, "l")
         if not isinstance(self.word, str):
             raise InvalidInputError(f"strip word must be a string, got {self.word!r}")
-        if not 0 <= self.l <= self.r:
+        if self.l > self.r:
             raise InvalidInputError(f"strip width {self.l} outside [0, {self.r}]")
         if len(self.word) != self.r - self.l:
             raise InvalidInputError(
