@@ -6,6 +6,12 @@ Exit codes: 0 success, 1 internal assertion failure, 2 usage or invalid
 input, 3 refused desk-scale bound (override with ``--force``).
 The parser is built once per process, and ``census`` imports its process
 pool only when it runs more than one job.
+
+Each rule has one home here: a flag that several verbs share is declared
+once, on a parent parser (:func:`build_parser`); the tableau-file verbs
+read their input through :func:`_load_input` and print tableaux through
+:func:`_print_tableaux`.  Where a counting route applies, and the sweep
+over every route, live in :mod:`prymbn.counting`.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ from .core import (
     Tableau,
     shape_family,
 )
-from .counting import applicable_routes, cardinality, max_cell_count
+from .counting import cardinality, max_cell_count, route_counts
 from .dimension import expected_codim, pbn_dimension
 from .divisors import make_folded_chain, tableau_to_divisor
 from .io import SCHEMA_VERSION, divisor_to_json, tableau_from_json, tableau_to_json
@@ -71,9 +77,32 @@ def _load_tableau(path: str) -> Tableau:
     return tableau_from_json(data)
 
 
-def _check_r(args: argparse.Namespace, r: int) -> None:
+def _load_input(
+    args: argparse.Namespace, paths: tuple[str, ...], family: str | None = None,
+    refusal: str = "",
+) -> tuple[list[Tableau], int]:
+    """The tableaux in the files ``paths`` and the order r of the first one's
+    shape.  A first shape outside ``family`` is refused with ``refusal``, and
+    ``--r``, when given, must agree with r."""
+    tableaux = [_load_tableau(path) for path in paths]
+    found, r = shape_family(tableaux[0].shape)
+    if family is not None and found != family:
+        raise InvalidInputError(refusal)
     if args.r is not None and args.r != r:
         raise InvalidInputError(f"--r {args.r} disagrees with the tableau's order {r}")
+    return tableaux, r
+
+
+def _print_tableaux(states: list[Tableau], as_json: bool, labelled: bool = True) -> None:
+    """One JSON line per state, or each state's rows top row first."""
+    for i, t in enumerate(states):
+        if as_json:
+            _emit_json({"index": i, "tableau": tableau_to_json(t)})
+            continue
+        if labelled:
+            print(f"-- state {i}")
+        for row in reversed(t.rows()):
+            print("   " + " ".join(f"{v:>3}" for v in row))
 
 
 # --------------------------------------------------------------------------
@@ -104,30 +133,10 @@ def _cmd_dim(args: argparse.Namespace) -> int:
     return 0
 
 
-def _all_routes(r: int, k: int, force: bool) -> dict[str, int]:
-    """C(r, k) by every route that applies and that its guard lets run.
-
-    Raises ``GuardRefused`` when no route runs.
-    """
-    counts: dict[str, int] = {}
-    refusals: list[str] = []
-    for route in applicable_routes(r, k):
-        try:
-            counts[route] = cardinality(r, k, route, force=force)
-        except GuardRefused as exc:
-            refusals.append(f"{route}: {exc}")
-    if not counts:
-        raise GuardRefused(
-            f"no counting route ran at (r, k) = ({r}, {k}); " + "; ".join(refusals)
-        )
-    return counts
-
-
 def _cmd_count(args: argparse.Namespace) -> int:
     r, k = args.r, args.k
-    expected_codim(r, k)  # validates the pair
     if args.method == "all":
-        routes = _all_routes(r, k, args.force)
+        routes = route_counts(r, k, force=args.force)
         if len(set(routes.values())) > 1:
             raise InvariantError(f"counting routes disagree: {routes}")
         value = next(iter(routes.values()))
@@ -138,10 +147,6 @@ def _cmd_count(args: argparse.Namespace) -> int:
             print(f"{route} = {got}")
         print("AGREE")
         return 0
-    if args.method != "auto" and args.method not in applicable_routes(r, k):
-        raise InvalidInputError(
-            f"method {args.method!r} does not apply at (r, k) = ({r}, {k})"
-        )
     value = cardinality(r, k, args.method, force=args.force)
     if args.json:
         _emit_json({"r": r, "k": k, "count": value, "method": args.method})
@@ -246,50 +251,26 @@ def _cmd_graph(args: argparse.Namespace) -> int:
 
 
 def _cmd_path(args: argparse.Namespace) -> int:
-    start = _load_tableau(args.src)
-    goal = _load_tableau(args.dst)
-    family, r = shape_family(start.shape)
-    if family != "staircase":
-        raise InvalidInputError("path endpoints must live on the staircase")
-    _check_r(args, r)
-    p = PrymParams(args.g, r, args.k)
-    path = connect_path(start, goal, p)
-    if args.json:
-        for i, t in enumerate(path):
-            _emit_json({"index": i, "tableau": tableau_to_json(t)})
-        return 0
-    print(f"{len(path)} states, {len(path) - 1} steps")
-    for i, t in enumerate(path):
-        print(f"-- state {i}")
-        for row in reversed(t.rows()):
-            print("   " + " ".join(f"{v:>3}" for v in row))
+    (start, goal), r = _load_input(
+        args, (args.src, args.dst), "staircase", "path endpoints must live on the staircase"
+    )
+    path = connect_path(start, goal, PrymParams(args.g, r, args.k))
+    if not args.json:
+        print(f"{len(path)} states, {len(path) - 1} steps")
+    _print_tableaux(path, args.json)
     return 0
 
 
 def _cmd_reflectify(args: argparse.Namespace) -> int:
-    t = _load_tableau(args.src)
-    family, r = shape_family(t.shape)
-    if family != "square":
-        raise InvalidInputError("reflection acts on square tableaux")
-    _check_r(args, r)
+    (t,), r = _load_input(args, (args.src,), "square", "reflection acts on square tableaux")
     p = PrymParams(args.g, r, args.k)
     states = reflectify_trace(t, p) if args.trace else [reflectify(t, p)]
-    if args.json:
-        for i, s in enumerate(states):
-            _emit_json({"index": i, "tableau": tableau_to_json(s)})
-        return 0
-    for i, s in enumerate(states):
-        if args.trace:
-            print(f"-- state {i}")
-        for row in reversed(s.rows()):
-            print("   " + " ".join(f"{v:>3}" for v in row))
+    _print_tableaux(states, args.json, labelled=args.trace)
     return 0
 
 
 def _cmd_divisor(args: argparse.Namespace) -> int:
-    t = _load_tableau(args.src)
-    family, r = shape_family(t.shape)
-    _check_r(args, r)
+    (t,), _ = _load_input(args, (args.src,))
     chain = make_folded_chain(args.g, args.k)
     div = tableau_to_divisor(t, chain)
     if div is None:
@@ -343,7 +324,7 @@ def _census_row(task: tuple[int, int, bool]) -> dict[str, Any]:
         "C_method_det": "", "C_method_paths": "", "C_method_brute": "",
         "cells": "", "betti_closed": "", "betti_graph": "", "agree": "",
     }
-    counts = _all_routes(r, k, force)
+    counts = route_counts(r, k, force=force)
     for route in ("det", "paths", "brute"):
         if route in counts:
             row[f"C_method_{route}"] = counts[route]
@@ -462,11 +443,12 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------------------
 
 
-def _add_params(sub: argparse.ArgumentParser, *, with_r: bool = True) -> None:
-    sub.add_argument("--g", type=int, required=True, help="arithmetic genus g")
-    if with_r:
-        sub.add_argument("--r", type=int, required=True, help="rank bound r")
-    sub.add_argument("--k", type=int, required=True, help="torsion order k")
+def _flags(*flags: tuple[str, dict[str, Any]]) -> argparse.ArgumentParser:
+    """A parent parser declaring each ``(flag, options)`` in order."""
+    parent = argparse.ArgumentParser(add_help=False)
+    for flag, options in flags:
+        parent.add_argument(flag, **options)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -475,83 +457,58 @@ def build_parser() -> argparse.ArgumentParser:
         description="Tableau calculus for Prym-Brill-Noether loci on folded chains",
     )
     subs = parser.add_subparsers(dest="verb", required=True)
-
-    sub = subs.add_parser("dim", help="expected codimension and dimension")
-    _add_params(sub)
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=_cmd_dim)
-
-    sub = subs.add_parser("count", help="number of rectangle-free fillings C(r,k)")
-    sub.add_argument("--r", type=int, required=True)
-    sub.add_argument("--k", type=int, required=True)
-    sub.add_argument(
-        "--method", choices=("auto", "hook", "det", "paths", "brute", "all"),
-        default="auto",
+    # Every verb is built from parent parsers only.  The shared ones are
+    # built once here; a verb's own flags get a parent of their own, between
+    # them, because parents come first and usage and help list the flags in
+    # the order they are declared.
+    needed = {"type": int, "required": True}
+    on = {"action": "store_true"}
+    as_json, force = _flags(("--json", on)), _flags(("--force", on))
+    params = _flags(
+        ("--g", {**needed, "help": "arithmetic genus g"}),
+        ("--r", {**needed, "help": "rank bound r"}),
+        ("--k", {**needed, "help": "torsion order k"}),
     )
-    sub.add_argument("--force", action="store_true")
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=_cmd_count)
-
-    sub = subs.add_parser("cells", help="stream the maximal cells as JSON lines")
-    _add_params(sub)
-    sub.add_argument("--count-only", action="store_true", dest="count_only")
-    sub.add_argument("--symbols", help="comma-separated symbol subset")
-    sub.add_argument("--force", action="store_true")
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=_cmd_cells)
-
-    sub = subs.add_parser("betti", help="first Betti number of the dim-1 locus")
-    _add_params(sub)
-    sub.add_argument("--method", choices=("graph", "closed", "both"), default="both")
-    sub.add_argument("--force", action="store_true")
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=_cmd_betti)
-
-    sub = subs.add_parser("graph", help="build the circle intersection graph")
-    _add_params(sub)
-    sub.add_argument("--dot", help="write DOT markup to this path")
-    sub.add_argument("--force", action="store_true")
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=_cmd_graph)
-
-    sub = subs.add_parser("path", help="adjacency walk between two tableaux")
-    sub.add_argument("--g", type=int, required=True)
-    sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--r", type=int, help="optional cross-check of the order")
-    sub.add_argument("--from", dest="src", required=True, metavar="TABLEAU.json")
-    sub.add_argument("--to", dest="dst", required=True, metavar="TABLEAU.json")
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=_cmd_path)
-
-    sub = subs.add_parser("reflectify", help="reflective closure of a square tableau")
-    sub.add_argument("--g", type=int, required=True)
-    sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--r", type=int, help="optional cross-check of the order")
-    sub.add_argument("--in", dest="src", required=True, metavar="TABLEAU.json")
-    sub.add_argument("--trace", action="store_true")
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=_cmd_reflectify)
-
-    sub = subs.add_parser("divisor", help="chip divisor of a tableau")
-    sub.add_argument("--g", type=int, required=True)
-    sub.add_argument("--k", type=int, required=True)
-    sub.add_argument("--r", type=int, help="optional cross-check of the order")
-    sub.add_argument("--in", dest="src", required=True, metavar="TABLEAU.json")
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=_cmd_divisor)
-
-    sub = subs.add_parser("census", help="sweep (r, k) and write a CSV summary")
-    sub.add_argument("--rmax", type=int, default=4)
-    sub.add_argument("--kmax", type=int, default=5)
-    sub.add_argument("--out", default="census.csv")
-    sub.add_argument("--jobs", type=int, default=0, help="worker processes")
-    sub.add_argument("--force", action="store_true")
-    sub.set_defaults(func=_cmd_census)
-
-    sub = subs.add_parser("selftest", help="run the acceptance suite")
-    sub.add_argument("--instance", help="restrict to one g,r,k")
-    sub.add_argument("--json", action="store_true")
-    sub.set_defaults(func=_cmd_selftest)
+    on_file = _flags(
+        ("--g", needed), ("--k", needed),
+        ("--r", {"type": int, "help": "optional cross-check of the order"}),
+    )
+    file_in = ("--in", {"dest": "src", "required": True, "metavar": "TABLEAU.json"})
+    verbs = (
+        ("dim", _cmd_dim, "expected codimension and dimension", params, as_json),
+        ("count", _cmd_count, "number of rectangle-free fillings C(r,k)", _flags(
+            ("--r", needed), ("--k", needed),
+            ("--method", {"choices": ("auto", "hook", "det", "paths", "brute", "all"),
+                          "default": "auto"}),
+        ), force, as_json),
+        ("cells", _cmd_cells, "stream the maximal cells as JSON lines", params, _flags(
+            ("--count-only", on), ("--symbols", {"help": "comma-separated symbol subset"}),
+        ), force, as_json),
+        ("betti", _cmd_betti, "first Betti number of the dim-1 locus", params, _flags(
+            ("--method", {"choices": ("graph", "closed", "both"), "default": "both"}),
+        ), force, as_json),
+        ("graph", _cmd_graph, "build the circle intersection graph", params, _flags(
+            ("--dot", {"help": "write DOT markup to this path"}),
+        ), force, as_json),
+        ("path", _cmd_path, "adjacency walk between two tableaux", on_file, _flags(
+            ("--from", {"dest": "src", "required": True, "metavar": "TABLEAU.json"}),
+            ("--to", {"dest": "dst", "required": True, "metavar": "TABLEAU.json"}),
+        ), as_json),
+        ("reflectify", _cmd_reflectify, "reflective closure of a square tableau", on_file,
+         _flags(file_in, ("--trace", on)), as_json),
+        ("divisor", _cmd_divisor, "chip divisor of a tableau", on_file, _flags(file_in),
+         as_json),
+        ("census", _cmd_census, "sweep (r, k) and write a CSV summary", _flags(
+            ("--rmax", {"type": int, "default": 4}),
+            ("--kmax", {"type": int, "default": 5}),
+            ("--out", {"default": "census.csv"}),
+            ("--jobs", {"type": int, "default": 0, "help": "worker processes"}),
+        ), force),
+        ("selftest", _cmd_selftest, "run the acceptance suite",
+         _flags(("--instance", {"help": "restrict to one g,r,k"})), as_json),
+    )
+    for name, func, summary, *parents in verbs:
+        subs.add_parser(name, help=summary, parents=parents).set_defaults(func=func)
     return parser
 
 

@@ -260,6 +260,9 @@ class _cached:
         return value
 
 
+CLASS_CACHE = 32  # class maps kept per index, one per torsion: a fixed bound
+
+
 class ShapeIndex:
     """Slot layout of one shape, shared by every tableau on it.
 
@@ -269,7 +272,7 @@ class ShapeIndex:
     rule) holds, ``covers`` lists the (west or south neighbour, box) slot
     pairs, west pairs first.
     :meth:`classes`, :attr:`incident` and :attr:`reflection` are built on
-    first use.
+    first use; :meth:`classes` keeps at most :data:`CLASS_CACHE` torsions.
     """
 
     __slots__ = (
@@ -322,6 +325,8 @@ class ShapeIndex:
         out = self._classes.get(k) if type(k) is int else None
         if out is None:
             _check_torsion(k)
+            if len(self._classes) >= CLASS_CACHE:
+                del self._classes[next(iter(self._classes))]  # the oldest map
             out = self._classes[k] = tuple(diag_class(b, k) for b in self.boxes)
         return out
 

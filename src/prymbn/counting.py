@@ -5,8 +5,14 @@
 Routes: hook-length formula on the staircase (torsion 0 or above ``2r-2``),
 an alternating factorial-determinant sum and a lattice-path walk (even
 torsion up to ``2r-2``), and linear-extension counting on the strip posets
-(any torsion, desk-scale).  :func:`applicable_routes` is the one statement of
-where each route applies.  Everything is exact integer/rational arithmetic.
+(any torsion, desk-scale).  Everything is exact integer/rational arithmetic.
+
+:func:`applicable_routes` is the one statement of the counting domain
+(``r >= 1`` and a torsion the torsion rule takes) and of where each route
+applies: every route function and :func:`cardinality` read it, and refuse a
+route outside it with one message.  :func:`route_counts` is the one sweep
+over every route that applies, shared by ``count --method all``, the
+census rows and acceptance row R2.
 
 The determinant route scales column ``j`` of each term's matrix by
 ``top_j!``, the factorial of its largest argument, so that every entry
@@ -52,6 +58,7 @@ __all__ = [
     "count_linext",
     "hook_length_syt_count",
     "max_cell_count",
+    "route_counts",
     "strip_poset_succ_masks",
 ]
 
@@ -60,9 +67,11 @@ BRUTE_SYMBOL_LIMIT = 18
 def applicable_routes(r: int, k: int) -> tuple[str, ...]:
     """The routes of :func:`cardinality` that compute C(r, k), cheapest first.
 
-    ``hook`` applies at torsion 0 or above ``2r-2``, ``det`` and ``paths``
-    at even torsion in ``[2, 2r-2]``, and ``brute`` everywhere, subject to
-    its ``BRUTE_SYMBOL_LIMIT`` guard.  Odd torsion has ``brute`` alone:
+    The counting domain is ``r >= 1`` and a torsion ``k`` of 0 or at least
+    2; anything else is refused here, for every route.  ``hook`` applies
+    at torsion 0 or above ``2r-2``, ``det`` and ``paths`` at even torsion
+    in ``[2, 2r-2]``, and ``brute`` everywhere, subject to its
+    ``BRUTE_SYMBOL_LIMIT`` guard.  Odd torsion has ``brute`` alone:
     C(r, k) = C(r, k+1) there is checked by acceptance row R10, not used.
 
     The order rests on timing every route at every even (r, k) with
@@ -80,7 +89,9 @@ def applicable_routes(r: int, k: int) -> tuple[str, ...]:
     at (10, 7) and 0.55 s at (10, 17), 54 symbols: its cost grows with the
     strip width, not with the number of strips.
     """
-    routes = ("hook",) if generic_regime(r, k) else ()
+    generic = generic_regime(r, k)  # refuses a bad r or k first
+    _check_int(r, "r", 1)
+    routes = ("hook",) if generic else ()
     if k % 2 == 0 and 2 <= k <= 2 * r - 2:
         routes += ("det", "paths")
     return routes + ("brute",)
@@ -107,18 +118,16 @@ def hook_length_syt_count(partition: list[int] | tuple[int, ...]) -> int:
     return count
 
 
+def _check_route(route: str, r: int, k: int) -> None:
+    """Refuse ``route`` unless :func:`applicable_routes` offers it at (r, k)."""
+    if route not in applicable_routes(r, k):
+        raise InvalidInputError(f"method {route!r} does not apply at (r, k) = ({r}, {k})")
+
+
 def count_generic(r: int) -> int:
     """C(r, 0): standard fillings of the staircase T_r."""
-    _check_int(r, "r", 1)
+    _check_route("hook", r, 0)
     return hook_length_syt_count(tuple(range(r, 0, -1)))
-
-
-def _check_even(r: int, k: int, op: str) -> int:
-    if "det" not in applicable_routes(r, k):
-        raise InvalidInputError(
-            f"{op} needs even torsion with 2 <= k <= 2r-2, got k={k} at r={r}"
-        )
-    return k // 2
 
 
 def _bareiss_det(m: list[list[int]]) -> int:
@@ -213,8 +222,8 @@ def count_even_determinant(r: int, k: int, *, widen: int = 0) -> int:
     (:func:`_bareiss_det`), over ``prod top_j!``.  That is ``O(l^3)``
     integer operations per surviving ``a``.
     """
-    l = _check_even(r, k, "count_even_determinant")
-    n = expected_codim(r, k)
+    _check_route("det", r, k)
+    l, n = k // 2, expected_codim(r, k)
     total = Fraction(0)
     for alpha in _zero_sum_tuples(_alpha_box(r, k, widen)):
         tops = [r + l - 1 - 2 * j + a * k for j, a in enumerate(alpha)]
@@ -236,7 +245,8 @@ def count_lattice_paths(r: int, k: int) -> int:
     unit steps, every point strictly decreasing with wrap gap below the
     torsion: ``z_1 > ... > z_l > z_1 - k``.
     """
-    l = _check_even(r, k, "count_lattice_paths")
+    _check_route("paths", r, k)
+    l = k // 2
     start = tuple(l - j + 1 for j in range(1, l + 1))
     end = tuple(r + l - 2 * (j - 1) for j in range(1, l + 1))
 
@@ -408,6 +418,7 @@ def count_brute(r: int, k: int, *, force: bool = False) -> int:
     extensions with :func:`count_linext`.  Odd torsion sums over all
     ``2^(r-l)`` strips at once, in :func:`_count_strip_words`.
     """
+    _check_route("brute", r, k)
     n = expected_codim(r, k)
     if n > BRUTE_SYMBOL_LIMIT and not force:
         raise GuardRefused(
@@ -421,22 +432,36 @@ def count_brute(r: int, k: int, *, force: bool = False) -> int:
 
 
 def cardinality(r: int, k: int, method: str = "auto", *, force: bool = False) -> int:
-    """C(r, k) by the requested route (``auto`` picks the cheapest valid one)."""
+    """C(r, k) by the requested route (``auto`` picks the cheapest that applies)."""
     if method == "auto":
         method = applicable_routes(r, k)[0]
+    elif method not in ("hook", "det", "paths", "brute"):
+        raise InvalidInputError(f"unknown counting method {method!r}")
+    _check_route(method, r, k)
     if method == "hook":
-        if "hook" not in applicable_routes(r, k):
-            raise InvalidInputError(
-                "hook route applies only to torsion 0 or above 2r-2"
-            )
         return count_generic(r)
     if method == "det":
         return count_even_determinant(r, k)
     if method == "paths":
         return count_lattice_paths(r, k)
-    if method == "brute":
-        return count_brute(r, k, force=force)
-    raise InvalidInputError(f"unknown counting method {method!r}")
+    return count_brute(r, k, force=force)
+
+
+def route_counts(r: int, k: int, *, force: bool = False) -> dict[str, int]:
+    """C(r, k) by every route of :func:`applicable_routes` that its guard
+    lets run, in that order.  Raises ``GuardRefused`` when no route runs."""
+    counts: dict[str, int] = {}
+    refusals: list[str] = []
+    for route in applicable_routes(r, k):
+        try:
+            counts[route] = cardinality(r, k, route, force=force)
+        except GuardRefused as exc:
+            refusals.append(f"{route}: {exc}")
+    if not counts:
+        raise GuardRefused(
+            f"no counting route ran at (r, k) = ({r}, {k}); " + "; ".join(refusals)
+        )
+    return counts
 
 
 def max_cell_count(

@@ -67,12 +67,17 @@ class FoldedChain:
     def __post_init__(self) -> None:
         _check_int(self.g, "g", 2)
         _check_int(self.k, "k", 2)
-        if len(self.lengths) != self.g:
+        try:
+            pairs = [(m, length) for m, length in self.lengths]
+        except (TypeError, ValueError):  # not a sequence of pairs
+            raise InvalidInputError("lengths need one (m, l) pair per base loop") from None
+        if len(pairs) != self.g:
             raise InvalidInputError(
-                f"need one (m, l) pair per base loop: got {len(self.lengths)},"
-                f" expected {self.g}"
+                f"need one (m, l) pair per base loop: got {len(pairs)}, expected {self.g}"
             )
-        for a, (m, length) in enumerate(self.lengths, start=1):
+        pairs = tuple((_as_fraction(m), _as_fraction(x)) for m, x in pairs)
+        object.__setattr__(self, "lengths", pairs)
+        for a, (m, length) in enumerate(pairs, start=1):
             torsion = loop_torsion(m, length)
             if torsion != self.k:
                 raise InvalidInputError(
@@ -122,11 +127,7 @@ def make_folded_chain(g: int, k: int, lengths=None) -> FoldedChain:
         )
     if lengths is None:
         lengths = [(Fraction(1), Fraction(k - 1))] * g
-    try:
-        pairs = [(m, length) for m, length in lengths]
-    except (TypeError, ValueError):
-        raise InvalidInputError("lengths need one (m, l) pair per base loop") from None
-    return FoldedChain(g, k, tuple((_as_fraction(m), _as_fraction(x)) for m, x in pairs))
+    return FoldedChain(g, k, lengths)
 
 
 @dataclass(frozen=True)

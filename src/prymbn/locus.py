@@ -35,6 +35,7 @@ from .core import (
     dominates,
     generic_regime,
     is_tableau,
+    staircase_fault,
     staircase_shape,
     symbol_fault,
 )
@@ -225,12 +226,13 @@ def _pairs_adjacent(ct: frozenset, cs: frozenset) -> bool:
 
 def is_adjacent(t: Tableau, s: Tableau, p: PrymParams) -> bool:
     """Whether the cells of ``t`` and ``s`` share a codimension-1 face: the
-    tableaux are checked, then their cells meet :func:`_pairs_adjacent`."""
+    tableaux are checked as staircase tableaux of type ``p``, then their
+    cells meet :func:`_pairs_adjacent`."""
     if t.shape.boxes != s.shape.boxes:
         raise InvalidInputError("adjacency needs tableaux of the same shape")
     ct, cs = _cell_pairs(t, p.k), _cell_pairs(s, p.k)
     for name, tab, pairs in (("first", t, ct), ("second", s, cs)):
-        if fault := displacement_fault(tab, p.k, pairs) or symbol_fault(tab, p.g):
+        if fault := staircase_fault(tab, p) or displacement_fault(tab, p.k, pairs):
             raise InvalidInputError(f"{name} tableau {fault}")
     if len(t.symbols) != len(s.symbols):
         raise InvalidInputError(
@@ -262,7 +264,7 @@ def _check_walk(states: Sequence[Tableau], p: PrymParams) -> None:
 
 def height(t: Tableau, p: PrymParams) -> int:
     """Row of the r-th leftmost strip box of the unique strip admitting ``t``."""
-    if p.k == 0 or p.eps == 0:
+    if p.eps == 0:
         raise InvalidInputError("height is defined only for odd torsion")
     return _odd_strip(strips_admitting(t, p)).height
 
@@ -308,7 +310,7 @@ def height_descent_step(t: Tableau, p: PrymParams) -> HeightDescent:
 
 def _descent_step(t: Tableau, p: PrymParams) -> HeightDescent:
     """The step less its walk check, which :func:`connect_path` runs once."""
-    if p.eps != 1 or p.k == 0:
+    if p.eps == 0:
         raise InvalidInputError("height descent applies to odd torsion only")
     dim = pbn_dimension(p)
     if dim is None or dim < 1:

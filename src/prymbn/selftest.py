@@ -25,12 +25,12 @@ from .core import (
     staircase_shape,
 )
 from .counting import (
-    BRUTE_SYMBOL_LIMIT,
     applicable_routes,
     cardinality,
     count_brute,
     count_even_determinant,
     count_lattice_paths,
+    route_counts,
 )
 from .dimension import (
     brute_min_codim,
@@ -186,13 +186,10 @@ def _row_cardinality(ctx: RunContext) -> str:
     for (r, k), want in sorted(CARDINALITY_TABLE.items()):
         got = cardinality(r, k)
         assert got == want, f"C({r},{k}) = {got}, table says {want}"
-        for route in applicable_routes(r, k):
-            if route == "brute":
-                if expected_codim(r, k) > BRUTE_SYMBOL_LIMIT:
-                    continue
-                brutes += 1
-            got = cardinality(r, k, route)
+        # Every route that applies and that its guard lets run.
+        for route, got in route_counts(r, k).items():
             assert got == want, f"{route} route: C({r},{k}) = {got} != {want}"
+            brutes += route == "brute"
         if k == 2:
             assert want == 1
         if k == 4:

@@ -394,11 +394,12 @@ class StripTableau:
                 )
         if mu.r != p.r:
             raise InvalidInputError("strip does not match the type's staircase order")
-        if p.k != 0 and not mu.degenerate and mu.l != p.l:
+        width = effective_width(p.r, p.k)
+        if mu.l != width:
             raise InvalidInputError(
-                f"strip width {mu.l} does not match the torsion width {p.l}"
+                f"strip width {mu.l} does not match the torsion width {width}"
             )
-        if p.eps == 0 and p.k != 0 and not mu.degenerate and "N" in mu.word:
+        if p.eps == 0 and "N" in mu.word:
             raise InvalidInputError(
                 "even torsion admits only the horizontal strip mu_0"
             )

@@ -31,6 +31,7 @@ from prymbn.counting import (
     count_generic,
     count_lattice_paths,
     hook_length_syt_count,
+    route_counts,
 )
 from prymbn.dimension import (
     class_chain_lengths,
@@ -100,7 +101,20 @@ HELD = [
     ("StripShape", lambda: StripShape(3, -1, "EEEE")),
 ]
 
-TABLE = MENDED + HELD
+# Rows added after the table was first written, appended so the ids of the
+# rows above stay as they were.  All but the third returned a value or raised
+# another exception before: FoldedChain checked no pairs, and the brute route
+# counted at r = 0.
+MENDED_LATER = [
+    ("FoldedChain", lambda: FoldedChain(2, 2, 5)),
+    ("FoldedChain", lambda: FoldedChain(2, 2, ((1, 1), 5))),
+    ("FoldedChain", lambda: FoldedChain(2, 2, ((1, "x"), (1, 1)))),
+    ("cardinality", lambda: cardinality(0, 2, "brute")),
+    ("count_brute", lambda: count_brute(0, 0)),
+    ("route_counts", lambda: route_counts(0, 0)),
+]
+
+TABLE = MENDED + HELD + MENDED_LATER
 
 
 @pytest.mark.parametrize(
@@ -109,6 +123,13 @@ TABLE = MENDED + HELD
 def test_a_bad_argument_ends_as_invalid_input(call):
     with pytest.raises(InvalidInputError):
         call()
+
+
+def test_folded_chain_stores_its_lengths_as_fractions():
+    chain = FoldedChain(2, 2, ((1, 1), ("1/2", Fraction(1, 2))))
+    assert chain.lengths == ((Fraction(1), Fraction(1)), (Fraction(1, 2), Fraction(1, 2)))
+    assert all(type(x) is Fraction for pair in chain.lengths for x in pair)
+    assert chain == make_folded_chain(2, 2, [(1, 1), ("1/2", "1/2")])
 
 
 # A result record, built by ``dimension_report`` from checked values.

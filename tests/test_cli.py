@@ -126,6 +126,13 @@ def test_count_inapplicable_method_is_usage_error(capsys):
     assert code == 2 and "does not apply" in err
 
 
+@pytest.mark.parametrize("k", ["0", "2", "3"])
+@pytest.mark.parametrize("method", ["auto", "hook", "det", "paths", "brute", "all"])
+def test_count_refuses_r_0_by_every_route(capsys, method, k):
+    code, out, err = run(capsys, "count", "--r", "0", "--k", k, "--method", method)
+    assert (code, out, err) == (2, "", "error: r must be at least 1, got 0\n")
+
+
 def test_count_brute_guard_and_force_warning(capsys):
     code, _, err = run(capsys, "count", "--r", "6", "--k", "0", "--method", "brute")
     assert code == 3 and err.startswith("refused:")
@@ -613,6 +620,77 @@ def test_missing_required_arguments_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["no-such-verb"])
     assert exc.value.code == 2
+
+
+# Every verb's flags in declaration order: (flag, dest, type, default,
+# required, choices).  Shared flags come from parent parsers; this pins
+# that no flag changed when they did.
+FLAGS = {
+    "dim": [("--g", "g", int, None, True, None), ("--r", "r", int, None, True, None),
+            ("--k", "k", int, None, True, None), ("--json", "json", None, False, False, None)],
+    "count": [
+        ("--r", "r", int, None, True, None), ("--k", "k", int, None, True, None),
+        ("--method", "method", None, "auto", False,
+         ("auto", "hook", "det", "paths", "brute", "all")),
+        ("--force", "force", None, False, False, None),
+        ("--json", "json", None, False, False, None),
+    ],
+    "cells": [
+        ("--g", "g", int, None, True, None), ("--r", "r", int, None, True, None),
+        ("--k", "k", int, None, True, None),
+        ("--count-only", "count_only", None, False, False, None),
+        ("--symbols", "symbols", None, None, False, None),
+        ("--force", "force", None, False, False, None),
+        ("--json", "json", None, False, False, None),
+    ],
+    "betti": [
+        ("--g", "g", int, None, True, None), ("--r", "r", int, None, True, None),
+        ("--k", "k", int, None, True, None),
+        ("--method", "method", None, "both", False, ("graph", "closed", "both")),
+        ("--force", "force", None, False, False, None),
+        ("--json", "json", None, False, False, None),
+    ],
+    "graph": [
+        ("--g", "g", int, None, True, None), ("--r", "r", int, None, True, None),
+        ("--k", "k", int, None, True, None), ("--dot", "dot", None, None, False, None),
+        ("--force", "force", None, False, False, None),
+        ("--json", "json", None, False, False, None),
+    ],
+    "path": [
+        ("--g", "g", int, None, True, None), ("--k", "k", int, None, True, None),
+        ("--r", "r", int, None, False, None), ("--from", "src", None, None, True, None),
+        ("--to", "dst", None, None, True, None), ("--json", "json", None, False, False, None),
+    ],
+    "reflectify": [
+        ("--g", "g", int, None, True, None), ("--k", "k", int, None, True, None),
+        ("--r", "r", int, None, False, None), ("--in", "src", None, None, True, None),
+        ("--trace", "trace", None, False, False, None),
+        ("--json", "json", None, False, False, None),
+    ],
+    "divisor": [
+        ("--g", "g", int, None, True, None), ("--k", "k", int, None, True, None),
+        ("--r", "r", int, None, False, None), ("--in", "src", None, None, True, None),
+        ("--json", "json", None, False, False, None),
+    ],
+    "census": [
+        ("--rmax", "rmax", int, 4, False, None), ("--kmax", "kmax", int, 5, False, None),
+        ("--out", "out", None, "census.csv", False, None),
+        ("--jobs", "jobs", int, 0, False, None),
+        ("--force", "force", None, False, False, None),
+    ],
+    "selftest": [("--instance", "instance", None, None, False, None),
+                 ("--json", "json", None, False, False, None)],
+}
+
+
+def test_every_verb_declares_the_pinned_flags():
+    subs = next(a for a in cli.build_parser()._actions if a.dest == "verb")
+    got = {
+        verb: [(a.option_strings[0], a.dest, a.type, a.default, a.required, a.choices)
+               for a in sub._actions if a.dest != "help"]
+        for verb, sub in subs.choices.items()
+    }
+    assert got == FLAGS
 
 
 def test_main_builds_one_parser_for_every_request(capsys, monkeypatch):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from prymbn.core import (
+    CLASS_CACHE,
     SHAPE_CACHE,
     InvalidInputError,
     PrymParams,
@@ -117,6 +118,17 @@ def test_named_shapes_sit_in_fixed_caches():
         for r in range(3 * SHAPE_CACHE):
             assert make(r).r == r  # no index is built
         assert make.cache_info().currsize == SHAPE_CACHE
+
+
+def test_class_maps_sit_in_a_fixed_cache():
+    idx = staircase_shape(5).index
+    for k in [0, *range(2, 3 * CLASS_CACHE)]:
+        assert idx.classes(k) == tuple(diag_class(b, k) for b in idx.boxes)
+        assert len(idx._classes) <= CLASS_CACHE
+    assert len(idx._classes) == CLASS_CACHE
+    # An evicted map is built again, and right.
+    assert 0 not in idx._classes
+    assert idx.classes(0) == tuple(diag_class(b, 0) for b in idx.boxes)
 
 
 def test_named_shapes_read_off_r_match_the_built_shapes():

@@ -21,6 +21,7 @@ from prymbn.counting import (
     count_linext,
     hook_length_syt_count,
     max_cell_count,
+    route_counts,
     strip_poset_succ_masks,
 )
 from prymbn.dimension import expected_codim
@@ -287,6 +288,51 @@ def test_cardinality_named_methods():
         cardinality(4, 6, method="hook")
     with pytest.raises(InvalidInputError):
         cardinality(4, 6, method="magic")
+
+
+@pytest.mark.parametrize("r", range(1, 9))
+def test_cardinality_refuses_exactly_the_routes_left_out(r):
+    for k in [0, *range(2, 2 * r + 2)]:
+        routes = applicable_routes(r, k)
+        for method in ("hook", "det", "paths", "brute"):
+            if method in routes:
+                try:
+                    assert cardinality(r, k, method) > 0
+                except GuardRefused:
+                    assert method == "brute"
+                continue
+            want = f"method '{method}' does not apply at \\(r, k\\) = \\({r}, {k}\\)"
+            with pytest.raises(InvalidInputError, match=want):
+                cardinality(r, k, method)
+
+
+@pytest.mark.parametrize("k", [0, 2, 3, 4])
+@pytest.mark.parametrize(
+    "call",
+    [
+        applicable_routes,
+        cardinality,
+        lambda r, k: cardinality(r, k, "hook"),
+        lambda r, k: cardinality(r, k, "brute"),
+        lambda r, k: count_generic(r),
+        count_even_determinant,
+        count_lattice_paths,
+        count_brute,
+        route_counts,
+    ],
+)
+def test_every_route_refuses_r_0(call, k):
+    with pytest.raises(InvalidInputError, match="r must be at least 1, got 0"):
+        call(0, k)
+
+
+def test_route_counts_runs_every_route_its_guard_lets_run():
+    assert route_counts(4, 6) == {"det": 128, "paths": 128, "brute": 128}
+    assert route_counts(6, 0) == {"hook": 1100742656}  # brute is over its guard
+    assert route_counts(3, 3) == {"brute": 4}
+    with pytest.raises(GuardRefused, match="no counting route ran"):
+        route_counts(8, 5)
+    assert route_counts(8, 5, force=True) == {"brute": 2 ** 19}
 
 
 def test_corrected_table_cells():

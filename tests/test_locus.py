@@ -426,6 +426,18 @@ def test_is_adjacent_cases():
         is_adjacent(stair([[4], [1, 4]]), stair([[4], [1, 4]]), PrymParams(4, 2, 2))
 
 
+@pytest.mark.parametrize(
+    "t, s",
+    [
+        (Tableau.from_rows([[1, 2], [3]]), Tableau.from_rows([[1, 4], [3]])),  # on T_2
+        (Tableau.from_rows([[1, 2, 3]]), Tableau.from_rows([[1, 2, 4]])),  # one row
+    ],
+)
+def test_is_adjacent_refuses_tableaux_off_the_staircase(t, s):
+    with pytest.raises(InvalidInputError, match="not on the staircase T_3"):
+        is_adjacent(t, s, PrymParams(7, 3, 4))
+
+
 def test_is_adjacent_builds_each_cell_once(monkeypatch):
     built = []
 

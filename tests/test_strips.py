@@ -311,6 +311,13 @@ def test_an_extension_that_breaks_displacement_is_an_invariant_failure():
         extend_strip_tableau(st)
 
 
+def test_strip_tableau_checks_the_width_at_torsion_0():
+    mu = StripShape(3, 1, "EE")
+    entries = Tableau(mu.shape, (1, 2, 3))
+    with pytest.raises(InvalidInputError, match="strip width 1 does not match"):
+        StripTableau(mu, entries, PrymParams(6, 3, 0))
+
+
 def test_even_torsion_rejects_north_strips():
     p = PrymParams(8, 3, 4)
     mu = StripShape(3, 2, "N")
