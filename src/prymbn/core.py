@@ -659,6 +659,16 @@ def staircase_fault(t: Tableau, p: PrymParams) -> str | None:
     return symbol_fault(t, p.g)
 
 
+def _canon(t: Tableau, p: PrymParams) -> Tableau:
+    """``t`` on ``staircase_shape(p.r)``; a shape with its boxes orders them alike."""
+    shape = staircase_shape(p.r)
+    if t.shape is shape:
+        return t
+    if t.shape.boxes != shape.boxes:
+        raise InvalidInputError(f"tableau does not live on the staircase T_{p.r}")
+    return Tableau(shape, t.values)
+
+
 def class_symbol_sets(
     t: Tableau, k: int, *, exclude: int | None = None
 ) -> dict[int, frozenset[int]]:

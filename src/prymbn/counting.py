@@ -89,9 +89,8 @@ def applicable_routes(r: int, k: int) -> tuple[str, ...]:
     at (10, 7) and 0.55 s at (10, 17), 54 symbols: its cost grows with the
     strip width, not with the number of strips.
     """
-    generic = generic_regime(r, k)  # refuses a bad r or k first
     _check_int(r, "r", 1)
-    routes = ("hook",) if generic else ()
+    routes = ("hook",) if generic_regime(r, k) else ()  # refuses a bad k
     if k % 2 == 0 and 2 <= k <= 2 * r - 2:
         routes += ("det", "paths")
     return routes + ("brute",)

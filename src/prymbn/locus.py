@@ -29,6 +29,7 @@ from .core import (
     PrymParams,
     Shape,
     Tableau,
+    _canon,
     _cell_pairs,
     canonical_boxes,
     displacement_fault,
@@ -36,7 +37,6 @@ from .core import (
     generic_regime,
     is_tableau,
     staircase_fault,
-    staircase_shape,
     symbol_fault,
 )
 from .counting import count_generic, max_cell_count
@@ -106,16 +106,6 @@ def standard_rank(t: Tableau) -> int:
 
 # --------------------------------------------------------------------------
 # Edit operations
-
-
-def _canon(t: Tableau, p: PrymParams) -> Tableau:
-    """Re-anchor a tableau with staircase boxes onto the staircase shape."""
-    shape = staircase_shape(p.r)
-    if t.shape == shape:
-        return t
-    if t.shape.boxes != shape.boxes:
-        raise InvalidInputError(f"tableau does not live on the staircase T_{p.r}")
-    return Tableau.from_mapping(shape, t.mapping)
 
 
 def _require_absent(t: Tableau, a: int, op: str) -> None:
@@ -263,18 +253,12 @@ def _check_walk(states: Sequence[Tableau], p: PrymParams) -> None:
 
 
 def height(t: Tableau, p: PrymParams) -> int:
-    """Row of the r-th leftmost strip box of the unique strip admitting ``t``."""
+    """Row of the r-th leftmost strip box of the strip admitting ``t``."""
     if p.eps == 0:
         raise InvalidInputError("height is defined only for odd torsion")
-    return _odd_strip(strips_admitting(t, p)).height
-
-
-def _odd_strip(mus: list[StripShape]) -> StripShape:
-    if not mus:
+    if not (mus := strips_admitting(t, p)):
         raise InvalidInputError("tableau is not non-repeating in any strip")
-    if len(mus) > 1:
-        raise InvariantError("odd torsion admits at most one strip")
-    return mus[0]
+    return mus[0].height
 
 
 @dataclass(frozen=True)
@@ -316,8 +300,7 @@ def _descent_step(t: Tableau, p: PrymParams) -> HeightDescent:
     if dim is None or dim < 1:
         raise InvalidInputError("height descent needs a positive-dimensional locus")
     t = _canon(t, p)
-    mus = strips_admitting(t, p)
-    if len(mus) != 1:
+    if not (mus := strips_admitting(t, p)):
         raise InvalidInputError("tableau is not non-repeating in a unique strip")
     mu = mus[0]
     l, r, g = p.l, p.r, p.g
@@ -431,7 +414,7 @@ def _descend(t: Tableau, mus: list, mu0: StripShape, p: PrymParams) -> list[Tabl
     states = [t]
     if p.eps == 1 and not mu0.degenerate:
         # Each step checks that its result lies in a strip one row lower.
-        h = _odd_strip(mus).height
+        h = mus[0].height
         while h > p.l:
             step = _descent_step(states[-1], p)
             states.extend(step.path[1:])

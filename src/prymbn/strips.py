@@ -28,12 +28,13 @@ the descent result of ``locus.height_descent_step``.  The order pairs are
 the only source of the gluing pairs: one scan of them checks a strip
 filling, and they order the strip search and the brute count.  The search's
 one prune, :meth:`StripShape.up_set_sizes`, is derived from them too.
+``_glued_strip`` alone picks a tableau's strip; :func:`is_non_repeating` checks it.
 
 The strips the module hands out come from one bounded cache keyed by
 ``(r, l, word)`` (:data:`STRIP_CACHE` strips), so a strip's shape, index,
 order pairs and repeat maps are built once while it stays cached:
-:func:`enumerate_strips`, :func:`horizontal_strip`, the greedy strip of
-:func:`dominating_non_repeating` and ``locus.height_descent_step`` read it.
+:func:`enumerate_strips`, :func:`horizontal_strip`, the strip
+``_glued_strip`` picks and ``locus.height_descent_step`` read it.
 Only the brute count at odd torsion builds strips outside it: the all-E
 and all-N strips, whose order pairs it splits by move letter.
 """
@@ -54,6 +55,7 @@ from .core import (
     Shape,
     Tableau,
     _cached,
+    _canon,
     _check_int,
     _symbol_fault,
     anti_diagonal,
@@ -333,19 +335,28 @@ def _order_failure(mu: StripShape, eps: int, values: Sequence[int]) -> int:
     return 0
 
 
+def _strip_fault(mu: StripShape, p: PrymParams) -> str | None:
+    """Why ``mu`` is no strip of type ``p``: its order, then its width."""
+    if mu.r != p.r:
+        return "strip does not match the type's staircase order"
+    if mu.l != (width := effective_width(p.r, p.k)):
+        return f"strip width {mu.l} does not match the torsion width {width}"
+    return None
+
+
 def is_non_repeating(t: Tableau, mu: StripShape, p: PrymParams) -> bool:
     """Whether ``t`` repeats strip values across the complement of ``mu``.
 
     Checks the left and right repeating conditions and the window gluing
-    condition.  The restriction of ``t`` to the strip must already satisfy
-    the tableau and displacement conditions; violations there are input
-    errors, not a False result.  Degenerate strips (all of ``T_r``) make
-    every condition vacuous.
+    condition.  The strip must fit the type, and the restriction of ``t``
+    to it must already satisfy the tableau and displacement conditions;
+    violations there are input errors, not a False result.  Degenerate
+    strips (all of ``T_r``) make every condition vacuous.
     """
     if fault := staircase_fault(t, p):
         raise InvalidInputError(f"is_non_repeating: tableau {fault}")
-    if mu.r != p.r:
-        raise InvalidInputError("strip and tableau live in different staircases")
+    if fault := _strip_fault(mu, p):
+        raise InvalidInputError(f"is_non_repeating: {fault}")
     idx = mu.shape.index
     sub = tuple(map(t.at, idx.boxes))
     i = _order_failure(mu, p.eps, sub)
@@ -392,13 +403,8 @@ class StripTableau:
                 raise InvalidInputError(
                     f"strip tableau {name} must be a {cls.__name__}, got {value!r}"
                 )
-        if mu.r != p.r:
-            raise InvalidInputError("strip does not match the type's staircase order")
-        width = effective_width(p.r, p.k)
-        if mu.l != width:
-            raise InvalidInputError(
-                f"strip width {mu.l} does not match the torsion width {width}"
-            )
+        if fault := _strip_fault(mu, p):
+            raise InvalidInputError(fault)
         if p.eps == 0 and "N" in mu.word:
             raise InvalidInputError(
                 "even torsion admits only the horizontal strip mu_0"
@@ -453,52 +459,54 @@ def restrict_to_strip(t: Tableau, mu: StripShape, p: PrymParams) -> StripTableau
     return StripTableau(mu, Tableau(mu.shape, tuple(map(t.at, mu.shape.index.boxes))), p)
 
 
-def strips_admitting(t: Tableau, p: PrymParams) -> list[StripShape]:
-    """The strips in which ``t`` is non-repeating, in canonical strip order.
+def _glued_strip(t: Tableau, p: PrymParams) -> StripShape:
+    """The one strip a displacement tableau ``t`` on ``T_r`` may be
+    non-repeating in.  Even torsion takes mu_0: a left box copies (x + l, y - l)
+    and a right box (x - l, y + l), so each anti-diagonal past ``T_l`` is
+    constant on x mod l in any window, and each gluing pair repeats a cover
+    (E the north one of the west end, N the east one of the east end): every
+    strip admits ``t`` or none does.  Odd torsion spells the word window by
+    window, E exactly when the west end is smaller; the ends lie 2(l - 1)
+    apart in x - y, no multiple of 2l - 1, so they never tie."""
+    mu = horizontal_strip(p.r, p.k)
+    if p.eps == 0 or mu.degenerate:
+        return mu
+    l, slot, values = mu.l, t.shape.index.slot, t.values
+    word, x, y = "", 1, l
+    for _ in mu.word:
+        east = values[slot[x, y]] < values[slot[x + l - 1, y - l + 1]]
+        word += "E" if east else "N"
+        x, y = (x + 1, y) if east else (x, y + 1)
+    return _strip(p.r, l, word)
 
-    Odd torsion admits at most one; even torsion admits either none or all.
-    """
+
+def strips_admitting(t: Tableau, p: PrymParams) -> list[StripShape]:
+    """The strips in which ``t`` is non-repeating, in canonical strip order:
+    the one :func:`_glued_strip` picks, all of them at even torsion, or none."""
     if fault := staircase_fault(t, p) or displacement_fault(t, p.k):
         raise InvalidInputError(f"strips_admitting: tableau {fault}")
-    return [mu for mu in enumerate_strips(p) if is_non_repeating(t, mu, p)]
+    mu = _glued_strip(t, p)
+    if not is_non_repeating(t, mu, p):
+        return []
+    return [mu] if p.eps else enumerate_strips(p)
 
 
 def dominating_non_repeating(t: Tableau, p: PrymParams) -> tuple[StripShape, Tableau]:
     """A strip and a non-repeating tableau in it dominating ``t``.
 
-    Odd torsion grows the strip greedily (east exactly when the window's
-    west value is below its east value) and copies ``t`` along it; even
-    torsion takes per-class anti-diagonal maxima on the horizontal strip.
-    A degenerate strip (the generic regime) returns ``t`` unchanged on ``T_r``.
+    Odd torsion copies ``t`` along the strip its window ends pick, even
+    torsion takes per-class anti-diagonal maxima on mu_0, and the generic
+    regime returns ``t``, re-anchored on ``T_r`` as every input is first.
     """
     if fault := staircase_fault(t, p) or displacement_fault(t, p.k):
         raise InvalidInputError(f"dominating_non_repeating: tableau {fault}")
-    r = p.r
-    mu = horizontal_strip(r, p.k)
+    t = _canon(t, p)
+    mu = _glued_strip(t, p)
     if mu.degenerate:
         if len(t.symbols) != len(t.values):
             raise InvariantError("degenerate-torsion tableau should be injective")
         return mu, t
-    m = t.mapping
     if p.eps == 1:
-        l = p.l
-        word = []
-        x, y = (1, l)
-        for n in range(l, r):
-            w = min(n, l)
-            lm, rm = m[(x, y)], m[(x + w - 1, y - w + 1)]
-            if lm == rm:
-                raise InvariantError(
-                    f"window ends on anti-diagonal {n} tie at symbol {lm};"
-                    " boxes within the torsion distance may not repeat"
-                )
-            if lm < rm:
-                word.append("E")
-                x += 1
-            else:
-                word.append("N")
-                y += 1
-        mu = _strip(r, l, "".join(word))
         s = extend_strip_tableau(restrict_to_strip(t, mu, p))
     else:
         # The boxes that repeat one box of mu_0 are those of its anti-diagonal
@@ -507,7 +515,7 @@ def dominating_non_repeating(t: Tableau, p: PrymParams) -> tuple[StripShape, Tab
         best = [0] * len(mu.boxes)
         for j, v in zip(lands, t.values):
             best[j] = max(best[j], v)
-        s = Tableau(staircase_shape(r), tuple(map(best.__getitem__, lands)))
+        s = Tableau(t.shape, tuple(map(best.__getitem__, lands)))
         if not is_non_repeating(s, mu, p):
             raise InvariantError("anti-diagonal maxima are not non-repeating in mu_0")
     if not dominates(s, t, p):

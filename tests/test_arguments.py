@@ -125,6 +125,27 @@ def test_a_bad_argument_ends_as_invalid_input(call):
         call()
 
 
+# Every counting route refuses a negative order by the domain's bound r >= 1,
+# not by the order rule's "non-negative", which 0 fails too.
+ROUTES = [
+    ("applicable_routes", applicable_routes),
+    ("cardinality", cardinality),
+    ("cardinality-brute", lambda r, k: cardinality(r, k, "brute")),
+    ("count_generic", lambda r, k: count_generic(r)),
+    ("count_even_determinant", count_even_determinant),
+    ("count_lattice_paths", count_lattice_paths),
+    ("count_brute", count_brute),
+    ("route_counts", route_counts),
+]
+
+
+@pytest.mark.parametrize("k", [0, 3])
+@pytest.mark.parametrize("call", [c for _, c in ROUTES], ids=[name for name, _ in ROUTES])
+def test_every_counting_route_refuses_a_negative_order_by_its_own_bound(call, k):
+    with pytest.raises(InvalidInputError, match="^r must be at least 1, got -1$"):
+        call(-1, k)
+
+
 def test_folded_chain_stores_its_lengths_as_fractions():
     chain = FoldedChain(2, 2, ((1, 1), ("1/2", Fraction(1, 2))))
     assert chain.lengths == ((Fraction(1), Fraction(1)), (Fraction(1, 2), Fraction(1, 2)))

@@ -133,6 +133,11 @@ def test_count_refuses_r_0_by_every_route(capsys, method, k):
     assert (code, out, err) == (2, "", "error: r must be at least 1, got 0\n")
 
 
+def test_count_refuses_a_negative_r_by_the_bound_of_r_0(capsys):
+    code, out, err = run(capsys, "count", "--r", "-1", "--k", "0")
+    assert (code, out, err) == (2, "", "error: r must be at least 1, got -1\n")
+
+
 def test_count_brute_guard_and_force_warning(capsys):
     code, _, err = run(capsys, "count", "--r", "6", "--k", "0", "--method", "brute")
     assert code == 3 and err.startswith("refused:")

@@ -18,6 +18,7 @@ from prymbn.core import (
     Shape,
     Tableau,
     codimension,
+    displacement_fault,
     dominates,
     explicit_shape,
     staircase_fault,
@@ -238,6 +239,26 @@ def test_is_non_repeating_rejects_bad_restrictions():
         is_non_repeating(stair([[3], [2, 5], [1, 2, 4]]), mu, p)
 
 
+@pytest.mark.parametrize("mu, message", [
+    (StripShape(3, 3, ""), "strip width 3 does not match the torsion width 2"),
+    (StripShape(3, 1, "EE"), "strip width 1 does not match the torsion width 2"),
+    (StripShape(4, 2, "EE"), "strip does not match the type's staircase order"),
+])
+def test_is_non_repeating_refuses_a_strip_that_does_not_fit_the_type(mu, message):
+    # Refused, not tested: the full strip T_3 would make every condition vacuous.
+    p = PrymParams(9, 3, 3)
+    with pytest.raises(InvalidInputError, match=f"^is_non_repeating: {re.escape(message)}$"):
+        is_non_repeating(minimal_witness(p), mu, p)
+
+
+def test_is_non_repeating_takes_every_strip_of_the_width_at_even_torsion():
+    # No strip tableau lives on an even-torsion N strip, but the test still
+    # has an answer: every strip admits the witness or none does.
+    p = PrymParams(8, 3, 4)
+    w = minimal_witness(p)
+    assert [is_non_repeating(w, mu, p) for mu in enumerate_strips(p)] == [True, True]
+
+
 def test_strips_admitting_counts():
     odd = PrymParams(9, 3, 3)
     for t in (minimal_witness(odd),):
@@ -245,6 +266,34 @@ def test_strips_admitting_counts():
     even = PrymParams(8, 3, 4)
     w = minimal_witness(even)
     assert len(strips_admitting(w, even)) >= 1
+
+
+def test_strips_admitting_matches_the_scan_over_every_strip_on_the_grid():
+    checked = 0
+    for r, k, gm1, _ in _grid():
+        p = PrymParams(gm1 + 1, r, k)
+        strips = enumerate_strips(p)
+        for t in islice(enumerate_staircase_tableaux(p), 0, None, 7):
+            assert strips_admitting(t, p) == [
+                mu for mu in strips if is_non_repeating(t, mu, p)], (p, t)
+            checked += 1
+    assert checked == 12_054
+
+
+@pytest.mark.parametrize("g, r, k, admitted", [(11, 10, 2, 512), (24, 12, 3, 1)])
+def test_strips_admitting_tests_one_strip(monkeypatch, g, r, k, admitted):
+    # The window ends pick the one candidate strip: one is_non_repeating
+    # call, where a scan over every strip makes 2^(r - l).
+    calls = []
+
+    def spy(t, mu, p):
+        calls.append(mu)
+        return is_non_repeating(t, mu, p)
+
+    monkeypatch.setattr("prymbn.strips.is_non_repeating", spy)
+    p = PrymParams(g, r, k)
+    assert len(strips_admitting(minimal_witness(p), p)) == admitted
+    assert len(calls) == 1
 
 
 # --------------------------------------------------------------------------
@@ -434,6 +483,16 @@ def test_dominating_non_repeating_returns_its_input_at_the_generic_regime_edge(r
             assert s is t and mu == horizontal_strip(r, k) and mu.degenerate
 
 
+@pytest.mark.parametrize("g, r, k", [(7, 3, 4), (9, 3, 3), (8, 3, 0)])
+def test_dominating_non_repeating_answers_on_the_staircase_for_an_explicit_input(g, r, k):
+    # The input is re-anchored on T_r first, so the result is the one of the
+    # staircase input, and it is never compared with a tableau on another shape.
+    p = PrymParams(g, r, k)
+    w = minimal_witness(p)
+    mu, s = dominating_non_repeating(Tableau(Shape("explicit", w.shape.boxes), w.values), p)
+    assert (mu, s) == dominating_non_repeating(w, p) and s.shape is staircase_shape(r)
+
+
 def test_dominating_non_repeating_fixes_non_repeating_inputs():
     p = PrymParams(7, 3, 4)
     w = minimal_witness(p)
@@ -484,7 +543,14 @@ def ref_is_non_repeating(t, mu, p):
     if fault := staircase_fault(t, p):
         raise InvalidInputError(f"is_non_repeating: tableau {fault}")
     if mu.r != p.r:
-        raise InvalidInputError("strip and tableau live in different staircases")
+        raise InvalidInputError(
+            "is_non_repeating: strip does not match the type's staircase order"
+        )
+    if mu.l != effective_width(p.r, p.k):
+        raise InvalidInputError(
+            f"is_non_repeating: strip width {mu.l} does not match the torsion width"
+            f" {effective_width(p.r, p.k)}"
+        )
     ref_check_restriction(t, mu, p)
     if mu.degenerate:
         return True
@@ -647,6 +713,10 @@ def test_strip_tables_agree_with_the_per_box_formulas(case):
     for nu in enumerate_strips(p):
         for u in (t, moved):
             assert outcome(is_non_repeating, u, nu, p) == outcome(ref_is_non_repeating, u, nu, p)
+    for u in (t, moved):
+        if displacement_fault(u, p.k) is None:
+            assert strips_admitting(u, p) == [
+                nu for nu in enumerate_strips(p) if is_non_repeating(u, nu, p)]
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
