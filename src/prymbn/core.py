@@ -43,12 +43,24 @@ Displacement is one pair per symbol, dominance is containment of the pair
 sets, and two cells with equally many symbols are adjacent when their pair
 sets differ by one pair each way carrying different symbols.
 
+The shape rule is stated once, by ``_same_shape``: two shapes are one shape
+when they hold the same boxes and do not carry two different named kinds.
+So an explicit box set is the named shape whose boxes it holds, while
+``T_1`` and the 1x1 square, which both hold ``(1, 1)`` alone, stay apart.
+Every test of a tableau's shape against a named shape or another tableau's
+shape reads it, after refusing anything that is not a :class:`Tableau`.
+The staircase entry re-anchors its input onto ``staircase_shape(r)``
+(``_canon``) and the square entry onto ``square_shape(r)``
+(``_check_square``), so a tableau an entry point returns is on the cached
+named shape.
+
 The staircase-input contract is stated once, by functions that return the
 first fault of a tableau as a phrase, or ``None``: :func:`staircase_fault`
-(the shape ``T_r``, then symbols in ``[1, g-1]``), :func:`symbol_fault` (the
-symbols alone) and :func:`displacement_fault` (the tableau condition, one
-cover scan, then displacement, one class scan).  An input check raises
-``InvalidInputError`` from the phrase, an output check ``InvariantError``.
+(the shape ``T_r`` by the shape rule, then symbols in ``[1, g-1]``),
+:func:`symbol_fault` (the symbols alone) and :func:`displacement_fault` (the
+tableau condition, one cover scan, then displacement, one class scan).  An
+input check raises ``InvalidInputError`` from the phrase, an output check
+``InvariantError``.
 
 Two argument rules are stated once each, and every public entry point
 taking an order or a torsion reaches them: the order rule
@@ -429,18 +441,28 @@ def explicit_shape(boxes: Iterable[Box]) -> Shape:
     return named if n and named.boxes == box_set else shape
 
 
+def _same_shape(a: Shape, b: Shape) -> bool:
+    """The shape rule: two shapes are one shape when they hold the same boxes
+    and do not carry two different named kinds.  An explicit box set is the
+    named shape whose boxes it holds; ``T_1`` and the 1x1 square, which both
+    hold ``(1, 1)`` alone, stay apart by their kinds."""
+    return a is b or (a.boxes == b.boxes and (a.kind == b.kind or "explicit" in (a.kind, b.kind)))
+
+
 def shape_family(shape: Shape) -> tuple[str, int]:
     """``("square", r)`` or ``("staircase", r)`` for a square or staircase.
 
-    Shapes answer by their kind, so the one-box staircase ``T_1`` and the
-    1x1 square stay apart; :func:`explicit_shape` names every staircase or
-    square box set.  Anything else is an input error.
+    A named kind answers by its kind, so the one-box staircase ``T_1`` and
+    the 1x1 square stay apart; an explicit box set is named by
+    :func:`explicit_shape`'s rule (staircase first).  Anything else is an
+    input error.
     """
-    kind, r = shape.kind, shape.r
+    named = explicit_shape(shape.boxes) if shape.kind == "explicit" else shape
+    kind, r = named.kind, named.r
     # A shape's r passed the order rule; the size test builds no named
     # shape larger than the one at hand.
     if kind != "explicit" and r is not None and len(shape) == named_shape_size(kind, r):
-        if shape == (square_shape(r) if kind == "square" else staircase_shape(r)):
+        if _same_shape(shape, square_shape(r) if kind == "square" else staircase_shape(r)):
             return kind, r
     raise InvalidInputError("expected a tableau on a square or staircase shape")
 
@@ -650,23 +672,37 @@ def symbol_fault(t: Tableau, g: int) -> str | None:
     return None
 
 
+def _shape_of(t: Tableau) -> Shape:
+    """The shape of ``t``; anything but a :class:`Tableau` is an input error."""
+    if not isinstance(t, Tableau):
+        raise InvalidInputError(f"expected a Tableau, got {t!r}")
+    return t.shape
+
+
+def _anchor(t: Tableau, shape: Shape) -> Tableau | None:
+    """``t`` on the named ``shape`` when the shape rule puts it there, else
+    ``None``; one box set orders its boxes alike on every shape holding it."""
+    own = _shape_of(t)
+    if own is shape:
+        return t
+    return Tableau(shape, t.values) if _same_shape(own, shape) else None
+
+
 def staircase_fault(t: Tableau, p: PrymParams) -> str | None:
     """Why ``t`` cannot be a staircase tableau of type ``p``: the shape
     ``T_r``, then the symbols.  :func:`displacement_fault` follows it where
     a cell is needed."""
-    if t.shape.boxes != staircase_shape(p.r).boxes:
+    if not _same_shape(_shape_of(t), staircase_shape(p.r)):
         return f"is not on the staircase T_{p.r}"
     return symbol_fault(t, p.g)
 
 
 def _canon(t: Tableau, p: PrymParams) -> Tableau:
-    """``t`` on ``staircase_shape(p.r)``; a shape with its boxes orders them alike."""
-    shape = staircase_shape(p.r)
-    if t.shape is shape:
-        return t
-    if t.shape.boxes != shape.boxes:
+    """``t`` on ``staircase_shape(p.r)``, the staircase entry's re-anchoring."""
+    out = _anchor(t, staircase_shape(p.r))
+    if out is None:
         raise InvalidInputError(f"tableau does not live on the staircase T_{p.r}")
-    return Tableau(shape, t.values)
+    return out
 
 
 def class_symbol_sets(
@@ -681,15 +717,19 @@ def class_symbol_sets(
 
 
 def _on_square(t: Tableau, p: PrymParams) -> bool:
-    return t.shape == square_shape(p.r)
+    return _same_shape(_shape_of(t), square_shape(p.r))
 
 
-def _check_square(t: Tableau, p: PrymParams, op: str) -> None:
-    if not _on_square(t, p):
+def _check_square(t: Tableau, p: PrymParams, op: str) -> Tableau:
+    """``t`` on ``square_shape(p.r)``, the square entry's re-anchoring, with
+    its symbols in ``[1, 2g-1]``."""
+    out = _anchor(t, square_shape(p.r))
+    if out is None:
         raise InvalidInputError(f"{op} needs a tableau on the (r+1)-square of type {p}")
     if max(t.values) > p.max_symbol:
         bad = sorted(v for v in t.symbols if v > p.max_symbol)
         raise InvalidInputError(f"symbols out of range [1, 2g-1]: {bad}")
+    return out
 
 
 def _square_keys(t: Tableau, p: PrymParams) -> tuple[Iterator[tuple[int, int]], Iterator[int]]:
@@ -714,7 +754,7 @@ def _square_signature(t: Tableau, p: PrymParams) -> Signature:
 def _prym_signature(t: Tableau, p: PrymParams) -> Signature | None:
     """:func:`is_prym` that returns the square signature of a Prym tableau
     (``None`` for any other), so a caller can reuse it for dominance."""
-    _check_square(t, p, "is_prym")
+    t = _check_square(t, p, "is_prym")
     if not is_tableau(t):
         return None
     sig = _square_signature(t, p)
@@ -728,7 +768,7 @@ def _prym_signature(t: Tableau, p: PrymParams) -> Signature | None:
 def _reflective_signature(t: Tableau, p: PrymParams) -> Signature | None:
     """:func:`is_reflective` that returns the square signature, like
     :func:`_prym_signature`."""
-    _check_square(t, p, "is_reflective")
+    t = _check_square(t, p, "is_reflective")
     g2 = 2 * p.g
     values = t.values
     if any(v + values[j] != g2 for v, j in zip(values, t.shape.index.reflection)):
@@ -765,7 +805,7 @@ def codimension(t: Tableau, p: PrymParams) -> int:
     shapes, whose symbols stay below ``g``, it is the number of distinct
     symbols.
     """
-    if t.shape == square_shape(p.r):
+    if _on_square(t, p):
         syms = t.symbols
         return sum(1 for a in range(1, p.g) if a in syms or dual_symbol(a, p.g) in syms)
     if fault := symbol_fault(t, p.g):
@@ -795,9 +835,12 @@ def dominates(t: Tableau, s: Tableau, p: PrymParams) -> bool:
     2), and every class carrying a symbol ``a != g`` in ``t`` carries ``a``
     or its dual in ``s`` (mod ``k``).  Staircase-like shapes: per-class
     symbol containment ``t(D_i) <= s(D_i)``.  Both read as containment of
-    :func:`dominance_signature` sets.
+    :func:`dominance_signature` sets, of the two tableaux anchored on one
+    shape: the named one of their shapes, if either is named.
     """
-    if t.shape != s.shape:
+    shape = _shape_of(t) if _shape_of(s).kind == "explicit" else s.shape
+    t, s = _anchor(t, shape), _anchor(s, shape)
+    if t is None or s is None:
         raise InvalidInputError("dominates compares tableaux on a common shape")
     return _signature_dominates(dominance_signature(t, p), dominance_signature(s, p))
 

@@ -23,6 +23,7 @@ from .core import (
     Tableau,
     _check_int,
     _is_int,
+    _shape_of,
     codimension,
     diag_offset,
     displacement_fault,
@@ -227,7 +228,7 @@ def tableau_to_divisor(t: Tableau, chain: FoldedChain) -> ChipDivisor | None:
     ``g``-fiber has the opposite parity indexes the empty cell.
     """
     g, k = chain.g, chain.k
-    family, r = shape_family(t.shape)
+    family, r = shape_family(_shape_of(t))
     if family == "square":
         if not is_prym(t, PrymParams(g, r, k)):
             raise InvalidInputError("square tableaux must satisfy the Prym conditions")

@@ -31,6 +31,8 @@ from .core import (
     Tableau,
     _canon,
     _cell_pairs,
+    _same_shape,
+    _shape_of,
     canonical_boxes,
     displacement_fault,
     dominates,
@@ -45,11 +47,11 @@ from .strips import (
     StripShape,
     _cell_symbols,
     _strip,
+    _strip_of,
     enumerate_strip_tableaux,
     extend_strip_tableau,
     horizontal_strip,
     is_non_repeating,
-    strips_admitting,
 )
 
 __all__ = [
@@ -218,7 +220,7 @@ def is_adjacent(t: Tableau, s: Tableau, p: PrymParams) -> bool:
     """Whether the cells of ``t`` and ``s`` share a codimension-1 face: the
     tableaux are checked as staircase tableaux of type ``p``, then their
     cells meet :func:`_pairs_adjacent`."""
-    if t.shape.boxes != s.shape.boxes:
+    if not _same_shape(_shape_of(t), _shape_of(s)):
         raise InvalidInputError("adjacency needs tableaux of the same shape")
     ct, cs = _cell_pairs(t, p.k), _cell_pairs(s, p.k)
     for name, tab, pairs in (("first", t, ct), ("second", s, cs)):
@@ -256,9 +258,9 @@ def height(t: Tableau, p: PrymParams) -> int:
     """Row of the r-th leftmost strip box of the strip admitting ``t``."""
     if p.eps == 0:
         raise InvalidInputError("height is defined only for odd torsion")
-    if not (mus := strips_admitting(t, p)):
+    if (mu := _strip_of(t, p)) is None:
         raise InvalidInputError("tableau is not non-repeating in any strip")
-    return mus[0].height
+    return mu.height
 
 
 @dataclass(frozen=True)
@@ -287,22 +289,23 @@ def _smallest_free(t: Tableau, p: PrymParams) -> int:
 
 def height_descent_step(t: Tableau, p: PrymParams) -> HeightDescent:
     """Connect ``t`` to a tableau whose strip height is lower by exactly one."""
-    step = _descent_step(t, p)
-    _check_walk(step.path, p)
-    return step
-
-
-def _descent_step(t: Tableau, p: PrymParams) -> HeightDescent:
-    """The step less its walk check, which :func:`connect_path` runs once."""
     if p.eps == 0:
         raise InvalidInputError("height descent applies to odd torsion only")
     dim = pbn_dimension(p)
     if dim is None or dim < 1:
         raise InvalidInputError("height descent needs a positive-dimensional locus")
     t = _canon(t, p)
-    if not (mus := strips_admitting(t, p)):
+    if (mu := _strip_of(t, p)) is None:
         raise InvalidInputError("tableau is not non-repeating in a unique strip")
-    mu = mus[0]
+    step = _descent_step(t, mu, p)
+    _check_walk(step.path, p)
+    return step
+
+
+def _descent_step(t: Tableau, mu: StripShape, p: PrymParams) -> HeightDescent:
+    """The step from ``t`` on ``staircase_shape(r)``, which its caller
+    checked to be non-repeating in ``mu``, less its walk check, which
+    :func:`connect_path` runs once.  The result's strip is checked here."""
     l, r, g = p.l, p.r, p.g
     H = mu.height
     if H <= l:
@@ -408,17 +411,17 @@ def _descend_strip(t: Tableau, mu0: StripShape, p: PrymParams) -> list[Tableau]:
             raise InvariantError("walk left the non-repeating family")
 
 
-def _descend(t: Tableau, mus: list, mu0: StripShape, p: PrymParams) -> list[Tableau]:
-    """Walk ``t``, admitted by the strips ``mus``, down to the standard base
+def _descend(t: Tableau, mu: StripShape, mu0: StripShape, p: PrymParams) -> list[Tableau]:
+    """Walk ``t``, non-repeating in ``mu``, down to the standard base
     tableau: odd torsion first lowers the strip height to that of mu_0."""
     states = [t]
     if p.eps == 1 and not mu0.degenerate:
-        # Each step checks that its result lies in a strip one row lower.
-        h = mus[0].height
-        while h > p.l:
-            step = _descent_step(states[-1], p)
+        # Each step checks that its result lies in a strip one row lower,
+        # and the next step starts from that strip.
+        while mu.height > p.l:
+            step = _descent_step(states[-1], mu, p)
             states.extend(step.path[1:])
-            h = step.strip.height
+            mu = step.strip
     states.extend(_descend_strip(states[-1], mu0, p)[1:])
     return states
 
@@ -449,19 +452,18 @@ def connect_path(t: Tableau, s: Tableau, p: PrymParams) -> list[Tableau]:
             "connectivity in codimension 1 needs a locus of dimension >= 1"
         )
     t, s = _canon(t, p), _canon(s, p)
-    admitting = []
+    strips = []
     for name, tab in (("source", t), ("target", s)):
-        mus = strips_admitting(tab, p)
-        if not mus:
+        if (mu := _strip_of(tab, p)) is None:
             raise InvalidInputError(f"{name} tableau is not non-repeating in any strip")
         if len(tab.symbols) != expected_codim(p.r, p.k):
             raise InvalidInputError(f"{name} tableau is not minimal")
-        admitting.append(mus)
+        strips.append(mu)
     if t == s:
         return [t]
     mu0 = horizontal_strip(p.r, p.k)
-    down_t = _descend(t, admitting[0], mu0, p)
-    down_s = _descend(s, admitting[1], mu0, p)
+    down_t = _descend(t, strips[0], mu0, p)
+    down_s = _descend(s, strips[1], mu0, p)
     base = minimal_witness(p)
     if down_t[-1] != base or down_s[-1] != base:
         raise InvariantError("descents missed the standard base tableau")

@@ -46,6 +46,7 @@ from .core import (
     PrymParams,
     Shape,
     Tableau,
+    _check_square,
     _check_torsion,
     _fold,
     _is_int,
@@ -247,10 +248,12 @@ def _sweep(
 ) -> Iterator[tuple[int, Sequence[int], Sequence[int] | Tableau]]:
     """The checked sweep of :func:`reflectify_states`.
 
-    Yields each step's threshold, replaced slots and filling.  A step's
-    filling is one list, rewritten by the next step; the final step yields
-    the result ``Tableau`` it checked instead.
+    Yields the input first, re-anchored on ``square_shape(r)`` by the square
+    entry (threshold 0, no slots), then each step's threshold, replaced slots
+    and filling.  A step's filling is one list, rewritten by the next step;
+    the final step yields the result ``Tableau`` it checked instead.
     """
+    t = _check_square(t, p, "reflectify")
     sig_t = _prym_signature(t, p)
     if sig_t is None:
         raise InvalidInputError("reflectify needs a Prym tableau of the given type")
@@ -276,6 +279,7 @@ def _sweep(
     by_threshold: dict[int, list[int]] = {}
     for i, n in enumerate(f):
         by_threshold.setdefault(n, []).append(i)
+    yield 0, (), t
     counts = _SignatureCounts(t, p)
     for step, n in enumerate(sorted(by_threshold), 1):
         slots = by_threshold[n]
@@ -318,10 +322,12 @@ def reflectify_states(t: Tableau, p: PrymParams) -> list[ReflectionState]:
     changes: it must stay Prym and dominate the state before it.  A failure
     raises ``InvariantError``.
     """
+    sweep = _sweep(t, p)
+    _, _, t = next(sweep)
     boxes = t.shape.index.boxes
     kappa: frozenset[Box] = frozenset()
     states = [ReflectionState(0, t, 0, kappa, frozenset())]
-    for n, slots, filling in _sweep(t, p):
+    for n, slots, filling in sweep:
         replaced = frozenset(boxes[i] for i in slots)
         if n < p.g:  # the final step writes the main anti-diagonal, outside T_r
             kappa = kappa | replaced

@@ -304,31 +304,47 @@ def _k4_profile(free: int, r: int) -> int:
     return 2 if free % 2 else 4
 
 
+Instance = tuple[int, int, int]
+
+
+def _betti_instances() -> tuple[Instance, list[Instance], list[Instance], list[Instance]]:
+    """R4's pinned dim-1 instances, which R6 also checks: (7,3,4); k = 2 at
+    r <= 6; k = 4 at 2 <= r <= 5; and the generic regime at r = 2, 3."""
+    def dim1(r: int, k: int) -> Instance:
+        return expected_codim(r, k) + 2, r, k
+
+    return (
+        (7, 3, 4),
+        [dim1(r, 2) for r in range(1, 7)],
+        [dim1(r, 4) for r in range(2, 6)],
+        [dim1(r, 0) for r in (2, 3)],
+    )
+
+
 def _row_betti(ctx: RunContext) -> str:
+    (g, r, k), k2s, k4s, generics = _betti_instances()
     notes: list[str] = []
-    if ctx.wants(7, 3, 4):
-        p = PrymParams(7, 3, 4)
+    if ctx.wants(g, r, k):
+        p = PrymParams(g, r, k)
         graph = _timed_graph(p)
         assert betti_number(graph) == 29, f"betti {betti_number(graph)} != 29"
         assert betti_closed_form(p) == 29
-        notes.append("(7,3,4) betti 29")
+        notes.append(f"({g},{r},{k}) betti 29")
     k2 = 0
-    for r in range(1, 7):
-        n = expected_codim(r, 2)
-        if not ctx.wants(n + 2, r, 2):
+    for g, r, k in k2s:
+        if not ctx.wants(g, r, k):
             continue
-        p = PrymParams(n + 2, r, 2)
+        p = PrymParams(g, r, k)
         graph = _timed_graph(p)
         assert betti_number(graph) == r + 1 == betti_closed_form(p), f"k=2 r={r}"
         k2 += 1
     if k2:
         notes.append(f"k=2 chain r<=6 gives r+1 ({k2} instances)")
     k4 = 0
-    for r in range(2, 6):
-        n = expected_codim(r, 4)
-        if not ctx.wants(n + 2, r, 4):
+    for g, r, k in k4s:
+        if not ctx.wants(g, r, k):
             continue
-        p = PrymParams(n + 2, r, 4)
+        p = PrymParams(g, r, k)
         graph = _timed_graph(p)
         want = 2 ** (r - 1) * (3 * r - 2) + 1
         assert betti_number(graph) == want == betti_closed_form(p), f"k=4 r={r}"
@@ -343,11 +359,10 @@ def _row_betti(ctx: RunContext) -> str:
     if k4:
         notes.append(f"k=4 profile r<=5 ({k4} instances)")
     generic = []
-    for r, want in ((2, 9), (3, 169)):
-        n = expected_codim(r, 0)
-        if not ctx.wants(n + 2, r, 0):
+    for (g, r, k), want in zip(generics, (9, 169)):
+        if not ctx.wants(g, r, k):
             continue
-        p = PrymParams(n + 2, r, 0)
+        p = PrymParams(g, r, k)
         graph = _timed_graph(p)
         assert betti_number(graph) == want == betti_closed_form(p), f"generic r={r}"
         generic.append(want)
@@ -408,23 +423,12 @@ def _row_reflection(ctx: RunContext) -> str:
 # --------------------------------------------------------------------------
 
 
-def _dim1_instances() -> list[tuple[int, int, int]]:
-    seen: list[tuple[int, int, int]] = []
-    for r in range(1, 5):
-        for k in (0, 2, 3, 4, 5):
-            seen.append((expected_codim(r, k) + 2, r, k))
-    seen.append((7, 3, 4))
-    for r in range(1, 7):
-        seen.append((expected_codim(r, 2) + 2, r, 2))
-    for r in range(2, 6):
-        seen.append((expected_codim(r, 4) + 2, r, 4))
-    for r in (2, 3):
-        seen.append((expected_codim(r, 0) + 2, r, 0))
-    out: list[tuple[int, int, int]] = []
-    for inst in seen:
-        if inst not in out:
-            out.append(inst)
-    return out
+def _dim1_instances() -> list[Instance]:
+    """The dim-1 type of each r <= 4 and k of the grid, then R4's instances,
+    each once."""
+    grid = [(expected_codim(r, k) + 2, r, k) for r in range(1, 5) for k in (0, 2, 3, 4, 5)]
+    pinned, k2s, k4s, generics = _betti_instances()
+    return list(dict.fromkeys([*grid, pinned, *k2s, *k4s, *generics]))
 
 
 # Golden pivot for one odd-torsion height-descent step at

@@ -57,6 +57,7 @@ from .core import (
     _cached,
     _canon,
     _check_int,
+    _same_shape,
     _symbol_fault,
     anti_diagonal,
     displacement_fault,
@@ -409,7 +410,7 @@ class StripTableau:
             raise InvalidInputError(
                 "even torsion admits only the horizontal strip mu_0"
             )
-        if self.entries.shape.boxes != mu.boxes:
+        if not _same_shape(self.entries.shape, mu.shape):
             raise InvalidInputError("entries must fill the strip exactly")
         if fault := symbol_fault(self.entries, p.g):
             raise InvalidInputError(f"strip tableau {fault}")
@@ -480,13 +481,20 @@ def _glued_strip(t: Tableau, p: PrymParams) -> StripShape:
     return _strip(p.r, l, word)
 
 
-def strips_admitting(t: Tableau, p: PrymParams) -> list[StripShape]:
-    """The strips in which ``t`` is non-repeating, in canonical strip order:
-    the one :func:`_glued_strip` picks, all of them at even torsion, or none."""
+def _strip_of(t: Tableau, p: PrymParams) -> StripShape | None:
+    """The strip :func:`_glued_strip` picks when ``t`` is non-repeating in
+    it, else ``None``, after :func:`strips_admitting`'s input checks: the one
+    strip a caller that reads a single strip needs."""
     if fault := staircase_fault(t, p) or displacement_fault(t, p.k):
         raise InvalidInputError(f"strips_admitting: tableau {fault}")
     mu = _glued_strip(t, p)
-    if not is_non_repeating(t, mu, p):
+    return mu if is_non_repeating(t, mu, p) else None
+
+
+def strips_admitting(t: Tableau, p: PrymParams) -> list[StripShape]:
+    """The strips in which ``t`` is non-repeating, in canonical strip order:
+    the one :func:`_glued_strip` picks, all of them at even torsion, or none."""
+    if (mu := _strip_of(t, p)) is None:
         return []
     return [mu] if p.eps else enumerate_strips(p)
 

@@ -1,6 +1,7 @@
-"""One table of bad library arguments, each of which must end as
-``InvalidInputError``, and a guard that every public entry point taking an
-order or a torsion (a parameter named ``r``, ``k`` or ``n``) is in it."""
+"""Tables of bad library arguments, each of which must end as
+``InvalidInputError``, with guards that every public entry point taking an
+order or a torsion (a parameter named ``r``, ``k`` or ``n``), and every one
+taking a tableau, is in a table."""
 
 from __future__ import annotations
 
@@ -16,10 +17,15 @@ from prymbn.core import (
     Shape,
     Tableau,
     class_symbol_sets,
+    codimension,
     diag_class,
+    dominates,
+    equivalent,
     explicit_shape,
     generic_regime,
     is_displacement,
+    is_prym,
+    is_reflective,
     square_shape,
     staircase_shape,
 )
@@ -38,11 +44,33 @@ from prymbn.dimension import (
     enumerate_staircase_values,
     expected_codim,
     min_codim_staircase,
+    minimal_witness,
 )
-from prymbn.divisors import FoldedChain, loop_torsion, make_folded_chain
-from prymbn.locus import swap_into
-from prymbn.reflection import loose_boxes, upward_displacement
-from prymbn.strips import StripShape, effective_width, horizontal_strip
+from prymbn.divisors import (
+    FoldedChain,
+    cell_dimension,
+    loop_torsion,
+    make_folded_chain,
+    tableau_to_divisor,
+)
+from prymbn.locus import connect_path, height, height_descent_step, is_adjacent, swap_into
+from prymbn.reflection import (
+    extend_to_reflective,
+    loose_boxes,
+    reflectify,
+    reflectify_states,
+    reflectify_trace,
+    restrict_to_staircase,
+    upward_displacement,
+)
+from prymbn.strips import (
+    StripShape,
+    dominating_non_repeating,
+    effective_width,
+    horizontal_strip,
+    is_non_repeating,
+    strips_admitting,
+)
 
 from helpers import stair
 
@@ -171,3 +199,78 @@ def test_every_public_order_or_torsion_entry_point_is_in_the_table():
     functions = [name for name in public if not inspect.isclass(getattr(prymbn, name))]
     assert len(functions) >= 15
     assert sorted(set(public) - RECORDS - {name for name, _ in TABLE}) == []
+
+
+# Every public function that reads the shape rule refuses anything but a
+# Tableau before it reads a shape; each of these raised AttributeError before.
+W = PrymParams(7, 3, 4)
+ODD = PrymParams(7, 3, 3)
+CHAIN = make_folded_chain(7, 4)
+
+
+def _tableau_entry_points():
+    """The public functions and their calls on a stand-in ``x`` for a
+    tableau, with every other tableau argument valid."""
+    w, sq = minimal_witness(W), extend_to_reflective(minimal_witness(W), W)
+    mu = horizontal_strip(3, 4)
+    return [
+        ("codimension", lambda x: codimension(x, W)),
+        ("cell_dimension", lambda x: cell_dimension(x, W)),
+        ("dominates", lambda x: dominates(x, w, W)),
+        ("dominates", lambda x: dominates(sq, x, W)),
+        ("equivalent", lambda x: equivalent(x, w, W)),
+        ("equivalent", lambda x: equivalent(w, x, W)),
+        ("is_prym", lambda x: is_prym(x, W)),
+        ("is_reflective", lambda x: is_reflective(x, W)),
+        ("dominating_non_repeating", lambda x: dominating_non_repeating(x, W)),
+        ("is_non_repeating", lambda x: is_non_repeating(x, mu, W)),
+        ("strips_admitting", lambda x: strips_admitting(x, W)),
+        ("connect_path", lambda x: connect_path(x, w, W)),
+        ("connect_path", lambda x: connect_path(w, x, W)),
+        ("height", lambda x: height(x, ODD)),
+        ("height_descent_step", lambda x: height_descent_step(x, ODD)),
+        ("is_adjacent", lambda x: is_adjacent(x, w, W)),
+        ("is_adjacent", lambda x: is_adjacent(w, x, W)),
+        ("extend_to_reflective", lambda x: extend_to_reflective(x, W)),
+        ("reflectify", lambda x: reflectify(x, W)),
+        ("reflectify_states", lambda x: reflectify_states(x, W)),
+        ("reflectify_trace", lambda x: reflectify_trace(x, W)),
+        ("restrict_to_staircase", lambda x: restrict_to_staircase(x, W)),
+        ("tableau_to_divisor", lambda x: tableau_to_divisor(x, CHAIN)),
+    ]
+
+
+ENTRY_POINTS = _tableau_entry_points()
+NOT_TABLEAUX = [None, "x", minimal_witness(W).values]
+
+# Public functions taking a tableau that never read the shape rule; they do
+# not check the argument's type (CHANGES.md names them).
+UNCHECKED = {
+    "cycle_out", "cycle_out_trace", "is_displacement", "is_tableau", "restrict_to_strip",
+    "standard_rank", "swap_in_for", "swap_into", "tableau_to_json",
+}
+
+
+@pytest.mark.parametrize("bad", NOT_TABLEAUX, ids=["None", "str", "values"])
+@pytest.mark.parametrize(
+    "call", [c for _, c in ENTRY_POINTS], ids=[f"{n}-{i}" for i, (n, _) in enumerate(ENTRY_POINTS)]
+)
+def test_anything_but_a_tableau_ends_as_invalid_input(call, bad):
+    with pytest.raises(InvalidInputError, match="^expected a Tableau, got "):
+        call(bad)
+
+
+def _takes_a_tableau(obj: object) -> bool:
+    try:
+        params = inspect.signature(obj).parameters.values()
+    except (TypeError, ValueError):
+        return False
+    return any(p.annotation == "Tableau" for p in params)
+
+
+def test_every_public_tableau_entry_point_refuses_a_non_tableau_or_is_named():
+    public = {name for name in prymbn.__all__
+              if inspect.isfunction(getattr(prymbn, name)) and _takes_a_tableau(getattr(prymbn, name))}
+    assert len(public) == 28
+    assert sorted(public - UNCHECKED - {name for name, _ in ENTRY_POINTS}) == []
+    assert len({name for name, _ in ENTRY_POINTS}) == 19

@@ -265,19 +265,22 @@ def test_full_descent_reaches_the_witness():
 def test_descent_scans_the_strips_once_per_step(monkeypatch):
     # The golden tableau sits two rows above mu_0.  Each endpoint's strip
     # is found once, by the endpoint check, and gives its height; after that
-    # every step reads its result's strip.
+    # every step starts from the strip the step before it checked.
     p = PrymParams(23, 8, 5)
     t = stair([list(row) for row in DESCENT_START])
     assert height(t, p) == p.l + 2
     scans = []
+    strip_of = locus._strip_of
 
     def spy(tab, params):
         scans.append(tab)
-        return strips_admitting(tab, params)
+        return strip_of(tab, params)
 
-    monkeypatch.setattr(locus, "strips_admitting", spy)
-    connect_path(t, minimal_witness(p), p)
-    assert len(scans) == 2 + 2  # endpoint checks, descent steps
+    monkeypatch.setattr(locus, "_strip_of", spy)
+    path = connect_path(t, minimal_witness(p), p)
+    assert len(scans) == 2  # the endpoint checks alone
+    # The two descent steps still ran, each from the strip it was handed.
+    assert len({height(s, p) for s in path}) == 3
 
 
 def test_walk_check_reads_each_state_once_and_never_calls_is_adjacent(monkeypatch):
