@@ -37,11 +37,25 @@ second one.  Lower sets and strips pass; the rule reads the boxes, never
 ``Shape.kind``.  Any other box set is checked by the full pairwise scan,
 generated on each call, so an index never holds more than O(boxes).
 
+The tableau condition is stated once, by :meth:`ShapeIndex.violations`:
+for a whole filling it scans every cover (or comparable pair), and for a
+rewrite of some slots of a filling that passes, only the pairs through
+those slots.  Every check of a tableau's values along its covers reads it;
+the strip gluing rule alone scans its own table,
+``StripShape.order_pairs``.
+
 A displacement tableau on the staircase ``T_r`` indexes a cell, and the cell
 is its set of (diagonal class mod ``k``, symbol) pairs (``_cell_pairs``).
 Displacement is one pair per symbol, dominance is containment of the pair
 sets, and two cells with equally many symbols are adjacent when their pair
 sets differ by one pair each way carrying different symbols.
+
+The named-shape rule is stated once, by ``_named_shape_fault``, and every
+:class:`Shape` passes it when built: a ``"staircase"`` or ``"square"``
+carries its order ``r`` and exactly the boxes of that order, and an
+``"explicit"`` shape carries no ``r``.  It reads sizes and arithmetic
+membership alone (:func:`named_shape_size`, :func:`in_named_shape`), so a
+named shape's kind and ``r`` say what it holds without building anything.
 
 The shape rule is stated once, by ``_same_shape``: two shapes are one shape
 when they hold the same boxes and do not carry two different named kinds.
@@ -77,7 +91,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress, repeat
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence
 
 Box = tuple[int, int]
 # (class, folded symbol) pairs and the parity classes carrying g: see
@@ -314,19 +328,36 @@ class ShapeIndex:
         self._reflection: tuple[int, ...] | None = None
         self._incident: tuple[tuple[tuple[int, int], ...], ...] | None = None
 
-    def violations(self, values: Sequence[int]) -> Iterator[tuple[int, int]]:
-        """The ``(lo, hi)`` slot pairs whose values fail to increase: among
-        the covers of a chained box set, else among all comparable pairs."""
-        if self.chained:
-            yield from ((i, j) for i, j in self.covers if not values[i] < values[j])
-            return
+    def violations(
+        self, values: Sequence[int], slots: Iterable[int] | None = None
+    ) -> Iterator[tuple[int, int]]:
+        """The tableau condition: the ``(lo, hi)`` slot pairs whose values
+        fail to increase, among the covers of a chained box set, else among
+        all comparable pairs.
+
+        With ``slots``, only the pairs through those slots: their
+        :attr:`incident` covers on a chained box set, else the comparable
+        pairs through them.  Rewriting those slots of a filling that passes,
+        the new filling passes when none of these pairs fails."""
+        if slots is None:
+            pairs: Iterable[tuple[int, int]] = self.covers if self.chained else self._comparable()
+        elif self.chained:
+            through, incident = dict.fromkeys(slots), self.incident
+            # A cover between two of the slots is taken from its lower end.
+            pairs = (c for i in through for c in incident[i] if c[0] == i or c[0] not in through)
+        else:
+            marked = set(slots)
+            pairs = (c for c in self._comparable() if c[0] in marked or c[1] in marked)
+        return ((i, j) for i, j in pairs if not values[i] < values[j])
+
+    def _comparable(self) -> Iterator[tuple[int, int]]:
+        """Every ``(lo, hi)`` slot pair with ``lo`` weakly south-west of
+        ``hi``, generated on each call; such a box precedes canonically."""
         boxes = self.boxes
         for j, (xj, yj) in enumerate(boxes):
-            vj = values[j]
-            # A box weakly south-west of another precedes it canonically.
             for i in range(j):
                 xi, yi = boxes[i]
-                if xi <= xj and yi <= yj and not values[i] < vj:
+                if xi <= xj and yi <= yj:
                     yield (i, j)
 
     def classes(self, k: int) -> tuple[int, ...]:
@@ -345,9 +376,8 @@ class ShapeIndex:
     @property
     def incident(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """The :attr:`covers` each slot takes part in, as the box above or
-        below.  Rewriting some slots of a filling that passes the cover
-        scan, the new filling passes it when it passes on the covers
-        incident to the rewritten slots."""
+        below, in the order of :attr:`covers`: what :meth:`violations`
+        scans for a rewrite of some slots."""
         if self._incident is None:
             if not self.chained:
                 raise InvalidInputError("incident covers need a box set passing the cover rule")
@@ -371,13 +401,31 @@ class ShapeIndex:
         return self._reflection
 
 
+def _named_shape_fault(kind: str, r: object, boxes: Collection[Box]) -> str | None:
+    """The named-shape rule: a named kind carries its order ``r`` and
+    exactly the boxes of that order, and an explicit shape carries no
+    ``r``.  Returns the first fault as a phrase, or ``None``.  The boxes
+    must be pairs of integers, distinct; they are checked by size and
+    arithmetic membership alone, so nothing is built."""
+    if kind == "explicit":
+        return None if r is None else f"an explicit shape carries no r, got {r!r}"
+    if not _is_int(r) or r < 0:
+        return f"a {kind} shape needs a non-negative integer r, got {r!r}"
+    if len(boxes) != named_shape_size(kind, r) or not all(
+        in_named_shape(kind, r, b) for b in boxes
+    ):
+        return f"the boxes are not the {kind} shape of order {r}"
+    return None
+
+
 @dataclass(frozen=True)
 class Shape:
     """A finite box set, tagged with how it was constructed.
 
     ``kind`` is one of ``"square"``, ``"staircase"`` or ``"explicit"``;
     ``r`` records the defining size parameter of a named kind (side minus
-    one for squares, the staircase order).
+    one for squares, the staircase order).  A named kind holds exactly the
+    boxes of its order (:func:`_named_shape_fault`).
     """
 
     kind: str
@@ -387,14 +435,14 @@ class Shape:
     def __post_init__(self) -> None:
         if self.kind not in ("square", "staircase", "explicit"):
             raise InvalidInputError(f"unknown shape kind {self.kind!r}")
-        if self.r is not None:
-            _check_int(self.r, "r")
         for box in self.boxes:
             if not (isinstance(box, tuple) and len(box) == 2
                     and _is_int(box[0]) and _is_int(box[1])):
                 raise InvalidInputError(f"malformed box {box!r}")
             if box[0] < 1 or box[1] < 1:
                 raise InvalidInputError(f"box {box!r} outside the positive quadrant")
+        if fault := _named_shape_fault(self.kind, self.r, self.boxes):
+            raise InvalidInputError(fault)
 
     def __len__(self) -> int:
         return len(self.boxes)
@@ -452,19 +500,15 @@ def _same_shape(a: Shape, b: Shape) -> bool:
 def shape_family(shape: Shape) -> tuple[str, int]:
     """``("square", r)`` or ``("staircase", r)`` for a square or staircase.
 
-    A named kind answers by its kind, so the one-box staircase ``T_1`` and
-    the 1x1 square stay apart; an explicit box set is named by
-    :func:`explicit_shape`'s rule (staircase first).  Anything else is an
-    input error.
+    A named shape answers by its own kind and order, so the one-box
+    staircase ``T_1`` and the 1x1 square stay apart; an explicit box set is
+    named by :func:`explicit_shape`'s rule (staircase first).  Anything
+    else is an input error.
     """
     named = explicit_shape(shape.boxes) if shape.kind == "explicit" else shape
-    kind, r = named.kind, named.r
-    # A shape's r passed the order rule; the size test builds no named
-    # shape larger than the one at hand.
-    if kind != "explicit" and r is not None and len(shape) == named_shape_size(kind, r):
-        if _same_shape(shape, square_shape(r) if kind == "square" else staircase_shape(r)):
-            return kind, r
-    raise InvalidInputError("expected a tableau on a square or staircase shape")
+    if named.kind == "explicit":
+        raise InvalidInputError("expected a tableau on a square or staircase shape")
+    return named.kind, named.r
 
 
 def canonical_boxes(shape: Shape) -> tuple[Box, ...]:
@@ -621,9 +665,16 @@ class PrymParams:
         return 2 * self.g - 1
 
 
+def _shape_of(t: Tableau) -> Shape:
+    """The shape of ``t``; anything but a :class:`Tableau` is an input error."""
+    if not isinstance(t, Tableau):
+        raise InvalidInputError(f"expected a Tableau, got {t!r}")
+    return t.shape
+
+
 def is_tableau(t: Tableau) -> bool:
     """True iff values strictly increase along every componentwise-below pair."""
-    return next(t.shape.index.violations(t.values), None) is None
+    return next(_shape_of(t).index.violations(t.values), None) is None
 
 
 def _cell_pairs(t: Tableau, k: int) -> frozenset[tuple[int, int]]:
@@ -672,13 +723,6 @@ def symbol_fault(t: Tableau, g: int) -> str | None:
     return None
 
 
-def _shape_of(t: Tableau) -> Shape:
-    """The shape of ``t``; anything but a :class:`Tableau` is an input error."""
-    if not isinstance(t, Tableau):
-        raise InvalidInputError(f"expected a Tableau, got {t!r}")
-    return t.shape
-
-
 def _anchor(t: Tableau, shape: Shape) -> Tableau | None:
     """``t`` on the named ``shape`` when the shape rule puts it there, else
     ``None``; one box set orders its boxes alike on every shape holding it."""
@@ -705,14 +749,12 @@ def _canon(t: Tableau, p: PrymParams) -> Tableau:
     return out
 
 
-def class_symbol_sets(
-    t: Tableau, k: int, *, exclude: int | None = None
-) -> dict[int, frozenset[int]]:
-    """Diagonal class -> set of symbols appearing on it (optionally excluding one)."""
+def class_symbol_sets(t: Tableau, k: int) -> dict[int, frozenset[int]]:
+    """Diagonal class -> set of symbols appearing on it."""
+    _shape_of(t)
     out: dict[int, list[int]] = {}
     for c, v in _cell_pairs(t, k):
-        if v != exclude:
-            out.setdefault(c, []).append(v)
+        out.setdefault(c, []).append(v)
     return {c: frozenset(s) for c, s in out.items()}
 
 

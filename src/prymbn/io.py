@@ -23,6 +23,8 @@ from .core import (
     Shape,
     Tableau,
     _is_int,
+    _named_shape_fault,
+    _shape_of,
     _symbol_fault,
     canonical_boxes,
     canonical_key,
@@ -93,10 +95,8 @@ def _shape_spec(data: Any) -> tuple[str | None, Any, list[Box]]:
         return kind, r, boxes
     else:
         raise InvalidInputError(f"unknown shape kind {kind!r}")
-    # Distinct boxes, as many as the shape has, all inside it: the same set.
     _require(
-        not boxes or (len(boxes) == named_shape_size(kind, r)
-                      and all(in_named_shape(kind, r, b) for b in boxes)),
+        not boxes or _named_shape_fault(kind, r, boxes) is None,
         f"boxes list disagrees with the {kind} shape of order {r}",
     )
     return kind, r, boxes
@@ -113,9 +113,13 @@ def shape_from_json(data: Any) -> Shape:
 
 
 def tableau_to_json(t: Tableau) -> dict[str, Any]:
+    """The document of ``t``; the schema holds no empty shape, so an empty
+    tableau has none."""
+    shape = _shape_of(t)
+    _require(len(shape) > 0, "a tableau document needs at least one box")
     return {
-        "shape": shape_to_json(t.shape),
-        "entries": [[x, y, t.at((x, y))] for x, y in canonical_boxes(t.shape)],
+        "shape": shape_to_json(shape),
+        "entries": [[x, y, t.at((x, y))] for x, y in canonical_boxes(shape)],
     }
 
 

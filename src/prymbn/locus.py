@@ -97,7 +97,7 @@ def standard_rank(t: Tableau) -> int:
     The prefix runs along the canonical box order; rank 0 characterises the
     standard filling itself.
     """
-    boxes = canonical_boxes(t.shape)
+    boxes = canonical_boxes(_shape_of(t))
     prefix = 0
     for i, b in enumerate(boxes):
         if t.at(b) != i + 1:
@@ -119,14 +119,13 @@ def swap_into(t: Tableau, a: int, box: Box, *, strict: bool = True) -> Tableau:
     """Place ``a`` at ``box``; the previous symbol there disappears.
 
     ``a`` must be absent, exceed every box below ``box`` and be exceeded by
-    every box above it.  The check reads the shape index: the covers
-    incident to the box's slot when the shape is chained, else the
-    comparable pairs through that slot (``ShapeIndex.violations``).  In
-    strict mode the replaced symbol must occur exactly once, so the
-    distinct-symbol count is preserved.  Swapping the resident symbol into
-    its own box is the identity.
+    every box above it: the tableau condition on the pairs through the
+    box's slot (``ShapeIndex.violations``).  In strict mode the replaced
+    symbol must occur exactly once, so the distinct-symbol count is
+    preserved.  Swapping the resident symbol into its own box is the
+    identity.
     """
-    idx = t.shape.index
+    idx = _shape_of(t).index
     i = idx.slot.get(box)
     if i is None:
         raise InvalidInputError(f"box {box} is outside the shape")
@@ -137,9 +136,7 @@ def swap_into(t: Tableau, a: int, box: Box, *, strict: bool = True) -> Tableau:
     values[i] = a
     out = Tableau(t.shape, tuple(values))  # refuses a symbol that is no positive int
     _require_absent(t, a, "swap_into")
-    for lo, hi in idx.incident[i] if idx.chained else idx.violations(values):
-        if values[lo] < values[hi] or i not in (lo, hi):
-            continue
+    for lo, hi in idx.violations(values, (i,)):
         if i == hi:
             raise InvalidInputError(
                 f"symbol {a} does not exceed lower neighbor {idx.boxes[lo]} holding {values[lo]}"
@@ -159,6 +156,7 @@ def swap_into(t: Tableau, a: int, box: Box, *, strict: bool = True) -> Tableau:
 
 def swap_in_for(t: Tableau, a: int, b: int) -> Tableau:
     """Replace every box holding ``b`` with ``a`` (identity when ``b`` absent)."""
+    _shape_of(t)
     if a == b or b not in t.symbols:
         return t
     _require_absent(t, a, "swap_in_for")
@@ -177,6 +175,7 @@ def cycle_out_trace(t: Tableau, b: int, a: int) -> list[Tableau]:
     one relabeling per state; consecutive states are adjacent.  Returns
     ``[t]`` unchanged when ``b`` is absent or equals ``a``.
     """
+    _shape_of(t)
     if a == b or b not in t.symbols:
         return [t]
     _require_absent(t, a, "cycle_out")

@@ -27,7 +27,7 @@ the result is reflective and dominates the input.  Each step between is
 checked to stay Prym and to dominate the state before it, on the slots it
 changes alone: the sweep holds the state's square signature as counts
 (:class:`_SignatureCounts`), updates them on the changed slots, and scans
-only the covers incident to those slots (``ShapeIndex.incident``).  Every
+only the pairs through those slots (``ShapeIndex.violations``).  Every
 failed check raises ``InvariantError``.  :func:`reflectify_states` builds
 a tableau per state; :func:`reflectify` runs the same sweep and builds the
 result alone.
@@ -179,16 +179,16 @@ class _SignatureCounts:
     """
 
     __slots__ = (
-        "values", "g", "classes", "parities", "incident", "pairs", "per_symbol", "g_parities",
+        "values", "g", "index", "classes", "parities", "pairs", "per_symbol", "g_parities",
     )
 
     def __init__(self, t: Tableau, p: PrymParams) -> None:
         idx = t.shape.index
         self.values = list(t.values)
         self.g = p.g
+        self.index = idx
         self.classes = idx.classes(p.k)
         self.parities = idx.classes(2)
-        self.incident = idx.incident
         pairs, g_parities = _square_keys(t, p)
         self.pairs = Counter(pairs)
         self.per_symbol = Counter(a for _, a in self.pairs)
@@ -211,7 +211,7 @@ class _SignatureCounts:
         Returns the check that the new filling fails, ``"left the Prym
         class"`` or ``"broke dominance"`` (over the old filling), or
         ``None``.  The old filling must be Prym: then the new one is when
-        the covers incident to the changed slots increase, no folded symbol
+        the pairs through the changed slots increase, no folded symbol
         they write gains a second class, and ``g`` keeps one parity class.
         It dominates the old one when it carries no key the old one lacks.
         """
@@ -225,10 +225,9 @@ class _SignatureCounts:
         for i, v in changed:
             self._count(i, values[i], -1)
             values[i] = v
-        incident = self.incident
         if (len(self.g_parities) > 1
                 or any(self.per_symbol[_fold(v, g)] > 1 for _, v in changed if v != g)
-                or any(values[lo] >= values[hi] for i, _ in changed for lo, hi in incident[i])):
+                or any(self.index.violations(values, [i for i, _ in changed]))):
             return "left the Prym class"
         return "broke dominance" if any(fresh) else None
 

@@ -58,6 +58,7 @@ from .core import (
     _canon,
     _check_int,
     _same_shape,
+    _shape_of,
     _symbol_fault,
     anti_diagonal,
     displacement_fault,
@@ -457,6 +458,7 @@ def extend_strip_tableau(st: StripTableau) -> Tableau:
 
 def restrict_to_strip(t: Tableau, mu: StripShape, p: PrymParams) -> StripTableau:
     """Package the strip restriction of a non-repeating tableau."""
+    _shape_of(t)
     return StripTableau(mu, Tableau(mu.shape, tuple(map(t.at, mu.shape.index.boxes))), p)
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import pickle
 import random
 import time
@@ -49,10 +50,12 @@ from prymbn.core import (
     staircase_shape,
     _prym_signature,
     _reflective_signature,
+    _same_shape,
     _signature_dominates,
 )
 from prymbn.dimension import enumerate_staircase_tableaux, expected_codim
 from prymbn.divisors import make_folded_chain, tableau_to_divisor
+from prymbn.io import tableau_from_json, tableau_to_json
 from prymbn.reflection import extend_to_reflective, loose_boxes
 from prymbn.strips import (
     StripShape,
@@ -149,6 +152,29 @@ def test_shape_rejects_bad_input():
         staircase_shape(-2)
     with pytest.raises(InvalidInputError):
         explicit_shape([(0, 1)])
+
+
+@pytest.mark.parametrize("kind,boxes,r,message", [
+    ("staircase", staircase_boxes(3), 5, "the boxes are not the staircase shape of order 5"),
+    ("square", frozenset({(1, 1), (2, 2)}), 7, "the boxes are not the square shape of order 7"),
+    ("staircase", staircase_boxes(3), None,
+     "a staircase shape needs a non-negative integer r, got None"),
+    ("explicit", staircase_boxes(3), 3, "an explicit shape carries no r, got 3"),
+    ("square", frozenset({(1, 1)}), True,
+     "a square shape needs a non-negative integer r, got True"),
+    # Checked by arithmetic: a huge order builds nothing.
+    ("staircase", frozenset({(1, 1)}), 10**9,
+     "the boxes are not the staircase shape of order 1000000000"),
+], ids=["T3-as-T5", "pair-as-square", "no-r", "explicit-with-r", "bool-r", "huge-r"])
+def test_a_named_shape_holds_exactly_the_boxes_of_its_order(kind, boxes, r, message):
+    with pytest.raises(InvalidInputError) as err:
+        Shape(kind, boxes, r)
+    assert str(err.value) == message
+
+
+def test_the_empty_staircase_is_a_named_shape():
+    assert Shape("staircase", frozenset(), 0) == staircase_shape(0)
+    assert shape_family(staircase_shape(0)) == ("staircase", 0)
 
 
 def test_canonical_order_staircase():
@@ -249,11 +275,16 @@ def test_is_displacement_requires_a_tableau():
         is_displacement(stair([[2], [1, 3]]), 1)
 
 
+def without(sets, a):
+    """Class symbol sets with the symbol ``a`` taken out, empty classes dropped."""
+    return {c: s - {a} for c, s in sets.items() if s - {a}}
+
+
 def test_class_symbol_sets():
     t = stair([[2], [1, 2]])
     sig = class_symbol_sets(t, 2)
     assert sig == {0: frozenset({1}), 1: frozenset({2})}
-    assert class_symbol_sets(t, 2, exclude=2) == {0: frozenset({1})}
+    assert without(sig, 2) == {0: frozenset({1})}
 
 
 def test_is_prym_and_reflective_square():
@@ -516,11 +547,12 @@ grid_boxes = st.sets(
 
 @st.composite
 def scattered_shapes(draw):
-    """Arbitrary box sets, mostly not lower sets, some tagged as a square."""
+    """Arbitrary box sets, mostly not lower sets, some left explicit-kind
+    where :func:`explicit_shape` would name them."""
     boxes = frozenset(draw(grid_boxes))
     if draw(st.booleans()):
         return explicit_shape(boxes)
-    return Shape("square", boxes, draw(st.integers(0, 3)))
+    return Shape("explicit", boxes)
 
 
 @st.composite
@@ -560,7 +592,7 @@ def check_agreement(t, s, p):
     for k in {0, 2, 3, p.k}:
         assert outcome(is_displacement, t, k) == outcome(ref_is_displacement, t, k)
         assert class_symbol_sets(t, k) == ref_class_symbol_sets(t, k)
-        assert class_symbol_sets(t, k, exclude=dropped) == ref_class_symbol_sets(
+        assert without(class_symbol_sets(t, k), dropped) == ref_class_symbol_sets(
             t, k, dropped
         )
     assert outcome(is_prym, t, p) == outcome(ref_is_prym, t, p)
@@ -672,7 +704,7 @@ def test_chained_sets_check_covers_only():
     assert moved.index.chained and list(moved.index.violations((1, 2, 1))) == [(0, 2)]
     # A column gap and a row gap, each around the one box lacking both
     # neighbours, break the rule alone: every cover increases, one other
-    # pair does not.  The odd square has two such boxes.
+    # pair does not.  The odd pair of diagonal boxes has two such boxes.
     column_gap = {(1, 1): 1, (2, 1): 5, (1, 2): 2, (1, 3): 3, (2, 3): 4}
     row_gap = {(y, x): v for (x, y), v in column_gap.items()}
     for mapping, pair in ((column_gap, [(2, 1), (2, 3)]), (row_gap, [(1, 2), (3, 2)])):
@@ -680,12 +712,40 @@ def test_chained_sets_check_covers_only():
         idx = t.shape.index
         assert not idx.chained
         assert [[idx.boxes[i], idx.boxes[j]] for i, j in idx.violations(t.values)] == [pair]
-    odd = Shape("square", frozenset({(1, 1), (2, 2)}), 1)
+    odd = Shape("explicit", frozenset({(1, 1), (2, 2)}))
     assert not odd.index.chained and odd.index.covers == ()
     with pytest.raises(InvalidInputError, match="cover rule"):
         odd.index.incident
     assert list(odd.index.violations((2, 2))) == [(0, 1)]
     assert not is_tableau(Tableau(odd, (2, 2)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_a_rewrite_scan_yields_the_whole_scans_pairs_through_its_slots(data):
+    shape = data.draw(any_shape)
+    values = data.draw(fillings(shape, 9)).values
+    idx = shape.index
+    whole = list(idx.violations(values))
+    slots = data.draw(st.lists(st.integers(0, len(values) - 1), max_size=4)) if values else []
+    part = list(idx.violations(values, slots))
+    assert len(part) == len(set(part))
+    assert set(part) == {c for c in whole if set(c) & set(slots)}
+    # Through one slot, the pairs come in the whole scan's order.
+    for i in range(len(values)):
+        assert list(idx.violations(values, (i,))) == [c for c in whole if i in c]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_every_document_tableau_to_json_writes_reads_back(data):
+    t = data.draw(fillings(data.draw(any_shape), 9))
+    if not t.values:  # the schema holds no empty shape
+        with pytest.raises(InvalidInputError, match="^a tableau document needs at least one box$"):
+            tableau_to_json(t)
+        return
+    back = tableau_from_json(json.loads(json.dumps(tableau_to_json(t))))
+    assert back.values == t.values and _same_shape(back.shape, t.shape)
 
 
 def order_below(boxes):

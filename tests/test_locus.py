@@ -19,6 +19,7 @@ from prymbn.core import (
     canonical_boxes,
     class_symbol_sets,
     dominates,
+    explicit_shape,
     staircase_shape,
 )
 from prymbn.dimension import (
@@ -79,6 +80,28 @@ def test_swap_into_identity_and_rejections():
         swap_into(t, 11, (1, 1))
     with pytest.raises(InvalidInputError, match="outside the shape"):
         swap_into(t, 11, (9, 9))
+
+
+def test_swap_into_names_the_first_failing_pair_through_the_box():
+    # On the chained T_3 the pairs are the box's covers, in cover order; on
+    # a box set failing the cover rule (a gap in column 2) they are the
+    # comparable pairs through the box, in the order of the whole scan.
+    t = stair([[12], [6, 10], [2, 4, 8]])
+    gap = {(1, 1): 2, (2, 1): 4, (1, 2): 6, (1, 3): 8, (2, 3): 10}
+    u = Tableau.from_mapping(explicit_shape(gap), gap)
+    assert t.shape.index.chained and not u.shape.index.chained
+    for tab, a, box, message in [
+        (t, 5, (2, 2), "symbol 5 does not exceed lower neighbor (1, 2) holding 6"),
+        (t, 3, (3, 1), "symbol 3 does not exceed lower neighbor (2, 1) holding 4"),
+        (t, 11, (2, 1), "symbol 11 is not exceeded by upper neighbor (3, 1) holding 8"),
+        (u, 5, (2, 3), "symbol 5 does not exceed lower neighbor (1, 2) holding 6"),
+        (u, 12, (2, 1), "symbol 12 is not exceeded by upper neighbor (2, 3) holding 10"),
+        (u, 9, (1, 2), "symbol 9 is not exceeded by upper neighbor (1, 3) holding 8"),
+    ]:
+        with pytest.raises(InvalidInputError) as err:
+            swap_into(tab, a, box)
+        assert str(err.value) == message
+    assert swap_into(t, 7, (2, 2)).at((2, 2)) == 7
 
 
 def test_swap_into_strict_multiplicity():
