@@ -33,7 +33,13 @@ from .core import (
     Tableau,
     shape_family,
 )
-from .counting import cardinality, max_cell_count, route_counts
+from .counting import (
+    _product_rule,
+    applicable_routes,
+    cardinality,
+    max_cell_count,
+    route_counts,
+)
 from .dimension import expected_codim, pbn_dimension
 from .divisors import make_folded_chain, tableau_to_divisor
 from .io import SCHEMA_VERSION, divisor_to_json, tableau_from_json, tableau_to_json
@@ -328,7 +334,10 @@ def _census_row(task: tuple[int, int, bool]) -> dict[str, Any]:
     for route in ("det", "paths", "brute"):
         if route in counts:
             row[f"C_method_{route}"] = counts[route]
-    row["cells"] = cells = max_cell_count(p, force=force)
+    # Only brute is guarded, and it is the cheapest route only where it is the
+    # sole one, so the sweep holds the count max_cell_count would make.
+    cheapest = counts[applicable_routes(r, k)[0]]
+    row["cells"] = cells = _product_rule(p, None, lambda: cheapest)
     bettis: dict[str, int] = {}
     try:
         bettis["closed"] = row["betti_closed"] = betti_closed_form(p)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, factorial, prod
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .core import (
     GuardRefused,
@@ -470,10 +470,18 @@ def max_cell_count(
     from ``S``, which is ``[g-1]`` or the checked subset ``symbols``.  An empty
     locus is refused unless a subset is given; C(r, k) is not counted when
     the binomial is 0."""
+    return _product_rule(p, symbols, lambda: cardinality(p.r, p.k, force=force))
+
+
+def _product_rule(
+    p: PrymParams, symbols: Iterable[int] | None, count: Callable[[], int]
+) -> int:
+    """:func:`max_cell_count` with C(r, k) from ``count``, called only when
+    the binomial is not 0: a caller that already holds C(r, k) passes it."""
     if symbols is None and pbn_dimension(p) is None:
         raise InvalidInputError(
             f"the locus of type (g={p.g}, r={p.r}, k={p.k}) is empty;"
             " it has no maximal cells"
         )
     factor = comb(len(_cell_symbols(p, symbols)), expected_codim(p.r, p.k))
-    return cardinality(p.r, p.k, force=force) * factor if factor else 0
+    return count() * factor if factor else 0

@@ -53,6 +53,9 @@ _KIND_ALIASES = {"triangle": "staircase"}
 
 
 def shape_to_json(shape: Shape) -> dict[str, Any]:
+    """The document of ``shape``; the schema holds no empty shape, so an
+    empty shape has none."""
+    _require(len(shape) > 0, "a shape document needs at least one box")
     return {
         "kind": shape.kind,
         "r": shape.r,
@@ -92,6 +95,8 @@ def _shape_spec(data: Any) -> tuple[str | None, Any, list[Box]]:
         _require(_is_int(r) and r >= 0, "square shape needs integer r >= 0")
     elif kind in (None, "explicit"):
         _require(bool(boxes), "explicit shape needs a non-empty boxes list")
+        if fault := _named_shape_fault("explicit", r, boxes):
+            raise InvalidInputError(fault)
         return kind, r, boxes
     else:
         raise InvalidInputError(f"unknown shape kind {kind!r}")

@@ -3,7 +3,8 @@
 The locus decomposes into maximal cells indexed by strip tableaux, counted
 by :func:`~prymbn.counting.max_cell_count`.  Two cells are adjacent when
 their (diagonal class, symbol) pair sets differ by one pair each way, the
-dropped pairs carrying different symbols: one rule, ``_pairs_adjacent``.
+dropped pairs carrying different symbols: one rule, ``_dropped_adjacent``,
+which ``_pairs_adjacent`` and the circle graph's buckets read.
 Every pair of cells is joined by a constructive walk built from three edit
 operations (swap into a box, swap a symbol in for another, cycle a symbol
 out), checked once by ``_check_walk``.  One walk down the horizontal strip
@@ -19,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Box,
@@ -47,9 +48,8 @@ from .strips import (
     StripShape,
     _cell_symbols,
     _strip,
+    _strip_extensions,
     _strip_of,
-    enumerate_strip_tableaux,
-    extend_strip_tableau,
     horizontal_strip,
     is_non_repeating,
 )
@@ -207,12 +207,21 @@ def cycle_out(t: Tableau, b: int, a: int) -> Tableau:
 
 def _pairs_adjacent(ct: frozenset, cs: frozenset) -> bool:
     """The adjacency rule on two cells' pair sets of equal size: equal and
-    not empty, or one pair apart each way, the two carrying different symbols
-    (traded within a class, or one gained on a class and one lost on another)."""
+    not empty, or one pair apart each way with :func:`_dropped_adjacent`
+    judging the two pairs."""
     gained, lost = cs - ct, ct - cs
     if not (gained or lost):
         return bool(ct)
-    return len(gained) == len(lost) == 1 and {a for _, a in gained} != {b for _, b in lost}
+    return len(gained) == len(lost) == 1 and _dropped_adjacent(*lost, *gained)
+
+
+def _dropped_adjacent(a: tuple[int, int], b: tuple[int, int]) -> bool:
+    """The adjacency rule on two cells that agree but for the pair each
+    drops, ``a`` from the first and ``b`` from the second: adjacent when the
+    pairs are one (the cells are then equal and not empty) or carry
+    different symbols (traded within a class, or one gained on a class and
+    one lost on another)."""
+    return a == b or a[1] != b[1]
 
 
 def is_adjacent(t: Tableau, s: Tableau, p: PrymParams) -> bool:
@@ -483,9 +492,9 @@ class MaximalCell:
     """A maximal cell: the non-repeating tableau extending a strip tableau.
 
     The tableau's facts were checked where they arose: its strip filling
-    when the :class:`~prymbn.strips.StripTableau` was built, its
-    displacement by :func:`~prymbn.strips.extend_strip_tableau`.  The free
-    symbols are read off the tableau, so the cell stores nothing to check.
+    by the one filling rule, its displacement when it was extended to
+    ``T_r``.  The free symbols are read off the tableau, so the cell stores
+    nothing to check.
     """
 
     params: PrymParams
@@ -504,7 +513,12 @@ def enumerate_maximal_cells(
 ) -> list[MaximalCell]:
     """The maximal cells of a non-empty locus, or those whose symbols lie in
     ``symbols``, in strip-tableau order: :func:`~prymbn.counting.max_cell_count`
-    of them, guarded by :data:`CELL_GUARD` and checked against that count."""
+    of them, guarded by :data:`CELL_GUARD` and checked against that count.
+
+    No strip tableau is built: each strip filling the search yields meets
+    the one filling rule (``strips._strip_filling_fault``) once, and only
+    its extension to ``T_r``, checked to be a displacement tableau, and the
+    cell are built."""
     symbols = None if symbols is None else _cell_symbols(p, symbols)  # read once
     total = max_cell_count(p, symbols, force=force)
     if total > CELL_GUARD and not force:
@@ -513,8 +527,8 @@ def enumerate_maximal_cells(
             " pass force=True to enumerate anyway"
         )
     cells = [
-        MaximalCell(p, st.strip, extend_strip_tableau(st))
-        for st in enumerate_strip_tableaux(p, symbols)
+        MaximalCell(p, mu, ext)
+        for mu, ext in _strip_extensions(p, _cell_symbols(p, symbols))
     ]
     if len(cells) != total:
         raise InvariantError(
@@ -551,11 +565,13 @@ def build_intersection_graph(
 ) -> IntersectionGraph:
     """The circle/intersection graph of a 1-dimensional locus.
 
-    Circles are the maximal cells.  Adjacent cells share their pair set less
-    one pair each, so each circle is bucketed under those keys and the rule
-    (:func:`_pairs_adjacent`) runs only within a bucket; a vertex joins two
-    adjacent circles, which trade their free symbols.  Two circles meet in
-    at most one point, and each vertex lies on two, so ``e = 2v``.
+    Circles are the maximal cells, and two circles meet when their cells
+    are adjacent.  :func:`_adjacent_cells` finds those pairs: each circle's
+    pair set becomes an int bitmask, bucketed under the mask less each of
+    its bits, and the rule judges only the two dropped pairs of each pair
+    of bucket members.  A vertex joins two adjacent circles, which trade
+    their free symbols there.  Two circles meet in at most one point, and
+    each vertex lies on two, so ``e = 2v``.
     """
     if pbn_dimension(p) != 1:
         raise InvalidInputError(
@@ -563,15 +579,11 @@ def build_intersection_graph(
         )
     cells = enumerate_maximal_cells(p, force=force)
     frees, pairs = [], []
-    buckets: defaultdict[frozenset, list[int]] = defaultdict(list)
-    for idx, cell in enumerate(cells):
+    for cell in cells:
         if len(free := cell.free_symbols) != 1:
             raise InvariantError("dim-1 circles carry exactly one free symbol")
         frees.append(next(iter(free)))
-        cp = _cell_pairs(cell.tableau, p.k)
-        pairs.append(cp)
-        for pair in cp:
-            buckets[cp - {pair}].append(idx)
+        pairs.append(_cell_pairs(cell.tableau, p.k))
 
     vertices: dict[tuple[int, int], GraphVertex] = {}
     counts = [0] * len(cells)
@@ -583,20 +595,13 @@ def build_intersection_graph(
             a = parent[a]
         return a
 
-    for members in buckets.values():
-        for ii in range(len(members)):
-            for jj in range(ii + 1, len(members)):
-                i, j = sorted((members[ii], members[jj]))
-                if not _pairs_adjacent(pairs[i], pairs[j]):
-                    continue
-                if (i, j) in vertices:
-                    raise InvariantError(
-                        f"circles {i} and {j} meet in more than one point"
-                    )
-                vertices[(i, j)] = GraphVertex(i, j, frees[i], frees[j])
-                counts[i] += 1
-                counts[j] += 1
-                parent[find(i)] = find(j)
+    for i, j in _adjacent_cells(pairs):
+        if (i, j) in vertices:
+            raise InvariantError(f"circles {i} and {j} meet in more than one point")
+        vertices[(i, j)] = GraphVertex(i, j, frees[i], frees[j])
+        counts[i] += 1
+        counts[j] += 1
+        parent[find(i)] = find(j)
 
     v = len(vertices)
     components = len({find(i) for i in range(len(cells))})
@@ -604,6 +609,40 @@ def build_intersection_graph(
     return IntersectionGraph(
         p, tuple(cells), ordered, v, 2 * v, components, tuple(counts)
     )
+
+
+def _adjacent_cells(
+    pairs: Sequence[frozenset[tuple[int, int]]]
+) -> Iterator[tuple[int, int]]:
+    """Index pairs ``i < j`` of adjacent cells among cells with pair sets
+    of one size, once for each bucket the two share.
+
+    Each cell's (class, symbol) pairs become an int bitmask over a dense bit
+    index built per call (k = 0 classes can be negative, so no arithmetic
+    shift keys them), and the cell is bucketed under its mask less each of
+    its bits.  Two members of one bucket agree but for the pair each
+    dropped, so the adjacency rule judges those two pairs alone
+    (:func:`_dropped_adjacent`); a bucket of one cell is skipped.  Cells
+    with equal pair sets share every bucket."""
+    bit = {pair: 1 << n for n, pair in enumerate(frozenset().union(*pairs))}
+    pair_of = {b: pair for pair, b in bit.items()}
+    masks: list[int] = []
+    first: dict[int, int] = {}  # bucket key -> its first cell
+    later: defaultdict[int, list[int]] = defaultdict(list)  # key -> the bucket's other cells
+    for i, cp in enumerate(pairs):
+        bits = list(map(bit.__getitem__, cp))
+        mask = sum(bits)
+        masks.append(mask)
+        for b in bits:
+            if first.setdefault(mask ^ b, i) != i:
+                later[mask ^ b].append(i)
+    for key, rest in later.items():
+        members = [first[key], *rest]
+        for n, i in enumerate(members):
+            a = pair_of[masks[i] ^ key]
+            for j in members[n + 1:]:
+                if _dropped_adjacent(a, pair_of[masks[j] ^ key]):
+                    yield i, j
 
 
 def betti_number(graph: IntersectionGraph) -> int:

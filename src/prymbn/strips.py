@@ -20,8 +20,9 @@ Consumers read a strip's geometry from two slot tables per torsion parity:
 repeat map is the only source of the repeating translations.  It builds
 the extension of a strip tableau (:func:`extend_strip_tableau`); since it
 fixes every strip slot, checked once when the map is built, the extension
-restricts to the strip tableau exactly, and the strip filling is checked
-once, by :class:`StripTableau`.  It also tests a given tableau for the
+restricts to the strip tableau exactly, and each strip filling is
+checked once, by ``_strip_filling_fault``, which :class:`StripTableau`
+and the cell enumeration read.  It also tests a given tableau for the
 repeat condition (:func:`is_non_repeating`) and spreads strip values over
 ``T_r`` in the even-torsion maxima of :func:`dominating_non_repeating` and
 the descent result of ``locus.height_descent_step``.  The order pairs are
@@ -380,16 +381,52 @@ def is_non_repeating(t: Tableau, mu: StripShape, p: PrymParams) -> bool:
     return i == 0 and t.values == tuple(map(sub.__getitem__, mu.repeat_map(p.eps)))
 
 
+def _strip_filling_fault(
+    mu: StripShape, p: PrymParams, shape: Shape, values: Sequence[int]
+) -> str | None:
+    """The one rule for a strip filling: why ``values``, on ``shape``, are no
+    strip tableau of ``mu`` and type ``p``, or ``None``.  In order: the strip
+    fits the type, even torsion uses only mu_0, the values fill the strip
+    exactly, they are symbols in ``[g-1]``, they are injective, and they
+    increase along every order pair (the tableau and gluing conditions, one
+    scan of :meth:`StripShape.order_pairs` through :func:`_order_failure`).
+    :class:`StripTableau` and ``locus.enumerate_maximal_cells`` both read it,
+    once per filling."""
+    if fault := _strip_fault(mu, p):
+        return fault
+    eps, own = p.eps, mu.shape
+    if eps == 0 and "N" in mu.word:
+        return "even torsion admits only the horizontal strip mu_0"
+    if len(values) != len(own.boxes) or not _same_shape(shape, own):
+        return "entries must fill the strip exactly"
+    if fault := _symbol_fault(values):
+        return f"strip tableau {fault}"
+    symbols = set(values)
+    if symbols and max(symbols) >= p.g:
+        return f"strip tableau {symbol_fault(Tableau(shape, tuple(values)), p.g)}"
+    if len(symbols) != len(values):
+        return "strip tableau entries must be injective"
+    i = _order_failure(mu, eps, values)
+    if i < -len(mu.word):
+        return "strip entries violate the tableau condition"
+    if i:
+        return (
+            f"strip entries violate the gluing condition at anti-diagonal {mu.r + i}"
+            f" ({mu.word[i]} move)"
+        )
+    return None
+
+
 @dataclass(frozen=True)
 class StripTableau:
     """An injective, glued filling of a strip with symbols in ``[g-1]``.
 
-    Construction is the one check of a strip filling: the strip fits the
-    type, the entries fill it exactly with symbols in ``[g-1]``, they are
-    injective, and they increase along every order pair (the tableau and
-    gluing conditions, one scan of :meth:`StripShape.order_pairs`).  Every
-    fact about the extension that reads only the strip restriction follows
-    from these, so :func:`extend_strip_tableau` does not check them again.
+    Construction checks the field types, then the one strip filling rule,
+    :func:`_strip_filling_fault`: the strip fits the type, the entries fill
+    it exactly with symbols in ``[g-1]``, they are injective, and they
+    increase along every order pair.  Every fact about the extension that
+    reads only the strip restriction follows from these, so
+    :func:`extend_strip_tableau` does not check them again.
     """
 
     strip: StripShape
@@ -405,26 +442,8 @@ class StripTableau:
                 raise InvalidInputError(
                     f"strip tableau {name} must be a {cls.__name__}, got {value!r}"
                 )
-        if fault := _strip_fault(mu, p):
+        if fault := _strip_filling_fault(mu, p, self.entries.shape, self.entries.values):
             raise InvalidInputError(fault)
-        if p.eps == 0 and "N" in mu.word:
-            raise InvalidInputError(
-                "even torsion admits only the horizontal strip mu_0"
-            )
-        if not _same_shape(self.entries.shape, mu.shape):
-            raise InvalidInputError("entries must fill the strip exactly")
-        if fault := symbol_fault(self.entries, p.g):
-            raise InvalidInputError(f"strip tableau {fault}")
-        if len(self.entries.symbols) != len(mu.boxes):
-            raise InvalidInputError("strip tableau entries must be injective")
-        i = _order_failure(mu, p.eps, self.entries.values)
-        if i < -len(mu.word):
-            raise InvalidInputError("strip entries violate the tableau condition")
-        if i:
-            raise InvalidInputError(
-                f"strip entries violate the gluing condition at anti-diagonal {mu.r + i}"
-                f" ({mu.word[i]} move)"
-            )
 
     @property
     def free_symbols(self) -> frozenset[int]:
@@ -444,16 +463,37 @@ def extend_strip_tableau(st: StripTableau) -> Tableau:
     construction, and its symbols are the entries', one per strip box: it
     is non-repeating in its strip and minimal with no second check.  What
     remains is the paper's claim that it is a displacement tableau on
-    ``T_r``, checked here.
+    ``T_r``, checked by :func:`_extension`.
     """
     if not isinstance(st, StripTableau):
         raise InvalidInputError(f"extend_strip_tableau needs a StripTableau, got {st!r}")
-    p, mu = st.params, st.strip
-    values = tuple(map(st.entries.values.__getitem__, mu.repeat_map(p.eps)))
-    ext = Tableau(staircase_shape(p.r), values)
+    return _extension(st.strip, st.params, st.entries.values)
+
+
+def _extension(mu: StripShape, p: PrymParams, values: Sequence[int]) -> Tableau:
+    """The tableau on ``T_r`` that copies the checked strip filling ``values``
+    along the repeat map, checked to be a displacement tableau: a failure is
+    an :class:`~prymbn.core.InvariantError`."""
+    ext = Tableau(staircase_shape(p.r), tuple(map(values.__getitem__, mu.repeat_map(p.eps))))
     if fault := displacement_fault(ext, p.k):
         raise InvariantError(f"non-repeating extension {fault}")
     return ext
+
+
+def _strip_extensions(
+    p: PrymParams, symbols: tuple[int, ...]
+) -> Iterator[tuple[StripShape, Tableau]]:
+    """Each cell strip and the extension of each of its fillings from
+    ``symbols``, in the order of :func:`enumerate_strip_tableaux`: every
+    filling meets :func:`_strip_filling_fault` once, and no strip tableau
+    is built.  A filling the search yields that fails the rule is an
+    :class:`~prymbn.core.InvariantError`."""
+    for mu in cell_strips(p):
+        shape = mu.shape
+        for values in _fill_strip(mu, p, symbols):
+            if fault := _strip_filling_fault(mu, p, shape, values):
+                raise InvariantError(f"strip search yielded a filling: {fault}")
+            yield mu, _extension(mu, p, values)
 
 
 def restrict_to_strip(t: Tableau, mu: StripShape, p: PrymParams) -> StripTableau:
@@ -544,7 +584,9 @@ def enumerate_strip_tableaux(
     """
     symbols = _cell_symbols(p, symbol_set)
     for mu in cell_strips(p):
-        yield from _fill_strip(mu, p, symbols)
+        shape = mu.shape
+        for values in _fill_strip(mu, p, symbols):
+            yield StripTableau(mu, Tableau(shape, values), p)
 
 
 def _cell_symbols(p: PrymParams, symbol_set: Iterable[int] | None) -> tuple[int, ...]:
@@ -574,17 +616,17 @@ def cell_strips(p: PrymParams) -> list[StripShape]:
 
 def _fill_strip(
     mu: StripShape, p: PrymParams, symbols: tuple[int, ...]
-) -> Iterator[StripTableau]:
+) -> Iterator[tuple[int, ...]]:
     """Injective fillings of ``mu`` from the ascending ``symbols`` that
-    increase along its order pairs, in lexicographic order of the value
-    tuple: a depth-first search on an explicit stack.
+    increase along its order pairs, as value tuples over the strip's slots
+    in lexicographic order: a depth-first search on an explicit stack.  Its
+    callers check each one by :func:`_strip_filling_fault`.
 
     Slot ``i`` takes a symbol index below ``m - up``, where ``up`` is its
     up-set size (:meth:`StripShape.up_set_sizes`): each slot above it needs
     its own larger symbol.  The cap cuts only subtrees without a filling,
     so the fillings and their order are those of the uncapped search."""
-    shape = mu.shape
-    n, m = len(shape.index.boxes), len(symbols)
+    n, m = len(mu.shape.index.boxes), len(symbols)
     if m < n:
         return
     # An order pair constrains whichever end is placed later: a floor when
@@ -605,7 +647,7 @@ def _fill_strip(
     i = 0
     while i >= 0:
         if i == n:
-            yield StripTableau(mu, Tableau(shape, tuple(values)), p)
+            yield tuple(values)
             i -= 1
             continue
         si = chosen[i]

@@ -16,7 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import prymbn
 
-from prymbn import cli
+from prymbn import cli, counting
 from prymbn.cli import CENSUS_COLUMNS, _census_row, main
 from prymbn.core import GuardRefused, PrymParams
 from prymbn.dimension import minimal_witness
@@ -563,6 +563,23 @@ def test_census_row_keeps_the_brute_guard():
     # the only route, so the row needs --force like `count` does.
     with pytest.raises(GuardRefused):
         _census_row((8, 5, False))
+
+
+@pytest.mark.parametrize("r, k", [(3, 3), (3, 2), (4, 4), (2, 0)])
+def test_census_row_counts_c_once_beyond_its_route_sweep(monkeypatch, r, k):
+    # The sweep counts C(r, k) once per route; the cells column reuses the
+    # cheapest route's count, and only the graph's cell check counts again.
+    methods = []
+    real = counting.cardinality
+
+    def spy(r, k, method="auto", **kwargs):
+        methods.append(method)
+        return real(r, k, method, **kwargs)
+
+    monkeypatch.setattr(counting, "cardinality", spy)
+    row = _census_row((r, k, False))
+    assert sorted(methods) == sorted([*counting.applicable_routes(r, k), "auto"])
+    assert row["betti_graph"] != "" and row["agree"] == "yes"
 
 
 def test_census_row_passes_force_to_the_graph(monkeypatch):

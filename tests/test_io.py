@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import tracemalloc
 from fractions import Fraction
@@ -31,6 +32,7 @@ from prymbn.io import (
     tableau_from_json,
     tableau_to_json,
 )
+from prymbn.locus import enumerate_maximal_cells
 from prymbn.selftest import _grid
 from prymbn.strips import enumerate_strip_tableaux
 
@@ -54,6 +56,28 @@ def test_shape_round_trip(shape):
     data = shape_to_json(shape)
     assert shape_from_json(json.loads(json.dumps(data))) == shape
     assert data["boxes"] == [[x, y] for x, y in canonical_boxes(shape)]
+
+
+@pytest.mark.parametrize(
+    "shape", [staircase_shape(0), explicit_shape([]), Shape("explicit", frozenset())],
+    ids=["T_0", "explicit_shape", "Shape"],
+)
+def test_shape_to_json_refuses_an_empty_shape(shape):
+    # The schema holds no empty shape, so no document may be written for one.
+    with pytest.raises(InvalidInputError, match="^a shape document needs at least one box$"):
+        shape_to_json(shape)
+
+
+@pytest.mark.parametrize("kind", ["explicit", None])
+def test_an_explicit_or_kindless_shape_document_carries_no_r(kind):
+    doc = {"r": 5, "boxes": [[1, 1], [2, 1]]} | ({"kind": kind} if kind else {})
+    with pytest.raises(InvalidInputError, match="^an explicit shape carries no r, got 5$"):
+        shape_from_json(doc)
+    with pytest.raises(InvalidInputError, match="carries no r"):
+        tableau_from_json({"shape": doc, "entries": [[1, 1, 1], [2, 1, 2]]})
+    del doc["r"]
+    for r in ({}, {"r": None}):  # an absent or null r, as shape_to_json writes it
+        assert shape_from_json(doc | r) == explicit_shape([(1, 1), (2, 1)])
 
 
 def test_shape_kind_alias_and_defaults():
@@ -373,3 +397,42 @@ def test_shape_from_json_loads_or_refuses_and_round_trips(doc):
         return
     assert isinstance(shape, Shape)
     assert shape_from_json(json.loads(json.dumps(shape_to_json(shape)))) == shape
+
+
+# --------------------------------------------------------------------------
+# Contract: every writer's document reads back to what was written
+
+library_shapes = st.one_of(
+    st.integers(0, 4).map(staircase_shape),
+    st.integers(0, 3).map(square_shape),
+    st.lists(st.tuples(st.integers(1, 4), st.integers(1, 4)), max_size=8).map(explicit_shape),
+)
+DIVISOR_TYPES = ((7, 3, 4), (5, 3, 2), (5, 2, 3), (4, 1, 2))
+
+
+@functools.cache
+def divisor_cells(g, r, k):
+    return [cell.tableau for cell in enumerate_maximal_cells(PrymParams(g, r, k))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(library_shapes, st.data())
+def test_every_writer_reads_back_or_refuses_to_write(shape, data):
+    if not shape.boxes:
+        for write, obj in ((shape_to_json, shape), (tableau_to_json, Tableau(shape, ()))):
+            with pytest.raises(InvalidInputError, match="needs at least one box"):
+                write(obj)
+        return
+    assert shape_from_json(json.loads(json.dumps(shape_to_json(shape)))) == shape
+    values = data.draw(st.lists(st.integers(1, 9), min_size=len(shape), max_size=len(shape)))
+    t = Tableau(shape, tuple(values))
+    assert tableau_from_json(json.loads(json.dumps(tableau_to_json(t)))) == t
+
+    g, r, k = data.draw(st.sampled_from(DIVISOR_TYPES))
+    cell = data.draw(st.sampled_from(divisor_cells(g, r, k)))
+    div = tableau_to_divisor(cell, make_folded_chain(g, k))
+    rows = divisor_entries_from_json(json.loads(json.dumps(divisor_to_json(div))))
+    want = [(e.loop, e.pos, e.mult) if not e.free else (e.loop, None, 0) for e in div.entries]
+    if div.stack:
+        want.append((div.chain.loop_count, Fraction(0), div.stack))
+    assert rows == want

@@ -50,7 +50,12 @@ from prymbn.locus import (
 )
 from prymbn.locus import _collapse
 from prymbn.selftest import DESCENT_START, _grid
-from prymbn.strips import strips_admitting
+from prymbn.strips import (
+    StripTableau,
+    enumerate_strip_tableaux,
+    extend_strip_tableau,
+    strips_admitting,
+)
 
 from helpers import stair
 
@@ -576,6 +581,29 @@ def test_enumerating_cells_scans_each_strip_filling_once(monkeypatch):
     assert calls == {"_order_failure": 24, "is_non_repeating": 0}
 
 
+def test_cells_are_the_extended_strip_tableaux_on_the_grid():
+    # The cell path checks each filling by the shared rule and builds no strip
+    # tableau; the strip-tableau path must give the same cells, in order.
+    for r, k, gm1, _ in _grid():
+        p = PrymParams(gm1 + 1, r, k)
+        for symbols in (None, range(2, p.g)):
+            want = [
+                MaximalCell(p, st.strip, extend_strip_tableau(st))
+                for st in enumerate_strip_tableaux(p, symbols)
+            ]
+            assert enumerate_maximal_cells(p, symbols) == want, (p, symbols)
+
+
+def test_a_fault_of_the_shared_filling_rule_stops_both_paths(monkeypatch):
+    p = PrymParams(7, 3, 4)
+    st = next(enumerate_strip_tableaux(p))
+    monkeypatch.setattr(strips, "_strip_filling_fault", lambda *args: "is planted")
+    with pytest.raises(InvalidInputError, match="^is planted$"):
+        StripTableau(st.strip, st.entries, p)
+    with pytest.raises(InvariantError, match="strip search yielded a filling: is planted"):
+        enumerate_maximal_cells(p)
+
+
 def test_a_symbol_subset_keeps_the_cells_drawing_from_it(monkeypatch):
     p = PrymParams(7, 3, 4)
     subset = [5, 1, 2, 4, 3, 3]
@@ -657,15 +685,38 @@ def ref_vertex_pairs(cells, p):
     }
 
 
+def ref_components(n, edges):
+    """Connected components of ``n`` circles joined along ``edges``."""
+    seen, components = set(), 0
+    for start in range(n):
+        if start in seen:
+            continue
+        components += 1
+        stack = [start]
+        seen.add(start)
+        while stack:
+            i = stack.pop()
+            for a, b in edges:
+                j = b if a == i else a if b == i else None
+                if j is not None and j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+    return components
+
+
 R4_INSTANCES = (
     [(7, 3, 4)]
     + [(expected_codim(r, 2) + 2, r, 2) for r in range(1, 7)]
     + [(expected_codim(r, 4) + 2, r, 4) for r in range(2, 6)]
     + [(expected_codim(r, 0) + 2, r, 0) for r in (2, 3)]
 )
+# Odd torsion, where cells lie in every strip, and the generic regime at k > 0.
+ODD_AND_GENERIC_INSTANCES = [
+    (3, 1, 3), (3, 1, 5), (5, 2, 3), (5, 2, 5), (7, 3, 3), (8, 3, 5), (9, 4, 3), (11, 5, 4),
+]
 
 
-@pytest.mark.parametrize("g,r,k", R4_INSTANCES)
+@pytest.mark.parametrize("g,r,k", R4_INSTANCES + ODD_AND_GENERIC_INSTANCES)
 def test_graph_vertices_match_the_per_class_bucketing(g, r, k):
     p = PrymParams(g, r, k)
     G = build_intersection_graph(p)
@@ -673,6 +724,10 @@ def test_graph_vertices_match_the_per_class_bucketing(g, r, k):
     assert [(w.i, w.j) for w in G.vertices] == sorted(want)
     for w in G.vertices:
         assert {w.a} == G.circles[w.i].free_symbols and {w.b} == G.circles[w.j].free_symbols
+    assert G.components == ref_components(len(G.circles), want)
+    assert G.circle_vertex_counts == tuple(
+        sum(c in pair for pair in want) for c in range(len(G.circles))
+    )
 
 
 @pytest.mark.parametrize("g, r, k", [(8, 3, 0), (7, 3, 4)])
