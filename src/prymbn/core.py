@@ -108,7 +108,6 @@ __all__ = [
     "ShapeIndex",
     "Tableau",
     "anti_diagonal",
-    "anti_diagonal_boxes",
     "canonical_boxes",
     "canonical_key",
     "class_symbol_sets",
@@ -129,11 +128,9 @@ __all__ = [
     "is_tableau",
     "named_shape_boxes",
     "named_shape_size",
-    "rank_map",
     "reflect_box",
     "shape_family",
     "square_shape",
-    "staircase_boxes",
     "staircase_fault",
     "staircase_shape",
     "symbol_fault",
@@ -239,11 +236,6 @@ def named_shape_boxes(kind: str, r: int) -> Iterator[Box]:
     for n in range(1, last + 1):
         for x in range(max(1, n - side + 1), min(n, side) + 1):
             yield (x, n + 1 - x)
-
-
-def staircase_boxes(n: int) -> frozenset[Box]:
-    """Boxes of the staircase ``T_n`` (anti-diagonals 1 through n)."""
-    return frozenset(named_shape_boxes("staircase", n))
 
 
 def _symbol_fault(values: Iterable[object]) -> str | None:
@@ -470,7 +462,7 @@ def square_shape(r: int) -> Shape:
 def staircase_shape(n: int) -> Shape:
     """The staircase ``T_n``, ``n >= 0`` (empty when n == 0)."""
     _check_int(n, "n")
-    return Shape("staircase", staircase_boxes(n), n)
+    return Shape("staircase", frozenset(named_shape_boxes("staircase", n)), n)
 
 
 def explicit_shape(boxes: Iterable[Box]) -> Shape:
@@ -514,16 +506,6 @@ def shape_family(shape: Shape) -> tuple[str, int]:
 def canonical_boxes(shape: Shape) -> tuple[Box, ...]:
     """The shape's boxes in canonical order (anti-diagonal, then x)."""
     return shape.index.boxes
-
-
-def anti_diagonal_boxes(shape: Shape, n: int) -> tuple[Box, ...]:
-    """Boxes of ``shape`` on anti-diagonal ``n``, ordered by increasing x."""
-    return tuple(b for b in canonical_boxes(shape) if anti_diagonal(b) == n)
-
-
-def rank_map(shape: Shape) -> dict[Box, int]:
-    """1-based position of each box in the canonical order."""
-    return {box: i + 1 for box, i in shape.index.slot.items()}
 
 
 @dataclass(frozen=True)

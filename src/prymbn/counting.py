@@ -209,9 +209,10 @@ def count_even_determinant(r: int, k: int, *, widen: int = 0) -> int:
     det[ 1/(r + (i-1) - 2(j-1) + a_j k)! ]``, with ``1/m! = 0`` for
     negative ``m``.  A column is identically zero once its largest entry's
     argument goes negative, which bounds each coordinate below; the zero-sum
-    constraint bounds it above.  ``widen`` grows that bounding box (the
-    result must not change; tests use it as a finite-support check).  The
-    sum visits only the box's zero-sum tuples (:func:`_zero_sum_tuples`).
+    constraint bounds it above.  ``widen``, an integer of at least 0, grows
+    that bounding box (the result must not change; tests use it as a
+    finite-support check).  The sum visits only the box's zero-sum tuples
+    (:func:`_zero_sum_tuples`).
 
     Column ``j``'s largest argument is ``top_j = r + (l-1) - 2(j-1) + a_j k``
     (row ``l``).  An ``a`` with a negative ``top_j`` has a zero column and
@@ -222,6 +223,7 @@ def count_even_determinant(r: int, k: int, *, widen: int = 0) -> int:
     integer operations per surviving ``a``.
     """
     _check_route("det", r, k)
+    _check_int(widen, "widen")
     l, n = k // 2, expected_codim(r, k)
     total = Fraction(0)
     for alpha in _zero_sum_tuples(_alpha_box(r, k, widen)):

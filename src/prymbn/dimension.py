@@ -49,7 +49,6 @@ reaches the incumbent:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Iterator
 
@@ -65,10 +64,8 @@ from .strips import StripTableau, effective_width, extend_strip_tableau, horizon
 
 __all__ = [
     "BRUTE_BOX_LIMIT",
-    "DimensionReport",
     "brute_min_codim",
     "class_chain_lengths",
-    "dimension_report",
     "enumerate_staircase_tableaux",
     "enumerate_staircase_values",
     "expected_codim",
@@ -109,27 +106,6 @@ def minimal_witness(p: PrymParams) -> Tableau | None:
     mu = horizontal_strip(p.r, p.k)
     entries = Tableau(mu.shape, tuple(range(1, len(mu.boxes) + 1)))
     return extend_strip_tableau(StripTableau(mu, entries, p))
-
-
-@dataclass(frozen=True)
-class DimensionReport:
-    """Expected codimension, dimension (None = empty), and a witness."""
-
-    params: PrymParams
-    n: int
-    dim: int | None
-    witness: Tableau | None
-
-    @property
-    def empty(self) -> bool:
-        return self.dim is None
-
-
-def dimension_report(p: PrymParams) -> DimensionReport:
-    """Bundle ``expected_codim``, ``pbn_dimension`` and a minimal witness."""
-    return DimensionReport(
-        p, expected_codim(p.r, p.k), pbn_dimension(p), minimal_witness(p)
-    )
 
 
 def brute_min_codim(

@@ -24,7 +24,6 @@ from .core import (
     _check_int,
     _is_int,
     _shape_of,
-    codimension,
     diag_offset,
     displacement_fault,
     dual_symbol,
@@ -37,7 +36,6 @@ __all__ = [
     "ChipDivisor",
     "ChipEntry",
     "FoldedChain",
-    "cell_dimension",
     "loop_torsion",
     "make_folded_chain",
     "tableau_to_divisor",
@@ -256,11 +254,3 @@ def tableau_to_divisor(t: Tableau, chain: FoldedChain) -> ChipDivisor | None:
     if div.degree != 2 * g - 2:
         raise InvariantError(f"divisor degree {div.degree} is not {2 * g - 2}")
     return div
-
-
-def cell_dimension(t: Tableau, p: PrymParams) -> int:
-    """Dimension ``g - 1 - codim`` of the cell indexed by ``t``.
-
-    Equals the number of free loop pairs of the corresponding divisors.
-    """
-    return p.g - 1 - codimension(t, p)

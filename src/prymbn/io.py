@@ -55,6 +55,8 @@ _KIND_ALIASES = {"triangle": "staircase"}
 def shape_to_json(shape: Shape) -> dict[str, Any]:
     """The document of ``shape``; the schema holds no empty shape, so an
     empty shape has none."""
+    if not isinstance(shape, Shape):
+        raise InvalidInputError(f"expected a Shape, got {shape!r}")
     _require(len(shape) > 0, "a shape document needs at least one box")
     return {
         "kind": shape.kind,
@@ -114,6 +116,7 @@ def _build_shape(kind: str | None, r: Any, boxes: list[Box]) -> Shape:
 
 
 def shape_from_json(data: Any) -> Shape:
+    """The shape of a shape document, the object every tableau document embeds."""
     return _build_shape(*_shape_spec(data))
 
 
@@ -179,6 +182,8 @@ def _entry_to_json(e: ChipEntry) -> dict[str, Any]:
 
 def divisor_to_json(div: ChipDivisor) -> list[dict[str, Any]]:
     """The divisor as a flat record list; the boundary stack comes last."""
+    if not isinstance(div, ChipDivisor):
+        raise InvalidInputError(f"expected a ChipDivisor, got {div!r}")
     records = [_entry_to_json(e) for e in div.entries]
     if div.stack:
         records.append(

@@ -28,13 +28,12 @@ from .core import (
     InvalidInputError,
     InvariantError,
     PrymParams,
-    Shape,
     Tableau,
     _canon,
     _cell_pairs,
     _same_shape,
     _shape_of,
-    canonical_boxes,
+    _symbol_fault,
     displacement_fault,
     dominates,
     generic_regime,
@@ -72,38 +71,11 @@ __all__ = [
     "height",
     "height_descent_step",
     "is_adjacent",
-    "standard_filling",
-    "standard_rank",
     "swap_in_for",
     "swap_into",
 ]
 
 CELL_GUARD = 100_000
-
-
-# --------------------------------------------------------------------------
-# Canonical-order rank
-
-
-def standard_filling(shape: Shape) -> Tableau:
-    """The filling placing ``1..n`` along the canonical box order."""
-    boxes = canonical_boxes(shape)
-    return Tableau.from_mapping(shape, {b: i + 1 for i, b in enumerate(boxes)})
-
-
-def standard_rank(t: Tableau) -> int:
-    """Distance from the standard filling: boxes minus the matching prefix.
-
-    The prefix runs along the canonical box order; rank 0 characterises the
-    standard filling itself.
-    """
-    boxes = canonical_boxes(_shape_of(t))
-    prefix = 0
-    for i, b in enumerate(boxes):
-        if t.at(b) != i + 1:
-            break
-        prefix = i + 1
-    return len(boxes) - prefix
 
 
 # --------------------------------------------------------------------------
@@ -173,9 +145,12 @@ def cycle_out_trace(t: Tableau, b: int, a: int) -> list[Tableau]:
 
     Every symbol from ``b`` toward ``a`` shifts by one in ``a``'s direction,
     one relabeling per state; consecutive states are adjacent.  Returns
-    ``[t]`` unchanged when ``b`` is absent or equals ``a``.
+    ``[t]`` unchanged when ``b`` is absent or equals ``a``.  A free symbol
+    ``a`` that breaks the symbol rule is refused first.
     """
     _shape_of(t)
+    if fault := _symbol_fault((a,)):
+        raise InvalidInputError(fault)
     if a == b or b not in t.symbols:
         return [t]
     _require_absent(t, a, "cycle_out")

@@ -445,11 +445,6 @@ class StripTableau:
         if fault := _strip_filling_fault(mu, p, self.entries.shape, self.entries.values):
             raise InvalidInputError(fault)
 
-    @property
-    def free_symbols(self) -> frozenset[int]:
-        """Symbols of ``[g-1]`` not used by the entries."""
-        return frozenset(range(1, self.params.g)) - self.entries.symbols
-
 
 def extend_strip_tableau(st: StripTableau) -> Tableau:
     """The unique non-repeating tableau on ``T_r`` extending ``st``: every

@@ -49,12 +49,11 @@ from prymbn.dimension import (
 )
 from prymbn.divisors import (
     FoldedChain,
-    cell_dimension,
     loop_torsion,
     make_folded_chain,
     tableau_to_divisor,
 )
-from prymbn.io import tableau_to_json
+from prymbn.io import divisor_to_json, shape_to_json, tableau_to_json
 from prymbn.locus import (
     connect_path,
     cycle_out,
@@ -62,7 +61,6 @@ from prymbn.locus import (
     height,
     height_descent_step,
     is_adjacent,
-    standard_rank,
     swap_in_for,
     swap_into,
 )
@@ -144,8 +142,10 @@ HELD = [
 
 # Rows added after the table was first written, appended so the ids of the
 # rows above stay as they were.  All but the third returned a value or raised
-# another exception before: FoldedChain checked no pairs, and the brute route
-# counted at r = 0.
+# another exception before: FoldedChain checked no pairs, the brute route
+# counted at r = 0, the determinant counted 0 at C(4, 4) = 8 with a negative
+# widening and took a bool for 1, cycling out compared a str with an int, and
+# the shape and divisor writers raised TypeError and AttributeError on None.
 MENDED_LATER = [
     ("FoldedChain", lambda: FoldedChain(2, 2, 5)),
     ("FoldedChain", lambda: FoldedChain(2, 2, ((1, 1), 5))),
@@ -153,6 +153,13 @@ MENDED_LATER = [
     ("cardinality", lambda: cardinality(0, 2, "brute")),
     ("count_brute", lambda: count_brute(0, 0)),
     ("route_counts", lambda: route_counts(0, 0)),
+    ("count_even_determinant", lambda: count_even_determinant(4, 4, widen=-1)),
+    ("count_even_determinant", lambda: count_even_determinant(4, 4, widen="x")),
+    ("count_even_determinant", lambda: count_even_determinant(4, 4, widen=True)),
+    ("cycle_out", lambda: cycle_out(T, 1, "x")),
+    ("cycle_out_trace", lambda: cycle_out_trace(T, 1, "x")),
+    ("shape_to_json", lambda: shape_to_json(None)),
+    ("divisor_to_json", lambda: divisor_to_json(None)),
 ]
 
 TABLE = MENDED + HELD + MENDED_LATER
@@ -194,10 +201,6 @@ def test_folded_chain_stores_its_lengths_as_fractions():
     assert chain == make_folded_chain(2, 2, [(1, 1), ("1/2", "1/2")])
 
 
-# A result record, built by ``dimension_report`` from checked values.
-RECORDS = {"DimensionReport"}
-
-
 def _parameters(obj: object) -> set[str]:
     try:
         return set(inspect.signature(obj).parameters)
@@ -210,8 +213,8 @@ def test_every_public_order_or_torsion_entry_point_is_in_the_table():
         name for name in prymbn.__all__ if {"r", "k", "n"} & _parameters(getattr(prymbn, name))
     ]
     functions = [name for name in public if not inspect.isclass(getattr(prymbn, name))]
-    assert len(functions) >= 15
-    assert sorted(set(public) - RECORDS - {name for name, _ in TABLE}) == []
+    assert len(functions) == 15
+    assert sorted(set(public) - {name for name, _ in TABLE}) == []
 
 
 # Every public function taking a tableau refuses anything but a Tableau
@@ -228,7 +231,6 @@ def _tableau_entry_points():
     mu = horizontal_strip(3, 4)
     return [
         ("codimension", lambda x: codimension(x, W)),
-        ("cell_dimension", lambda x: cell_dimension(x, W)),
         ("dominates", lambda x: dominates(x, w, W)),
         ("dominates", lambda x: dominates(sq, x, W)),
         ("equivalent", lambda x: equivalent(x, w, W)),
@@ -260,7 +262,6 @@ def _tableau_entry_points():
         ("swap_in_for", lambda x: swap_in_for(x, 5, 1)),
         ("cycle_out", lambda x: cycle_out(x, 1, 5)),
         ("cycle_out_trace", lambda x: cycle_out_trace(x, 1, 5)),
-        ("standard_rank", lambda x: standard_rank(x)),
         ("tableau_to_json", lambda x: tableau_to_json(x)),
     ]
 
@@ -289,6 +290,36 @@ def _takes_a_tableau(obj: object) -> bool:
 def test_every_public_tableau_entry_point_refuses_a_non_tableau_or_is_named():
     public = {name for name in prymbn.__all__
               if inspect.isfunction(getattr(prymbn, name)) and _takes_a_tableau(getattr(prymbn, name))}
-    assert len(public) == 28
+    assert len(public) == 26
     assert sorted(public - {name for name, _ in ENTRY_POINTS}) == []
-    assert len({name for name, _ in ENTRY_POINTS}) == 29
+    assert len({name for name, _ in ENTRY_POINTS}) == 27
+
+
+# The public surface in full, sorted: a name added to or removed from
+# ``prymbn.__all__`` is a diff here.
+SURFACE = (
+    "BRUTE_BOX_LIMIT", "BRUTE_SYMBOL_LIMIT", "Box", "CELL_GUARD", "ChipDivisor", "ChipEntry",
+    "FoldedChain", "GraphVertex", "GuardRefused", "HeightDescent", "IntersectionGraph",
+    "InvalidInputError", "InvariantError", "MaximalCell", "PrymParams", "ReflectionState",
+    "SCHEMA_VERSION", "Shape", "StripShape", "StripTableau", "Tableau", "average_intersections",
+    "betti_closed_form", "betti_number", "brute_min_codim", "build_intersection_graph",
+    "cardinality", "cell_strips", "cli", "codimension", "connect_path", "count_brute",
+    "count_even_determinant", "count_generic", "count_lattice_paths", "cycle_out",
+    "cycle_out_trace", "divisor_entries_from_json", "divisor_to_json", "dominates",
+    "dominating_non_repeating", "dual_symbol", "effective_width", "enumerate_maximal_cells",
+    "enumerate_staircase_tableaux", "enumerate_strip_tableaux", "enumerate_strips", "equivalent",
+    "expected_codim", "explicit_shape", "extend_strip_tableau", "extend_to_reflective",
+    "generic_regime", "graph_to_dot", "height", "height_descent_step", "hook_length_syt_count",
+    "horizontal_strip", "io", "is_adjacent", "is_displacement", "is_non_repeating", "is_prym",
+    "is_reflective", "is_tableau", "loop_torsion", "loose_boxes", "make_folded_chain",
+    "max_cell_count", "minimal_witness", "pbn_dimension", "reflectify", "reflectify_states",
+    "reflectify_trace", "restrict_to_staircase", "restrict_to_strip", "selftest",
+    "shape_from_json", "shape_to_json", "square_shape", "staircase_shape", "strips_admitting",
+    "swap_in_for", "swap_into", "tableau_from_json", "tableau_to_divisor", "tableau_to_json",
+    "upward_displacement",
+)
+
+
+def test_the_public_surface_is_pinned():
+    assert tuple(sorted(prymbn.__all__)) == SURFACE
+    assert all(hasattr(prymbn, name) for name in SURFACE)

@@ -22,7 +22,6 @@ from prymbn.core import (
     ShapeIndex,
     Tableau,
     anti_diagonal,
-    anti_diagonal_boxes,
     canonical_boxes,
     canonical_key,
     class_symbol_sets,
@@ -42,11 +41,9 @@ from prymbn.core import (
     is_tableau,
     named_shape_boxes,
     named_shape_size,
-    rank_map,
     reflect_box,
     shape_family,
     square_shape,
-    staircase_boxes,
     staircase_shape,
     _prym_signature,
     _reflective_signature,
@@ -87,9 +84,9 @@ def test_generic_regime_boundaries():
 
 
 def test_staircase_boxes_counts():
-    assert staircase_boxes(0) == frozenset()
-    assert staircase_boxes(1) == frozenset({(1, 1)})
-    assert len(staircase_boxes(4)) == 10
+    assert staircase_shape(0).boxes == frozenset()
+    assert staircase_shape(1).boxes == frozenset({(1, 1)})
+    assert len(staircase_shape(4).boxes) == 10
 
 
 def test_shape_constructors():
@@ -102,7 +99,7 @@ def test_shape_constructors():
 
 
 def test_one_box_set_has_one_shape():
-    assert explicit_shape(staircase_boxes(3)) is staircase_shape(3)
+    assert explicit_shape(staircase_shape(3).boxes) is staircase_shape(3)
     assert explicit_shape(square_shape(2).boxes) is square_shape(2)
     assert explicit_shape([(1, 1)]) is staircase_shape(1)  # staircase first: T_1
     assert shape_family(explicit_shape(square_shape(3).boxes)) == ("square", 3)
@@ -155,11 +152,11 @@ def test_shape_rejects_bad_input():
 
 
 @pytest.mark.parametrize("kind,boxes,r,message", [
-    ("staircase", staircase_boxes(3), 5, "the boxes are not the staircase shape of order 5"),
+    ("staircase", staircase_shape(3).boxes, 5, "the boxes are not the staircase shape of order 5"),
     ("square", frozenset({(1, 1), (2, 2)}), 7, "the boxes are not the square shape of order 7"),
-    ("staircase", staircase_boxes(3), None,
+    ("staircase", staircase_shape(3).boxes, None,
      "a staircase shape needs a non-negative integer r, got None"),
-    ("explicit", staircase_boxes(3), 3, "an explicit shape carries no r, got 3"),
+    ("explicit", staircase_shape(3).boxes, 3, "an explicit shape carries no r, got 3"),
     ("square", frozenset({(1, 1)}), True,
      "a square shape needs a non-negative integer r, got True"),
     # Checked by arithmetic: a huge order builds nothing.
@@ -181,8 +178,6 @@ def test_canonical_order_staircase():
     assert canonical_boxes(staircase_shape(3)) == (
         (1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1),
     )
-    assert anti_diagonal_boxes(staircase_shape(3), 2) == ((1, 2), (2, 1))
-    assert rank_map(staircase_shape(2))[(2, 1)] == 3
 
 
 @given(st.tuples(st.integers(1, 30), st.integers(1, 30)),
@@ -803,7 +798,7 @@ def test_shapes_and_tableaux_are_not_cached_globally():
         shape = explicit_shape([(1, 1), (2, 1), (1, 2), (3 + i, 1 + i % 3)])
         t = Tableau(shape, (1, 2, 3, 4))
         assert is_tableau(t) and is_displacement(t, 2)
-        assert canonical_boxes(shape)[0] == (1, 1) and rank_map(shape)[(1, 1)] == 1
+        assert canonical_boxes(shape)[0] == (1, 1) and shape.index.slot[(1, 1)] == 0
         class_symbol_sets(t, 3)
         u = t.with_values({(1, 1): 1})
         assert dominates(t, u, PrymParams(5, 1, 2)) and u.at((1, 2)) == 2

@@ -198,16 +198,15 @@ def test_determinant_support_box_is_finite():
         assert count_even_determinant(4, 4, widen=widen) == count_even_determinant(4, 4)
 
 
-def test_determinant_detects_a_narrowed_support_box():
+def test_determinant_detects_a_narrowed_support_box(monkeypatch):
     # Narrowing the summation box must lose terms somewhere; this is the
-    # negative control of the finite-support acceptance row.
-    narrowed = [
-        (r, k)
-        for r in range(2, 7)
-        for k in range(2, 2 * r - 1, 2)
-        if count_even_determinant(r, k, widen=-1) != count_even_determinant(r, k)
-    ]
-    assert narrowed
+    # negative control of the finite-support acceptance row.  ``widen`` takes
+    # no negative value, so the box is narrowed under the determinant.
+    full = {(r, k): count_even_determinant(r, k)
+            for r in range(2, 7) for k in range(2, 2 * r - 1, 2)}
+    box = counting._alpha_box
+    monkeypatch.setattr(counting, "_alpha_box", lambda r, k, widen: box(r, k, widen - 1))
+    assert [rk for rk, c in full.items() if count_even_determinant(*rk) != c]
 
 
 # --------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from prymbn.core import (
 from prymbn.dimension import (
     BRUTE_BOX_LIMIT,
     brute_min_codim,
-    dimension_report,
     enumerate_staircase_tableaux,
     expected_codim,
     minimal_witness,
@@ -64,14 +63,6 @@ def test_minimal_witness_properties():
         assert codimension(w, p) == expected_codim(r, k)
         assert is_non_repeating(w, horizontal_strip(r, k), p)
     assert minimal_witness(PrymParams(2, 2, 0)) is None
-
-
-def test_dimension_report_bundles_the_three_views():
-    rep = dimension_report(PrymParams(7, 3, 4))
-    assert (rep.n, rep.dim, rep.empty) == (5, 1, False)
-    assert rep.witness is not None
-    empty = dimension_report(PrymParams(2, 2, 0))
-    assert empty.dim is None and empty.empty and empty.witness is None
 
 
 def test_brute_min_codim_agrees_with_the_formula():

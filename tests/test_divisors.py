@@ -6,13 +6,12 @@ from fractions import Fraction
 
 import pytest
 
-from prymbn.core import InvalidInputError, InvariantError, PrymParams
+from prymbn.core import InvalidInputError, InvariantError, PrymParams, codimension
 from prymbn.dimension import minimal_witness
 from prymbn.divisors import (
     ChipDivisor,
     ChipEntry,
     FoldedChain,
-    cell_dimension,
     loop_torsion,
     make_folded_chain,
     tableau_to_divisor,
@@ -136,7 +135,7 @@ def test_witness_divisor_staircase():
     t = minimal_witness(p)
     div = tableau_to_divisor(t, chain)
     assert div.degree == 2 * p.g - 2 == 12
-    assert div.dimension == cell_dimension(t, p) == 1
+    assert div.dimension == p.g - 1 - codimension(t, p) == 1
     assert len(div.free_loops) == 2  # one free pair, seen from both sides
     assert div.entry(7).pos == 4  # middle chip at the odd-r parity position
     for a in range(1, 7):
@@ -159,7 +158,7 @@ def test_staircase_divisor_dimension_matches_cells():
     chain = make_folded_chain(9, 3)
     t = minimal_witness(p)
     div = tableau_to_divisor(t, chain)
-    assert div.dimension == cell_dimension(t, p) == 3
+    assert div.dimension == p.g - 1 - codimension(t, p) == 3
     free = set(div.free_loops)
     assert len(free) == 6 and all(2 * p.g - a in free for a in free)
 
@@ -188,7 +187,7 @@ def test_square_divisor_golden():
     assert div.entry(1).pos == 0 == div.entry(5).pos
     assert div.entry(3).pos == 2  # r = 1 is odd: middle chip at half-way
     assert div.free_loops == (2, 4)
-    assert div.dimension == cell_dimension(t, PrymParams(3, 1, 2)) == 1
+    assert div.dimension == 3 - 1 - codimension(t, PrymParams(3, 1, 2)) == 1
 
 
 def test_square_divisor_parity_mismatch_is_empty():

@@ -43,8 +43,6 @@ from prymbn.locus import (
     height,
     height_descent_step,
     is_adjacent,
-    standard_filling,
-    standard_rank,
     swap_in_for,
     swap_into,
 )
@@ -59,17 +57,10 @@ from prymbn.strips import (
 
 from helpers import stair
 
-# --------------------------------------------------------------------------
-# Standard fillings and rank
-
-
-def test_standard_filling_and_rank():
-    shape = staircase_shape(4)
-    base = standard_filling(shape)
-    assert base.values == tuple(range(1, 11))
-    assert standard_rank(base) == 0
-    bumped = base.with_values({(4, 1): 11})
-    assert standard_rank(bumped) == 1
+def first_miss(t):
+    """The first slot not holding its 1-based canonical position, or the
+    box count when ``t`` is the standard filling."""
+    return next((i for i, v in enumerate(t.values) if v != i + 1), len(t.values))
 
 
 # --------------------------------------------------------------------------
@@ -161,10 +152,8 @@ WALK_STATES = [
 def test_generic_walk_reproduces_the_figure():
     p = PrymParams(12, 4, 0)
     states = [stair(s) for s in WALK_STATES]
-    assert states[-1] == standard_filling(states[0].shape)
-    assert states[-1] == minimal_witness(p)
-    assert standard_rank(states[0]) == 8
-    assert standard_rank(states[-1]) == 0
+    assert states[-1] == minimal_witness(p)  # the standard filling, 1..10 in canonical order
+    assert first_miss(states[0]) == 2 and first_miss(states[-1]) == 10
     path = connect_path(states[0], states[-1], p)
     assert len(path) == 16  # eight operations, the first expanded into eight
     assert [path.index(f) for f in states] == [0, 8, 9, 10, 11, 12, 13, 14, 15]
@@ -207,7 +196,7 @@ def test_connect_path_validates_inputs():
     with pytest.raises(InvalidInputError, match="dimension"):
         connect_path(stair([[2], [1, 2]]), stair([[2], [1, 2]]), PrymParams(3, 3, 0))
     p = PrymParams(8, 3, 2)
-    injective = standard_filling(staircase_shape(3))
+    injective = Tableau(staircase_shape(3), tuple(range(1, 7)))
     with pytest.raises(InvalidInputError, match="non-repeating"):
         connect_path(injective, injective, p)
 
@@ -391,19 +380,16 @@ def test_height_step_golden_matches_the_hand_written_chain():
 
 def ref_descend_injective(t, p):
     """Walk an injective tableau down to the standard filling with
-    ``swap_into``, the rank read from ``standard_rank`` on the whole shape."""
+    ``swap_into``; every step moves the first miss along the whole shape."""
     boxes = canonical_boxes(t.shape)
     states = [t]
-    while True:
-        miss = next((i for i, b in enumerate(boxes) if states[-1].at(b) != i + 1), None)
-        if miss is None:
-            return states
-        rank = standard_rank(states[-1])
+    while (miss := first_miss(states[-1])) < len(boxes):
         free = min(set(range(1, p.g)) - states[-1].symbols)
         assert free >= miss + 1
         states.extend(cycle_out_trace(states[-1], miss + 1, free)[1:])
         states.append(swap_into(states[-1], miss + 1, boxes[miss]))
-        assert standard_rank(states[-1]) < rank
+        assert first_miss(states[-1]) > miss
+    return states
 
 
 def random_injective(p, rng):
@@ -448,7 +434,7 @@ def test_is_adjacent_cases():
     assert is_adjacent(t, t, p)  # equal symbol sets count as touching
     assert is_adjacent(t, stair([[3], [1, 3]]), p)  # trade 2 for 3
     with pytest.raises(InvalidInputError, match="same shape"):
-        is_adjacent(t, standard_filling(staircase_shape(3)), p)
+        is_adjacent(t, Tableau(staircase_shape(3), tuple(range(1, 7))), p)
     with pytest.raises(InvalidInputError, match="distinct symbols"):
         is_adjacent(t, stair([[3], [1, 2]]), p)
     with pytest.raises(InvalidInputError, match="displacement"):

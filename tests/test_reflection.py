@@ -15,7 +15,6 @@ from prymbn.core import (
     PrymParams,
     Tableau,
     anti_diagonal,
-    anti_diagonal_boxes,
     dominates,
     explicit_shape,
     is_prym,
@@ -158,7 +157,7 @@ def paper_sweep(t, p):
         s = s.with_values(updates)
         kappa |= replaced
         states.append((len(states), s, n, kappa, replaced))
-    main = anti_diagonal_boxes(square_shape(r), r + 1)
+    main = tuple((x, r + 2 - x) for x in range(1, r + 2))  # the main anti-diagonal
     states.append((len(states), s.with_values({b: g for b in main}), g, kappa,
                    frozenset(main)))
     return states

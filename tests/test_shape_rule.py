@@ -26,7 +26,7 @@ from prymbn.core import (
     staircase_shape,
 )
 from prymbn.dimension import enumerate_staircase_tableaux, minimal_witness
-from prymbn.divisors import cell_dimension, make_folded_chain, tableau_to_divisor
+from prymbn.divisors import make_folded_chain, tableau_to_divisor
 from prymbn.locus import (
     connect_path,
     enumerate_maximal_cells,
@@ -69,8 +69,6 @@ CHAIN = make_folded_chain(7, 4)
 ROWS = [
     ("codimension", codimension, (CELLS[5], EVEN)),
     ("codimension", codimension, (SQ, EVEN)),
-    ("cell_dimension", cell_dimension, (W, EVEN)),
-    ("cell_dimension", cell_dimension, (SQ, EVEN)),
     ("dominates", dominates, (CELLS[5], W, EVEN)),
     ("dominates", dominates, (reflectify(PRYM, SWEEP), PRYM, SWEEP)),
     ("equivalent", equivalent, (CELLS[5], CELLS[6], EVEN)),
@@ -167,7 +165,7 @@ def test_every_public_type_p_tableau_function_is_in_the_table():
         if inspect.isfunction(obj := getattr(prymbn, name))
         and _takes(obj, "Tableau") and _takes(obj, "PrymParams")
     }
-    assert len(public) >= 19
+    assert len(public) == 18
     assert sorted(public - {name for name, _, _ in ROWS}) == []
 
 
