@@ -20,8 +20,7 @@ would otherwise re-derive on every call:
 
 - the canonical box tuple and the box -> slot map;
 - the slot of every box's west and south neighbour, for any box set;
-- for a box set passing the cover rule, the ``(lo, hi)`` slot pairs compared,
-  and the pairs each slot takes part in;
+- for a box set passing the cover rule, the ``(lo, hi)`` slot pairs compared;
 - the diagonal class of every slot, one tuple per ``k``, built on first use;
 - for squares, the slot permutation of the reflection across the main
   anti-diagonal.
@@ -37,12 +36,10 @@ second one.  Lower sets and strips pass; the rule reads the boxes, never
 ``Shape.kind``.  Any other box set is checked by the full pairwise scan,
 generated on each call, so an index never holds more than O(boxes).
 
-The tableau condition is stated once, by :meth:`ShapeIndex.violations`:
-for a whole filling it scans every cover (or comparable pair), and for a
-rewrite of some slots of a filling that passes, only the pairs through
-those slots.  Every check of a tableau's values along its covers reads it;
-the strip gluing rule alone scans its own table,
-``StripShape.order_pairs``.
+The tableau condition is stated once, by :meth:`ShapeIndex.violations`,
+which scans every cover (or comparable pair) of a whole filling.  Every
+check of a tableau's values along its covers reads it; the strip gluing
+rule alone scans its own table, ``StripShape.order_pairs``.
 
 A displacement tableau on the staircase ``T_r`` indexes a cell, and the cell
 is its set of (diagonal class mod ``k``, symbol) pairs (``_cell_pairs``).
@@ -82,7 +79,9 @@ taking an order or a torsion reaches them: the order rule
 ``g``, ``r``, ``n``, ``l`` and ``gmax``) and the torsion rule
 (:func:`_check_torsion`: ``k == 0`` or ``k >= 2``).  Class maps are read
 through :meth:`ShapeIndex.classes` alone, which applies the torsion rule
-on every read.
+on every read.  Every public entry point taking a type ``p`` reads it
+through ``_check_params`` first, which refuses anything but a
+:class:`PrymParams`, as ``_shape_of`` refuses anything but a tableau.
 """
 
 from __future__ import annotations
@@ -289,14 +288,11 @@ class ShapeIndex:
     ``-1`` where the box set lacks it.  When ``chained`` (the module's cover
     rule) holds, ``covers`` lists the (west or south neighbour, box) slot
     pairs, west pairs first.
-    :meth:`classes`, :attr:`incident` and :attr:`reflection` are built on
-    first use; :meth:`classes` keeps at most :data:`CLASS_CACHE` torsions.
+    :meth:`classes` and :attr:`reflection` are built on first use;
+    :meth:`classes` keeps at most :data:`CLASS_CACHE` torsions.
     """
 
-    __slots__ = (
-        "boxes", "slot", "west", "south", "chained", "covers", "_classes", "_reflection",
-        "_incident",
-    )
+    __slots__ = ("boxes", "slot", "west", "south", "chained", "covers", "_classes", "_reflection")
 
     def __init__(self, shape: Shape) -> None:
         boxes = tuple(sorted(shape.boxes, key=canonical_key))
@@ -318,28 +314,12 @@ class ShapeIndex:
         ]) if self.chained else ()
         self._classes: dict[int, tuple[int, ...]] = {}
         self._reflection: tuple[int, ...] | None = None
-        self._incident: tuple[tuple[tuple[int, int], ...], ...] | None = None
 
-    def violations(
-        self, values: Sequence[int], slots: Iterable[int] | None = None
-    ) -> Iterator[tuple[int, int]]:
+    def violations(self, values: Sequence[int]) -> Iterator[tuple[int, int]]:
         """The tableau condition: the ``(lo, hi)`` slot pairs whose values
         fail to increase, among the covers of a chained box set, else among
-        all comparable pairs.
-
-        With ``slots``, only the pairs through those slots: their
-        :attr:`incident` covers on a chained box set, else the comparable
-        pairs through them.  Rewriting those slots of a filling that passes,
-        the new filling passes when none of these pairs fails."""
-        if slots is None:
-            pairs: Iterable[tuple[int, int]] = self.covers if self.chained else self._comparable()
-        elif self.chained:
-            through, incident = dict.fromkeys(slots), self.incident
-            # A cover between two of the slots is taken from its lower end.
-            pairs = (c for i in through for c in incident[i] if c[0] == i or c[0] not in through)
-        else:
-            marked = set(slots)
-            pairs = (c for c in self._comparable() if c[0] in marked or c[1] in marked)
+        all comparable pairs."""
+        pairs: Iterable[tuple[int, int]] = self.covers if self.chained else self._comparable()
         return ((i, j) for i, j in pairs if not values[i] < values[j])
 
     def _comparable(self) -> Iterator[tuple[int, int]]:
@@ -364,21 +344,6 @@ class ShapeIndex:
                 del self._classes[next(iter(self._classes))]  # the oldest map
             out = self._classes[k] = tuple(diag_class(b, k) for b in self.boxes)
         return out
-
-    @property
-    def incident(self) -> tuple[tuple[tuple[int, int], ...], ...]:
-        """The :attr:`covers` each slot takes part in, as the box above or
-        below, in the order of :attr:`covers`: what :meth:`violations`
-        scans for a rewrite of some slots."""
-        if self._incident is None:
-            if not self.chained:
-                raise InvalidInputError("incident covers need a box set passing the cover rule")
-            out: list[list[tuple[int, int]]] = [[] for _ in self.boxes]
-            for lo, hi in self.covers:
-                out[lo].append((lo, hi))
-                out[hi].append((lo, hi))
-            self._incident = tuple(map(tuple, out))
-        return self._incident
 
     @property
     def reflection(self) -> tuple[int, ...]:
@@ -654,6 +619,13 @@ def _shape_of(t: Tableau) -> Shape:
     return t.shape
 
 
+def _check_params(p: PrymParams) -> PrymParams:
+    """``p``; anything but a :class:`PrymParams` is an input error."""
+    if not isinstance(p, PrymParams):
+        raise InvalidInputError(f"expected a PrymParams, got {p!r}")
+    return p
+
+
 def is_tableau(t: Tableau) -> bool:
     """True iff values strictly increase along every componentwise-below pair."""
     return next(_shape_of(t).index.violations(t.values), None) is None
@@ -718,7 +690,7 @@ def staircase_fault(t: Tableau, p: PrymParams) -> str | None:
     """Why ``t`` cannot be a staircase tableau of type ``p``: the shape
     ``T_r``, then the symbols.  :func:`displacement_fault` follows it where
     a cell is needed."""
-    if not _same_shape(_shape_of(t), staircase_shape(p.r)):
+    if not _same_shape(_shape_of(t), staircase_shape(_check_params(p).r)):
         return f"is not on the staircase T_{p.r}"
     return symbol_fault(t, p.g)
 
@@ -741,13 +713,13 @@ def class_symbol_sets(t: Tableau, k: int) -> dict[int, frozenset[int]]:
 
 
 def _on_square(t: Tableau, p: PrymParams) -> bool:
-    return _same_shape(_shape_of(t), square_shape(p.r))
+    return _same_shape(_shape_of(t), square_shape(_check_params(p).r))
 
 
 def _check_square(t: Tableau, p: PrymParams, op: str) -> Tableau:
     """``t`` on ``square_shape(p.r)``, the square entry's re-anchoring, with
     its symbols in ``[1, 2g-1]``."""
-    out = _anchor(t, square_shape(p.r))
+    out = _anchor(t, square_shape(_check_params(p).r))
     if out is None:
         raise InvalidInputError(f"{op} needs a tableau on the (r+1)-square of type {p}")
     if max(t.values) > p.max_symbol:

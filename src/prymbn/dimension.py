@@ -58,6 +58,7 @@ from .core import (
     PrymParams,
     Tableau,
     _check_int,
+    _check_params,
     staircase_shape,
 )
 from .strips import StripTableau, effective_width, extend_strip_tableau, horizontal_strip
@@ -89,7 +90,7 @@ def expected_codim(r: int, k: int) -> int:
 
 def pbn_dimension(p: PrymParams) -> int | None:
     """Dimension ``g - 1 - n(r, k)`` of the locus, or ``None`` when empty."""
-    d = p.g - 1 - expected_codim(p.r, p.k)
+    d = _check_params(p).g - 1 - expected_codim(p.r, p.k)
     return d if d >= 0 else None
 
 
@@ -122,7 +123,7 @@ def brute_min_codim(
     with ``use_budget=False`` (paranoid mode) the class-chain bound, which
     reads only ``T_r``'s order and the diagonal classes.
     """
-    boxes = p.r * (p.r + 1) // 2
+    boxes = _check_params(p).r * (p.r + 1) // 2
     if boxes > BRUTE_BOX_LIMIT and not force:
         raise GuardRefused(
             f"brute_min_codim over {boxes} boxes exceeds the desk-scale limit"
@@ -142,7 +143,7 @@ def enumerate_staircase_tableaux(p: PrymParams) -> Iterator[Tableau]:
     Desk-scale helper for property tests and pipelines; no guard, callers
     pick sensible sizes.
     """
-    shape = staircase_shape(p.r)
+    shape = staircase_shape(_check_params(p).r)
     for values in enumerate_staircase_values(p.r, p.k, p.g - 1):
         yield Tableau(shape, tuple(values))
 

@@ -197,21 +197,26 @@ def divisor_entries_from_json(data: Any) -> list[tuple[int, Fraction | None, int
     _require(isinstance(data, list), "divisor must be a list of records")
     rows: list[tuple[int, Fraction | None, int]] = []
     for item in data:
-        _require(isinstance(item, dict), f"divisor record must be an object: {item!r}")
+        # Each message is built only when its check fails.
+        if not isinstance(item, dict):
+            raise InvalidInputError(f"divisor record must be an object: {item!r}")
         loop = item.get("loop")
-        _require(_is_int(loop) and loop >= 1, f"bad loop index in {item!r}")
+        if not (_is_int(loop) and loop >= 1):
+            raise InvalidInputError(f"bad loop index in {item!r}")
         if item.get("free"):
             rows.append((loop, None, 0))
             continue
-        _require("pos" in item, f"record needs pos or free: {item!r}")
+        if "pos" not in item:
+            raise InvalidInputError(f"record needs pos or free: {item!r}")
         pos = item["pos"]
-        bad_pos = f"bad position in {item!r}"
-        _require(isinstance(pos, (str, float)) or _is_int(pos), bad_pos)
         try:
-            pos = Fraction(pos)
+            pos = Fraction(pos) if isinstance(pos, (str, float)) or _is_int(pos) else None
         except (ValueError, ZeroDivisionError, OverflowError):
-            raise InvalidInputError(bad_pos) from None
+            pos = None
+        if pos is None:
+            raise InvalidInputError(f"bad position in {item!r}")
         mult = item.get("mult", 1)
-        _require(_is_int(mult) and mult >= 1, f"bad multiplicity in {item!r}")
+        if not (_is_int(mult) and mult >= 1):
+            raise InvalidInputError(f"bad multiplicity in {item!r}")
         rows.append((loop, pos, mult))
     return rows

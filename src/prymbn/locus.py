@@ -31,6 +31,7 @@ from .core import (
     Tableau,
     _canon,
     _cell_pairs,
+    _check_params,
     _same_shape,
     _shape_of,
     _symbol_fault,
@@ -91,8 +92,8 @@ def swap_into(t: Tableau, a: int, box: Box, *, strict: bool = True) -> Tableau:
     """Place ``a`` at ``box``; the previous symbol there disappears.
 
     ``a`` must be absent, exceed every box below ``box`` and be exceeded by
-    every box above it: the tableau condition on the pairs through the
-    box's slot (``ShapeIndex.violations``).  In strict mode the replaced
+    every box above it: the tableau condition (``ShapeIndex.violations``),
+    read on the pairs through the box's slot.  In strict mode the replaced
     symbol must occur exactly once, so the distinct-symbol count is
     preserved.  Swapping the resident symbol into its own box is the
     identity.
@@ -108,14 +109,15 @@ def swap_into(t: Tableau, a: int, box: Box, *, strict: bool = True) -> Tableau:
     values[i] = a
     out = Tableau(t.shape, tuple(values))  # refuses a symbol that is no positive int
     _require_absent(t, a, "swap_into")
-    for lo, hi in idx.violations(values, (i,)):
+    for lo, hi in idx.violations(values):
         if i == hi:
             raise InvalidInputError(
                 f"symbol {a} does not exceed lower neighbor {idx.boxes[lo]} holding {values[lo]}"
             )
-        raise InvalidInputError(
-            f"symbol {a} is not exceeded by upper neighbor {idx.boxes[hi]} holding {values[hi]}"
-        )
+        if i == lo:
+            raise InvalidInputError(
+                f"symbol {a} is not exceeded by upper neighbor {idx.boxes[hi]} holding {values[hi]}"
+            )
     if strict:
         mult = len(t.fiber(old))
         if mult != 1:
@@ -205,7 +207,7 @@ def is_adjacent(t: Tableau, s: Tableau, p: PrymParams) -> bool:
     cells meet :func:`_pairs_adjacent`."""
     if not _same_shape(_shape_of(t), _shape_of(s)):
         raise InvalidInputError("adjacency needs tableaux of the same shape")
-    ct, cs = _cell_pairs(t, p.k), _cell_pairs(s, p.k)
+    ct, cs = _cell_pairs(t, _check_params(p).k), _cell_pairs(s, p.k)
     for name, tab, pairs in (("first", t, ct), ("second", s, cs)):
         if fault := staircase_fault(tab, p) or displacement_fault(tab, p.k, pairs):
             raise InvalidInputError(f"{name} tableau {fault}")
@@ -239,7 +241,7 @@ def _check_walk(states: Sequence[Tableau], p: PrymParams) -> None:
 
 def height(t: Tableau, p: PrymParams) -> int:
     """Row of the r-th leftmost strip box of the strip admitting ``t``."""
-    if p.eps == 0:
+    if _check_params(p).eps == 0:
         raise InvalidInputError("height is defined only for odd torsion")
     if (mu := _strip_of(t, p)) is None:
         raise InvalidInputError("tableau is not non-repeating in any strip")
@@ -272,7 +274,7 @@ def _smallest_free(t: Tableau, p: PrymParams) -> int:
 
 def height_descent_step(t: Tableau, p: PrymParams) -> HeightDescent:
     """Connect ``t`` to a tableau whose strip height is lower by exactly one."""
-    if p.eps == 0:
+    if _check_params(p).eps == 0:
         raise InvalidInputError("height descent applies to odd torsion only")
     dim = pbn_dimension(p)
     if dim is None or dim < 1:

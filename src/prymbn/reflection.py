@@ -24,13 +24,12 @@ own cover scan; :func:`extend_to_reflective` and
 The two ends are checked in full: the input's Prym signature and
 ``g``-fiber and the cover scan of ``f`` at the start, and at the end that
 the result is reflective and dominates the input.  Each step between is
-checked to stay Prym and to dominate the state before it, on the slots it
-changes alone: the sweep holds the state's square signature as counts
-(:class:`_SignatureCounts`), updates them on the changed slots, and scans
-only the pairs through those slots (``ShapeIndex.violations``).  Every
-failed check raises ``InvariantError``.  :func:`reflectify_states` builds
-a tableau per state; :func:`reflectify` runs the same sweep and builds the
-result alone.
+checked to stay Prym and to dominate the state before it: the sweep holds
+the state's square signature as counts (:class:`_SignatureCounts`),
+updates them on the changed slots, and scans the new filling's covers
+(``ShapeIndex.violations``).  Every failed check raises
+``InvariantError``.  :func:`reflectify_states` builds a tableau per state;
+:func:`reflectify` runs the same sweep and builds the result alone.
 """
 
 from __future__ import annotations
@@ -168,8 +167,8 @@ class ReflectionState:
 
 class _SignatureCounts:
     """The square signature (see :func:`~prymbn.core.dominance_signature`)
-    of a Prym filling, held as counts so that a rewrite of a few slots is
-    checked on those slots alone.
+    of a Prym filling, held as counts so that a rewrite of a few slots
+    updates it on those slots alone.
 
     ``pairs`` counts the slots carrying each (class mod k, folded symbol),
     ``per_symbol`` the classes carrying each folded symbol, and
@@ -211,8 +210,8 @@ class _SignatureCounts:
         Returns the check that the new filling fails, ``"left the Prym
         class"`` or ``"broke dominance"`` (over the old filling), or
         ``None``.  The old filling must be Prym: then the new one is when
-        the pairs through the changed slots increase, no folded symbol
-        they write gains a second class, and ``g`` keeps one parity class.
+        it passes the tableau condition, no folded symbol the changed slots
+        write gains a second class, and ``g`` keeps one parity class.
         It dominates the old one when it carries no key the old one lacks.
         """
         values, g = self.values, self.g
@@ -227,7 +226,7 @@ class _SignatureCounts:
             values[i] = v
         if (len(self.g_parities) > 1
                 or any(self.per_symbol[_fold(v, g)] > 1 for _, v in changed if v != g)
-                or any(self.index.violations(values, [i for i, _ in changed]))):
+                or any(self.index.violations(values))):
             return "left the Prym class"
         return "broke dominance" if any(fresh) else None
 
@@ -317,9 +316,9 @@ def reflectify_states(t: Tableau, p: PrymParams) -> list[ReflectionState]:
     signature and ``g``-fiber; the thresholds ``f(w) = min(t(w), 2g -
     t(w*))`` of the boxes of ``T_r``, which must increase along its covers
     and stay at most ``g - 1``; and the result, which must be reflective
-    and dominate the input.  Each step between is checked on the slots it
-    changes: it must stay Prym and dominate the state before it.  A failure
-    raises ``InvariantError``.
+    and dominate the input.  Each step between is checked: it must stay
+    Prym and dominate the state before it.  A failure raises
+    ``InvariantError``.
     """
     sweep = _sweep(t, p)
     _, _, t = next(sweep)

@@ -58,6 +58,7 @@ from .core import (
     _cached,
     _canon,
     _check_int,
+    _check_params,
     _same_shape,
     _shape_of,
     _symbol_fault,
@@ -319,7 +320,7 @@ def enumerate_strips(p: PrymParams) -> list[StripShape]:
 
     The generic regime yields the single degenerate strip ``T_r``.
     """
-    l = effective_width(p.r, p.k)
+    l = effective_width(_check_params(p).r, p.k)
     return [_strip(p.r, l, w) for w in _words(p.r, l)]
 
 
@@ -494,6 +495,7 @@ def _strip_extensions(
 def restrict_to_strip(t: Tableau, mu: StripShape, p: PrymParams) -> StripTableau:
     """Package the strip restriction of a non-repeating tableau."""
     _shape_of(t)
+    _check_params(p)
     return StripTableau(mu, Tableau(mu.shape, tuple(map(t.at, mu.shape.index.boxes))), p)
 
 
@@ -586,6 +588,7 @@ def enumerate_strip_tableaux(
 
 def _cell_symbols(p: PrymParams, symbol_set: Iterable[int] | None) -> tuple[int, ...]:
     """The ascending symbols cell entries draw from: ``[g-1]`` or a checked subset."""
+    _check_params(p)
     if symbol_set is None:
         return tuple(range(1, p.g))
     try:
@@ -604,7 +607,7 @@ def _cell_symbols(p: PrymParams, symbol_set: Iterable[int] | None) -> tuple[int,
 
 def cell_strips(p: PrymParams) -> list[StripShape]:
     """The strips that index cells: all of them at odd torsion, mu_0 otherwise."""
-    if p.eps == 0:
+    if _check_params(p).eps == 0:
         return [horizontal_strip(p.r, p.k)]
     return enumerate_strips(p)
 

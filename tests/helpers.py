@@ -1,4 +1,4 @@
-"""Row-order builders and search oracles shared by the test modules.
+"""Row-order builders, table ids and search oracles shared by the test modules.
 
 Hand-written examples read best with the top row first, while
 :meth:`Tableau.from_rows` takes the bottom row first (French convention);
@@ -24,6 +24,17 @@ def square(rows_top_down: list[list[int]]) -> Tableau:
     """Square tableau from rows written top-down."""
     rows = list(reversed(rows_top_down))
     return Tableau.from_rows(rows, square_shape(len(rows) - 1))
+
+
+def row_ids(rows) -> list[str]:
+    """Parametrize ids ``name-n`` of table rows ``(name, n, ...)``.  Each
+    row carries its own number, unique among the rows of its name, so
+    deleting a row renames no other test; two rows with one id stop the
+    collection of the module."""
+    ids = [f"{name}-{n}" for name, n, *_ in rows]
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"table rows share an id: {sorted({i for i in ids if ids.count(i) > 1})}")
+    return ids
 
 
 def per_strip_count(p) -> int:

@@ -310,6 +310,25 @@ def test_divisor_entries_from_json_rejects_a_malformed_position():
             divisor_entries_from_json([{"loop": 2, "pos": pos}])
 
 
+def test_a_valid_divisor_document_formats_no_record():
+    # Each refusal names its record, but only a failed check may build it.
+    reprs = []
+
+    class Record(dict):
+        def __repr__(self):
+            reprs.append(self)
+            return dict.__repr__(self)
+
+    div = tableau_to_divisor(minimal_witness(PrymParams(7, 3, 4)), make_folded_chain(7, 4))
+    records = [Record(rec) for rec in divisor_to_json(div)]
+    assert any(rec.get("free") for rec in records) and not all(rec.get("free") for rec in records)
+    rows = divisor_entries_from_json(records)
+    assert len(rows) == len(records) and reprs == []
+    with pytest.raises(InvalidInputError, match="bad multiplicity"):
+        divisor_entries_from_json([Record(loop=2, pos="1", mult=0)])
+    assert len(reprs) == 1
+
+
 def test_divisor_entries_from_json_rejects_a_non_integer_multiplicity():
     for mult in ("x", 1.5, "2", True, 0):
         with pytest.raises(InvalidInputError, match="bad multiplicity"):

@@ -386,8 +386,8 @@ def test_incremental_checks_match_the_full_ones_on_random_steps():
         for _ in range(60):
             updates = {}
             for i in rng.sample(range(len(t.values)), rng.randint(1, 2)):
-                lo = max((t.values[a] for a, b in idx.incident[i] if b == i), default=0)
-                hi = min((t.values[b] for a, b in idx.incident[i] if a == i), default=2 * p.g)
+                lo = max((t.values[a] for a, b in idx.covers if b == i), default=0)
+                hi = min((t.values[b] for a, b in idx.covers if a == i), default=2 * p.g)
                 inside = range(lo + 1, hi)
                 updates[i] = rng.choice(inside if inside and rng.random() < 0.7 else t.values)
                 if rng.random() < 0.5:

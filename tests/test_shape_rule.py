@@ -51,7 +51,7 @@ from prymbn.strips import (
     strips_admitting,
 )
 
-from helpers import square, stair
+from helpers import row_ids, square, stair
 
 EVEN, ODD, GENERIC, SWEEP = (
     PrymParams(7, 3, 4), PrymParams(23, 8, 5), PrymParams(8, 3, 0), PrymParams(11, 4, 3)
@@ -65,40 +65,42 @@ PRYM = square([list(row) for row in REFLECTION_TRACE[0]])
 GEN = next(islice(enumerate_staircase_tableaux(GENERIC), 7, None))
 CHAIN = make_folded_chain(7, 4)
 
-# (name, function, arguments): the tableau arguments are copied below.
+# (name, number, function, arguments): the tableau arguments are copied
+# below.  The test id is ``name-number``; the number is unique among the
+# rows of its name, so deleting a row renames no other test.
 ROWS = [
-    ("codimension", codimension, (CELLS[5], EVEN)),
-    ("codimension", codimension, (SQ, EVEN)),
-    ("dominates", dominates, (CELLS[5], W, EVEN)),
-    ("dominates", dominates, (reflectify(PRYM, SWEEP), PRYM, SWEEP)),
-    ("equivalent", equivalent, (CELLS[5], CELLS[6], EVEN)),
-    ("equivalent", equivalent, (SQ, SQ, EVEN)),
-    ("is_prym", is_prym, (SQ, EVEN)),
-    ("is_prym", is_prym, (PRYM, SWEEP)),
-    ("is_reflective", is_reflective, (SQ, EVEN)),
-    ("is_reflective", is_reflective, (PRYM, SWEEP)),
-    ("reflectify", reflectify, (PRYM, SWEEP)),
-    ("reflectify_states", reflectify_states, (PRYM, SWEEP)),
-    ("reflectify_trace", reflectify_trace, (PRYM, SWEEP)),
-    ("restrict_to_staircase", restrict_to_staircase, (SQ, EVEN)),
-    ("extend_to_reflective", extend_to_reflective, (CELLS[3], EVEN)),
-    ("extend_to_reflective", extend_to_reflective, (GOLDEN, ODD)),
-    ("dominating_non_repeating", dominating_non_repeating, (CELLS[3], EVEN)),
-    ("dominating_non_repeating", dominating_non_repeating, (GOLDEN, ODD)),
-    ("dominating_non_repeating", dominating_non_repeating, (GEN, GENERIC)),
-    ("is_non_repeating", is_non_repeating, (CELLS[3], horizontal_strip(3, 4), EVEN)),
-    ("is_non_repeating", is_non_repeating, (GOLDEN, GOLDEN_STRIP, ODD)),
-    ("restrict_to_strip", restrict_to_strip, (CELLS[3], horizontal_strip(3, 4), EVEN)),
-    ("restrict_to_strip", restrict_to_strip, (GOLDEN, GOLDEN_STRIP, ODD)),
-    ("strips_admitting", strips_admitting, (CELLS[3], EVEN)),
-    ("strips_admitting", strips_admitting, (GOLDEN, ODD)),
-    ("connect_path", connect_path, (CELLS[-1], CELLS[3], EVEN)),
-    ("connect_path", connect_path, (GOLDEN, minimal_witness(ODD), ODD)),
-    ("height", height, (GOLDEN, ODD)),
-    ("height_descent_step", height_descent_step, (GOLDEN, ODD)),
-    ("is_adjacent", is_adjacent, (CELLS[0], CELLS[1], EVEN)),
-    ("tableau_to_divisor", tableau_to_divisor, (W, CHAIN)),
-    ("tableau_to_divisor", tableau_to_divisor, (SQ, CHAIN)),
+    ("codimension", 0, codimension, (CELLS[5], EVEN)),
+    ("codimension", 1, codimension, (SQ, EVEN)),
+    ("dominates", 2, dominates, (CELLS[5], W, EVEN)),
+    ("dominates", 3, dominates, (reflectify(PRYM, SWEEP), PRYM, SWEEP)),
+    ("equivalent", 4, equivalent, (CELLS[5], CELLS[6], EVEN)),
+    ("equivalent", 5, equivalent, (SQ, SQ, EVEN)),
+    ("is_prym", 6, is_prym, (SQ, EVEN)),
+    ("is_prym", 7, is_prym, (PRYM, SWEEP)),
+    ("is_reflective", 8, is_reflective, (SQ, EVEN)),
+    ("is_reflective", 9, is_reflective, (PRYM, SWEEP)),
+    ("reflectify", 10, reflectify, (PRYM, SWEEP)),
+    ("reflectify_states", 11, reflectify_states, (PRYM, SWEEP)),
+    ("reflectify_trace", 12, reflectify_trace, (PRYM, SWEEP)),
+    ("restrict_to_staircase", 13, restrict_to_staircase, (SQ, EVEN)),
+    ("extend_to_reflective", 14, extend_to_reflective, (CELLS[3], EVEN)),
+    ("extend_to_reflective", 15, extend_to_reflective, (GOLDEN, ODD)),
+    ("dominating_non_repeating", 16, dominating_non_repeating, (CELLS[3], EVEN)),
+    ("dominating_non_repeating", 17, dominating_non_repeating, (GOLDEN, ODD)),
+    ("dominating_non_repeating", 18, dominating_non_repeating, (GEN, GENERIC)),
+    ("is_non_repeating", 19, is_non_repeating, (CELLS[3], horizontal_strip(3, 4), EVEN)),
+    ("is_non_repeating", 20, is_non_repeating, (GOLDEN, GOLDEN_STRIP, ODD)),
+    ("restrict_to_strip", 21, restrict_to_strip, (CELLS[3], horizontal_strip(3, 4), EVEN)),
+    ("restrict_to_strip", 22, restrict_to_strip, (GOLDEN, GOLDEN_STRIP, ODD)),
+    ("strips_admitting", 23, strips_admitting, (CELLS[3], EVEN)),
+    ("strips_admitting", 24, strips_admitting, (GOLDEN, ODD)),
+    ("connect_path", 25, connect_path, (CELLS[-1], CELLS[3], EVEN)),
+    ("connect_path", 26, connect_path, (GOLDEN, minimal_witness(ODD), ODD)),
+    ("height", 27, height, (GOLDEN, ODD)),
+    ("height_descent_step", 28, height_descent_step, (GOLDEN, ODD)),
+    ("is_adjacent", 29, is_adjacent, (CELLS[0], CELLS[1], EVEN)),
+    ("tableau_to_divisor", 30, tableau_to_divisor, (W, CHAIN)),
+    ("tableau_to_divisor", 31, tableau_to_divisor, (SQ, CHAIN)),
 ]
 
 
@@ -134,8 +136,7 @@ def copies(args):
 
 
 @pytest.mark.parametrize(
-    "fn, args", [(fn, args) for _, fn, args in ROWS],
-    ids=[f"{name}-{i}" for i, (name, _, _) in enumerate(ROWS)],
+    "fn, args", [(fn, args) for _, _, fn, args in ROWS], ids=row_ids(ROWS),
 )
 def test_an_explicit_copy_gets_the_answer_of_the_original(fn, args):
     want = outcome(fn, *args)
@@ -166,7 +167,7 @@ def test_every_public_type_p_tableau_function_is_in_the_table():
         and _takes(obj, "Tableau") and _takes(obj, "PrymParams")
     }
     assert len(public) == 18
-    assert sorted(public - {name for name, _, _ in ROWS}) == []
+    assert sorted(public - {name for name, *_ in ROWS}) == []
 
 
 # T_1 and the 1x1 square both hold (1, 1) alone; their kinds keep them
