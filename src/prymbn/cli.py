@@ -3,7 +3,8 @@
 Verbs map one-to-one onto library entry points; ``--json`` switches any
 verb to machine-readable output carrying a ``schema`` version field.
 Exit codes: 0 success, 1 internal assertion failure, 2 usage or invalid
-input, 3 refused desk-scale bound (override with ``--force``).
+input, 3 refused desk-scale bound (override with ``--force``) or a count
+with more digits than the interpreter prints (:func:`_printable`).
 The parser is built once per process, and ``census`` imports its process
 pool only when it runs more than one job.
 
@@ -19,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import tempfile
@@ -62,6 +64,24 @@ __all__ = ["main"]
 def _emit_json(obj: Any) -> None:
     """Print one JSON record, stamped with the schema version."""
     print(json.dumps({"schema": SCHEMA_VERSION, **obj}, sort_keys=True))
+
+
+def _printable(*counts: object) -> None:
+    """Refuse, before any output, a count with more decimal digits than the
+    interpreter converts to a string (``sys.get_int_max_str_digits``, 0 for
+    no limit); the limit itself is left as it is."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    for n in counts:
+        # 10**limit has more than 3 * limit bits, so a shorter count prints.
+        if not (limit and isinstance(n, int) and n.bit_length() > 3 * limit):
+            continue
+        digits = int(math.log10(abs(n))) + 1
+        digits += (abs(n) >= 10**digits) - (abs(n) < 10 ** (digits - 1))
+        if digits > limit:
+            raise GuardRefused(
+                f"a count of {digits} digits exceeds this interpreter's {limit}-digit"
+                " limit on printing integers"
+            )
 
 
 def _params(args: argparse.Namespace) -> PrymParams:
@@ -146,6 +166,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         if len(set(routes.values())) > 1:
             raise InvariantError(f"counting routes disagree: {routes}")
         value = next(iter(routes.values()))
+        _printable(value)
         if args.json:
             _emit_json({"r": r, "k": k, "count": value, "routes": routes})
             return 0
@@ -154,6 +175,7 @@ def _cmd_count(args: argparse.Namespace) -> int:
         print("AGREE")
         return 0
     value = cardinality(r, k, args.method, force=args.force)
+    _printable(value)
     if args.json:
         _emit_json({"r": r, "k": k, "count": value, "method": args.method})
     else:
@@ -185,6 +207,7 @@ def _cmd_cells(args: argparse.Namespace) -> int:
     symbols = None if args.symbols is None else _parse_symbols(args.symbols)
     if args.count_only:
         total = max_cell_count(p, symbols, force=args.force)
+        _printable(total)
         if args.json:
             _emit_json({"g": p.g, "r": p.r, "k": p.k, "cells": total})
         else:
@@ -202,6 +225,7 @@ def _cmd_betti(args: argparse.Namespace) -> int:
         from_graph = betti_number(build_intersection_graph(p, force=args.force))
     if args.method in ("closed", "both"):
         from_closed = betti_closed_form(p)
+    _printable(from_graph, from_closed)
     if args.json:
         out: dict[str, Any] = {"g": p.g, "r": p.r, "k": p.k, "method": args.method}
         if from_graph is not None:
@@ -402,6 +426,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
                 for task in tasks:
                     row = _census_row(task)
                     rows[(row["r"], row["k"])] = row
+            _printable(*(v for row in rows.values() for v in row.values()))
             writer = csv.DictWriter(fh, fieldnames=CENSUS_COLUMNS)
             writer.writeheader()
             for key in sorted(rows):

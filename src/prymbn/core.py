@@ -88,14 +88,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, repeat
+from itertools import compress
 from operator import itemgetter
-from typing import Collection, Iterable, Iterator, Mapping, Sequence
+from typing import Collection, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 Box = tuple[int, int]
 # (class, folded symbol) pairs and the parity classes carrying g: see
 # dominance_signature.
 Signature = tuple[frozenset[tuple[int, int]], frozenset[int]]
+_T = TypeVar("_T")
 
 __all__ = [
     "Box",
@@ -173,11 +174,6 @@ def canonical_key(box: Box) -> tuple[int, int]:
 def dual_symbol(a: int, g: int) -> int:
     """The symbol paired with ``a`` by the fold, ``2g - a``."""
     return 2 * g - a
-
-
-def _fold(a: int, g: int) -> int:
-    """The fold's one symbol for ``a`` and its dual ``2g - a``: ``min(a, 2g - a)``."""
-    return a if a < g else 2 * g - a
 
 
 def reflect_box(box: Box, r: int) -> Box:
@@ -523,11 +519,6 @@ class Tableau:
             shape = explicit_shape(mapping)
         return cls.from_mapping(shape, mapping)
 
-    @_cached
-    def mapping(self) -> dict[Box, int]:
-        """Box -> value lookup."""
-        return dict(zip(self.shape.index.boxes, self.values))
-
     def at(self, box: Box) -> int:
         """Value at ``box``."""
         i = self.shape.index.slot.get(box)
@@ -602,18 +593,22 @@ class PrymParams:
         return self.k % 2
 
     @property
-    def generic(self) -> bool:
-        """True when diagonal classes cannot recur inside ``T_r``."""
-        return generic_regime(self.r, self.k)
-
-    @property
     def max_symbol(self) -> int:
         """Largest symbol a square Prym tableau of this type may use."""
         return 2 * self.g - 1
 
 
+def _expect(value: _T, cls: type[_T]) -> _T:
+    """``value``; anything but a ``cls`` is an input error."""
+    if not isinstance(value, cls):
+        raise InvalidInputError(f"expected a {cls.__name__}, got {value!r}")
+    return value
+
+
 def _shape_of(t: Tableau) -> Shape:
-    """The shape of ``t``; anything but a :class:`Tableau` is an input error."""
+    """The shape of ``t``; anything but a :class:`Tableau` is an input error.
+    It runs on every tableau predicate, so it checks inline, as
+    :func:`_check_params` does, where :func:`_expect` would add a call."""
     if not isinstance(t, Tableau):
         raise InvalidInputError(f"expected a Tableau, got {t!r}")
     return t.shape
@@ -728,23 +723,14 @@ def _check_square(t: Tableau, p: PrymParams, op: str) -> Tableau:
     return out
 
 
-def _square_keys(t: Tableau, p: PrymParams) -> tuple[Iterator[tuple[int, int]], Iterator[int]]:
-    """The square signature's keys, one per slot: (class mod k, folded
-    symbol) of each slot not carrying ``g``, and the parity class of each
-    slot carrying ``g``.  The fold (:func:`_fold`) sends ``a`` and ``2g - a``
-    to ``min(a, 2g - a)``."""
-    idx = t.shape.index
-    g = p.g
-    values = t.values
-    pairs = compress(zip(idx.classes(p.k), map(_fold, values, repeat(g))), map(g.__ne__, values))
-    return pairs, compress(idx.classes(2), map(g.__eq__, values))
-
-
 def _square_signature(t: Tableau, p: PrymParams) -> Signature:
-    """The sets of :func:`_square_keys`: (class mod k, folded symbol) for each
-    symbol other than ``g``, and the parity classes carrying ``g``."""
-    pairs, g_parities = _square_keys(t, p)
-    return frozenset(pairs), frozenset(g_parities)
+    """The square signature: (class mod k, folded symbol) for each slot not
+    carrying ``g``, where the fold sends ``a`` and ``2g - a`` to ``min(a, 2g -
+    a)``, and the parity class of each slot carrying ``g``."""
+    idx, g, values = t.shape.index, p.g, t.values
+    pairs = frozenset((c, v if v < g else 2 * g - v)
+                      for c, v in zip(idx.classes(p.k), values) if v != g)
+    return pairs, frozenset(compress(idx.classes(2), map(g.__eq__, values)))
 
 
 def _prym_signature(t: Tableau, p: PrymParams) -> Signature | None:

@@ -22,6 +22,7 @@ from .core import (
     PrymParams,
     Tableau,
     _check_int,
+    _expect,
     _is_int,
     _shape_of,
     diag_offset,
@@ -225,7 +226,7 @@ def tableau_to_divisor(t: Tableau, chain: FoldedChain) -> ChipDivisor | None:
     parity position ``(m_g + l_g) (r mod 2)``; a square tableau whose
     ``g``-fiber has the opposite parity indexes the empty cell.
     """
-    g, k = chain.g, chain.k
+    g, k = _expect(chain, FoldedChain).g, chain.k
     family, r = shape_family(_shape_of(t))
     if family == "square":
         if not is_prym(t, PrymParams(g, r, k)):

@@ -22,6 +22,7 @@ from .core import (
     InvalidInputError,
     Shape,
     Tableau,
+    _expect,
     _is_int,
     _named_shape_fault,
     _shape_of,
@@ -55,9 +56,7 @@ _KIND_ALIASES = {"triangle": "staircase"}
 def shape_to_json(shape: Shape) -> dict[str, Any]:
     """The document of ``shape``; the schema holds no empty shape, so an
     empty shape has none."""
-    if not isinstance(shape, Shape):
-        raise InvalidInputError(f"expected a Shape, got {shape!r}")
-    _require(len(shape) > 0, "a shape document needs at least one box")
+    _require(len(_expect(shape, Shape)) > 0, "a shape document needs at least one box")
     return {
         "kind": shape.kind,
         "r": shape.r,
@@ -182,8 +181,7 @@ def _entry_to_json(e: ChipEntry) -> dict[str, Any]:
 
 def divisor_to_json(div: ChipDivisor) -> list[dict[str, Any]]:
     """The divisor as a flat record list; the boundary stack comes last."""
-    if not isinstance(div, ChipDivisor):
-        raise InvalidInputError(f"expected a ChipDivisor, got {div!r}")
+    _expect(div, ChipDivisor)
     records = [_entry_to_json(e) for e in div.entries]
     if div.stack:
         records.append(

@@ -32,6 +32,7 @@ from .core import (
     _canon,
     _cell_pairs,
     _check_params,
+    _expect,
     _same_shape,
     _shape_of,
     _symbol_fault,
@@ -629,6 +630,7 @@ def betti_number(graph: IntersectionGraph) -> int:
     circle is an isolated component contributing 1); when the graph is
     connected and every circle meets another, this reduces to ``v + 1``.
     """
+    _expect(graph, IntersectionGraph)
     return graph.e - graph.v + graph.components
 
 
@@ -654,7 +656,7 @@ def betti_closed_form(p: PrymParams) -> int:
 
 def average_intersections(graph: IntersectionGraph) -> Fraction:
     """Average number of intersection points per circle (exact)."""
-    if not graph.circles:
+    if not _expect(graph, IntersectionGraph).circles:
         raise InvalidInputError("the graph has no circles")
     return Fraction(2 * graph.v, len(graph.circles))
 
@@ -667,6 +669,7 @@ def graph_to_dot(graph: IntersectionGraph) -> str:
     self-loop when it has a single vertex, and an annotated isolated node
     when it has none.
     """
+    _expect(graph, IntersectionGraph)
     by_circle: defaultdict[int, list[int]] = defaultdict(list)
     for n, w in enumerate(graph.vertices):
         by_circle[w.i].append(n)

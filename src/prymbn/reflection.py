@@ -24,19 +24,20 @@ own cover scan; :func:`extend_to_reflective` and
 The two ends are checked in full: the input's Prym signature and
 ``g``-fiber and the cover scan of ``f`` at the start, and at the end that
 the result is reflective and dominates the input.  Each step between is
-checked to stay Prym and to dominate the state before it: the sweep holds
-the state's square signature as counts (:class:`_SignatureCounts`),
-updates them on the changed slots, and scans the new filling's covers
-(``ShapeIndex.violations``).  Every failed check raises
-``InvariantError``.  :func:`reflectify_states` builds a tableau per state;
-:func:`reflectify` runs the same sweep and builds the result alone.
+checked to stay Prym and to dominate the state before it, as one whole
+state: a step that changes a slot builds the new filling's tableau once,
+reads its Prym signature, and checks that it holds no key the state
+before lacks (at the first step, the input, whose signature the entry
+check read).  A step that changes no slot leaves the checked state as it
+was.  Every failed check raises ``InvariantError``.
+:func:`reflectify_states` builds a tableau per state; :func:`reflectify`
+runs the same sweep and builds the result alone.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     Box,
@@ -47,12 +48,10 @@ from .core import (
     Tableau,
     _check_square,
     _check_torsion,
-    _fold,
     _is_int,
     _prym_signature,
     _reflective_signature,
     _signature_dominates,
-    _square_keys,
     diag_class,
     displacement_fault,
     explicit_shape,
@@ -165,80 +164,12 @@ class ReflectionState:
     replaced: frozenset[Box]
 
 
-class _SignatureCounts:
-    """The square signature (see :func:`~prymbn.core.dominance_signature`)
-    of a Prym filling, held as counts so that a rewrite of a few slots
-    updates it on those slots alone.
-
-    ``pairs`` counts the slots carrying each (class mod k, folded symbol),
-    ``per_symbol`` the classes carrying each folded symbol, and
-    ``g_parities`` the slots carrying ``g`` in each parity class.  A key
-    whose count drops to zero is dropped, so the signature is the key sets
-    of ``pairs`` and ``g_parities``.
-    """
-
-    __slots__ = (
-        "values", "g", "index", "classes", "parities", "pairs", "per_symbol", "g_parities",
-    )
-
-    def __init__(self, t: Tableau, p: PrymParams) -> None:
-        idx = t.shape.index
-        self.values = list(t.values)
-        self.g = p.g
-        self.index = idx
-        self.classes = idx.classes(p.k)
-        self.parities = idx.classes(2)
-        pairs, g_parities = _square_keys(t, p)
-        self.pairs = Counter(pairs)
-        self.per_symbol = Counter(a for _, a in self.pairs)
-        self.g_parities = Counter(g_parities)
-
-    def _count(self, i: int, v: int, step: int) -> bool:
-        """Add ``step`` to the count of the key that value ``v`` gives slot
-        ``i``; whether the key was absent before."""
-        if v == self.g:
-            return not _bump(self.g_parities, self.parities[i], step)
-        a = _fold(v, self.g)
-        before = _bump(self.pairs, (self.classes[i], a), step)
-        if not before or before + step == 0:  # the pair appeared or went
-            _bump(self.per_symbol, a, step)
-        return not before
-
-    def write(self, updates: Mapping[int, int]) -> str | None:
-        """Rewrite slots (slot -> value) of the filling.
-
-        Returns the check that the new filling fails, ``"left the Prym
-        class"`` or ``"broke dominance"`` (over the old filling), or
-        ``None``.  The old filling must be Prym: then the new one is when
-        it passes the tableau condition, no folded symbol the changed slots
-        write gains a second class, and ``g`` keeps one parity class.
-        It dominates the old one when it carries no key the old one lacks.
-        """
-        values, g = self.values, self.g
-        changed = [(i, v) for i, v in updates.items() if values[i] != v]
-        if not changed:
-            return None
-        # The new keys are counted before the old ones are dropped, so a
-        # key is fresh exactly when the old filling lacks it.
-        fresh = [self._count(i, v, 1) for i, v in changed]
-        for i, v in changed:
-            self._count(i, values[i], -1)
-            values[i] = v
-        if (len(self.g_parities) > 1
-                or any(self.per_symbol[_fold(v, g)] > 1 for _, v in changed if v != g)
-                or any(self.index.violations(values))):
-            return "left the Prym class"
-        return "broke dominance" if any(fresh) else None
-
-
-def _bump(counts: dict, key: object, step: int) -> int:
-    """Add ``step`` to ``counts[key]``, dropping a zero count; the count before."""
-    before = counts.get(key, 0)
-    if before + step:
-        counts[key] = before + step
-    else:
-        del counts[key]
-    return before
+def _step_updates(slots: Sequence[int], n: int, g: int, mirror: Sequence[int]) -> dict[int, int]:
+    """A step's writes, slot -> value: the threshold ``n`` on ``slots`` and
+    its dual ``2g - n`` on their mirrors."""
+    updates = dict.fromkeys(slots, n)
+    updates.update(dict.fromkeys([mirror[i] for i in slots], 2 * g - n))
+    return updates
 
 
 def _sweep(
@@ -249,7 +180,10 @@ def _sweep(
     Yields the input first, re-anchored on ``square_shape(r)`` by the square
     entry (threshold 0, no slots), then each step's threshold, replaced slots
     and filling.  A step's filling is one list, rewritten by the next step;
-    the final step yields the result ``Tableau`` it checked instead.
+    the final step yields the result ``Tableau`` it checked instead.  Each
+    step that changes a slot is checked whole: the new state's Prym
+    signature (:func:`~prymbn.core._prym_signature`), then its dominance over
+    the signature of the state before.
     """
     t = _check_square(t, p, "reflectify")
     sig_t = _prym_signature(t, p)
@@ -278,18 +212,24 @@ def _sweep(
     for i, n in enumerate(f):
         by_threshold.setdefault(n, []).append(i)
     yield 0, (), t
-    counts = _SignatureCounts(t, p)
+    values, sig = list(t.values), sig_t
     for step, n in enumerate(sorted(by_threshold), 1):
         slots = by_threshold[n]
-        updates = dict.fromkeys(slots, n)
-        updates.update(dict.fromkeys([mirror[i] for i in slots], 2 * g - n))
-        fault = counts.write(updates)
-        if fault is not None:
-            raise InvariantError(f"reflectification step {step} {fault}")
-        yield n, slots, counts.values
+        changed = False
+        for i, v in _step_updates(slots, n, g, mirror).items():
+            if values[i] != v:
+                values[i], changed = v, True
+        if changed:
+            new = _prym_signature(Tableau(t.shape, tuple(values)), p)
+            if new is None:
+                raise InvariantError(f"reflectification step {step} left the Prym class")
+            if not _signature_dominates(new, sig):
+                raise InvariantError(f"reflectification step {step} broke dominance")
+            sig = new
+        yield n, slots, values
     main = range(len(boxes), len(boxes) + r + 1)  # the main anti-diagonal's slots
-    counts.values[main.start : main.stop] = [g] * len(main)
-    final = Tableau(t.shape, tuple(counts.values))
+    values[main.start : main.stop] = [g] * len(main)
+    final = Tableau(t.shape, tuple(values))
     sig_final = _reflective_signature(final, p)
     if sig_final is None:
         raise InvariantError("reflectification produced a non-reflective tableau")

@@ -59,6 +59,7 @@ from .core import (
     _canon,
     _check_int,
     _check_params,
+    _expect,
     _same_shape,
     _shape_of,
     _symbol_fault,
@@ -359,7 +360,7 @@ def is_non_repeating(t: Tableau, mu: StripShape, p: PrymParams) -> bool:
     """
     if fault := staircase_fault(t, p):
         raise InvalidInputError(f"is_non_repeating: tableau {fault}")
-    if fault := _strip_fault(mu, p):
+    if fault := _strip_fault(_expect(mu, StripShape), p):
         raise InvalidInputError(f"is_non_repeating: {fault}")
     idx = mu.shape.index
     sub = tuple(map(t.at, idx.boxes))
@@ -461,8 +462,7 @@ def extend_strip_tableau(st: StripTableau) -> Tableau:
     remains is the paper's claim that it is a displacement tableau on
     ``T_r``, checked by :func:`_extension`.
     """
-    if not isinstance(st, StripTableau):
-        raise InvalidInputError(f"extend_strip_tableau needs a StripTableau, got {st!r}")
+    _expect(st, StripTableau)
     return _extension(st.strip, st.params, st.entries.values)
 
 
@@ -496,6 +496,7 @@ def restrict_to_strip(t: Tableau, mu: StripShape, p: PrymParams) -> StripTableau
     """Package the strip restriction of a non-repeating tableau."""
     _shape_of(t)
     _check_params(p)
+    _expect(mu, StripShape)
     return StripTableau(mu, Tableau(mu.shape, tuple(map(t.at, mu.shape.index.boxes))), p)
 
 

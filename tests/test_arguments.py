@@ -64,12 +64,15 @@ from prymbn.divisors import (
 )
 from prymbn.io import divisor_to_json, shape_to_json, tableau_to_json
 from prymbn.locus import (
+    average_intersections,
     betti_closed_form,
+    betti_number,
     build_intersection_graph,
     connect_path,
     cycle_out,
     cycle_out_trace,
     enumerate_maximal_cells,
+    graph_to_dot,
     height,
     height_descent_step,
     is_adjacent,
@@ -90,6 +93,7 @@ from prymbn.strips import (
     cell_strips,
     dominating_non_repeating,
     effective_width,
+    extend_strip_tableau,
     enumerate_strip_tableaux,
     enumerate_strips,
     horizontal_strip,
@@ -369,6 +373,51 @@ def test_every_public_params_entry_point_refuses_a_non_params():
     public = _public_functions_taking("PrymParams")
     assert len(public) == 29
     assert sorted(public - {name for name, *_ in PARAMS_ENTRY_POINTS}) == []
+
+
+# Every public function taking a circle graph, a chain, a strip, a strip
+# tableau, a divisor or a shape refuses anything else in the words of
+# ``core._expect``.  The graph, chain and strip rows raised AttributeError
+# before; extend_strip_tableau refused in its own words.
+OBJECT_TYPES = (
+    "IntersectionGraph", "FoldedChain", "StripShape", "StripTableau", "ChipDivisor", "Shape",
+)
+
+
+def _object_entry_points():
+    """The public functions, the type each takes, and their calls on a
+    stand-in ``x`` for it, with every other argument valid for ``W``."""
+    w = minimal_witness(W)
+    return [
+        ("average_intersections", 0, "IntersectionGraph", average_intersections),
+        ("betti_number", 0, "IntersectionGraph", betti_number),
+        ("graph_to_dot", 0, "IntersectionGraph", graph_to_dot),
+        ("tableau_to_divisor", 0, "FoldedChain", lambda x: tableau_to_divisor(w, x)),
+        ("is_non_repeating", 0, "StripShape", lambda x: is_non_repeating(w, x, W)),
+        ("restrict_to_strip", 0, "StripShape", lambda x: restrict_to_strip(w, x, W)),
+        ("extend_strip_tableau", 0, "StripTableau", extend_strip_tableau),
+        ("divisor_to_json", 0, "ChipDivisor", divisor_to_json),
+        ("shape_to_json", 0, "Shape", shape_to_json),
+    ]
+
+
+OBJECT_ENTRY_POINTS = _object_entry_points()
+
+
+@pytest.mark.parametrize("bad", [None, "x"], ids=["None", "str"])
+@pytest.mark.parametrize(
+    "type_name, call", [(a, c) for _, _, a, c in OBJECT_ENTRY_POINTS],
+    ids=row_ids(OBJECT_ENTRY_POINTS),
+)
+def test_anything_but_the_annotated_type_ends_as_invalid_input(type_name, call, bad):
+    with pytest.raises(InvalidInputError, match=f"^expected a {type_name}, got "):
+        call(bad)
+
+
+def test_every_public_entry_point_taking_a_library_object_is_in_the_table():
+    public = {(name, a) for a in OBJECT_TYPES for name in _public_functions_taking(a)}
+    assert len(public) == 9
+    assert sorted(public - {(name, a) for name, _, a, _ in OBJECT_ENTRY_POINTS}) == []
 
 
 # The public surface in full, sorted: a name added to or removed from

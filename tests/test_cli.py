@@ -603,6 +603,39 @@ def test_census_row_passes_force_to_the_graph(monkeypatch):
 
 
 # --------------------------------------------------------------------------
+# counts longer than the interpreter prints
+
+
+# Each request made a ValueError traceback with exit 1 before: C(90, 0) has
+# 6425 digits, over the 4300 that str() converts by default.
+@pytest.mark.parametrize("argv, digits", [
+    (("count", "--r", "90", "--k", "0"), 6425),
+    (("count", "--r", "90", "--k", "0", "--json"), 6425),
+    (("count", "--r", "90", "--k", "0", "--method", "all"), 6425),
+    (("cells", "--g", "100000", "--r", "90", "--k", "0", "--count-only"), 13847),
+    (("cells", "--g", "100000", "--r", "90", "--k", "0", "--count-only", "--json"), 13847),
+    (("betti", "--g", "4097", "--r", "90", "--k", "0", "--method", "closed"), 6431),
+    (("census", "--rmax", "90", "--kmax", "0", "--jobs", "1"), 4380),
+], ids=["count", "count-json", "count-all", "cells", "cells-json", "betti", "census"])
+def test_a_count_too_long_to_print_exits_3_before_any_output(capsys, tmp_path, argv, digits):
+    limit = sys.get_int_max_str_digits()
+    out_path = tmp_path / "census.csv"
+    code, out, err = run(capsys, *argv, *(("--out", str(out_path)) if argv[0] == "census" else ()))
+    assert (code, out) == (3, "")
+    assert err == (f"refused: a count of {digits} digits exceeds this interpreter's {limit}-digit"
+                   " limit on printing integers\n")
+    assert sys.get_int_max_str_digits() == limit
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_count_of_as_many_digits_as_the_limit_prints(capsys, monkeypatch):
+    limit = sys.get_int_max_str_digits()
+    monkeypatch.setattr(cli, "cardinality", lambda *args, **kwargs: 10**limit - 1)
+    code, out, _ = run(capsys, "count", "--r", "3", "--k", "0")
+    assert (code, out) == (0, "9" * limit + "\n")
+
+
+# --------------------------------------------------------------------------
 # selftest
 
 

@@ -328,9 +328,9 @@ def test_params_must_be_plain_integers(g, r, k):
 
 def test_params_derived_quantities():
     p = PrymParams(11, 4, 3)
-    assert p.l == 2 and p.eps == 1 and not p.generic and p.max_symbol == 21
+    assert p.l == 2 and p.eps == 1 and p.max_symbol == 21
     q = PrymParams(12, 4, 0)
-    assert q.eps == 0 and q.generic
+    assert q.eps == 0
     with pytest.raises(InvalidInputError):
         _ = q.l
 

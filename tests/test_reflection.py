@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import random
-from collections import Counter
 from itertools import islice
 
 import pytest
@@ -209,11 +208,8 @@ def test_the_sweep_matches_the_papers_on_non_reflective_squares():
         assert _states(t, p) == paper_sweep(t, p)
 
 
-def test_the_sweep_builds_each_signature_once(monkeypatch):
-    # Only the anchors build a whole signature, the input's and the result's;
-    # the steps between update counts.  Rebuilding one per dominance check,
-    # as a sweep that calls is_prym and dominates does, costs about three per
-    # step.
+def _counted_signatures(monkeypatch):
+    """The tableaux ``core._square_signature`` is called on, in order."""
     calls = []
     build = core._square_signature
 
@@ -222,28 +218,45 @@ def test_the_sweep_builds_each_signature_once(monkeypatch):
         return build(t, p)
 
     monkeypatch.setattr(core, "_square_signature", counted)
+    return calls
+
+
+def _changing_steps(t, p):
+    """The steps of the paper's sweep, final step aside, that change a slot."""
+    states = paper_sweep(t, p)
+    return sum(a[1] != b[1] for a, b in zip(states, states[1:-1]))
+
+
+def _signature_cases():
     golden = (_trace_tableaux()[0], PrymParams(11, 4, 3))
-    for t, p in [golden, *islice(_grid_tableaux(), 0, None, 25)]:
+    return [golden, *islice(_grid_tableaux(), 0, None, 25), *_perturbed_squares(12, seed=29)]
+
+
+def test_the_sweep_builds_each_signature_once(monkeypatch):
+    # The anchors build a whole signature each, the input's and the result's,
+    # and each step that changes a slot builds its new state's once.  A step
+    # that changes nothing is the state checked before.  Rebuilding one per
+    # dominance check, as a sweep that calls is_prym and dominates does,
+    # costs about three per step.
+    cases = _signature_cases()
+    changing = [_changing_steps(t, p) for t, p in cases]
+    assert changing[0] == 4 and not any(changing[1:39]) and sum(changing[39:]) == 9
+    calls = _counted_signatures(monkeypatch)
+    for (t, p), n in zip(cases, changing):
         calls.clear()
         reflectify_states(t, p)
-        assert len(calls) == 2
+        assert len(calls) == 2 + n
 
 
 def test_reflectify_returns_the_tableau_its_final_check_read(monkeypatch):
     # The result is built once, for the final reflective check, and handed over.
-    calls = []
-    build = core._square_signature
-
-    def counted(t, p):
-        calls.append(t)
-        return build(t, p)
-
-    monkeypatch.setattr(core, "_square_signature", counted)
-    golden = (_trace_tableaux()[0], PrymParams(11, 4, 3))
-    for t, p in [golden, *islice(_grid_tableaux(), 0, None, 25)]:
+    cases = _signature_cases()
+    changing = [_changing_steps(t, p) for t, p in cases]
+    calls = _counted_signatures(monkeypatch)
+    for (t, p), n in zip(cases, changing):
         calls.clear()
         final = reflectify(t, p)
-        assert len(calls) == 2 and calls[-1] is final
+        assert len(calls) == 2 + n and calls[-1] is final
         states = reflectify_states(t, p)
         assert states[-1].tableau == final and calls[-1] is states[-1].tableau
 
@@ -343,68 +356,18 @@ def _golden_slot(box):
     (1, {(1, 2): 2}, "step 1 broke dominance"),
 ], ids=["wrong-value", "stale-mirror", "new-pair"])
 def test_each_step_check_fires_on_an_injected_bad_step(monkeypatch, step, bad, message):
-    write, calls = reflection._SignatureCounts.write, []
+    step_updates, calls = reflection._step_updates, []
 
-    def corrupted(self, updates):
+    def corrupted(*args):
+        updates = step_updates(*args)
         calls.append(updates)
         if len(calls) == step:
             updates = {**updates, **{_golden_slot(b): v for b, v in bad.items()}}
-        return write(self, updates)
+        return updates
 
-    monkeypatch.setattr(reflection._SignatureCounts, "write", corrupted)
+    monkeypatch.setattr(reflection, "_step_updates", corrupted)
     with pytest.raises(InvariantError, match=message):
         reflectify(_trace_tableaux()[0], PrymParams(11, 4, 3))
-
-
-def _full_verdict(before, after, p):
-    """The verdict of :meth:`_SignatureCounts.write` on a step from
-    ``before`` to ``after``, read off their whole signatures."""
-    sig = core._prym_signature(after, p)
-    if sig is None:
-        return "left the Prym class"
-    return None if core._signature_dominates(sig, core._square_signature(before, p)) else (
-        "broke dominance")
-
-
-def _assert_counts_hold_the_signature(counts, t, p):
-    assert (frozenset(counts.pairs), frozenset(counts.g_parities)) == (
-        core._square_signature(t, p))
-    assert sum(counts.pairs.values()) + sum(counts.g_parities.values()) == len(t.values)
-    assert counts.per_symbol == Counter(a for _, a in counts.pairs)
-
-
-def test_incremental_checks_match_the_full_ones_on_random_steps():
-    # Random walks from Prym squares: each step rewrites 1 or 2 random slots
-    # (and, half the time, their mirrors) with values drawn inside their
-    # cover bounds or from the symbols in use, so keys move between slots.
-    # A walk goes on from each state its step reaches when that state is Prym.
-    rng = random.Random(2863)
-    verdicts = Counter()
-    for t, p in _perturbed_squares(60, seed=13):
-        idx = t.shape.index
-        counts = reflection._SignatureCounts(t, p)
-        for _ in range(60):
-            updates = {}
-            for i in rng.sample(range(len(t.values)), rng.randint(1, 2)):
-                lo = max((t.values[a] for a, b in idx.covers if b == i), default=0)
-                hi = min((t.values[b] for a, b in idx.covers if a == i), default=2 * p.g)
-                inside = range(lo + 1, hi)
-                updates[i] = rng.choice(inside if inside and rng.random() < 0.7 else t.values)
-                if rng.random() < 0.5:
-                    updates[idx.reflection[i]] = 2 * p.g - updates[i]
-            values = list(t.values)
-            for i, v in updates.items():
-                values[i] = v
-            after = Tableau(t.shape, tuple(values))
-            verdict = counts.write(updates)
-            assert verdict == _full_verdict(t, after, p), (t.rows(), updates)
-            verdicts[verdict] += 1
-            if verdict == "left the Prym class":
-                counts = reflection._SignatureCounts(t, p)
-            else:
-                _assert_counts_hold_the_signature(counts, after, p)
-                t = after
-    assert min(verdicts.values()) > 100 and len(verdicts) == 3, verdicts
 
 
 def _r7_inputs():
@@ -420,31 +383,11 @@ def _r7_inputs():
             yield extend_to_reflective(t, p), p
 
 
-def test_incremental_checks_match_the_full_ones_state_by_state(monkeypatch):
-    # Each write of the sweep checks one step; on R7's inputs and on
-    # non-reflective squares, its verdict and counts must match the whole
-    # signatures of the states on either side, and the states the paper's.
-    write, steps = reflection._SignatureCounts.write, []
-
-    def checked(self, updates):
-        before = Tableau(shape, tuple(self.values))
-        verdict = write(self, updates)
-        after = Tableau(shape, tuple(self.values))
-        assert verdict is None
-        assert _full_verdict(before, after, p) is None
-        _assert_counts_hold_the_signature(self, after, p)
-        steps.append(after)
-        return verdict
-
-    monkeypatch.setattr(reflection._SignatureCounts, "write", checked)
+def test_the_sweep_matches_the_papers_on_r7_inputs_and_perturbed_squares():
     cases = [*_r7_inputs(), *_perturbed_squares(100, seed=7)]
     assert {p.r for _, p in cases} == {1, 2, 3, 4}
     for t, p in cases:
-        shape = t.shape
-        steps.clear()
-        states = _states(t, p)
-        assert states == paper_sweep(t, p)
-        assert steps == [s for _, s, *_ in states[1:-1]]
+        assert _states(t, p) == paper_sweep(t, p)
 
 
 # --------------------------------------------------------------------------

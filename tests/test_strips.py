@@ -554,7 +554,7 @@ def ref_is_non_repeating(t, mu, p):
     if mu.degenerate:
         return True
     l, eps = mu.l, p.eps
-    m = t.mapping
+    m = dict(t.items())
     for box, v in t.items():
         side = mu.side_of(box)
         if side == -1 and v != m[(box[0] + l - eps, box[1] - l)]:
@@ -567,7 +567,7 @@ def ref_is_non_repeating(t, mu, p):
 def ref_extension(entries, mu, eps):
     """The strip values copied to ``T_r`` by a recursive repeat chase."""
     l, r = mu.l, mu.r
-    values = dict(entries.mapping)
+    values = dict(entries.items())
 
     def resolve(box, hops=0):
         if box in values:
@@ -630,7 +630,7 @@ def ref_strip_tableau_error(entries, mu, eps):
     """The message of the first failed condition of an injective strip
     filling: the tableau condition by the pairwise scan, then the gluing
     pairs in move order; None when both hold."""
-    m = entries.mapping
+    m = dict(entries.items())
     if any(a != b and a[0] <= b[0] and a[1] <= b[1] and not m[a] < m[b]
            for a in m for b in m):
         return "strip entries violate the tableau condition"
