@@ -13,6 +13,15 @@ once, on a parent parser (:func:`build_parser`); the tableau-file verbs
 read their input through :func:`_load_input` and print tableaux through
 :func:`_print_tableaux`.  Where a counting route applies, and the sweep
 over every route, live in :mod:`prymbn.counting`.
+
+A verb whose result is one record (``dim``, ``count``, ``cells
+--count-only``, ``betti``, ``graph`` and ``divisor``) builds the record
+and a renderer for its text lines, and reports both through
+:func:`_report`, the one place that checks the counts are printable and
+picks JSON or text.  The rest print as they go: ``cells`` streams one
+JSON line per cell, ``path`` and ``reflectify`` print tableaux through
+:func:`_print_tableaux`, ``selftest`` streams its rows, and ``census``
+writes CSV rows after its own printability check.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ import os
 import sys
 import tempfile
 from functools import cache
-from typing import Any
+from typing import Any, Callable, Iterable
 
 from .core import (
     GuardRefused,
@@ -84,6 +93,21 @@ def _printable(*counts: object) -> None:
             )
 
 
+def _report(
+    args: argparse.Namespace, record: dict[str, Any], text: Callable[[], Iterable[str]]
+) -> None:
+    """The one report path of a verb whose result is one record: refuse a
+    count in it too long to print (:func:`_printable`, also each value of
+    ``routes``), then print the record as one JSON line with ``--json``,
+    else the lines ``text`` renders, which it renders only after the check."""
+    _printable(*record.values(), *record.get("routes", {}).values())
+    if args.json:
+        _emit_json(record)
+        return
+    for line in text():
+        print(line)
+
+
 def _params(args: argparse.Namespace) -> PrymParams:
     return PrymParams(args.g, args.r, args.k)
 
@@ -139,23 +163,10 @@ def _print_tableaux(states: list[Tableau], as_json: bool, labelled: bool = True)
 def _cmd_dim(args: argparse.Namespace) -> int:
     p = _params(args)
     n, dim = expected_codim(p.r, p.k), pbn_dimension(p)
-    if args.json:
-        _emit_json(
-            {
-                "g": p.g,
-                "r": p.r,
-                "k": p.k,
-                "n": n,
-                "dim": dim,
-                "empty": dim is None,
-            }
-        )
-        return 0
-    if dim is None:
-        print("empty")
-        return 0
-    print(f"n(r,k) = {n}")
-    print(f"dim = {dim}")
+    _report(
+        args, {"g": p.g, "r": p.r, "k": p.k, "n": n, "dim": dim, "empty": dim is None},
+        lambda: ["empty"] if dim is None else [f"n(r,k) = {n}", f"dim = {dim}"],
+    )
     return 0
 
 
@@ -165,21 +176,13 @@ def _cmd_count(args: argparse.Namespace) -> int:
         routes = route_counts(r, k, force=args.force)
         if len(set(routes.values())) > 1:
             raise InvariantError(f"counting routes disagree: {routes}")
-        value = next(iter(routes.values()))
-        _printable(value)
-        if args.json:
-            _emit_json({"r": r, "k": k, "count": value, "routes": routes})
-            return 0
-        for route, got in routes.items():
-            print(f"{route} = {got}")
-        print("AGREE")
+        _report(
+            args, {"r": r, "k": k, "count": next(iter(routes.values())), "routes": routes},
+            lambda: [*(f"{route} = {got}" for route, got in routes.items()), "AGREE"],
+        )
         return 0
     value = cardinality(r, k, args.method, force=args.force)
-    _printable(value)
-    if args.json:
-        _emit_json({"r": r, "k": k, "count": value, "method": args.method})
-    else:
-        print(value)
+    _report(args, {"r": r, "k": k, "count": value, "method": args.method}, lambda: [str(value)])
     return 0
 
 
@@ -207,11 +210,7 @@ def _cmd_cells(args: argparse.Namespace) -> int:
     symbols = None if args.symbols is None else _parse_symbols(args.symbols)
     if args.count_only:
         total = max_cell_count(p, symbols, force=args.force)
-        _printable(total)
-        if args.json:
-            _emit_json({"g": p.g, "r": p.r, "k": p.k, "cells": total})
-        else:
-            print(total)
+        _report(args, {"g": p.g, "r": p.r, "k": p.k, "cells": total}, lambda: [str(total)])
         return 0
     for i, cell in enumerate(enumerate_maximal_cells(p, symbols, force=args.force)):
         _emit_json(_cell_line(i, cell))
@@ -219,36 +218,21 @@ def _cmd_cells(args: argparse.Namespace) -> int:
 
 
 def _cmd_betti(args: argparse.Namespace) -> int:
-    p = _params(args)
-    from_graph = from_closed = None
-    if args.method in ("graph", "both"):
-        from_graph = betti_number(build_intersection_graph(p, force=args.force))
-    if args.method in ("closed", "both"):
-        from_closed = betti_closed_form(p)
-    _printable(from_graph, from_closed)
-    if args.json:
-        out: dict[str, Any] = {"g": p.g, "r": p.r, "k": p.k, "method": args.method}
-        if from_graph is not None:
-            out["graph"] = from_graph
-        if from_closed is not None:
-            out["closed"] = from_closed
-        if args.method == "both":
-            out["agree"] = from_graph == from_closed
-        _emit_json(out)
-        return 1 if args.method == "both" and from_graph != from_closed else 0
-    if args.method == "graph":
-        print(from_graph)
+    p, method = _params(args), args.method
+    record: dict[str, Any] = {"g": p.g, "r": p.r, "k": p.k, "method": method}
+    if method in ("graph", "both"):
+        record["graph"] = betti_number(build_intersection_graph(p, force=args.force))
+    if method in ("closed", "both"):
+        record["closed"] = betti_closed_form(p)
+    if method != "both":
+        _report(args, record, lambda: [str(record[method])])
         return 0
-    if args.method == "closed":
-        print(from_closed)
-        return 0
-    print(f"graph = {from_graph}")
-    print(f"closed = {from_closed}")
-    if from_graph != from_closed:
-        print("DISAGREE")
-        return 1
-    print("AGREE")
-    return 0
+    agree = record["agree"] = record["graph"] == record["closed"]
+    _report(args, record, lambda: [
+        f"graph = {record['graph']}", f"closed = {record['closed']}",
+        "AGREE" if agree else "DISAGREE",
+    ])
+    return 0 if agree else 1
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
@@ -267,16 +251,13 @@ def _cmd_graph(args: argparse.Namespace) -> int:
         "components": graph.components,
         "betti": betti_number(graph),
     }
-    if args.json:
-        _emit_json(
-            {"g": p.g, "r": p.r, "k": p.k, **summary,
-             **({"dot": args.dot} if args.dot else {})}
-        )
-        return 0
-    for key, value in summary.items():
-        print(f"{key} = {value}")
+    record = {"g": p.g, "r": p.r, "k": p.k, **summary}
     if args.dot:
-        print(f"wrote {args.dot}")
+        record["dot"] = args.dot
+    _report(args, record, lambda: [
+        *(f"{key} = {value}" for key, value in summary.items()),
+        *([f"wrote {args.dot}"] if args.dot else []),
+    ])
     return 0
 
 
@@ -304,30 +285,17 @@ def _cmd_divisor(args: argparse.Namespace) -> int:
     chain = make_folded_chain(args.g, args.k)
     div = tableau_to_divisor(t, chain)
     if div is None:
-        if args.json:
-            _emit_json({"g": args.g, "k": args.k, "empty": True})
-        else:
-            print("empty")
+        _report(args, {"g": args.g, "k": args.k, "empty": True}, lambda: ["empty"])
         return 0
-    if args.json:
-        _emit_json(
-            {
-                "g": args.g,
-                "k": args.k,
-                "degree": div.degree,
-                "dimension": div.dimension,
-                "free_loops": list(div.free_loops),
-                "entries": divisor_to_json(div),
-            }
-        )
-        return 0
-    for record in divisor_to_json(div):
-        if record.get("free"):
-            print(f"loop {record['loop']}: free")
-        else:
-            print(f"loop {record['loop']}: pos {record['pos']} mult {record['mult']}")
-    print(f"degree = {div.degree}")
-    print(f"dimension = {div.dimension}")
+    entries = divisor_to_json(div)
+    _report(args, {
+        "g": args.g, "k": args.k, "degree": div.degree, "dimension": div.dimension,
+        "free_loops": list(div.free_loops), "entries": entries,
+    }, lambda: [
+        *(f"loop {e['loop']}: free" if e.get("free")
+          else f"loop {e['loop']}: pos {e['pos']} mult {e['mult']}" for e in entries),
+        f"degree = {div.degree}", f"dimension = {div.dimension}",
+    ])
     return 0
 
 

@@ -187,6 +187,11 @@ def _is_int(v: object) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_box(box: object) -> bool:
+    """The box rule: a box is a tuple of two integers (not bools)."""
+    return isinstance(box, tuple) and len(box) == 2 and _is_int(box[0]) and _is_int(box[1])
+
+
 def _check_int(value: int, name: str, least: int = 0) -> int:
     """The order rule: refuse ``value`` unless it is an integer (not a bool)
     of at least ``least``; returns it."""
@@ -389,8 +394,7 @@ class Shape:
         if self.kind not in ("square", "staircase", "explicit"):
             raise InvalidInputError(f"unknown shape kind {self.kind!r}")
         for box in self.boxes:
-            if not (isinstance(box, tuple) and len(box) == 2
-                    and _is_int(box[0]) and _is_int(box[1])):
+            if not _is_box(box):
                 raise InvalidInputError(f"malformed box {box!r}")
             if box[0] < 1 or box[1] < 1:
                 raise InvalidInputError(f"box {box!r} outside the positive quadrant")
@@ -464,6 +468,15 @@ def shape_family(shape: Shape) -> tuple[str, int]:
     return named.kind, named.r
 
 
+def _slot(index: ShapeIndex, box: Box) -> int:
+    """The slot of ``box`` in ``index``: the one box lookup.  Anything that
+    is no box of the shape, an unhashable value too, is refused."""
+    try:
+        return index.slot[box]
+    except (KeyError, TypeError):
+        raise InvalidInputError(f"box {box!r} is outside the shape") from None
+
+
 def canonical_boxes(shape: Shape) -> tuple[Box, ...]:
     """The shape's boxes in canonical order (anti-diagonal, then x)."""
     return shape.index.boxes
@@ -521,10 +534,7 @@ class Tableau:
 
     def at(self, box: Box) -> int:
         """Value at ``box``."""
-        i = self.shape.index.slot.get(box)
-        if i is None:
-            raise InvalidInputError(f"box {box} not in the shape")
-        return self.values[i]
+        return self.values[_slot(self.shape.index, box)]
 
     @_cached
     def symbols(self) -> frozenset[int]:
@@ -539,13 +549,10 @@ class Tableau:
 
     def with_values(self, updates: Mapping[Box, int]) -> "Tableau":
         """Copy of the tableau with the given boxes overwritten."""
-        slot = self.shape.index.slot
+        index = self.shape.index
         values = list(self.values)
         for box, v in updates.items():
-            i = slot.get(box)
-            if i is None:
-                raise InvalidInputError(f"box {box} not in the shape")
-            values[i] = v
+            values[_slot(index, box)] = v
         return Tableau(self.shape, tuple(values))
 
     def items(self) -> Iterator[tuple[Box, int]]:

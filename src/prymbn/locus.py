@@ -35,6 +35,7 @@ from .core import (
     _expect,
     _same_shape,
     _shape_of,
+    _slot,
     _symbol_fault,
     displacement_fault,
     dominates,
@@ -100,9 +101,7 @@ def swap_into(t: Tableau, a: int, box: Box, *, strict: bool = True) -> Tableau:
     identity.
     """
     idx = _shape_of(t).index
-    i = idx.slot.get(box)
-    if i is None:
-        raise InvalidInputError(f"box {box} is outside the shape")
+    i = _slot(idx, box)
     old = t.values[i]
     if a == old:
         return t

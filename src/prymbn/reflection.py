@@ -30,8 +30,8 @@ reads its Prym signature, and checks that it holds no key the state
 before lacks (at the first step, the input, whose signature the entry
 check read).  A step that changes no slot leaves the checked state as it
 was.  Every failed check raises ``InvariantError``.
-:func:`reflectify_states` builds a tableau per state; :func:`reflectify`
-runs the same sweep and builds the result alone.
+:func:`reflectify_states` keeps the tableau the sweep checked for each
+state; :func:`reflectify` runs the same sweep and keeps the result alone.
 """
 
 from __future__ import annotations
@@ -172,18 +172,16 @@ def _step_updates(slots: Sequence[int], n: int, g: int, mirror: Sequence[int]) -
     return updates
 
 
-def _sweep(
-    t: Tableau, p: PrymParams
-) -> Iterator[tuple[int, Sequence[int], Sequence[int] | Tableau]]:
+def _sweep(t: Tableau, p: PrymParams) -> Iterator[tuple[int, Sequence[int], Tableau]]:
     """The checked sweep of :func:`reflectify_states`.
 
     Yields the input first, re-anchored on ``square_shape(r)`` by the square
     entry (threshold 0, no slots), then each step's threshold, replaced slots
-    and filling.  A step's filling is one list, rewritten by the next step;
-    the final step yields the result ``Tableau`` it checked instead.  Each
-    step that changes a slot is checked whole: the new state's Prym
-    signature (:func:`~prymbn.core._prym_signature`), then its dominance over
-    the signature of the state before.
+    and checked ``Tableau``.  Each step that changes a slot builds its
+    state's tableau once and checks it whole: the Prym signature
+    (:func:`~prymbn.core._prym_signature`), then its dominance over the
+    signature of the state before.  A step that changes no slot yields the
+    state before again.
     """
     t = _check_square(t, p, "reflectify")
     sig_t = _prym_signature(t, p)
@@ -212,7 +210,7 @@ def _sweep(
     for i, n in enumerate(f):
         by_threshold.setdefault(n, []).append(i)
     yield 0, (), t
-    values, sig = list(t.values), sig_t
+    values, state, sig = list(t.values), t, sig_t
     for step, n in enumerate(sorted(by_threshold), 1):
         slots = by_threshold[n]
         changed = False
@@ -220,13 +218,14 @@ def _sweep(
             if values[i] != v:
                 values[i], changed = v, True
         if changed:
-            new = _prym_signature(Tableau(t.shape, tuple(values)), p)
+            state = Tableau(t.shape, tuple(values))
+            new = _prym_signature(state, p)
             if new is None:
                 raise InvariantError(f"reflectification step {step} left the Prym class")
             if not _signature_dominates(new, sig):
                 raise InvariantError(f"reflectification step {step} broke dominance")
             sig = new
-        yield n, slots, values
+        yield n, slots, state
     main = range(len(boxes), len(boxes) + r + 1)  # the main anti-diagonal's slots
     values[main.start : main.stop] = [g] * len(main)
     final = Tableau(t.shape, tuple(values))
@@ -265,12 +264,11 @@ def reflectify_states(t: Tableau, p: PrymParams) -> list[ReflectionState]:
     boxes = t.shape.index.boxes
     kappa: frozenset[Box] = frozenset()
     states = [ReflectionState(0, t, 0, kappa, frozenset())]
-    for n, slots, filling in sweep:
+    for n, slots, state in sweep:
         replaced = frozenset(boxes[i] for i in slots)
         if n < p.g:  # the final step writes the main anti-diagonal, outside T_r
             kappa = kappa | replaced
-            filling = Tableau(t.shape, tuple(filling))
-        states.append(ReflectionState(len(states), filling, n, kappa, replaced))
+        states.append(ReflectionState(len(states), state, n, kappa, replaced))
     return states
 
 

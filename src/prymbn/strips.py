@@ -60,6 +60,7 @@ from .core import (
     _check_int,
     _check_params,
     _expect,
+    _is_box,
     _same_shape,
     _shape_of,
     _symbol_fault,
@@ -98,9 +99,21 @@ def effective_width(r: int, k: int) -> int:
     return r if generic_regime(r, k) else (k + 1) // 2
 
 
+def _check_parity(eps: object) -> None:
+    """The parity rule: a torsion parity is exactly the int 0 or 1."""
+    if type(eps) is not int or eps not in (0, 1):
+        raise InvalidInputError(f"torsion parity must be 0 or 1, got {eps!r}")
+
+
 @dataclass(frozen=True)
 class StripShape:
-    """A width-``l`` strip in ``T_r``, encoded by its east/north word."""
+    """A width-``l`` strip in ``T_r``, encoded by its east/north word.
+
+    Its per-parity tables (:meth:`repeat_map`, :meth:`order_pairs`,
+    :meth:`up_set_sizes`) are built once per parity, after the parity rule
+    (``_check_parity``).  A cached table is served only to an exact
+    ``int``, so a bool or float equal to 0 or 1 is refused too.
+    """
 
     r: int
     l: int
@@ -132,7 +145,7 @@ class StripShape:
 
     def leftmost(self, n: int) -> Box:
         """West end of the window on anti-diagonal ``n`` (``(1, n)`` below T_l)."""
-        if not 1 <= n <= self.r:
+        if not 1 <= _check_int(n, "anti-diagonal") <= self.r:
             raise InvalidInputError(f"anti-diagonal {n} outside [1, {self.r}]")
         return self._leftmost_ends[n - 1]
 
@@ -179,8 +192,9 @@ class StripShape:
         checked for it once, before it is cached, and a map that moves a
         strip box raises :class:`~prymbn.core.InvariantError`."""
         table = self._repeat_maps.get(eps)
-        if table is not None:
+        if table is not None and type(eps) is int:
             return table
+        _check_parity(eps)
         l = self.l
         stair = staircase_shape(self.r).index
         strip = self.shape.index
@@ -220,8 +234,9 @@ class StripShape:
         with the opposite end of the next window.
         """
         pairs = self._order_pairs.get(eps)
-        if pairs is not None:
+        if pairs is not None and type(eps) is int:
             return pairs
+        _check_parity(eps)
         idx = self.shape.index
         if not idx.chained:
             raise InvariantError(f"strip {self} fails the cover rule")
@@ -250,8 +265,9 @@ class StripShape:
         closure is one bitmask per slot, taken in reverse topological order.
         """
         sizes = self._up_set_sizes.get(eps)
-        if sizes is not None:
+        if sizes is not None and type(eps) is int:
             return sizes
+        _check_parity(eps)
         n = len(self.shape.index.boxes)
         succ: list[list[int]] = [[] for _ in range(n)]
         pred: list[list[int]] = [[] for _ in range(n)]
@@ -285,9 +301,8 @@ class StripShape:
 
     def side_of(self, box: Box) -> int:
         """-1 for the left component, 0 on the strip, +1 for the right component."""
-        n = anti_diagonal(box)
-        if not 1 <= n <= self.r:
-            raise InvalidInputError(f"box {box} outside T_{self.r}")
+        if not (_is_box(box) and 1 <= (n := anti_diagonal(box)) <= self.r):
+            raise InvalidInputError(f"box {box!r} outside T_{self.r}")
         x = box[0]
         if x < self.leftmost(n)[0]:
             return -1

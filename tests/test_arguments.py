@@ -45,6 +45,7 @@ from prymbn.counting import (
     hook_length_syt_count,
     max_cell_count,
     route_counts,
+    strip_poset_succ_masks,
 )
 from prymbn.dimension import (
     brute_min_codim,
@@ -182,13 +183,53 @@ MENDED_LATER = [
     ("divisor_to_json", 47, lambda: divisor_to_json(None)),
 ]
 
-TABLE = MENDED + HELD + MENDED_LATER
+
+
+def _strip():
+    """A strip outside the strip cache, so no row sees another's tables."""
+    return StripShape(4, 2, "EN")
+
+
+def _warm_strip():
+    """A fresh strip with its parity-1 tables built."""
+    mu = _strip()
+    mu.repeat_map(1), mu.order_pairs(1), mu.up_set_sizes(1)
+    return mu
+
+
+# A strip's parity, anti-diagonal and box arguments, and the box lookups:
+# each returned a value or raised TypeError or IndexError before (an
+# unhashable box in the lookups, a list answered for as a box).
+STRIP_AND_BOX = [
+    ("strip_poset_succ_masks", 48, lambda: strip_poset_succ_masks(_strip(), 5)),
+    ("StripShape.leftmost", 49, lambda: _strip().leftmost("1")),
+    ("StripShape.rightmost", 50, lambda: _strip().rightmost(None)),
+    ("StripShape.window", 51, lambda: _strip().window(2.5)),
+    ("StripShape.side_of", 52, lambda: _strip().side_of((1,))),
+    ("StripShape.side_of", 53, lambda: _strip().side_of([1, 1])),
+    ("Tableau.at", 54, lambda: T.at([1, 1])),
+    ("swap_into", 55, lambda: swap_into(T, 20, [1, 1])),
+    ("swap_into", 56, lambda: swap_into(T, 20, {1})),
+]
+
+TABLE = MENDED + HELD + MENDED_LATER + STRIP_AND_BOX
 
 
 @pytest.mark.parametrize("call", [c for *_, c in TABLE], ids=row_ids(TABLE))
 def test_a_bad_argument_ends_as_invalid_input(call):
     with pytest.raises(InvalidInputError):
         call()
+
+
+@pytest.mark.parametrize("eps", [2, -1, None, 0.5, 1.0, "1", True])
+@pytest.mark.parametrize("table", ["repeat_map", "order_pairs", "up_set_sizes"])
+@pytest.mark.parametrize("strip", [_strip, _warm_strip], ids=["cold", "warm"])
+def test_a_strip_table_refuses_a_bad_parity_by_the_parity_rule(strip, table, eps):
+    # Before, a cold table was built and cached for a bad parity (or raised
+    # TypeError, or, at -1, was refused by the chase naming box (2, 4)),
+    # and a warm one was served to True and 1.0.
+    with pytest.raises(InvalidInputError, match="^torsion parity must be 0 or 1, got "):
+        getattr(strip(), table)(eps)
 
 
 # Every counting route refuses a negative order by the domain's bound r >= 1,

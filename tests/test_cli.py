@@ -121,6 +121,12 @@ def test_count_all_routes_agree(capsys):
     assert data["routes"] == {"det": 128, "paths": 128, "brute": 128}
 
 
+def test_count_all_text_lists_each_route_then_agree(capsys):
+    assert run(capsys, "count", "--r", "4", "--k", "6", "--method", "all") == (
+        0, "det = 128\npaths = 128\nbrute = 128\nAGREE\n", ""
+    )
+
+
 def test_count_inapplicable_method_is_usage_error(capsys):
     code, _, err = run(capsys, "count", "--r", "3", "--k", "3", "--method", "det")
     assert code == 2 and "does not apply" in err
@@ -249,6 +255,26 @@ def test_betti_single_methods(capsys):
     assert (code, out) == (0, "4\n")
 
 
+def test_betti_both_reports_a_disagreement_and_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "betti_closed_form", lambda p: 28)
+    argv = ["betti", "--g", "7", "--r", "3", "--k", "4"]
+    assert run(capsys, *argv) == (1, "graph = 29\nclosed = 28\nDISAGREE\n", "")
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {
+        "schema": SCHEMA_VERSION, "g": 7, "r": 3, "k": 4, "method": "both",
+        "graph": 29, "closed": 28, "agree": False,
+    }
+
+
+@pytest.mark.parametrize("method", ["graph", "closed"])
+def test_betti_single_method_json_holds_that_method_alone(capsys, method):
+    (data,) = run_json(capsys, "betti", "--g", "5", "--r", "3", "--k", "2",
+                       "--method", method, "--json")
+    assert data == {"schema": SCHEMA_VERSION, "g": 5, "r": 3, "k": 2,
+                    "method": method, method: 4}
+
+
 def test_betti_closed_form_out_of_scope(capsys):
     code, _, err = run(capsys, "betti", "--g", "7", "--r", "3", "--k", "3",
                        "--method", "closed")
@@ -266,6 +292,14 @@ def test_graph_summary_and_dot(capsys, tmp_path):
 
     code, out, _ = run(capsys, "graph", "--g", "5", "--r", "3", "--k", "2")
     assert code == 0 and "betti = 4" in out
+
+
+def test_graph_text_lists_the_summary_then_the_dot_file(capsys, tmp_path):
+    summary = "circles = 4\nvertices = 3\nedges = 6\ncomponents = 1\nbetti = 4\n"
+    argv = ["graph", "--g", "5", "--r", "3", "--k", "2"]
+    assert run(capsys, *argv) == (0, summary, "")
+    dot_path = tmp_path / "locus.dot"
+    assert run(capsys, *argv, "--dot", str(dot_path)) == (0, f"{summary}wrote {dot_path}\n", "")
 
 
 def test_graph_dot_to_a_missing_directory_exits_2(capsys, tmp_path):
@@ -411,6 +445,19 @@ def test_divisor_on_the_one_box_staircase(capsys, tmp_path):
                        "--in", str(src), "--json")
     assert data["degree"] == 4 and data["dimension"] == 1
     assert data["free_loops"] == [2, 4]
+
+
+def test_divisor_text_lists_each_loop_then_degree_and_dimension(capsys, tmp_path):
+    src = tmp_path / "t1.json"
+    src.write_text(json.dumps(
+        {"shape": {"kind": "staircase", "r": 1}, "entries": [[1, 1, 1]]}
+    ))
+    assert run(capsys, "divisor", "--g", "3", "--k", "2", "--in", str(src)) == (
+        0,
+        "loop 1: pos 0 mult 1\nloop 2: free\nloop 3: pos 2 mult 1\nloop 4: free\n"
+        "loop 5: pos 0 mult 1\nloop 5: pos 0 mult 1\ndegree = 4\ndimension = 1\n",
+        "",
+    )
 
 
 def test_divisor_empty_cell(capsys, tmp_path):
