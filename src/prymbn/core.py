@@ -43,9 +43,13 @@ rule alone scans its own table, ``StripShape.order_pairs``.
 
 A displacement tableau on the staircase ``T_r`` indexes a cell, and the cell
 is its set of (diagonal class mod ``k``, symbol) pairs (``_cell_pairs``).
-Displacement is one pair per symbol, dominance is containment of the pair
-sets, and two cells with equally many symbols are adjacent when their pair
-sets differ by one pair each way carrying different symbols.
+Displacement is one pair per symbol, and two cells with equally many symbols
+are adjacent when their pair sets differ by one pair each way carrying
+different symbols.  On the square a pair folds each symbol ``a != g`` to
+``min(a, 2g - a)``, and a Prym tableau whose ``g``-fiber meets the parity
+class other than ``r mod 2`` indexes the empty cell.  Dominance is stated
+once, by ``_signature_dominates``: ``t`` dominates ``s`` when ``s`` indexes
+the empty cell, or ``t`` does not and every pair of ``t`` is a pair of ``s``.
 
 The named-shape rule is stated once, by ``_named_shape_fault``, and every
 :class:`Shape` passes it when built: a ``"staircase"`` or ``"square"``
@@ -93,8 +97,7 @@ from operator import itemgetter
 from typing import Collection, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 Box = tuple[int, int]
-# (class, folded symbol) pairs and the parity classes carrying g: see
-# dominance_signature.
+# (class, folded symbol) pairs and the empty cell's g parities: dominance_signature.
 Signature = tuple[frozenset[tuple[int, int]], frozenset[int]]
 _T = TypeVar("_T")
 
@@ -404,8 +407,8 @@ class Shape:
     def __len__(self) -> int:
         return len(self.boxes)
 
-    def __contains__(self, box: Box) -> bool:
-        return box in self.boxes
+    def __contains__(self, box: object) -> bool:
+        return _is_box(box) and box in self.boxes
 
     @_cached
     def index(self) -> ShapeIndex:
@@ -732,12 +735,13 @@ def _check_square(t: Tableau, p: PrymParams, op: str) -> Tableau:
 
 def _square_signature(t: Tableau, p: PrymParams) -> Signature:
     """The square signature: (class mod k, folded symbol) for each slot not
-    carrying ``g``, where the fold sends ``a`` and ``2g - a`` to ``min(a, 2g -
-    a)``, and the parity class of each slot carrying ``g``."""
+    carrying ``g``, folding ``a`` and ``2g - a`` to ``min(a, 2g - a)``, and the
+    parity classes carrying ``g`` if one is not ``r mod 2`` (the empty cell)."""
     idx, g, values = t.shape.index, p.g, t.values
     pairs = frozenset((c, v if v < g else 2 * g - v)
                       for c, v in zip(idx.classes(p.k), values) if v != g)
-    return pairs, frozenset(compress(idx.classes(2), map(g.__eq__, values)))
+    g_parities = frozenset(compress(idx.classes(2), map(g.__eq__, values)))
+    return pairs, g_parities if g_parities - {p.r % 2} else frozenset()
 
 
 def _prym_signature(t: Tableau, p: PrymParams) -> Signature | None:
@@ -748,7 +752,7 @@ def _prym_signature(t: Tableau, p: PrymParams) -> Signature | None:
         return None
     sig = _square_signature(t, p)
     pairs, g_parities = sig
-    # One class per folded symbol: as many pairs as folded symbols.
+    # One class per folded symbol (as many pairs as folded symbols), g in one.
     if len(g_parities) <= 1 and len(pairs) == len(set(map(_second, pairs))):
         return sig
     return None
@@ -766,8 +770,9 @@ def _reflective_signature(t: Tableau, p: PrymParams) -> Signature | None:
 
 
 def _signature_dominates(sig_t: Signature, sig_s: Signature) -> bool:
-    """:func:`dominates` read off the two tableaux's signatures on one shape."""
-    return sig_t[0] <= sig_s[0] and sig_t[1] <= sig_s[1]
+    """The one dominance rule on the two tableaux's signatures on one shape:
+    ``s`` indexes the empty cell, or ``t`` does not and ``s`` has its pairs."""
+    return bool(sig_s[1]) or (not sig_t[1] and sig_t[0] <= sig_s[0])
 
 
 def is_prym(t: Tableau, p: PrymParams) -> bool:
@@ -803,12 +808,12 @@ def codimension(t: Tableau, p: PrymParams) -> int:
 
 
 def dominance_signature(t: Tableau, p: PrymParams) -> Signature:
-    """The two sets whose containment decides :func:`dominates`.
+    """The two sets from which :func:`dominates` is read.
 
     Squares: the (class mod ``k``, ``min(a, 2g - a)``) pairs of every
-    symbol ``a != g``, and the parity classes carrying ``g``.
-    Staircase-like shapes: the (class mod ``k``, symbol) pairs, and no
-    parity classes.
+    symbol ``a != g``, and the parity classes carrying ``g`` when one is not
+    ``r mod 2`` (the empty cell), else none.  Staircase-like shapes: the
+    (class mod ``k``, symbol) pairs, and no parity classes.
     """
     if _on_square(t, p):
         return _square_signature(t, p)
@@ -820,12 +825,12 @@ def dominance_signature(t: Tableau, p: PrymParams) -> Signature:
 def dominates(t: Tableau, s: Tableau, p: PrymParams) -> bool:
     """Whether the cell of ``s`` is contained in the cell of ``t``.
 
-    Squares: every class carrying ``g`` in ``t`` carries ``g`` in ``s`` (mod
-    2), and every class carrying a symbol ``a != g`` in ``t`` carries ``a``
-    or its dual in ``s`` (mod ``k``).  Staircase-like shapes: per-class
-    symbol containment ``t(D_i) <= s(D_i)``.  Both read as containment of
-    :func:`dominance_signature` sets, of the two tableaux anchored on one
-    shape: the named one of their shapes, if either is named.
+    Squares: ``s`` indexes the empty cell (its ``g``-fiber meets the parity
+    class other than ``r mod 2``), or ``t`` does not and every class carrying
+    a symbol ``a != g`` in ``t`` carries ``a`` or its dual in ``s`` (mod
+    ``k``).  Staircase-like shapes: per-class symbol containment ``t(D_i) <=
+    s(D_i)``.  Both read :func:`dominance_signature`, of the two tableaux
+    anchored on one shape (the named one of theirs, if either is named).
     """
     shape = _shape_of(t) if _shape_of(s).kind == "explicit" else s.shape
     t, s = _anchor(t, shape), _anchor(s, shape)

@@ -24,11 +24,11 @@ from .core import (
     _check_int,
     _expect,
     _is_int,
+    _prym_signature,
     _shape_of,
     diag_offset,
     displacement_fault,
     dual_symbol,
-    is_prym,
     shape_family,
     symbol_fault,
 )
@@ -223,14 +223,16 @@ def tableau_to_divisor(t: Tableau, chain: FoldedChain) -> ChipDivisor | None:
     symbol ``a`` at box ``(x, y)`` pins the chip of the pair
     ``(a, 2g - a)`` at distance ``m_a (x - y)`` around the loop; pairs
     with neither symbol present stay free.  The middle chip sits at the
-    parity position ``(m_g + l_g) (r mod 2)``; a square tableau whose
-    ``g``-fiber has the opposite parity indexes the empty cell.
+    parity position ``(m_g + l_g) (r mod 2)``; a square tableau whose ``g``-fiber
+    meets the other parity class indexes the empty cell, which every cell holds.
     """
     g, k = _expect(chain, FoldedChain).g, chain.k
     family, r = shape_family(_shape_of(t))
     if family == "square":
-        if not is_prym(t, PrymParams(g, r, k)):
+        if (sig := _prym_signature(t, PrymParams(g, r, k))) is None:
             raise InvalidInputError("square tableaux must satisfy the Prym conditions")
+        if sig[1]:  # the empty cell
+            return None
     elif fault := displacement_fault(t, k) or symbol_fault(t, g):
         raise InvalidInputError(f"staircase tableau {fault}")
 
@@ -238,9 +240,6 @@ def tableau_to_divisor(t: Tableau, chain: FoldedChain) -> ChipDivisor | None:
     for box, v in t.items():
         fibers.setdefault(v, set()).add(diag_offset(box))
 
-    g_offsets = fibers.get(g, set())
-    if g_offsets and next(iter(g_offsets)) % 2 != r % 2:
-        return None
     m_g, l_g = chain.lengths[g - 1]
     middle_pos = (m_g + l_g) * (r % 2)
 

@@ -21,15 +21,19 @@ in the same order, so ``f`` is one list and is checked by the staircase's
 own cover scan; :func:`extend_to_reflective` and
 :func:`restrict_to_staircase` are slot copies on the same fact.
 
-The two ends are checked in full: the input's Prym signature and
-``g``-fiber and the cover scan of ``f`` at the start, and at the end that
+The two ends are checked in full: the input's Prym signature (not the
+empty cell) and the cover scan of ``f`` at the start, and at the end that
 the result is reflective and dominates the input.  Each step between is
 checked to stay Prym and to dominate the state before it, as one whole
 state: a step that changes a slot builds the new filling's tableau once,
 reads its Prym signature, and checks that it holds no key the state
 before lacks (at the first step, the input, whose signature the entry
 check read).  A step that changes no slot leaves the checked state as it
-was.  Every failed check raises ``InvariantError``.
+was.  Every failed check raises ``InvariantError``.  Each dominance check
+reads the one rule on squares (``core._signature_dominates``): ``t``
+dominates ``s`` when ``s`` indexes the empty cell (its ``g``-fiber meets the
+parity class other than ``r mod 2``), or ``t`` does not and every (class mod
+``k``, ``min(a, 2g - a)``) pair of ``t`` is a pair of ``s``.
 :func:`reflectify_states` keeps the tableau the sweep checked for each
 state; :func:`reflectify` runs the same sweep and keeps the result alone.
 """
@@ -188,12 +192,11 @@ def _sweep(t: Tableau, p: PrymParams) -> Iterator[tuple[int, Sequence[int], Tabl
     if sig_t is None:
         raise InvalidInputError("reflectify needs a Prym tableau of the given type")
     r, g = p.r, p.g
-    for box in t.fiber(g):
-        if (box[0] - box[1]) % 2 != r % 2:
-            raise InvalidInputError(
-                f"symbol g = {g} at {box} sits in the parity class {(box[0] - box[1]) % 2};"
-                f" a dominating reflective tableau needs it in class {r % 2}"
-            )
+    if sig_t[1]:
+        raise InvalidInputError(
+            f"symbol g = {g} sits in the parity class {1 - r % 2}, the empty cell;"
+            f" a dominating reflective tableau needs it in class {r % 2}"
+        )
     stair = staircase_shape(r).index
     boxes, mirror = stair.boxes, t.shape.index.reflection
     values = t.values
@@ -232,14 +235,7 @@ def _sweep(t: Tableau, p: PrymParams) -> Iterator[tuple[int, Sequence[int], Tabl
     sig_final = _reflective_signature(final, p)
     if sig_final is None:
         raise InvariantError("reflectification produced a non-reflective tableau")
-    # When the input never uses g, the g-clause of dominance is vacuous for
-    # cells (the middle chip is pinned by rank parity either way), so only the
-    # per-class symbol clauses are meaningful.
-    if g in t.symbols:
-        ok = _signature_dominates(sig_final, sig_t)
-    else:
-        ok = sig_final[0] <= sig_t[0]
-    if not ok:
+    if not _signature_dominates(sig_final, sig_t):
         raise InvariantError("reflectification result does not dominate its input")
     yield g, main, final
 
@@ -248,11 +244,11 @@ def reflectify_states(t: Tableau, p: PrymParams) -> list[ReflectionState]:
     """Run the reflectification sweep, returning every intermediate state.
 
     The input must be a Prym tableau whose ``g``-fiber lies in the parity
-    class ``r mod 2``; otherwise no reflective tableau can dominate it (the
-    final step pins ``g`` to that class) and the input is rejected.
+    class ``r mod 2``; otherwise it indexes the empty cell (the final step
+    pins ``g`` to that class) and the input is rejected.
 
     The anchors at both ends are checked in full: the input's Prym
-    signature and ``g``-fiber; the thresholds ``f(w) = min(t(w), 2g -
+    signature and its cell; the thresholds ``f(w) = min(t(w), 2g -
     t(w*))`` of the boxes of ``T_r``, which must increase along its covers
     and stay at most ``g - 1``; and the result, which must be reflective
     and dominate the input.  Each step between is checked: it must stay

@@ -60,7 +60,6 @@ from .core import (
     _check_int,
     _check_params,
     _expect,
-    _is_box,
     _same_shape,
     _shape_of,
     _symbol_fault,
@@ -188,9 +187,9 @@ class StripShape:
         the chase follows them onto the strip, once per strip and parity.
 
         Every strip box must land on its own slot: :func:`extend_strip_tableau`
-        relies on it to restrict to its strip tableau exactly.  The map is
-        checked for it once, before it is cached, and a map that moves a
-        strip box raises :class:`~prymbn.core.InvariantError`."""
+        relies on it to restrict to its strip tableau exactly.  A chase that
+        leaves ``T_r``, misses the strip or moves a strip box raises
+        :class:`~prymbn.core.InvariantError`."""
         table = self._repeat_maps.get(eps)
         if table is not None and type(eps) is int:
             return table
@@ -202,21 +201,21 @@ class StripShape:
         for box in stair.boxes:
             path, b = [], box
             while b not in lands:
+                if b not in stair.slot:
+                    raise InvariantError(f"repeat chase from {box} leaves T_{self.r} at {b}")
                 if len(path) > 2 * self.r:
                     raise InvariantError(f"repeat chase from {box} did not reach the strip")
                 side = self.side_of(b)
                 if side == 0:
                     lands[b] = strip.slot[b]
                     break
+                if b in strip.slot:
+                    raise InvariantError(f"repeat map moves strip box {b} off its own slot")
                 path.append(b)
                 b = (b[0] + l - eps, b[1] - l) if side == -1 else (b[0] - l, b[1] + l - eps)
             for q in path:
                 lands[q] = lands[b]
-        table = tuple(map(lands.__getitem__, stair.boxes))
-        for j, b in enumerate(strip.boxes):
-            if table[stair.slot[b]] != j:
-                raise InvariantError(f"repeat map moves strip box {b} off its own slot")
-        self._repeat_maps[eps] = table
+        table = self._repeat_maps[eps] = tuple(map(lands.__getitem__, stair.boxes))
         return table
 
     @_cached
@@ -301,9 +300,9 @@ class StripShape:
 
     def side_of(self, box: Box) -> int:
         """-1 for the left component, 0 on the strip, +1 for the right component."""
-        if not (_is_box(box) and 1 <= (n := anti_diagonal(box)) <= self.r):
+        if box not in staircase_shape(self.r):
             raise InvalidInputError(f"box {box!r} outside T_{self.r}")
-        x = box[0]
+        x, n = box[0], anti_diagonal(box)
         if x < self.leftmost(n)[0]:
             return -1
         if x > self.rightmost(n)[0]:

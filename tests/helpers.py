@@ -8,8 +8,9 @@ Hand-written examples read best with the top row first, while
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import lru_cache
 
-from prymbn.core import Tableau, square_shape, staircase_shape
+from prymbn.core import Tableau, is_prym, square_shape, staircase_shape
 from prymbn.counting import count_linext, strip_poset_succ_masks
 from prymbn.strips import enumerate_strips
 
@@ -35,6 +36,52 @@ def row_ids(rows) -> list[str]:
     if len(set(ids)) != len(ids):
         raise ValueError(f"table rows share an id: {sorted({i for i in ids if ids.count(i) > 1})}")
     return ids
+
+
+@lru_cache(maxsize=None)
+def prym_squares(p) -> tuple[Tableau, ...]:
+    """Every Prym tableau of type ``p`` on the (r+1)-square, in lexicographic
+    order of its slot values: a depth-first filler, kept as an oracle.  It
+    walks ``square_shape(r).index`` with values in ``[1, 2g-1]``, increasing
+    along the west and south covers, and keeps a filling when ``is_prym``
+    holds.  A branch is cut where the definition already fails: a folded
+    symbol ``min(a, 2g - a)`` met on a second class mod ``k``, or ``g`` on a
+    second parity class.  Cached, as a tuple, for the modules sharing it."""
+    shape, g = square_shape(p.r), p.g
+    idx = shape.index
+    classes, parities = idx.classes(p.k), idx.classes(2)
+    values = [0] * len(idx.boxes)
+    seen: dict[int, int] = {}  # folded symbol -> its class; g -> its parity
+    out = []
+
+    def fill(i):
+        if i == len(values):
+            t = Tableau(shape, tuple(values))
+            if is_prym(t, p):
+                out.append(t)
+            return
+        lo = max((values[j] for j in (idx.west[i], idx.south[i]) if j >= 0), default=0)
+        for v in range(lo + 1, 2 * g):
+            key, c = (g, parities[i]) if v == g else (min(v, 2 * g - v), classes[i])
+            new = key not in seen
+            if not new and seen[key] != c:
+                continue
+            seen[key], values[i] = c, v
+            fill(i + 1)
+            if new:
+                del seen[key]
+
+    fill(0)
+    return tuple(out)
+
+
+def divisor_contains(dt, ds) -> bool:
+    """Whether the cell of the chip divisor ``ds`` lies in the cell of
+    ``dt``: the empty cell (``None``) lies in every cell, and otherwise every
+    loop pinned in ``dt`` is pinned at the same place in ``ds``."""
+    return ds is None or dt is not None and all(
+        e.free or e.pos == f.pos for e, f in zip(dt.entries, ds.entries)
+    )
 
 
 def per_strip_count(p) -> int:

@@ -210,6 +210,9 @@ STRIP_AND_BOX = [
     ("Tableau.at", 54, lambda: T.at([1, 1])),
     ("swap_into", 55, lambda: swap_into(T, 20, [1, 1])),
     ("swap_into", 56, lambda: swap_into(T, 20, {1})),
+    # Boxes outside T_4 on its anti-diagonals: answered -1 and 1 before.
+    ("StripShape.side_of", 57, lambda: _strip().side_of((0, 3))),
+    ("StripShape.side_of", 58, lambda: _strip().side_of((5, -1))),
 ]
 
 TABLE = MENDED + HELD + MENDED_LATER + STRIP_AND_BOX
@@ -219,6 +222,24 @@ TABLE = MENDED + HELD + MENDED_LATER + STRIP_AND_BOX
 def test_a_bad_argument_ends_as_invalid_input(call):
     with pytest.raises(InvalidInputError):
         call()
+
+
+# Shape membership answers False for anything that is no box (the box rule,
+# core._is_box): an unhashable value raised TypeError before, and a bool or
+# float that hashes like an int was answered for as a box.
+NOT_A_BOX = [
+    ("Shape.__contains__", 0, [1, 1]),
+    ("Shape.__contains__", 1, {1}),
+    ("Shape.__contains__", 2, (True, 1)),
+    ("Shape.__contains__", 3, (1.0, 1)),
+    ("Shape.__contains__", 4, (1,)),
+]
+
+
+@pytest.mark.parametrize("value", [v for *_, v in NOT_A_BOX], ids=row_ids(NOT_A_BOX))
+def test_a_shape_holds_nothing_that_is_no_box(value):
+    for shape in (staircase_shape(3), square_shape(2), explicit_shape([(1, 1), (3, 1)])):
+        assert value not in shape
 
 
 @pytest.mark.parametrize("eps", [2, -1, None, 0.5, 1.0, "1", True])

@@ -63,7 +63,7 @@ from prymbn.strips import (
     strips_admitting,
 )
 
-from helpers import square, stair
+from helpers import divisor_contains, square, stair
 
 # --------------------------------------------------------------------------
 # Boxes and shapes
@@ -478,18 +478,19 @@ def ref_dominates(t, s, p):
     # The pair lies on the named one of the two shapes, if either is named.
     shape = t.shape if s.shape.kind == "explicit" else s.shape
     if ref_same_shape(shape, square_shape(p.r)):
-        sig_t = ref_class_symbol_sets(t, p.k, exclude=g)
-        sig_s = ref_class_symbol_sets(s, p.k, exclude=g)
-        for c, syms in sig_t.items():
-            have = sig_s.get(c, frozenset())
-            if any(a not in have and 2 * g - a not in have for a in syms):
-                return False
-        par_t = ref_class_symbol_sets(t, 2)
-        par_s = ref_class_symbol_sets(s, 2)
-        return all(
-            g not in par_t.get(c, frozenset()) or g in par_s.get(c, frozenset())
-            for c in (0, 1)
-        )
+        def cell(u):
+            """The (class mod k, folded symbol) pairs of ``u``, from its
+            fibers, or None for the empty cell: g off the class r mod 2."""
+            fibers = {}
+            for box, v in zip(ref_boxes(u.shape), u.values):
+                fibers.setdefault(v, []).append(box)
+            if any((x - y) % 2 != p.r % 2 for x, y in fibers.get(g, [])):
+                return None
+            return {(diag_class(b, p.k), min(a, 2 * g - a))
+                    for a, boxes in fibers.items() if a != g for b in boxes}
+
+        cell_t, cell_s = cell(t), cell(s)
+        return cell_s is None or cell_t is not None and cell_t <= cell_s
     for u in (t, s):
         if any(v > g - 1 for v in u.values):
             raise InvalidInputError("symbol out of range")
@@ -612,6 +613,12 @@ def check_agreement(t, s, p):
         sig_t, sig_s = sigs
         assert _signature_dominates(sig_t, sig_s) == ref_dominates(t, s, p)
         assert _signature_dominates(sig_s, sig_t) == ref_dominates(s, t, p)
+        if p.k >= 2:  # two Prym squares: dominance is containment of divisor cells
+            chain = make_folded_chain(p.g, p.k)
+            t, s = (Tableau(square_shape(p.r), u.values) for u in (t, s))
+            dt, ds = tableau_to_divisor(t, chain), tableau_to_divisor(s, chain)
+            assert dominates(t, s, p) == divisor_contains(dt, ds)
+            assert dominates(s, t, p) == divisor_contains(ds, dt)
 
 
 @settings(max_examples=300, deadline=None)
@@ -669,20 +676,24 @@ def test_square_predicates_stay_cheap_for_a_huge_g():
 @pytest.mark.parametrize("g", [3, 7])
 def test_the_square_signature_folds_every_symbol_by_min_a_2g_minus_a(g):
     # Also on symbols above 2g - 1, which dominance reads and is_prym refuses.
+    # The g-fiber of the first sits in the class r mod 2 = 1, so its
+    # signature holds no parity class: only the empty cell holds one.
     p = PrymParams(g, 1, 2)
     for rows in ([[g, 2 * g - 1], [1, g]], [[2 * g, 2 * g + 3], [1, 2 * g]]):
         t = square(rows)
         boxes = t.shape.index.boxes
         pairs = {(diag_class(b, 2), min(v, 2 * g - v)) for b, v in zip(boxes, t.values)
                  if v != g}
-        parities = {diag_class(b, 2) for b, v in zip(boxes, t.values) if v == g}
-        assert dominance_signature(t, p) == (pairs, parities)
+        assert dominance_signature(t, p) == (pairs, set())
         assert dominates(t, t, p)
         if max(t.values) < 2 * g:
             assert is_prym(t, p)
         else:
             with pytest.raises(InvalidInputError, match="out of range"):
                 is_prym(t, p)
+    empty = square([[g + 1, g + 2], [g, g + 1]])  # g on (1, 1), in class 0
+    assert is_prym(empty, p)
+    assert dominance_signature(empty, p) == ({(1, g - 1), (0, g - 2)}, {0})
 
 
 def test_chained_sets_check_covers_only():

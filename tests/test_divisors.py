@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
-from prymbn.core import InvalidInputError, InvariantError, PrymParams, codimension
+from prymbn.core import InvalidInputError, InvariantError, PrymParams, codimension, dominates
 from prymbn.dimension import minimal_witness
 from prymbn.divisors import (
     ChipDivisor,
@@ -16,9 +18,10 @@ from prymbn.divisors import (
     make_folded_chain,
     tableau_to_divisor,
 )
+from prymbn.selftest import _grid
 from prymbn.strips import enumerate_strip_tableaux
 
-from helpers import square, stair
+from helpers import divisor_contains, prym_squares, square, stair
 
 # --------------------------------------------------------------------------
 # Arc-length torsion and chain construction
@@ -201,3 +204,30 @@ def test_square_divisor_requires_prym():
     w = square([[2, 4], [1, 3]])  # dual pair (2, 4) straddles two classes
     with pytest.raises(InvalidInputError, match="Prym"):
         tableau_to_divisor(w, chain)
+
+
+# --------------------------------------------------------------------------
+# Dominance is containment of divisor cells
+
+
+def test_dominates_is_containment_of_divisor_cells_on_prym_squares():
+    # Every ordered pair of Prym squares at the r <= 2, k >= 2 grid types of
+    # at most 124 squares, and 20,000 sampled pairs at each of the four
+    # larger ones.  The empty cell lies in every cell.
+    rng = random.Random(1912)
+    sampled = []
+    for r, k, gm1, _ in _grid():
+        if r > 2 or k == 0:
+            continue
+        p = PrymParams(gm1 + 1, r, k)
+        squares = prym_squares(p)
+        chain = make_folded_chain(p.g, k)
+        divisor = {t: tableau_to_divisor(t, chain) for t in squares}
+        if len(squares) <= 124:
+            pairs = product(squares, repeat=2)
+        else:
+            sampled.append((p.g, r, k))
+            pairs = zip(rng.choices(squares, k=20_000), rng.choices(squares, k=20_000))
+        for t, s in pairs:
+            assert dominates(t, s, p) == divisor_contains(divisor[t], divisor[s])
+    assert sampled == [(5, 2, 2), (6, 2, 3), (6, 2, 4), (6, 2, 5)]

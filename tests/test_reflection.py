@@ -34,7 +34,7 @@ from prymbn.reflection import (
 )
 from prymbn.selftest import REFLECTION_TRACE, _grid
 
-from helpers import square, stair
+from helpers import prym_squares, square, stair
 
 # --------------------------------------------------------------------------
 # Loose boxes
@@ -387,7 +387,28 @@ def test_the_sweep_matches_the_papers_on_r7_inputs_and_perturbed_squares():
     cases = [*_r7_inputs(), *_perturbed_squares(100, seed=7)]
     assert {p.r for _, p in cases} == {1, 2, 3, 4}
     for t, p in cases:
-        assert _states(t, p) == paper_sweep(t, p)
+        states = _states(t, p)
+        assert states == paper_sweep(t, p)
+        assert dominates(states[-1][1], t, p)
+
+
+def test_the_sweep_result_dominates_every_prym_square_it_takes():
+    # The sweep's claim, through the public predicate, on every Prym square
+    # of the r <= 2 grid types with its g-fiber in the class r mod 2.  The
+    # 412 squares without g are the ones whose result gains g: (1, 2, 3, 7)
+    # at (4, 1, 0) goes to (1, 4, 4, 7).
+    cases = [
+        (t, p)
+        for r, k, gm1, _ in _grid() if r <= 2
+        for p in [PrymParams(gm1 + 1, r, k)]
+        for t in prym_squares(p)
+        if all((x - y) % 2 == r % 2 for x, y in t.fiber(p.g))
+    ]
+    assert len(cases) == 4_396 and sum(p.g not in t.symbols for t, p in cases) == 412
+    for t, p in cases:
+        assert dominates(reflectify(t, p), t, p)
+    t, p = Tableau(square_shape(1), (1, 2, 3, 7)), PrymParams(4, 1, 0)
+    assert (t, p) in cases and reflectify(t, p).values == (1, 4, 4, 7)
 
 
 # --------------------------------------------------------------------------

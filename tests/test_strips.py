@@ -123,8 +123,9 @@ def test_side_of():
     assert mu.side_of((2, 3)) == 0
     assert mu.side_of((3, 1)) == 1
     assert mu.side_of((4, 1)) == 1
-    with pytest.raises(InvalidInputError):
-        mu.side_of((5, 5))
+    for box in ((5, 5), (0, 3), (5, -1)):  # the last two: on anti-diagonals of T_4
+        with pytest.raises(InvalidInputError):
+            mu.side_of(box)
 
 
 def test_enumerate_strips_and_cell_strips():
@@ -340,6 +341,19 @@ def test_repeat_map_refuses_a_chase_that_moves_a_strip_box(monkeypatch):
         StripShape, "side_of", lambda self, b: -1 if b == moved else real(self, b)
     )
     with pytest.raises(InvariantError, match=re.escape(f"moves strip box {moved}")):
+        mu.repeat_map(1)
+
+
+@pytest.mark.parametrize("wrong", [(1, 3), (4, 1)])
+def test_repeat_map_refuses_a_chase_that_leaves_the_staircase(monkeypatch, wrong):
+    # A box sent to the wrong side is chased out of T_4, where side_of
+    # answers for no box: the chase's own check names the box it left at.
+    mu = StripShape(4, 2, "EN")  # not the cached strip: this one is broken below
+    real = StripShape.side_of
+    monkeypatch.setattr(
+        StripShape, "side_of", lambda self, b: -real(self, b) if b == wrong else real(self, b)
+    )
+    with pytest.raises(InvariantError, match=re.escape(f"repeat chase from {wrong} leaves T_4")):
         mu.repeat_map(1)
 
 
