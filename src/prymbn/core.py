@@ -795,13 +795,14 @@ def codimension(t: Tableau, p: PrymParams) -> int:
     """Codimension of the cell indexed by ``t``.
 
     On the square this counts dual pairs ``(a, 2g - a)`` with at least one
-    member present (the symbol ``g`` contributes nothing); on staircase-like
-    shapes, whose symbols stay below ``g``, it is the number of distinct
-    symbols.
+    member present, the folded symbols ``min(a, 2g - a)`` in ``[1, g-1]``
+    (``g`` and symbols from ``2g`` on contribute nothing); on
+    staircase-like shapes, whose symbols stay below ``g``, it is the number
+    of distinct symbols.
     """
     if _on_square(t, p):
-        syms = t.symbols
-        return sum(1 for a in range(1, p.g) if a in syms or dual_symbol(a, p.g) in syms)
+        g2 = 2 * p.g
+        return len({b for a in t.symbols if 0 < (b := min(a, g2 - a)) < p.g})
     if fault := symbol_fault(t, p.g):
         raise InvalidInputError(f"codimension on a non-square shape: tableau {fault}")
     return len(t.symbols)

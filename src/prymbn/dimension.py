@@ -6,11 +6,18 @@ negative values meaning the locus is empty.  The oracle recomputes the
 minimum over raw staircase displacement tableaux, independently of the
 strip machinery.
 
-Two search kernels over staircase displacement tableaux live here:
-:func:`min_codim_staircase`, an explicit-stack branch and bound behind
-:func:`brute_min_codim`, and :func:`enumerate_staircase_values`, behind
-:func:`enumerate_staircase_tableaux`.  Both fill the slots of
-``staircase_shape(r).index`` in order, reading its west/south neighbour
+Two search kernels live here.  ``_fillings`` is the one filler: it takes
+a shape index, that shape's class map and a symbol fold, and yields every
+filling that increases along the covers with one class per folded symbol.
+With the identity fold on ``staircase_shape(r)`` it yields the staircase
+displacement tableaux (:func:`enumerate_staircase_values`, behind
+:func:`enumerate_staircase_tableaux`); with the fold ``a -> min(a, 2g -
+a)`` on ``square_shape(r)``, ``g`` booked on its parity class instead, it
+yields the Prym squares (``_prym_square_values``).
+:func:`min_codim_staircase`, behind :func:`brute_min_codim`, is a separate
+branch and bound: its caps and bounds read the staircase's chains and
+strip width, so a filler serving both would branch on its caller.  Both
+kernels fill the slots in canonical order, reading the west/south neighbour
 slots, so a value list they build is a ``Tableau`` value tuple.  Both run
 on an explicit stack, so neither depends on the recursion limit.
 
@@ -50,15 +57,17 @@ reaches the incumbent:
 from __future__ import annotations
 
 from math import comb
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .core import (
     GuardRefused,
     InvalidInputError,
     PrymParams,
+    ShapeIndex,
     Tableau,
     _check_int,
     _check_params,
+    square_shape,
     staircase_shape,
 )
 from .strips import StripTableau, effective_width, extend_strip_tableau, horizontal_strip
@@ -145,7 +154,7 @@ def enumerate_staircase_tableaux(p: PrymParams) -> Iterator[Tableau]:
     """
     shape = staircase_shape(_check_params(p).r)
     for values in enumerate_staircase_values(p.r, p.k, p.g - 1):
-        yield Tableau(shape, tuple(values))
+        yield Tableau(shape, values)
 
 
 def class_chain_lengths(r: int, k: int) -> dict[int, int]:
@@ -272,36 +281,73 @@ def enumerate_staircase_values(r: int, k: int, gmax: int) -> Iterator[tuple[int,
     T_r -> [gmax], in lexicographic order.  Desk-scale helper for oracles."""
     _check_int(gmax, "gmax")
     idx = staircase_shape(r).index
-    west, south, cls = idx.west, idx.south, idx.classes(k)
+    yield from _fillings(idx, idx.classes(k), tuple(range(gmax + 1)))
+
+
+def _prym_square_values(p: PrymParams) -> Iterator[tuple[int, ...]]:
+    """Yield the canonical-order value tuple of every Prym tableau of type
+    ``p`` on the (r+1)-square, in lexicographic order: the symbols ``a`` and
+    ``2g - a`` share a class mod ``k``, and ``g`` keeps one parity class."""
+    idx, g = square_shape(_check_params(p).r).index, p.g
+    dual = (0, *range(2 * g - 1, 0, -1))
+    yield from _fillings(idx, idx.classes(p.k), dual, g, idx.classes(2))
+
+
+def _fillings(
+    idx: ShapeIndex,
+    cls: Sequence[int],
+    dual: Sequence[int],
+    g: int = 0,
+    parities: Sequence[int] = (),
+) -> Iterator[tuple[int, ...]]:
+    """Yield, in lexicographic order, every filling of the slots of ``idx``
+    by values in ``[1, len(dual) - 1]`` that increases along the west and
+    south covers, with one class of ``cls`` per folded symbol.
+
+    ``v`` and ``dual[v]`` fold to one symbol (``v`` alone when ``dual[v] ==
+    v``), booked on the class of the first slot holding either.  The value
+    ``g`` (0 for none) is booked apart, on one class of ``parities``.  On a
+    chained box set, the staircase and the square among them, the covers
+    decide the tableau condition, so every filling is a tableau.
+    """
+    west, south = idx.west, idx.south
     n = len(cls)
     if n == 0:
         yield ()
         return
-    sym_class: list[int | None] = [None] * (gmax + 1)
-    sym_count = [0] * (gmax + 1)
+    top = len(dual) - 1
+    # booked[v]: the class v and its dual are booked on, None while free;
+    # g's entry stays None and gpar holds its parity class.
+    booked: list[int | None] = [None] * (top + 1)
+    count = [0] * (top + 1)  # slots holding each value
+    gpar = None
     values = [0] * n
     i = 0
     v = 0  # the last value tried at slot i
     while True:
         ci = cls[i]
         v += 1
-        while v <= gmax and sym_class[v] is not None and sym_class[v] != ci:
+        while v <= top and booked[v] is not None and booked[v] != ci:
             v += 1
-        if v > gmax:
+        if v > top:
             if i == 0:
                 return
             i -= 1
             v = values[i]
-            sym_count[v] -= 1
-            if not sym_count[v]:
-                sym_class[v] = None
+            count[v] -= 1
+            if not count[v] and not count[dual[v]]:
+                booked[v] = booked[dual[v]] = None
             continue
+        if v == g:
+            if count[g] and gpar != parities[i]:
+                continue
+            gpar, ci = parities[i], None
         values[i] = v
         if i + 1 == n:  # no later slot reads the last symbol's class
             yield tuple(values)
             continue
-        sym_class[v] = ci
-        sym_count[v] += 1
+        booked[v] = booked[dual[v]] = ci
+        count[v] += 1
         i += 1
         v = values[west[i]] if west[i] >= 0 else 0
         if south[i] >= 0 and values[south[i]] > v:

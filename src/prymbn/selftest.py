@@ -33,6 +33,7 @@ from .counting import (
     route_counts,
 )
 from .dimension import (
+    _prym_square_values,
     brute_min_codim,
     enumerate_staircase_tableaux,
     expected_codim,
@@ -50,7 +51,6 @@ from .locus import (
     height_descent_step,
 )
 from .reflection import (
-    extend_to_reflective,
     reflectify,
     reflectify_trace,
     restrict_to_staircase,
@@ -114,6 +114,11 @@ def _grid() -> Iterator[tuple[int, int, int, int]]:
 
 
 def _row_dimension(ctx: RunContext) -> str:
+    """The exhaustive minimum over staircase displacement tableaux equals
+    n(r, k) on every grid type.  The search runs in budget mode, whose bound
+    at the root is n(r, k) itself, so this row only confirms that n is
+    attained; R11's paranoid search, which never reads the strip width,
+    checks that nothing goes below n."""
     checked = 0
     for r, k, gm1, n in _grid():
         if not ctx.wants(gm1 + 1, r, k):
@@ -504,14 +509,18 @@ def _row_connectivity(ctx: RunContext) -> str:
 
 
 def _row_pure_dimension(ctx: RunContext) -> str:
+    """Every staircase displacement tableau t of the grid types is dominated
+    by a non-repeating tableau of codimension n.  The reflect sweep is not
+    run here: the reflective extension of t is a fixed point of it, and the
+    restriction of that extension is t, so R12 runs the sweep on the Prym
+    squares, where it acts."""
     checked = 0
     for r, k, gm1, n in _grid():
         if not ctx.wants(gm1 + 1, r, k):
             continue
         p = PrymParams(gm1 + 1, r, k)
         for t in enumerate_staircase_tableaux(p):
-            refl = reflectify(extend_to_reflective(t, p), p)
-            _, dom = dominating_non_repeating(restrict_to_staircase(refl, p), p)
+            _, dom = dominating_non_repeating(t, p)
             assert codimension(dom, p) == n, (
                 f"{p}: pipeline codimension {codimension(dom, p)} != {n}"
                 f" from {t.rows()}"
@@ -521,6 +530,58 @@ def _row_pure_dimension(ctx: RunContext) -> str:
     if not checked:
         return _SKIPPED
     return f"{checked} tableaux land on codimension-n dominating tableaux"
+
+
+# --------------------------------------------------------------------------
+# Row 12: pure dimensionality over the Prym squares, where the sweep acts.
+# --------------------------------------------------------------------------
+
+# R12's counts over its whole subset: squares, those on the empty cell, the
+# reflective ones and those the sweep changes.
+PRYM_SQUARE_COUNTS = (10_109, 442, 527, 9_140)
+
+
+def _row_prym_squares(ctx: RunContext) -> str:
+    """Every Prym square of the grid types with r <= 2, and with r = 3 and
+    g - 1 <= n + 1, whose g-fiber lies in the class r mod 2 is reflectified,
+    restricted to T_r and dominated by a non-repeating tableau, which has
+    codimension n; dominance holds at each link, by ``core.dominates``.  The
+    squares with g in the other class index the empty cell and are counted.
+    At g - 1 = n every Prym square is reflective, so the sweep changes none;
+    over the whole subset it must change some, and the counts are pinned."""
+    squares = empty = reflective = 0
+    for r, k, gm1, n in _grid():
+        if r > 3 or r == 3 and gm1 > n + 1 or not ctx.wants(gm1 + 1, r, k):
+            continue
+        p = PrymParams(gm1 + 1, r, k)
+        shape = square_shape(r)
+        parities = shape.index.classes(2)
+        for values in _prym_square_values(p):
+            squares += 1
+            if any(c != r % 2 for c, v in zip(parities, values) if v == p.g):
+                empty += 1
+                continue
+            t = Tableau(shape, values)
+            refl = reflectify(t, p)
+            stair = restrict_to_staircase(refl, p)
+            _, dom = dominating_non_repeating(stair, p)
+            assert codimension(dom, p) == n, (
+                f"{p}: codimension {codimension(dom, p)} != {n} from {t.rows()}"
+            )
+            assert dominates(refl, t, p), f"{p}: the sweep fails to dominate {t.rows()}"
+            assert dominates(dom, stair, p), f"{p}: no domination of {stair.rows()}"
+            reflective += refl == t  # refl is reflective, so refl == t iff t is
+    if not squares:
+        return _SKIPPED
+    changed = squares - empty - reflective
+    counts = (squares, empty, reflective, changed)
+    if ctx.instance is None:
+        assert changed > 0, "the sweep changed no slot of any square"
+        assert counts == PRYM_SQUARE_COUNTS, f"counts {counts} != {PRYM_SQUARE_COUNTS}"
+    return (
+        f"{squares} Prym squares: {empty} on the empty cell, {reflective} reflective,"
+        f" {changed} changed by the sweep; all land on codimension n"
+    )
 
 
 # --------------------------------------------------------------------------
@@ -593,6 +654,7 @@ ROWS: tuple[Row, ...] = (
     Row("R9", "divisor layer sweeps", _row_divisors),
     Row("R10", "odd torsion against even torsion", _row_odd_torsion),
     Row("R11", "paranoid codimension search", _row_paranoid_dimension),
+    Row("R12", "pure dimensionality over Prym squares", _row_prym_squares),
 )
 
 

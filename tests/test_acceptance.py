@@ -27,3 +27,13 @@ def test_cell_row_checks_a_dimension_zero_instance():
     # obey the product count.
     row = next(row for row in ROWS if row.ident == "R3")
     assert row.run(RunContext(instance=(6, 3, 4))) == "1 instances match the product count"
+
+
+def test_square_row_checks_a_dimension_zero_instance():
+    # g - 1 = n(3, 4) = 5: every Prym square is reflective, so the sweep
+    # changes none, and each still lands on codimension n.
+    row = next(row for row in ROWS if row.ident == "R12")
+    assert row.run(RunContext(instance=(6, 3, 4))) == (
+        "4 Prym squares: 0 on the empty cell, 4 reflective, 0 changed by the sweep;"
+        " all land on codimension n"
+    )

@@ -689,11 +689,16 @@ def test_a_count_of_as_many_digits_as_the_limit_prints(capsys, monkeypatch):
 def test_selftest_single_instance(capsys):
     code, out, _ = run(capsys, "selftest", "--instance", "7,3,4")
     assert code == 0
-    assert out.splitlines()[-1] == "12/12 rows passed"
+    assert out.splitlines()[-1] == "13/13 rows passed"
     data = run_json(capsys, "selftest", "--instance", "7,3,4", "--json")[0]
     assert data["passed"] is True
     details = " ".join(row["detail"] for row in data["rows"])
     assert "betti 29" in details and "24 cells" in details
+    r12 = next(row["detail"] for row in data["rows"] if row["ident"] == "R12")
+    assert r12 == (
+        "252 Prym squares: 0 on the empty cell, 40 reflective, 212 changed by the sweep;"
+        " all land on codimension n"
+    )
 
 
 def test_selftest_bad_instance(capsys):

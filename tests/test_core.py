@@ -351,6 +351,16 @@ def test_codimension_square_counts_dual_pairs_once():
     assert codimension(t, p) == 1
 
 
+@pytest.mark.parametrize("g", [2, 3, 5])
+def test_codimension_square_matches_the_dual_pair_count_past_2g_minus_1(g):
+    # Symbols from 2g on have no partner in [1, g-1] and count for nothing.
+    p = PrymParams(g, 1, 2)
+    for values in product(range(1, 2 * g + 3), repeat=4):
+        t = Tableau(square_shape(1), values)
+        pairs = sum(1 for a in range(1, g) if a in t.symbols or 2 * g - a in t.symbols)
+        assert codimension(t, p) == pairs, values
+
+
 def test_codimension_rejects_large_staircase_symbols():
     p = PrymParams(3, 2, 2)
     with pytest.raises(InvalidInputError):
@@ -670,6 +680,7 @@ def test_square_predicates_stay_cheap_for_a_huge_g():
     t = square([[g, 2 * g - 1], [1, g]])
     start = time.perf_counter()
     assert is_prym(t, p) and is_reflective(t, p) and dominates(t, t, p)
+    assert codimension(t, p) == 1
     assert time.perf_counter() - start < 1.0
 
 

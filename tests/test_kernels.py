@@ -1,6 +1,6 @@
-"""Value tests for the two search kernels: the staircase codimension search
-in :mod:`prymbn.dimension` and linear-extension counting in
-:mod:`prymbn.counting`."""
+"""Value tests for the search kernels: the staircase codimension search and
+the one displacement filler in :mod:`prymbn.dimension`, and linear-extension
+counting in :mod:`prymbn.counting`."""
 
 from __future__ import annotations
 
@@ -10,16 +10,20 @@ import sys
 
 import pytest
 
-from prymbn.core import PrymParams, ShapeIndex, generic_regime
+from prymbn.core import PrymParams, ShapeIndex, Tableau, generic_regime, is_prym, square_shape
 from prymbn.counting import count_linext
 from prymbn.dimension import (
+    _prym_square_values,
     brute_min_codim,
     class_chain_lengths,
     enumerate_staircase_values,
     expected_codim,
     min_codim_staircase,
 )
+from prymbn.selftest import _grid
 from prymbn.strips import enumerate_strip_tableaux
+
+from helpers import prym_squares
 
 
 def chain_masks(n):
@@ -196,3 +200,17 @@ def test_enumerate_staircase_values_hand_counts():
         (1, 2, 2), (1, 2, 3), (1, 3, 2), (1, 3, 3), (2, 3, 3),
     ]
     assert list(enumerate_staircase_values(0, 0, 3)) == [()]
+
+
+def test_the_square_mode_yields_the_prym_squares_of_the_oracle():
+    # The one filler with the fold a -> min(a, 2g - a) and g on its parity
+    # class, against the oracle's filler with its is_prym test at each leaf.
+    counts = {1: 0, 2: 0}
+    for r, k, gm1, _ in _grid():
+        if r <= 2:
+            p = PrymParams(gm1 + 1, r, k)
+            got = list(_prym_square_values(p))
+            assert got == [t.values for t in prym_squares(p)], p
+            assert all(is_prym(Tableau(square_shape(r), values), p) for values in got)
+            counts[r] += len(got)
+    assert counts == {1: 306, 2: 4_478}

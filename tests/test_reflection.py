@@ -22,7 +22,7 @@ from prymbn.core import (
     square_shape,
     staircase_shape,
 )
-from prymbn.dimension import enumerate_staircase_tableaux
+from prymbn.dimension import _prym_square_values, enumerate_staircase_tableaux
 from prymbn.reflection import (
     extend_to_reflective,
     loose_boxes,
@@ -200,11 +200,26 @@ def _perturbed_squares(count, seed):
     return out
 
 
+def _enumerated_squares():
+    """The non-reflective Prym squares of the r <= 2 grid types whose g-fiber
+    lies in the class r mod 2, from the filler's square mode."""
+    for r, k, gm1, _ in _grid():
+        if r <= 2:
+            p = PrymParams(gm1 + 1, r, k)
+            for values in _prym_square_values(p):
+                t = Tableau(square_shape(r), values)
+                if (not is_reflective(t, p)
+                        and all((x - y) % 2 == r % 2 for x, y in t.fiber(p.g))):
+                    yield t, p
+
+
 def test_the_sweep_matches_the_papers_on_non_reflective_squares():
     cases = _perturbed_squares(300, seed=1912)
     assert len({t.values for t, _ in cases}) > 250
     assert {p.r for _, p in cases} == {3, 4}
-    for t, p in cases:
+    enumerated = list(islice(_enumerated_squares(), 0, None, 10))
+    assert len(enumerated) == 423 and {p.r for _, p in enumerated} == {1, 2}
+    for t, p in cases + enumerated:
         assert _states(t, p) == paper_sweep(t, p)
 
 
