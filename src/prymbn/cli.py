@@ -45,10 +45,10 @@ from .core import (
     shape_family,
 )
 from .counting import (
+    _hook_log10,
     _product_rule,
     applicable_routes,
     cardinality,
-    max_cell_count,
     route_counts,
 )
 from .dimension import expected_codim, pbn_dimension
@@ -75,11 +75,24 @@ def _emit_json(obj: Any) -> None:
     print(json.dumps({"schema": SCHEMA_VERSION, **obj}, sort_keys=True))
 
 
+def _digit_limit() -> int:
+    """The most decimal digits the interpreter converts to a string
+    (``sys.get_int_max_str_digits``), 0 for no limit."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+def _too_long(digits: int, limit: int) -> GuardRefused:
+    return GuardRefused(
+        f"a count of {digits} digits exceeds this interpreter's {limit}-digit"
+        " limit on printing integers"
+    )
+
+
 def _printable(*counts: object) -> None:
     """Refuse, before any output, a count with more decimal digits than the
-    interpreter converts to a string (``sys.get_int_max_str_digits``, 0 for
-    no limit); the limit itself is left as it is."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    interpreter converts to a string (:func:`_digit_limit`); the limit
+    itself is left as it is."""
+    limit = _digit_limit()
     for n in counts:
         # 10**limit has more than 3 * limit bits, so a shorter count prints.
         if not (limit and isinstance(n, int) and n.bit_length() > 3 * limit):
@@ -87,10 +100,32 @@ def _printable(*counts: object) -> None:
         digits = int(math.log10(abs(n))) + 1
         digits += (abs(n) >= 10**digits) - (abs(n) < 10 ** (digits - 1))
         if digits > limit:
-            raise GuardRefused(
-                f"a count of {digits} digits exceeds this interpreter's {limit}-digit"
-                " limit on printing integers"
-            )
+            raise _too_long(digits, limit)
+
+
+# Digits by which the hook bound must pass the print limit to refuse a count
+# unseen; the bound's float error is far below one digit.
+HOOK_DIGIT_MARGIN = 2
+
+
+def _hook_printable(r: int, k: int, log10_factor: float = 0.0) -> None:
+    """Refuse, before the product, a count the hook route would make that is
+    far too long to print: C(r, k) times a factor whose log10 is given.
+    Its digit bound from the hook lengths (``counting._hook_log10``) must
+    pass the print limit by :data:`HOOK_DIGIT_MARGIN`; a count inside the
+    margin is made and checked exactly by :func:`_printable`, so no
+    printable count is refused.  Nothing is checked where the hook route
+    does not apply, and ``applicable_routes`` refuses a bad (r, k)."""
+    limit = _digit_limit()
+    if limit and "hook" in applicable_routes(r, k):
+        bound = _hook_log10(r) + log10_factor
+        if bound >= limit + HOOK_DIGIT_MARGIN:
+            raise _too_long(int(bound) + 1, limit)
+
+
+def _log10_comb(m: int, n: int) -> float:
+    """log10 of ``binom(m, n)``, ``0 <= n <= m``, in floating point."""
+    return (math.lgamma(m + 1) - math.lgamma(n + 1) - math.lgamma(m - n + 1)) / math.log(10)
 
 
 def _report(
@@ -172,6 +207,8 @@ def _cmd_dim(args: argparse.Namespace) -> int:
 
 def _cmd_count(args: argparse.Namespace) -> int:
     r, k = args.r, args.k
+    if args.method in ("auto", "hook", "all"):  # each takes the hook route where it applies
+        _hook_printable(r, k)
     if args.method == "all":
         routes = route_counts(r, k, force=args.force)
         if len(set(routes.values())) > 1:
@@ -209,7 +246,14 @@ def _cmd_cells(args: argparse.Namespace) -> int:
     p = _params(args)
     symbols = None if args.symbols is None else _parse_symbols(args.symbols)
     if args.count_only:
-        total = max_cell_count(p, symbols, force=args.force)
+        def count() -> int:
+            # max_cell_count's C(r, k), refused at once if the product is far
+            # too long to print; the binomial's symbols are [g-1] or the subset.
+            m = p.g - 1 if symbols is None else len(symbols)
+            _hook_printable(p.r, p.k, _log10_comb(m, expected_codim(p.r, p.k)))
+            return cardinality(p.r, p.k, force=args.force)
+
+        total = _product_rule(p, symbols, count)
         _report(args, {"g": p.g, "r": p.r, "k": p.k, "cells": total}, lambda: [str(total)])
         return 0
     for i, cell in enumerate(enumerate_maximal_cells(p, symbols, force=args.force)):
@@ -380,6 +424,9 @@ def _cmd_census(args: argparse.Namespace) -> int:
     jobs = min(args.jobs or 4, len(tasks), os.cpu_count() or 1)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            # A row's cells, C(r, k) * (n + 1), refused before any row is made.
+            for r, k, _ in tasks:
+                _hook_printable(r, k, math.log10(expected_codim(r, k) + 1))
             if jobs > 1:
                 # Loading the pool loads multiprocessing: only a sweep that
                 # fans out pays for it.

@@ -33,7 +33,7 @@ is layered the same way.  No route needs recursion.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial, prod
+from math import comb, factorial, fsum, lgamma, log, prod
 from typing import Callable, Iterable
 
 from .core import (
@@ -115,6 +115,18 @@ def hook_length_syt_count(partition: list[int] | tuple[int, ...]) -> int:
     if rem:
         raise InvariantError("hook product does not divide n!")
     return count
+
+
+def _hook_log10(r: int) -> float:
+    """log10 of C(r, 0), the hook route's count, from the hook lengths in
+    floating point: log10 n! less the sum of log10 of the hooks, with
+    ``n = r(r+1)/2``.  The hooks of the staircase ``T_r`` are the odd
+    numbers ``2m + 1``, each on ``r - m`` boxes, so the sum has ``r``
+    terms, added exactly rounded.  The error is that of ``lgamma`` at
+    ``n + 1``, a few units in the last place of ln n!: under 1e-6 of a
+    digit up to r = 1000 and under 0.01 up to r = 10^6."""
+    n = r * (r + 1) // 2
+    return (lgamma(n + 1) - fsum((r - m) * log(2 * m + 1) for m in range(r))) / log(10)
 
 
 def _check_route(route: str, r: int, k: int) -> None:

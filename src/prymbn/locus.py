@@ -469,9 +469,9 @@ class MaximalCell:
     """A maximal cell: the non-repeating tableau extending a strip tableau.
 
     The tableau's facts were checked where they arose: its strip filling
-    by the one filling rule, its displacement when it was extended to
-    ``T_r``.  The free symbols are read off the tableau, so the cell stores
-    nothing to check.
+    by the filling rule, its displacement by its strip's extension proof
+    (``StripShape.slot_classes``), once for every filling.  The free
+    symbols are read off the tableau, so the cell stores nothing to check.
     """
 
     params: PrymParams
@@ -492,10 +492,19 @@ def enumerate_maximal_cells(
     ``symbols``, in strip-tableau order: :func:`~prymbn.counting.max_cell_count`
     of them, guarded by :data:`CELL_GUARD` and checked against that count.
 
-    No strip tableau is built: each strip filling the search yields meets
-    the one filling rule (``strips._strip_filling_fault``) once, and only
-    its extension to ``T_r``, checked to be a displacement tableau, and the
-    cell are built."""
+    No strip tableau is built (``_maximal_cells``): each cell strip meets
+    the per-strip part of the filling rule and the extension proof
+    (``StripShape.slot_classes``) once, each filling the per-filling part
+    once, and only its extension to ``T_r`` and the cell are built."""
+    return [cell for cell, _ in _maximal_cells(p, symbols, force)]
+
+
+def _maximal_cells(
+    p: PrymParams, symbols: Iterable[int] | None, force: bool
+) -> Iterator[tuple[MaximalCell, frozenset[tuple[int, int]]]]:
+    """Each maximal cell with its (class, symbol) pairs, from
+    ``strips._strip_extensions``: the one path to the cells, whose guard
+    runs before the first and whose count check after the last."""
     symbols = None if symbols is None else _cell_symbols(p, symbols)  # read once
     total = max_cell_count(p, symbols, force=force)
     if total > CELL_GUARD and not force:
@@ -503,15 +512,14 @@ def enumerate_maximal_cells(
             f"{total} maximal cells exceed the desk-scale limit of {CELL_GUARD};"
             " pass force=True to enumerate anyway"
         )
-    cells = [
-        MaximalCell(p, mu, ext)
-        for mu, ext in _strip_extensions(p, _cell_symbols(p, symbols))
-    ]
-    if len(cells) != total:
+    made = 0
+    for mu, ext, pairs in _strip_extensions(p, _cell_symbols(p, symbols)):
+        made += 1
+        yield MaximalCell(p, mu, ext), pairs
+    if made != total:
         raise InvariantError(
-            f"enumerated {len(cells)} cells but the closed form gives {total}"
+            f"enumerated {made} cells but the closed form gives {total}"
         )
-    return cells
 
 
 @dataclass(frozen=True)
@@ -543,7 +551,10 @@ def build_intersection_graph(
     """The circle/intersection graph of a 1-dimensional locus.
 
     Circles are the maximal cells, and two circles meet when their cells
-    are adjacent.  :func:`_adjacent_cells` finds those pairs: each circle's
+    are adjacent.  The cells and their pair sets come from the cell
+    enumeration's one path (``_maximal_cells``), whose extension proof
+    gives each cell's pairs, so no pair set is rebuilt here.
+    :func:`_adjacent_cells` finds the adjacent pairs: each circle's
     pair set becomes an int bitmask, bucketed under the mask less each of
     its bits, and the rule judges only the two dropped pairs of each pair
     of bucket members.  A vertex joins two adjacent circles, which trade
@@ -554,13 +565,13 @@ def build_intersection_graph(
         raise InvalidInputError(
             "the intersection graph is defined for 1-dimensional loci only"
         )
-    cells = enumerate_maximal_cells(p, force=force)
-    frees, pairs = [], []
-    for cell in cells:
+    cells, frees, pairs = [], [], []
+    for cell, cell_pairs in _maximal_cells(p, None, force):
         if len(free := cell.free_symbols) != 1:
             raise InvariantError("dim-1 circles carry exactly one free symbol")
+        cells.append(cell)
         frees.append(next(iter(free)))
-        pairs.append(_cell_pairs(cell.tableau, p.k))
+        pairs.append(cell_pairs)
 
     vertices: dict[tuple[int, int], GraphVertex] = {}
     counts = [0] * len(cells)

@@ -20,21 +20,27 @@ Consumers read a strip's geometry from two slot tables per torsion parity:
 repeat map is the only source of the repeating translations.  It builds
 the extension of a strip tableau (:func:`extend_strip_tableau`); since it
 fixes every strip slot, checked once when the map is built, the extension
-restricts to the strip tableau exactly, and each strip filling is
-checked once, by ``_strip_filling_fault``, which :class:`StripTableau`
-and the cell enumeration read.  It also tests a given tableau for the
+restricts to the strip tableau exactly.  The filling rule has a per-strip
+part, ``_cell_strip_fault``, and a per-filling part,
+``_strip_filling_fault``: :class:`StripTableau` reads both, and the cell
+enumeration reads the first once per strip and the second once per
+filling.  The paper's claim that every extension is a displacement
+tableau is checked once per strip and parity, for every filling at once,
+by :meth:`StripShape.slot_classes`, which also gives each cell's (class,
+symbol) pairs.  The repeat map also tests a given tableau for the
 repeat condition (:func:`is_non_repeating`) and spreads strip values over
 ``T_r`` in the even-torsion maxima of :func:`dominating_non_repeating` and
 the descent result of ``locus.height_descent_step``.  The order pairs are
 the only source of the gluing pairs: one scan of them checks a strip
 filling, and they order the strip search and the brute count.  The search's
-one prune, :meth:`StripShape.up_set_sizes`, is derived from them too.
+one prune, :meth:`StripShape.up_set_sizes`, and the extension proof read
+their transitive closure.
 ``_glued_strip`` alone picks a tableau's strip; :func:`is_non_repeating` checks it.
 
 The strips the module hands out come from one bounded cache keyed by
 ``(r, l, word)`` (:data:`STRIP_CACHE` strips), so a strip's shape, index,
-order pairs and repeat maps are built once while it stays cached:
-:func:`enumerate_strips`, :func:`horizontal_strip`, the strip
+order pairs, repeat maps and slot classes are built once while it stays
+cached: :func:`enumerate_strips`, :func:`horizontal_strip`, the strip
 ``_glued_strip`` picks and ``locus.height_descent_step`` read it.
 Only the brute count at odd torsion builds strips outside it: the all-E
 and all-N strips, whose order pairs it splits by move letter.
@@ -108,10 +114,13 @@ def _check_parity(eps: object) -> None:
 class StripShape:
     """A width-``l`` strip in ``T_r``, encoded by its east/north word.
 
-    Its per-parity tables (:meth:`repeat_map`, :meth:`order_pairs`,
-    :meth:`up_set_sizes`) are built once per parity, after the parity rule
-    (``_check_parity``).  A cached table is served only to an exact
-    ``int``, so a bool or float equal to 0 or 1 is refused too.
+    Its per-parity tables (:meth:`repeat_map`, :meth:`order_pairs` and
+    their closure, which :meth:`up_set_sizes` reads) are built once per
+    parity, after the parity rule (``_check_parity``), and
+    :meth:`slot_classes` once for each of the two torsions of its width
+    (the degenerate strip reads ``T_r``'s class maps).  A cached table is
+    served only to an exact ``int``, so a bool or float equal to 0 or 1 is
+    refused too.
     """
 
     r: int
@@ -253,19 +262,16 @@ class StripShape:
         return pairs
 
     @_cached
-    def _up_set_sizes(self) -> dict[int, tuple[int, ...]]:
+    def _up_sets(self) -> dict[int, tuple[int, ...]]:
         return {}
 
-    def up_set_sizes(self, eps: int) -> tuple[int, ...]:
-        """For each slot of ``self.shape.index``, the number of slots above
-        it in the transitive closure of :meth:`order_pairs`.  A strip
-        tableau is injective and increases along the pairs, so each of
-        those slots holds its own symbol larger than the slot's.  The
-        closure is one bitmask per slot, taken in reverse topological order.
-        """
-        sizes = self._up_set_sizes.get(eps)
-        if sizes is not None and type(eps) is int:
-            return sizes
+    def _closure(self, eps: int) -> tuple[int, ...]:
+        """For each slot of ``self.shape.index``, the bitmask of the slots
+        above it in the transitive closure of :meth:`order_pairs`: one
+        bitmask per slot, taken in reverse topological order."""
+        up_sets = self._up_sets.get(eps)
+        if up_sets is not None and type(eps) is int:
+            return up_sets
         _check_parity(eps)
         n = len(self.shape.index.boxes)
         succ: list[list[int]] = [[] for _ in range(n)]
@@ -285,8 +291,64 @@ class StripShape:
                     done.append(h)
         if len(done) < n:
             raise InvariantError(f"order pairs of strip {self} form a cycle")
-        sizes = self._up_set_sizes[eps] = tuple(u.bit_count() for u in up)
-        return sizes
+        up_sets = self._up_sets[eps] = tuple(up)
+        return up_sets
+
+    def up_set_sizes(self, eps: int) -> tuple[int, ...]:
+        """For each slot of ``self.shape.index``, the number of slots above
+        it in the transitive closure of :meth:`order_pairs`.  A strip
+        tableau is injective and increases along the pairs, so each of
+        those slots holds its own symbol larger than the slot's."""
+        return tuple(u.bit_count() for u in self._closure(eps))
+
+    @_cached
+    def _slot_classes(self) -> dict[int, tuple[int, ...]]:
+        return {}
+
+    def slot_classes(self, k: int) -> tuple[int, ...]:
+        """For each slot of ``self.shape.index``, the one diagonal class mod
+        ``k`` of the boxes of ``T_r`` that copy it (:meth:`repeat_map` at
+        parity ``k mod 2``); ``k`` must be a torsion of the strip's width.
+        The degenerate strip reads ``T_r``'s own ``classes(k)``.
+
+        Building it proves the paper's extension claim once per strip and
+        parity, for every filling at once.  A strip tableau is injective
+        and increases along :meth:`order_pairs`, so its extension holds each
+        symbol on the boxes that copy one slot, all of one class here: it
+        is a displacement tableau once every cover of ``T_r`` lands on a
+        slot pair of the pairs' transitive closure (:meth:`_closure`).  Its
+        cell is then the slots' (class, value) pairs.  A class conflict or a
+        cover landing outside the closure raises
+        :class:`~prymbn.core.InvariantError`."""
+        table = self._slot_classes.get(k) if type(k) is int else None
+        if table is not None:
+            return table
+        if effective_width(self.r, k) != self.l:  # refuses a bad k
+            raise InvalidInputError(f"torsion {k} does not fit the width-{self.l} strip {self}")
+        stair = staircase_shape(self.r).index
+        if self.degenerate:
+            return stair.classes(k)
+        eps = k % 2
+        lands = self.repeat_map(eps)
+        own: list[int | None] = [None] * len(self.shape.index.boxes)
+        for box, c, j in zip(stair.boxes, stair.classes(k), lands):
+            if own[j] is None:
+                own[j] = c
+            elif own[j] != c:
+                raise InvariantError(
+                    f"non-repeating extension puts classes {own[j]} and {c} on strip slot {j}"
+                    f" (box {box})"
+                )
+        up = self._closure(eps)
+        for lo, hi in stair.covers:
+            a, b = lands[lo], lands[hi]
+            if not up[a] >> b & 1:
+                raise InvariantError(
+                    f"non-repeating extension: cover {stair.boxes[lo]} -> {stair.boxes[hi]}"
+                    f" of T_{self.r} lands on strip slots {a} -> {b}, outside the order closure"
+                )
+        table = self._slot_classes[k] = tuple(own)  # every slot: the strip boxes land on theirs
+        return table
 
     @property
     def height(self) -> int:
@@ -397,32 +459,37 @@ def is_non_repeating(t: Tableau, mu: StripShape, p: PrymParams) -> bool:
     return i == 0 and t.values == tuple(map(sub.__getitem__, mu.repeat_map(p.eps)))
 
 
-def _strip_filling_fault(
-    mu: StripShape, p: PrymParams, shape: Shape, values: Sequence[int]
-) -> str | None:
-    """The one rule for a strip filling: why ``values``, on ``shape``, are no
-    strip tableau of ``mu`` and type ``p``, or ``None``.  In order: the strip
-    fits the type, even torsion uses only mu_0, the values fill the strip
-    exactly, they are symbols in ``[g-1]``, they are injective, and they
-    increase along every order pair (the tableau and gluing conditions, one
-    scan of :meth:`StripShape.order_pairs` through :func:`_order_failure`).
-    :class:`StripTableau` and ``locus.enumerate_maximal_cells`` both read it,
-    once per filling."""
+def _cell_strip_fault(mu: StripShape, p: PrymParams, shape: Shape) -> str | None:
+    """The per-strip part of the filling rule: why a filling on ``shape``
+    can be no strip tableau of ``mu`` and type ``p``, whatever its values,
+    or ``None``.  In order: the strip fits the type, even torsion uses only
+    mu_0, and ``shape`` is the strip's (a tableau fills its shape exactly)."""
     if fault := _strip_fault(mu, p):
         return fault
-    eps, own = p.eps, mu.shape
-    if eps == 0 and "N" in mu.word:
+    if p.eps == 0 and "N" in mu.word:
         return "even torsion admits only the horizontal strip mu_0"
-    if len(values) != len(own.boxes) or not _same_shape(shape, own):
+    if not _same_shape(shape, mu.shape):
         return "entries must fill the strip exactly"
+    return None
+
+
+def _strip_filling_fault(mu: StripShape, p: PrymParams, values: Sequence[int]) -> str | None:
+    """The per-filling part of the filling rule: why ``values``, one per slot
+    of a strip that passed :func:`_cell_strip_fault`, are no strip tableau
+    of ``mu`` and type ``p``, or ``None``.  In order: they are symbols in
+    ``[g-1]``, they are injective, and they increase along every order pair
+    (the tableau and gluing conditions, one scan of
+    :meth:`StripShape.order_pairs` through :func:`_order_failure`).
+    :class:`StripTableau` and the cell enumeration both read it, once per
+    filling."""
     if fault := _symbol_fault(values):
         return f"strip tableau {fault}"
     symbols = set(values)
     if symbols and max(symbols) >= p.g:
-        return f"strip tableau {symbol_fault(Tableau(shape, tuple(values)), p.g)}"
+        return f"strip tableau {symbol_fault(Tableau(mu.shape, tuple(values)), p.g)}"
     if len(symbols) != len(values):
         return "strip tableau entries must be injective"
-    i = _order_failure(mu, eps, values)
+    i = _order_failure(mu, p.eps, values)
     if i < -len(mu.word):
         return "strip entries violate the tableau condition"
     if i:
@@ -437,12 +504,12 @@ def _strip_filling_fault(
 class StripTableau:
     """An injective, glued filling of a strip with symbols in ``[g-1]``.
 
-    Construction checks the field types, then the one strip filling rule,
-    :func:`_strip_filling_fault`: the strip fits the type, the entries fill
-    it exactly with symbols in ``[g-1]``, they are injective, and they
-    increase along every order pair.  Every fact about the extension that
-    reads only the strip restriction follows from these, so
-    :func:`extend_strip_tableau` does not check them again.
+    Construction checks the field types, then both parts of the strip
+    filling rule: :func:`_cell_strip_fault` (the strip fits the type and
+    the entries fill it exactly) and :func:`_strip_filling_fault` (symbols
+    in ``[g-1]``, injective, increasing along every order pair).  Every
+    fact about the extension that reads only the strip restriction follows
+    from these, so :func:`extend_strip_tableau` does not check them again.
     """
 
     strip: StripShape
@@ -458,7 +525,10 @@ class StripTableau:
                 raise InvalidInputError(
                     f"strip tableau {name} must be a {cls.__name__}, got {value!r}"
                 )
-        if fault := _strip_filling_fault(mu, p, self.entries.shape, self.entries.values):
+        entries = self.entries
+        if fault := _cell_strip_fault(mu, p, entries.shape) or _strip_filling_fault(
+            mu, p, entries.values
+        ):
             raise InvalidInputError(fault)
 
 
@@ -472,38 +542,42 @@ def extend_strip_tableau(st: StripTableau) -> Tableau:
     exactly.  Its strip order pairs, injectivity and symbol range were
     checked when ``st`` was built, the repeat condition holds by
     construction, and its symbols are the entries', one per strip box: it
-    is non-repeating in its strip and minimal with no second check.  What
-    remains is the paper's claim that it is a displacement tableau on
-    ``T_r``, checked by :func:`_extension`.
+    is non-repeating in its strip and minimal with no second check.  The
+    paper's claim that it is a displacement tableau on ``T_r`` is checked
+    once per strip and parity, for every filling, by
+    :meth:`StripShape.slot_classes`, read here: a strip that fails that
+    proof raises :class:`~prymbn.core.InvariantError`.
     """
-    _expect(st, StripTableau)
-    return _extension(st.strip, st.params, st.entries.values)
-
-
-def _extension(mu: StripShape, p: PrymParams, values: Sequence[int]) -> Tableau:
-    """The tableau on ``T_r`` that copies the checked strip filling ``values``
-    along the repeat map, checked to be a displacement tableau: a failure is
-    an :class:`~prymbn.core.InvariantError`."""
-    ext = Tableau(staircase_shape(p.r), tuple(map(values.__getitem__, mu.repeat_map(p.eps))))
-    if fault := displacement_fault(ext, p.k):
-        raise InvariantError(f"non-repeating extension {fault}")
-    return ext
+    mu, p = _expect(st, StripTableau).strip, st.params
+    mu.slot_classes(p.k)
+    lands = mu.repeat_map(p.eps)
+    return Tableau(staircase_shape(p.r), tuple(map(st.entries.values.__getitem__, lands)))
 
 
 def _strip_extensions(
     p: PrymParams, symbols: tuple[int, ...]
-) -> Iterator[tuple[StripShape, Tableau]]:
-    """Each cell strip and the extension of each of its fillings from
-    ``symbols``, in the order of :func:`enumerate_strip_tableaux`: every
-    filling meets :func:`_strip_filling_fault` once, and no strip tableau
-    is built.  A filling the search yields that fails the rule is an
-    :class:`~prymbn.core.InvariantError`."""
+) -> Iterator[tuple[StripShape, Tableau, frozenset[tuple[int, int]]]]:
+    """Each cell strip, the extension of each of its fillings from
+    ``symbols`` and that extension's cell (its ``_cell_pairs``), in the
+    order of :func:`enumerate_strip_tableaux`; no strip tableau is built.
+    Each strip meets the per-strip part of the filling rule
+    (:func:`_cell_strip_fault`) and the extension proof
+    (:meth:`StripShape.slot_classes`) once, and each filling the per-filling
+    part (:func:`_strip_filling_fault`).  A strip or filling the search
+    yields that fails the rule is an :class:`~prymbn.core.InvariantError`."""
+    stair = staircase_shape(p.r)
     for mu in cell_strips(p):
-        shape = mu.shape
+        if fault := _cell_strip_fault(mu, p, mu.shape):
+            raise InvariantError(f"strip search yielded a strip: {fault}")
+        classes, lands = mu.slot_classes(p.k), mu.repeat_map(p.eps)
         for values in _fill_strip(mu, p, symbols):
-            if fault := _strip_filling_fault(mu, p, shape, values):
+            if fault := _strip_filling_fault(mu, p, values):
                 raise InvariantError(f"strip search yielded a filling: {fault}")
-            yield mu, _extension(mu, p, values)
+            yield (
+                mu,
+                Tableau(stair, tuple(map(values.__getitem__, lands))),
+                frozenset(zip(classes, values)),
+            )
 
 
 def restrict_to_strip(t: Tableau, mu: StripShape, p: PrymParams) -> StripTableau:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -673,6 +674,63 @@ def test_a_count_too_long_to_print_exits_3_before_any_output(capsys, tmp_path, a
                    " limit on printing integers\n")
     assert sys.get_int_max_str_digits() == limit
     assert list(tmp_path.iterdir()) == []
+
+
+class HookProduct(Exception):
+    """Raised by a spy in place of the hook route's product."""
+
+
+# The hook route had no guard: count --r 400 --k 0 took 2 s and --r 2000 ran
+# past 30 s before the exit 3.  The digit bound from the hook lengths refuses
+# them before the product.  The census sweep refuses at the first row whose
+# cells bound passes the limit, r = 76 (C(76, 0) * 2927 has 4380 digits).
+@pytest.mark.parametrize("argv, digits", [
+    (("count", "--r", "2000", "--k", "0"), None),
+    (("count", "--r", "2000", "--k", "3999", "--method", "hook"), None),
+    (("count", "--r", "2000", "--k", "0", "--method", "all", "--json"), None),
+    (("cells", "--g", "2001002", "--r", "2000", "--k", "0", "--count-only"), None),
+    (("census", "--rmax", "1000", "--kmax", "0", "--jobs", "1"), 4380),
+], ids=["count", "count-generic-k", "count-all", "cells", "census"])
+def test_a_hook_count_far_too_long_to_print_is_refused_before_the_product(
+    capsys, monkeypatch, tmp_path, argv, digits
+):
+    def product(*args):
+        raise HookProduct
+
+    monkeypatch.setattr(counting, "hook_length_syt_count", product)
+    limit = sys.get_int_max_str_digits()
+    out_path = tmp_path / "census.csv"
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv, *(("--out", str(out_path)) if argv[0] == "census" else ()))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    got = int(err.split()[4])
+    assert err == (f"refused: a count of {got} digits exceeds this interpreter's {limit}-digit"
+                   " limit on printing integers\n")
+    assert got == digits if digits else got > 10**6
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("r", [1, 2, 5, 30, 76, 90])
+def test_the_hook_digit_bound_is_log10_of_the_hook_count(r):
+    assert abs(counting._hook_log10(r) - math.log10(counting.count_generic(r))) < 1e-6
+
+
+def test_a_hook_count_inside_the_margin_is_checked_exactly(capsys):
+    # C(76, 0) has 4376 digits: it prints at a 4376-digit limit, and at one
+    # digit less the bound is inside the margin, so the exact check refuses.
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(4376)
+        code, out, _ = run(capsys, "count", "--r", "76", "--k", "0")
+        assert code == 0 and len(out.strip()) == 4376
+        sys.set_int_max_str_digits(4375)
+        code, out, err = run(capsys, "count", "--r", "76", "--k", "0")
+        assert (code, out) == (3, "")
+        assert err == ("refused: a count of 4376 digits exceeds this interpreter's 4375-digit"
+                       " limit on printing integers\n")
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_a_count_of_as_many_digits_as_the_limit_prints(capsys, monkeypatch):

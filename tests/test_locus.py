@@ -581,6 +581,7 @@ def test_cells_are_the_extended_strip_tableaux_on_the_grid():
 
 
 def test_a_fault_of_the_shared_filling_rule_stops_both_paths(monkeypatch):
+    # The per-filling part of the rule, which the cell path reads per filling.
     p = PrymParams(7, 3, 4)
     st = next(enumerate_strip_tableaux(p))
     monkeypatch.setattr(strips, "_strip_filling_fault", lambda *args: "is planted")
@@ -588,6 +589,78 @@ def test_a_fault_of_the_shared_filling_rule_stops_both_paths(monkeypatch):
         StripTableau(st.strip, st.entries, p)
     with pytest.raises(InvariantError, match="strip search yielded a filling: is planted"):
         enumerate_maximal_cells(p)
+
+
+def test_a_fault_of_the_per_strip_filling_rule_stops_both_paths(monkeypatch):
+    # The per-strip part of the rule, which the cell path reads once per strip.
+    p = PrymParams(7, 3, 4)
+    st = next(enumerate_strip_tableaux(p))
+    monkeypatch.setattr(strips, "_cell_strip_fault", lambda *args: "is planted")
+    with pytest.raises(InvalidInputError, match="^is planted$"):
+        StripTableau(st.strip, st.entries, p)
+    with pytest.raises(InvariantError, match="strip search yielded a strip: is planted"):
+        enumerate_maximal_cells(p)
+
+
+def test_each_cell_is_a_displacement_tableau_with_the_pairs_it_is_yielded_with():
+    # The per-cell oracle for the per-strip extension proof: the old per-cell
+    # check, and the pair set the graph rebuilt from each cell before.
+    types = [PrymParams(gm1 + 1, r, k) for r, k, gm1, _ in _grid()]
+    types += [PrymParams(8, 3, 0), PrymParams(8, 3, 5), PrymParams(11, 5, 4)]
+    for p in types:
+        made = 0
+        for mu, ext, pairs in strips._strip_extensions(p, tuple(range(1, p.g))):
+            assert core.staircase_fault(ext, p) is None, (p, mu, ext)
+            assert core.displacement_fault(ext, p.k) is None, (p, mu, ext)
+            assert pairs == core._cell_pairs(ext, p.k), (p, mu, ext)
+            made += 1
+        assert made == counting.max_cell_count(p), p
+
+
+def _first_strip_box_off(mu):
+    """The staircase slot of the first box of T_r off the strip ``mu``."""
+    return next(
+        i for i, b in enumerate(staircase_shape(mu.r).index.boxes) if b not in mu.shape
+    )
+
+
+def _conflicting_repeat_map(real):
+    """``StripShape.repeat_map`` sending the first box off the strip to a
+    strip slot of another diagonal class."""
+    def repeat_map(self, eps):
+        lands = list(real(self, eps))
+        classes = self.shape.index.classes(2 * self.l - eps)
+        i = _first_strip_box_off(self)
+        lands[i] = next(j for j, c in enumerate(classes) if c != classes[lands[i]])
+        return tuple(lands)
+    return repeat_map
+
+
+def _pairs_without_gluing(real):
+    """``StripShape.order_pairs`` with the gluing pairs dropped: some cover
+    of T_r then lands outside their closure."""
+    return lambda self, eps: real(self, eps)[: len(self.shape.index.covers)]
+
+
+@pytest.mark.parametrize("g, r, k", [(7, 3, 4), (8, 3, 3)])
+@pytest.mark.parametrize("table, breaker, message", [
+    ("repeat_map", _conflicting_repeat_map, "puts classes"),
+    ("order_pairs", _pairs_without_gluing, "outside the order closure"),
+], ids=["class-conflict", "cover-outside-closure"])
+def test_a_strip_that_fails_the_extension_proof_stops_both_paths(
+    monkeypatch, g, r, k, table, breaker, message
+):
+    p = PrymParams(g, r, k)
+    sts = list(enumerate_strip_tableaux(p))
+    # Fresh strips, so no slot classes built before the break are served.
+    monkeypatch.setattr(strips, "_strip", strips.StripShape)
+    monkeypatch.setattr(strips.StripShape, table, breaker(getattr(strips.StripShape, table)))
+    with pytest.raises(InvariantError, match=f"^non-repeating extension.*{message}"):
+        enumerate_maximal_cells(p)
+    for st in (sts[0], sts[-1]):
+        fresh = strips.StripShape(st.strip.r, st.strip.l, st.strip.word)
+        with pytest.raises(InvariantError, match=f"^non-repeating extension.*{message}"):
+            extend_strip_tableau(StripTableau(fresh, st.entries, p))
 
 
 def test_a_symbol_subset_keeps_the_cells_drawing_from_it(monkeypatch):
@@ -718,6 +791,8 @@ def test_graph_vertices_match_the_per_class_bucketing(g, r, k):
 
 @pytest.mark.parametrize("g, r, k", [(8, 3, 0), (7, 3, 4)])
 def test_graph_reads_each_circle_once_and_never_calls_is_adjacent(monkeypatch, g, r, k):
+    # Each circle's pair set comes from the cell enumeration, built from its
+    # strip's slot classes, so the graph rebuilds none (one per circle before).
     calls = {"is_adjacent": 0, "_cell_pairs": 0}
 
     def spy(name, real):
@@ -729,7 +804,7 @@ def test_graph_reads_each_circle_once_and_never_calls_is_adjacent(monkeypatch, g
     monkeypatch.setattr(locus, "is_adjacent", spy("is_adjacent", is_adjacent))
     monkeypatch.setattr(locus, "_cell_pairs", spy("_cell_pairs", locus._cell_pairs))
     G = build_intersection_graph(PrymParams(g, r, k))
-    assert calls == {"is_adjacent": 0, "_cell_pairs": len(G.circles)}
+    assert calls == {"is_adjacent": 0, "_cell_pairs": 0}
     assert G.e == 2 * G.v == sum(G.circle_vertex_counts)
 
 

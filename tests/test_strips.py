@@ -357,6 +357,24 @@ def test_repeat_map_refuses_a_chase_that_leaves_the_staircase(monkeypatch, wrong
         mu.repeat_map(1)
 
 
+def test_slot_classes_are_each_strip_boxs_own_class_on_the_grid():
+    # Each strip box copies itself, so the one class of a slot's copies is
+    # its own box's; the degenerate strip reads T_r's classes.
+    for r, k, gm1, _ in _grid():
+        p = PrymParams(gm1 + 1, r, k)
+        for mu in cell_strips(p):
+            assert mu.slot_classes(p.k) == mu.shape.index.classes(p.k), (p, mu)
+
+
+@pytest.mark.parametrize("k", [1, -2, True, 2.0, None, 2, 5])
+def test_slot_classes_refuse_a_torsion_outside_the_strips_width(k):
+    # StripShape(4, 2, "EN") has width 2: torsion 3 or 4 only.
+    mu = StripShape(4, 2, "EN")
+    mu.slot_classes(3), mu.slot_classes(4)  # warm: no torsion is served another's table
+    with pytest.raises(InvalidInputError):
+        mu.slot_classes(k)
+
+
 def test_an_extension_that_breaks_displacement_is_an_invariant_failure():
     p = PrymParams(7, 3, 4)
     mu = StripShape(3, 2, "E")  # not the cached strip: its repeat map is broken below
