@@ -46,6 +46,7 @@ from .core import (
 )
 from .counting import (
     _hook_log10,
+    _log10_comb,
     _product_rule,
     applicable_routes,
     cardinality,
@@ -121,11 +122,6 @@ def _hook_printable(r: int, k: int, log10_factor: float = 0.0) -> None:
         bound = _hook_log10(r) + log10_factor
         if bound >= limit + HOOK_DIGIT_MARGIN:
             raise _too_long(int(bound) + 1, limit)
-
-
-def _log10_comb(m: int, n: int) -> float:
-    """log10 of ``binom(m, n)``, ``0 <= n <= m``, in floating point."""
-    return (math.lgamma(m + 1) - math.lgamma(n + 1) - math.lgamma(m - n + 1)) / math.log(10)
 
 
 def _report(
@@ -264,6 +260,10 @@ def _cmd_cells(args: argparse.Namespace) -> int:
 def _cmd_betti(args: argparse.Namespace) -> int:
     p, method = _params(args), args.method
     record: dict[str, Any] = {"g": p.g, "r": p.r, "k": p.k, "method": method}
+    if method in ("closed", "both") and p.r and pbn_dimension(p) == 1:
+        # The generic closed form, r * C(r, 0) * (binom(r + 1, 2) + 1) / 2 + 1,
+        # refused at once if far too long to print (at r = 0 it is 1).
+        _hook_printable(p.r, p.k, math.log10(p.r * (math.comb(p.r + 1, 2) + 1) / 2))
     if method in ("graph", "both"):
         record["graph"] = betti_number(build_intersection_graph(p, force=args.force))
     if method in ("closed", "both"):

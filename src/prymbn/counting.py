@@ -105,12 +105,19 @@ def hook_length_syt_count(partition: list[int] | tuple[int, ...]) -> int:
     if any(rows[i] < rows[i + 1] for i in range(len(rows) - 1)):
         raise InvalidInputError(f"not a partition: {rows}")
     n = sum(rows)
-    denom = 1
+    # The conjugate partition: cols[j] rows reach column j + 1, so the box
+    # (i, j) of row i has cols[j] - i - 1 boxes below it in its column.
+    cols = [0] * (rows[0] if rows else 0)
+    for length in rows:
+        for j in range(length):
+            cols[j] += 1
+    # How many boxes have each hook length, the longest being the corner's
+    # rows[0] + len(rows) - 1: one power per distinct hook in the product.
+    hooks = [0] * (len(cols) + len(rows))
     for i, length in enumerate(rows):
-        for j in range(1, length + 1):
-            arm = length - j
-            leg = sum(1 for other in rows[i + 1 :] if other >= j)
-            denom *= arm + leg + 1
+        for j in range(length):
+            hooks[(length - j) + (cols[j] - i) - 1] += 1
+    denom = prod(pow(h, c) for h, c in enumerate(hooks) if c)
     count, rem = divmod(factorial(n), denom)
     if rem:
         raise InvariantError("hook product does not divide n!")
@@ -127,6 +134,11 @@ def _hook_log10(r: int) -> float:
     digit up to r = 1000 and under 0.01 up to r = 10^6."""
     n = r * (r + 1) // 2
     return (lgamma(n + 1) - fsum((r - m) * log(2 * m + 1) for m in range(r))) / log(10)
+
+
+def _log10_comb(m: int, n: int) -> float:
+    """log10 of ``binom(m, n)``, ``0 <= n <= m``, in floating point."""
+    return (lgamma(m + 1) - lgamma(n + 1) - lgamma(m - n + 1)) / log(10)
 
 
 def _check_route(route: str, r: int, k: int) -> None:

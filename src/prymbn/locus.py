@@ -7,11 +7,25 @@ dropped pairs carrying different symbols: one rule, ``_dropped_adjacent``,
 which ``_pairs_adjacent`` and the circle graph's buckets read.
 Every pair of cells is joined by a constructive walk built from three edit
 operations (swap into a box, swap a symbol in for another, cycle a symbol
-out), checked once by ``_check_walk``.  One walk down the horizontal strip
-mu_0 serves every torsion; odd torsion first lowers the strip height to
-that of mu_0.  A one-dimensional locus is a union of circles meeting at
-points; this module builds that graph, computes its first Betti number,
-and exports it as DOT.
+out).  One walk down the horizontal strip mu_0 serves every torsion; odd
+torsion first lowers the strip height to that of mu_0.  Both descents end
+on the standard filling of mu_0 extended by its repeat map.
+
+The walk runs on value tuples over the slots of ``staircase_shape(r)``,
+through the one edit path the public operations also take after their
+input checks: ``_put``, ``_relabel`` and ``_cycle``.  Each check runs in
+one place.  Every state built passes the symbol rule for its incoming
+symbol, that symbol's absence and the cover scan of the tableau condition,
+in the edit that builds it.  The non-repeating rule
+(``strips._non_repeating``, read through mu's slot tables) runs at the end
+of each descent step, and each height step checks its pivots
+(``_check_descent``).  Only the states a walk returns are built as
+tableaux, and ``_check_walk`` checks each of them once.
+
+A one-dimensional locus is a union of circles meeting at points; this
+module builds that graph, computes its first Betti number, and exports it
+as DOT.  Cell enumeration refuses a generic type far past
+:data:`CELL_GUARD` on the hook bound, before C(r, k) is counted.
 """
 
 from __future__ import annotations
@@ -19,7 +33,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, log10
 from typing import Iterable, Iterator, Sequence
 
 from .core import (
@@ -28,6 +42,7 @@ from .core import (
     InvalidInputError,
     InvariantError,
     PrymParams,
+    ShapeIndex,
     Tableau,
     _canon,
     _cell_pairs,
@@ -40,20 +55,20 @@ from .core import (
     displacement_fault,
     dominates,
     generic_regime,
-    is_tableau,
     staircase_fault,
+    staircase_shape,
     symbol_fault,
 )
-from .counting import count_generic, max_cell_count
-from .dimension import expected_codim, minimal_witness, pbn_dimension
+from .counting import _hook_log10, _log10_comb, count_generic, max_cell_count
+from .dimension import expected_codim, pbn_dimension
 from .strips import (
     StripShape,
     _cell_symbols,
+    _non_repeating,
     _strip,
     _strip_extensions,
     _strip_of,
     horizontal_strip,
-    is_non_repeating,
 )
 
 __all__ = [
@@ -85,11 +100,6 @@ CELL_GUARD = 100_000
 # Edit operations
 
 
-def _require_absent(t: Tableau, a: int, op: str) -> None:
-    if a in t.symbols:
-        raise InvalidInputError(f"{op} needs symbol {a} absent from the tableau")
-
-
 def swap_into(t: Tableau, a: int, box: Box, *, strict: bool = True) -> Tableau:
     """Place ``a`` at ``box``; the previous symbol there disappears.
 
@@ -98,48 +108,18 @@ def swap_into(t: Tableau, a: int, box: Box, *, strict: bool = True) -> Tableau:
     read on the pairs through the box's slot.  In strict mode the replaced
     symbol must occur exactly once, so the distinct-symbol count is
     preserved.  Swapping the resident symbol into its own box is the
-    identity.
+    identity.  The edit is ``_put`` on the slot values.
     """
     idx = _shape_of(t).index
-    i = _slot(idx, box)
-    old = t.values[i]
-    if a == old:
-        return t
-    values = list(t.values)
-    values[i] = a
-    out = Tableau(t.shape, tuple(values))  # refuses a symbol that is no positive int
-    _require_absent(t, a, "swap_into")
-    for lo, hi in idx.violations(values):
-        if i == hi:
-            raise InvalidInputError(
-                f"symbol {a} does not exceed lower neighbor {idx.boxes[lo]} holding {values[lo]}"
-            )
-        if i == lo:
-            raise InvalidInputError(
-                f"symbol {a} is not exceeded by upper neighbor {idx.boxes[hi]} holding {values[hi]}"
-            )
-    if strict:
-        mult = len(t.fiber(old))
-        if mult != 1:
-            raise InvalidInputError(
-                f"replaced symbol {old} appears {mult} times; swap_into would"
-                " change the distinct-symbol count"
-            )
-    return out
+    values = _put(idx, t.values, _slot(idx, box), a, strict)
+    return t if values is t.values else Tableau(t.shape, values)
 
 
 def swap_in_for(t: Tableau, a: int, b: int) -> Tableau:
-    """Replace every box holding ``b`` with ``a`` (identity when ``b`` absent)."""
-    _shape_of(t)
-    if a == b or b not in t.symbols:
-        return t
-    _require_absent(t, a, "swap_in_for")
-    out = t.with_values({box: a for box in t.fiber(b)})
-    if not is_tableau(out):
-        raise InvalidInputError(
-            f"swapping {a} in for {b} violates the tableau condition"
-        )
-    return out
+    """Replace every box holding ``b`` with ``a`` (identity when ``b`` absent).
+    The edit is ``_relabel`` on the slot values."""
+    values = _relabel(_shape_of(t).index, t.values, a, b)
+    return t if values is t.values else Tableau(t.shape, values)
 
 
 def cycle_out_trace(t: Tableau, b: int, a: int) -> list[Tableau]:
@@ -148,34 +128,88 @@ def cycle_out_trace(t: Tableau, b: int, a: int) -> list[Tableau]:
     Every symbol from ``b`` toward ``a`` shifts by one in ``a``'s direction,
     one relabeling per state; consecutive states are adjacent.  Returns
     ``[t]`` unchanged when ``b`` is absent or equals ``a``.  A free symbol
-    ``a`` that breaks the symbol rule is refused first.
+    ``a`` that breaks the symbol rule is refused first.  The states are
+    ``_cycle``'s on the slot values.
     """
-    _shape_of(t)
-    if fault := _symbol_fault((a,)):
-        raise InvalidInputError(fault)
-    if a == b or b not in t.symbols:
-        return [t]
-    _require_absent(t, a, "cycle_out")
-    states = [t]
-    cur = t
-    if a > b:
-        for v in range(a - 1, b - 1, -1):
-            if v in cur.symbols:
-                cur = swap_in_for(cur, v + 1, v)
-                states.append(cur)
-    else:
-        for v in range(a + 1, b + 1):
-            if v in cur.symbols:
-                cur = swap_in_for(cur, v - 1, v)
-                states.append(cur)
-    if b in cur.symbols:
-        raise InvariantError(f"cycling out {b} using {a} left {b} in place")
-    return states
+    shape = _shape_of(t)
+    return [t, *(Tableau(shape, values) for values in _cycle(shape.index, t.values, b, a))]
 
 
 def cycle_out(t: Tableau, b: int, a: int) -> Tableau:
     """The tableau with ``b`` cycled out using the free symbol ``a``."""
     return cycle_out_trace(t, b, a)[-1]
+
+
+# The slot-level edits, with the checks the module docstring lists.  An
+# identity edit returns ``values`` itself, which the public operations
+# above read to hand back their input tableau.
+
+
+def _require_symbol(a: int) -> None:
+    if fault := _symbol_fault((a,)):
+        raise InvalidInputError(fault)
+
+
+def _require_absent(values: tuple[int, ...], a: int, op: str) -> None:
+    if a in values:
+        raise InvalidInputError(f"{op} needs symbol {a} absent from the tableau")
+
+
+def _put(
+    idx: ShapeIndex, values: tuple[int, ...], i: int, a: int, strict: bool
+) -> tuple[int, ...]:
+    """:func:`swap_into` on the slot values: ``values`` with ``a`` at slot ``i``."""
+    old = values[i]
+    if a == old:
+        return values
+    _require_symbol(a)
+    _require_absent(values, a, "swap_into")
+    out = (*values[:i], a, *values[i + 1 :])
+    for lo, hi in idx.violations(out):
+        if i == hi:
+            raise InvalidInputError(
+                f"symbol {a} does not exceed lower neighbor {idx.boxes[lo]} holding {out[lo]}"
+            )
+        if i == lo:
+            raise InvalidInputError(
+                f"symbol {a} is not exceeded by upper neighbor {idx.boxes[hi]} holding {out[hi]}"
+            )
+    if strict and (mult := values.count(old)) != 1:
+        raise InvalidInputError(
+            f"replaced symbol {old} appears {mult} times; swap_into would"
+            " change the distinct-symbol count"
+        )
+    return out
+
+
+def _relabel(idx: ShapeIndex, values: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    """:func:`swap_in_for` on the slot values: every ``b`` becomes ``a``."""
+    if a == b or b not in values:
+        return values
+    _require_absent(values, a, "swap_in_for")
+    _require_symbol(a)
+    out = tuple([a if v == b else v for v in values])
+    if next(idx.violations(out), None) is not None:
+        raise InvalidInputError(f"swapping {a} in for {b} violates the tableau condition")
+    return out
+
+
+def _cycle(idx: ShapeIndex, values: tuple[int, ...], b: int, a: int) -> list[tuple[int, ...]]:
+    """:func:`cycle_out_trace` on the slot values, less the first state: one
+    :func:`_relabel` per symbol shifted, from ``a``'s side toward ``b``."""
+    _require_symbol(a)
+    if a == b or b not in values:
+        return []
+    _require_absent(values, a, "cycle_out")
+    step = 1 if a > b else -1
+    states, cur = [], values
+    for v in range(a - step, b - step, -step):
+        if v in cur:
+            cur = _relabel(idx, cur, v + step, v)
+            states.append(cur)
+    if b in cur:
+        raise InvariantError(f"cycling out {b} using {a} left {b} in place")
+    return states
 
 
 # --------------------------------------------------------------------------
@@ -265,9 +299,10 @@ class HeightDescent:
     strip: StripShape
 
 
-def _smallest_free(t: Tableau, p: PrymParams) -> int:
+def _smallest_free(values: tuple[int, ...], p: PrymParams) -> int:
+    present = set(values)
     for v in range(1, p.g):
-        if v not in t.symbols:
+        if v not in present:
             return v
     raise InvariantError("no free symbol available; the locus must be positive-dimensional")
 
@@ -282,16 +317,22 @@ def height_descent_step(t: Tableau, p: PrymParams) -> HeightDescent:
     t = _canon(t, p)
     if (mu := _strip_of(t, p)) is None:
         raise InvalidInputError("tableau is not non-repeating in a unique strip")
-    step = _descent_step(t, mu, p)
-    _check_walk(step.path, p)
-    return step
+    states, v, u, s, nu = _descent_step(t.values, mu, p)
+    path = (t, *(Tableau(t.shape, x) for x in states[1:-1]), s)
+    _check_walk(path, p)
+    return HeightDescent(path, v, u, s, nu)
 
 
-def _descent_step(t: Tableau, mu: StripShape, p: PrymParams) -> HeightDescent:
-    """The step from ``t`` on ``staircase_shape(r)``, which its caller
-    checked to be non-repeating in ``mu``, less its walk check, which
-    :func:`connect_path` runs once.  The result's strip is checked here."""
+def _descent_step(
+    t: tuple[int, ...], mu: StripShape, p: PrymParams
+) -> tuple[list[tuple[int, ...]], Tableau, Tableau, Tableau, StripShape]:
+    """The step from the slot values ``t`` on ``staircase_shape(r)``, which
+    its caller checked to be non-repeating in ``mu``, less its walk check,
+    which :func:`connect_path` runs once: its states from ``t`` to ``s`` as
+    value tuples, the pivots ``v``, ``u`` and ``s`` as the tableaux
+    :func:`_check_descent` checked, and the lower strip."""
     l, r, g = p.l, p.r, p.g
+    idx = staircase_shape(r).index
     H = mu.height
     if H <= l:
         raise InvalidInputError("height is already minimal; nothing to descend")
@@ -301,118 +342,129 @@ def _descent_step(t: Tableau, mu: StripShape, p: PrymParams) -> HeightDescent:
     n = r - q
     psi = [(x + i, y) for i in range(n + 1)]
     omega_n0 = (x + n + l - 1, y - l)
-    gm2_box = (omega_n0[0], omega_n0[1] + 1)
-    gm1_box = (omega_n0[0] + 1, omega_n0[1])
+    gm2 = _slot(idx, (omega_n0[0], omega_n0[1] + 1))
+    gm1 = _slot(idx, (omega_n0[0] + 1, omega_n0[1]))
 
     # Cycle the largest symbol out first: cycling shifts every symbol
     # strictly between the free symbol and the removed one, so clearing
     # g-1 later would dislodge an already-seated g-2.
     states = [t]
-    cur = t
-    if g - 1 in cur.symbols:
-        trace = cycle_out_trace(cur, g - 1, _smallest_free(cur, p))
-        states.extend(trace[1:])
-        cur = states[-1]
-    if cur.at(gm2_box) != g - 2:
+    if g - 1 in t:
+        states.extend(_cycle(idx, t, g - 1, _smallest_free(t, p)))
+    if (displaced := states[-1][gm2]) != g - 2:
         # Park g-1 on the target box, then cycle it out via the symbol it
         # displaced: the final shift of that cycle turns the parked g-1
         # into g-2 in place.  Seating g-2 directly would first need it
         # cycled out, and when g-1 is the only free symbol that cycle
         # would re-introduce g-1.
-        displaced = cur.at(gm2_box)
-        cur = swap_into(cur, g - 1, gm2_box)
-        states.append(cur)
-        trace = cycle_out_trace(cur, g - 1, displaced)
-        states.extend(trace[1:])
-        cur = states[-1]
-        if cur.at(gm2_box) != g - 2:
+        states.append(_put(idx, states[-1], gm2, g - 1, True))
+        states.extend(_cycle(idx, states[-1], g - 1, displaced))
+        if states[-1][gm2] != g - 2:
             raise InvariantError("parking shift failed to leave g-2 on its box")
-    v = cur
+    v = states[-1]
+    u = _put(idx, v, gm1, g - 1, False)
 
-    u = swap_into(v, g - 1, gm1_box, strict=False)
-    if len(u.symbols) != len(v.symbols) + 1:
-        raise InvariantError("the pivot tableau must gain exactly one symbol")
-
-    idx = (q - 1) - l
-    if mu.word[idx] != "N" or any(c != "E" for c in mu.word[idx + 1 :]):
+    i = (q - 1) - l
+    if mu.word[i] != "N" or any(c != "E" for c in mu.word[i + 1 :]):
         raise InvariantError("strip word disagrees with the height row")
-    nu = _strip(r, l, mu.word[:idx] + "E" * (len(mu.word) - idx))
+    nu = _strip(r, l, mu.word[:i] + "E" * (len(mu.word) - i))
 
     # The row-H boxes psi leave the strip in nu: the strip slot each one
     # repeats takes its value, and s is the extension of that filling.
     lands = nu.repeat_map(1)
-    filling = list(map(u.at, nu.shape.index.boxes))
-    slot = u.shape.index.slot
+    filling = list(map(u.__getitem__, nu.stair_slots))
     for box in psi:
-        filling[lands[slot[box]]] = u.at(box)
-    s = Tableau(u.shape, tuple(map(filling.__getitem__, lands)))
-
-    if fault := displacement_fault(s, p.k):
-        raise InvariantError(f"descent result {fault}")
-    if not is_non_repeating(s, nu, p):
-        raise InvariantError("descent result is not non-repeating in the lower strip")
-    if len(s.symbols) != expected_codim(r, p.k):
-        raise InvariantError("descent result is not minimal")
-    if not (dominates(v, u, p) and dominates(s, u, p)):
-        raise InvariantError("the pivot tableau is not dominated by both endpoints")
+        filling[lands[idx.slot[box]]] = u[idx.slot[box]]
+    s = tuple(map(filling.__getitem__, lands))
     states.append(s)  # v, s is the path's last step
-    return HeightDescent(tuple(states), v, u, s, nu)
+    return (states, *_check_descent(v, u, s, nu, p), nu)
+
+
+def _check_descent(
+    v: tuple[int, ...], u: tuple[int, ...], s: tuple[int, ...], nu: StripShape, p: PrymParams
+) -> tuple[Tableau, Tableau, Tableau]:
+    """Check a descent step's pivots, given as slot values on
+    ``staircase_shape(r)``, and return them as tableaux: ``u`` holds one
+    symbol more than ``v``, ``s`` is a displacement tableau, non-repeating
+    in the lower strip ``nu`` and minimal, and ``v`` and ``s`` both
+    dominate ``u``.  A fault is an ``InvariantError``."""
+    if len(set(u)) != len(set(v)) + 1:
+        raise InvariantError("the pivot tableau must gain exactly one symbol")
+    shape = staircase_shape(p.r)
+    v_tab, u_tab, s_tab = Tableau(shape, v), Tableau(shape, u), Tableau(shape, s)
+    if fault := displacement_fault(s_tab, p.k):
+        raise InvariantError(f"descent result {fault}")
+    if not _non_repeating(nu, p, s):
+        raise InvariantError("descent result is not non-repeating in the lower strip")
+    if len(s_tab.symbols) != expected_codim(p.r, p.k):
+        raise InvariantError("descent result is not minimal")
+    if not (dominates(v_tab, u_tab, p) and dominates(s_tab, u_tab, p)):
+        raise InvariantError("the pivot tableau is not dominated by both endpoints")
+    return v_tab, u_tab, s_tab
 
 
 # --------------------------------------------------------------------------
 # Connectivity walks
 
 
-def _descend_strip(t: Tableau, mu0: StripShape, p: PrymParams) -> list[Tableau]:
-    """Walk a tableau non-repeating in mu_0 down to the standard extension.
+def _descend_strip(t: tuple[int, ...], mu0: StripShape, p: PrymParams) -> list[tuple[int, ...]]:
+    """Walk the slot values of a tableau non-repeating in mu_0 down to the
+    standard extension (:func:`_base`).
 
     This one walk serves every torsion: a degenerate mu_0 is all of T_r,
     and the walk then runs on injective tableaux.  The rank counts the
     strip boxes from the first one that does not hold its 1-based
-    canonical position to the last; every step must lower it.
+    canonical position to the last; every step must lower it, and ends on
+    a state non-repeating in mu_0.
     """
-    boxes = mu0.shape.index.boxes
+    idx = staircase_shape(p.r).index
+    slots = mu0.stair_slots
     states = [t]
-    cur = t
-    rank = len(boxes) + 1
+    rank = len(slots) + 1
     while True:
-        i = next(
-            (i for i, omega in enumerate(boxes) if cur.at(omega) != i + 1), len(boxes)
-        )
-        if not len(boxes) - i < rank:
+        cur = states[-1]
+        i = next((i for i, j in enumerate(slots) if cur[j] != i + 1), len(slots))
+        if not len(slots) - i < rank:
             raise InvariantError("walk failed to reduce the rank")
-        if i == len(boxes):
+        if i == len(slots):
             return states
-        rank, omega, a = len(boxes) - i, boxes[i], i + 1
+        rank, a = len(slots) - i, i + 1
         b = _smallest_free(cur, p)
         if b < a:
             raise InvariantError("free symbols must not precede the target symbol")
-        trace = cycle_out_trace(cur, a, b)
-        states.extend(trace[1:])
-        cur = states[-1]
-        cur = swap_in_for(cur, a, cur.at(omega))
+        states.extend(_cycle(idx, cur, a, b))
+        cur = _relabel(idx, states[-1], a, states[-1][slots[i]])
         states.append(cur)
-        if not is_non_repeating(cur, mu0, p):
+        if not _non_repeating(mu0, p, cur):
             raise InvariantError("walk left the non-repeating family")
 
 
-def _descend(t: Tableau, mu: StripShape, mu0: StripShape, p: PrymParams) -> list[Tableau]:
-    """Walk ``t``, non-repeating in ``mu``, down to the standard base
-    tableau: odd torsion first lowers the strip height to that of mu_0."""
+def _descend(
+    t: tuple[int, ...], mu: StripShape, mu0: StripShape, p: PrymParams
+) -> list[tuple[int, ...]]:
+    """Walk the slot values ``t``, non-repeating in ``mu``, down to the
+    standard base: odd torsion first lowers the strip height to that of
+    mu_0."""
     states = [t]
     if p.eps == 1 and not mu0.degenerate:
         # Each step checks that its result lies in a strip one row lower,
         # and the next step starts from that strip.
         while mu.height > p.l:
-            step = _descent_step(states[-1], mu, p)
-            states.extend(step.path[1:])
-            mu = step.strip
+            path, *_, mu = _descent_step(states[-1], mu, p)
+            states.extend(path[1:])
     states.extend(_descend_strip(states[-1], mu0, p)[1:])
     return states
 
 
-def _collapse(path: list[Tableau]) -> list[Tableau]:
-    out: list[Tableau] = []
+def _base(mu0: StripShape, p: PrymParams) -> tuple[int, ...]:
+    """The slot values where every descent ends: the standard filling
+    ``1..n`` of mu_0's slots extended by its repeat map, which is
+    ``minimal_witness(p)``."""
+    return tuple([j + 1 for j in mu0.repeat_map(p.eps)])
+
+
+def _collapse(path: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    out: list[tuple[int, ...]] = []
     for state in path:
         if out and out[-1] == state:
             continue
@@ -428,8 +480,16 @@ def connect_path(t: Tableau, s: Tableau, p: PrymParams) -> list[Tableau]:
 
     Both endpoints must be non-repeating tableaux of the same type and the
     locus must be at least one-dimensional.  The walk descends each
-    endpoint to the standard extension and joins the two descents; all
-    states are returned on the canonical staircase shape.
+    endpoint to the standard extension (:func:`_base`) and joins the two
+    descents; all states are returned on the canonical staircase shape.
+
+    The walk runs on the slot values of ``staircase_shape(r)``.  The cover
+    scan of the tableau condition runs on each state built, in the edit
+    that builds it, with the incoming symbol's symbol rule and absence;
+    the non-repeating rule (``strips._non_repeating``) runs at the end of
+    each descent step, and each height step checks its pivots
+    (:func:`_check_descent`).  Only the states returned are built as
+    tableaux, and :func:`_check_walk` checks each of them once.
     """
     dim = pbn_dimension(p)
     if dim is None or dim < 1:
@@ -447,17 +507,18 @@ def connect_path(t: Tableau, s: Tableau, p: PrymParams) -> list[Tableau]:
     if t == s:
         return [t]
     mu0 = horizontal_strip(p.r, p.k)
-    down_t = _descend(t, strips[0], mu0, p)
-    down_s = _descend(s, strips[1], mu0, p)
-    base = minimal_witness(p)
+    down_t = _descend(t.values, strips[0], mu0, p)
+    down_s = _descend(s.values, strips[1], mu0, p)
+    base = _base(mu0, p)
     if down_t[-1] != base or down_s[-1] != base:
         raise InvariantError("descents missed the standard base tableau")
     path = _collapse(down_t + down_s[-2::-1])
-    if path[0] != t or path[-1] != s:
+    if path[0] != t.values or path[-1] != s.values:
         raise InvariantError("walk endpoints drifted")
+    walk = [t, *(Tableau(t.shape, values) for values in path[1:-1]), s]
     # Collapsing keeps only descent steps, and adjacency is symmetric.
-    _check_walk(path, p)
-    return path
+    _check_walk(walk, p)
+    return walk
 
 
 # --------------------------------------------------------------------------
@@ -506,6 +567,8 @@ def _maximal_cells(
     ``strips._strip_extensions``: the one path to the cells, whose guard
     runs before the first and whose count check after the last."""
     symbols = None if symbols is None else _cell_symbols(p, symbols)  # read once
+    if not force:
+        _refuse_far_past_the_guard(p, symbols)
     total = max_cell_count(p, symbols, force=force)
     if total > CELL_GUARD and not force:
         raise GuardRefused(
@@ -519,6 +582,26 @@ def _maximal_cells(
     if made != total:
         raise InvariantError(
             f"enumerated {made} cells but the closed form gives {total}"
+        )
+
+
+def _refuse_far_past_the_guard(p: PrymParams, symbols: tuple[int, ...] | None) -> None:
+    """Refuse, before C(r, k) is counted, a generic type whose cells pass
+    :data:`CELL_GUARD` by more than a digit on the hook bound: log10 of
+    C(r, 0) from the hook lengths (``counting._hook_log10``) plus log10 of
+    the binomial of :func:`~prymbn.counting.max_cell_count`.  The bound's
+    float error is far below a digit; a count inside that digit is made
+    exactly and checked against the guard."""
+    if not generic_regime(_check_params(p).r, p.k):
+        return
+    m, n = p.g - 1 if symbols is None else len(symbols), expected_codim(p.r, p.k)
+    if m < n:  # no cells, or an empty locus for max_cell_count to refuse
+        return
+    bound = _hook_log10(p.r) + _log10_comb(m, n)
+    if bound > log10(CELL_GUARD) + 1:
+        raise GuardRefused(
+            f"about 10^{int(bound)} maximal cells exceed the desk-scale limit of"
+            f" {CELL_GUARD}; pass force=True to enumerate anyway"
         )
 
 

@@ -286,6 +286,14 @@ def restrict_to_staircase(s: Tableau, p: PrymParams) -> Tableau:
     square's first ``r(r+1)/2`` slots."""
     if not is_reflective(s, p):
         raise InvalidInputError("restrict_to_staircase needs a reflective tableau")
+    return _staircase_part(s, p)
+
+
+def _staircase_part(s: Tableau, p: PrymParams) -> Tableau:
+    """:func:`restrict_to_staircase` of a tableau already known to be
+    reflective of type ``p``, on ``square_shape(r)``: the slot copy and its
+    check that every symbol stays below ``g``.  The reflect pipeline reads
+    it on :func:`reflectify`'s result, whose reflectivity the sweep checked."""
     shape = staircase_shape(p.r)
     out = Tableau(shape, s.values[: len(shape)])
     if any(v > p.g - 1 for v in out.values):

@@ -50,11 +50,7 @@ from .locus import (
     enumerate_maximal_cells,
     height_descent_step,
 )
-from .reflection import (
-    reflectify,
-    reflectify_trace,
-    restrict_to_staircase,
-)
+from .reflection import _staircase_part, reflectify, reflectify_trace
 from .strips import dominating_non_repeating, enumerate_strip_tableaux, extend_strip_tableau
 
 __all__ = ["ROWS", "Row", "RowResult", "RunContext", "format_row", "run_rows"]
@@ -563,7 +559,7 @@ def _row_prym_squares(ctx: RunContext) -> str:
                 continue
             t = Tableau(shape, values)
             refl = reflectify(t, p)
-            stair = restrict_to_staircase(refl, p)
+            stair = _staircase_part(refl, p)  # the sweep checked refl is reflective
             _, dom = dominating_non_repeating(stair, p)
             assert codimension(dom, p) == n, (
                 f"{p}: codimension {codimension(dom, p)} != {n} from {t.rows()}"

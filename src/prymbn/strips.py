@@ -28,20 +28,25 @@ filling.  The paper's claim that every extension is a displacement
 tableau is checked once per strip and parity, for every filling at once,
 by :meth:`StripShape.slot_classes`, which also gives each cell's (class,
 symbol) pairs.  The repeat map also tests a given tableau for the
-repeat condition (:func:`is_non_repeating`) and spreads strip values over
-``T_r`` in the even-torsion maxima of :func:`dominating_non_repeating` and
-the descent result of ``locus.height_descent_step``.  The order pairs are
-the only source of the gluing pairs: one scan of them checks a strip
-filling, and they order the strip search and the brute count.  The search's
-one prune, :meth:`StripShape.up_set_sizes`, and the extension proof read
-their transitive closure.
+repeat condition: ``_non_repeating`` is the one rule, on slot values read
+through the strip's slot tables (:attr:`StripShape.stair_slots`, the order
+pairs and the repeat map), behind the input checks of
+:func:`is_non_repeating` and at the end of each descent step of the
+connectivity walks in ``locus``.  The repeat map also spreads strip
+values over ``T_r`` in the even-torsion maxima of
+:func:`dominating_non_repeating` and the descent result of
+``locus.height_descent_step``.  The order pairs are the only source of
+the gluing pairs: one scan of them checks a strip filling, and they order
+the strip search and the brute count.  The search's one prune,
+:meth:`StripShape.up_set_sizes`, and the extension proof read their
+transitive closure.
 ``_glued_strip`` alone picks a tableau's strip; :func:`is_non_repeating` checks it.
 
 The strips the module hands out come from one bounded cache keyed by
 ``(r, l, word)`` (:data:`STRIP_CACHE` strips), so a strip's shape, index,
-order pairs, repeat maps and slot classes are built once while it stays
-cached: :func:`enumerate_strips`, :func:`horizontal_strip`, the strip
-``_glued_strip`` picks and ``locus.height_descent_step`` read it.
+staircase slots, order pairs, repeat maps and slot classes are built once
+while it stays cached: :func:`enumerate_strips`, :func:`horizontal_strip`,
+the strip ``_glued_strip`` picks and ``locus.height_descent_step`` read it.
 Only the brute count at odd torsion builds strips outside it: the all-E
 and all-N strips, whose order pairs it splits by move letter.
 """
@@ -183,6 +188,14 @@ class StripShape:
         return Shape(
             "explicit", frozenset(b for n in range(1, self.r + 1) for b in self.window(n))
         )
+
+    @_cached
+    def stair_slots(self) -> tuple[int, ...]:
+        """For each slot of ``self.shape.index``, the slot of its box in
+        ``staircase_shape(r).index``: a tableau's strip values are its slot
+        values read through this table."""
+        slot = staircase_shape(self.r).index.slot
+        return tuple([slot[b] for b in self.shape.index.boxes])
 
     @_cached
     def _repeat_maps(self) -> dict[int, tuple[int, ...]]:
@@ -433,13 +446,30 @@ def is_non_repeating(t: Tableau, mu: StripShape, p: PrymParams) -> bool:
     to it must already satisfy the tableau and displacement conditions;
     violations there are input errors, not a False result.  Degenerate
     strips (all of ``T_r``) make every condition vacuous.
+
+    The input checks are the tableau's shape and symbols and the strip's
+    fit.  The rule itself is ``_non_repeating`` on the slot values: the
+    connectivity walks of ``locus`` run it at the end of each descent step
+    on the value tuples they build, after the cover scan each edit ran on
+    each state built, and ``locus._check_walk`` checks each state a walk
+    returns.
     """
     if fault := staircase_fault(t, p):
         raise InvalidInputError(f"is_non_repeating: tableau {fault}")
     if fault := _strip_fault(_expect(mu, StripShape), p):
         raise InvalidInputError(f"is_non_repeating: {fault}")
+    return _non_repeating(mu, p, t.values)
+
+
+def _non_repeating(mu: StripShape, p: PrymParams, values: tuple[int, ...]) -> bool:
+    """The non-repeating rule on the slot values of a tableau on ``T_r`` and
+    a strip ``mu`` of type ``p``, read through the strip's slot tables: the
+    strip values (:attr:`StripShape.stair_slots`) increase along every
+    order pair, and each box holds the strip value its repeat chase lands
+    on (:meth:`StripShape.repeat_map`).  A restriction failing a cover or
+    displacement is an input error, as :func:`is_non_repeating` states."""
     idx = mu.shape.index
-    sub = tuple(map(t.at, idx.boxes))
+    sub = tuple(map(values.__getitem__, mu.stair_slots))
     i = _order_failure(mu, p.eps, sub)
     if i < -len(mu.word):
         lo, hi = mu.order_pairs(p.eps)[i]
@@ -456,7 +486,7 @@ def is_non_repeating(t: Tableau, mu: StripShape, p: PrymParams) -> bool:
     if mu.degenerate:
         return True
     # Each box must carry the strip value its repeat chase lands on.
-    return i == 0 and t.values == tuple(map(sub.__getitem__, mu.repeat_map(p.eps)))
+    return i == 0 and values == tuple(map(sub.__getitem__, mu.repeat_map(p.eps)))
 
 
 def _cell_strip_fault(mu: StripShape, p: PrymParams, shape: Shape) -> str | None:

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import prymbn
 
-from prymbn import cli, counting
+from prymbn import cli, counting, locus
 from prymbn.cli import CENSUS_COLUMNS, _census_row, main
 from prymbn.core import GuardRefused, PrymParams
 from prymbn.dimension import minimal_witness
@@ -709,6 +709,32 @@ def test_a_hook_count_far_too_long_to_print_is_refused_before_the_product(
                    " limit on printing integers\n")
     assert got == digits if digits else got > 10**6
     assert list(tmp_path.iterdir()) == []
+
+
+class CountGeneric(Exception):
+    """Raised by a spy in place of the hook route's count C(r, 0)."""
+
+
+# The cell-enumerating verbs and the closed Betti form counted C(r, 0) by the
+# hook route before any guard, so these ran past 10 s.  The cell guard reads
+# the hook bound and the closed form the digit bound before the count.
+@pytest.mark.parametrize("argv", [
+    ("graph", "--g", "2001002", "--r", "2000", "--k", "0"),
+    ("betti", "--g", "2001002", "--r", "2000", "--k", "0", "--method", "closed"),
+    ("betti", "--g", "2001002", "--r", "2000", "--k", "0", "--method", "both"),
+    ("cells", "--g", "2001002", "--r", "2000", "--k", "0"),
+], ids=["graph", "betti-closed", "betti-both", "cells"])
+def test_a_huge_generic_type_is_refused_before_the_hook_count(capsys, monkeypatch, argv):
+    def count(r):
+        raise CountGeneric
+
+    monkeypatch.setattr(counting, "count_generic", count)
+    monkeypatch.setattr(locus, "count_generic", count)
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (3, "")
+    assert err.startswith("refused: ")
 
 
 @pytest.mark.parametrize("r", [1, 2, 5, 30, 76, 90])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -66,6 +67,39 @@ def test_hook_length_matches_linear_extension_count(rows):
             if nb in index:
                 succ[i] |= 1 << index[nb]
     assert hook_length_syt_count(partition) == count_linext(succ)
+
+
+def row_scan_syt_count(rows) -> int:
+    """The hook-length count with each leg found by scanning the lower rows,
+    as the count was first written: the oracle of the conjugate read."""
+    denom = 1
+    for i, length in enumerate(rows):
+        for j in range(1, length + 1):
+            leg = sum(1 for other in rows[i + 1:] if other >= j)
+            denom *= length - j + leg + 1
+    return math.factorial(sum(rows)) // denom
+
+
+def partitions(n: int, most: int | None = None):
+    """The partitions of ``n`` into parts of at most ``most``, largest part first."""
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, most or n), 0, -1):
+        for rest in partitions(n - first, first):
+            yield (first, *rest)
+
+
+def test_hook_lengths_from_the_conjugate_match_the_row_scan():
+    checked = 0
+    for n in range(13):
+        for rows in partitions(n):
+            assert hook_length_syt_count(rows) == row_scan_syt_count(rows), rows
+            checked += 1
+    assert checked == 272  # p(0) + ... + p(12)
+    for r in range(1, 41):
+        rows = tuple(range(r, 0, -1))
+        assert hook_length_syt_count(rows) == row_scan_syt_count(rows), r
 
 
 def test_count_generic_matches_staircase_hooks():

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+import time
 from collections import defaultdict
 from dataclasses import fields
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -55,7 +57,7 @@ from prymbn.strips import (
     strips_admitting,
 )
 
-from helpers import stair
+from helpers import random_cell_tableau, ref_connect_path, ref_descent_step, stair
 
 def first_miss(t):
     """The first slot not holding its 1-based canonical position, or the
@@ -375,6 +377,153 @@ def test_height_step_golden_matches_the_hand_written_chain():
 
 
 # --------------------------------------------------------------------------
+# The slot-level walk against the public-operation reference
+
+
+def test_walks_match_the_public_operation_reference_on_the_grid():
+    rng = random.Random(3434)
+    types = walks = 0
+    for r, k, gm1, _ in _grid():
+        p = PrymParams(gm1 + 1, r, k)
+        if (pbn_dimension(p) or 0) < 1:
+            continue
+        types += 1
+        for _ in range(20):
+            a, b = random_cell_tableau(p, rng), random_cell_tableau(p, rng)
+            assert connect_path(a, b, p) == ref_connect_path(a, b, p), (p, a.rows(), b.rows())
+            walks += 1
+    assert (types, walks) == (40, 800)
+
+
+def test_the_golden_descent_matches_the_public_operation_reference():
+    p = PrymParams(23, 8, 5)
+    t, w = stair([list(row) for row in DESCENT_START]), minimal_witness(p)
+    for a, b in ((t, w), (w, t)):
+        path = connect_path(a, b, p)
+        assert path == ref_connect_path(a, b, p) and len(path) > 2
+    step = height_descent_step(t, p)
+    states, v, u, s, nu = ref_descent_step(t, locus._strip_of(t, p), p)
+    assert (step.path, step.v, step.u, step.s, step.strip) == (tuple(states), v, u, s, nu)
+
+
+def test_the_walk_base_is_the_minimal_witness_on_the_grid():
+    for r, k, gm1, _ in _grid():
+        p = PrymParams(gm1 + 1, r, k)
+        assert locus._base(strips.horizontal_strip(r, k), p) == minimal_witness(p).values, p
+
+
+# Each check of the walk fires on a state a broken edit or a corrupted
+# pivot hands it.
+
+EVEN = PrymParams(7, 3, 4)
+
+
+def _off_standard(p):
+    """The walk base with its largest symbol n raised to n + 1: the first
+    miss is the last strip slot, and n is free."""
+    n = expected_codim(p.r, p.k)
+    return tuple(v + (v == n) for v in locus._base(strips.horizontal_strip(p.r, p.k), p))
+
+
+def _mu0(p):
+    return strips.horizontal_strip(p.r, p.k)
+
+
+def test_a_walk_step_that_keeps_the_rank_fails(monkeypatch):
+    monkeypatch.setattr(locus, "_relabel", lambda idx, values, a, b: values)
+    with pytest.raises(InvariantError, match="failed to reduce the rank"):
+        locus._descend_strip(_off_standard(EVEN), _mu0(EVEN), EVEN)
+
+
+def test_a_free_symbol_below_the_target_fails(monkeypatch):
+    monkeypatch.setattr(locus, "_smallest_free", lambda values, p: 1)
+    with pytest.raises(InvariantError, match="free symbols must not precede"):
+        locus._descend_strip(_off_standard(EVEN), _mu0(EVEN), EVEN)
+
+
+def test_a_cycle_that_leaves_its_symbol_fails(monkeypatch):
+    monkeypatch.setattr(locus, "_relabel", lambda idx, values, a, b: values)
+    t = stair([[4], [3, 7], [2, 6, 9], [1, 5, 8, 10]])
+    with pytest.raises(InvariantError, match="cycling out 3 using 11 left 3 in place"):
+        cycle_out_trace(t, 3, 11)
+
+
+def test_a_walk_state_off_the_non_repeating_family_fails(monkeypatch):
+    # Corrupt the one box of T_3 off mu_0 after each swap: the strip values
+    # are intact, so the rule answers False rather than refusing them.
+    (off,) = set(range(6)) - set(_mu0(EVEN).stair_slots)
+    relabel = locus._relabel
+
+    def corrupt(idx, values, a, b):
+        out = list(relabel(idx, values, a, b))
+        out[off] += 1
+        return tuple(out)
+
+    monkeypatch.setattr(locus, "_relabel", corrupt)
+    with pytest.raises(InvariantError, match="left the non-repeating family"):
+        locus._descend_strip(_off_standard(EVEN), _mu0(EVEN), EVEN)
+
+
+def test_a_parking_shift_that_misses_fails(monkeypatch):
+    # g-1 = 6 is free and (2, 2) holds 4, not g-2 = 5: the step parks 6
+    # there, and a cycle that moves nothing leaves 6 in place.
+    p = PrymParams(7, 3, 3)
+    t = stair([[5], [3, 4], [1, 2, 3]])
+    monkeypatch.setattr(locus, "_cycle", lambda idx, values, b, a: [])
+    with pytest.raises(InvariantError, match="parking shift failed"):
+        locus._descent_step(t.values, locus._strip_of(t, p), p)
+
+
+def test_a_strip_word_off_the_height_row_fails():
+    p = PrymParams(23, 8, 5)
+    t = stair([list(row) for row in DESCENT_START])
+    mu = locus._strip_of(t, p)
+    stand_in = SimpleNamespace(height=mu.height, boxes=mu.boxes, word=mu.word.replace("N", "E"))
+    with pytest.raises(InvariantError, match="strip word disagrees"):
+        locus._descent_step(t.values, stand_in, p)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda v, u, s, mu, nu: (v, v, s, nu), "must gain exactly one symbol"),
+    (lambda v, u, s, mu, nu: (v, u, (s[1], s[0], *s[2:]), nu),
+     "descent result violates the tableau condition"),
+    (lambda v, u, s, mu, nu: (v, u, s, mu), "not non-repeating in the lower strip"),
+    (lambda v, u, s, mu, nu: (v, (*v[:3], 22, *v[4:]), s, nu), "not dominated by both"),
+], ids=["pivot", "displacement", "strip", "dominance"])
+def test_each_descent_pivot_check_fails_on_a_corrupted_pivot(corrupt, message):
+    p = PrymParams(23, 8, 5)
+    t = stair([list(row) for row in DESCENT_START])
+    mu = locus._strip_of(t, p)
+    _, v, u, s, nu = locus._descent_step(t.values, mu, p)
+    assert locus._check_descent(v.values, u.values, s.values, nu, p) == (v, u, s)
+    with pytest.raises(InvariantError, match=message):
+        locus._check_descent(*corrupt(v.values, u.values, s.values, mu, nu), p)
+
+
+def test_a_descent_result_off_the_codimension_fails(monkeypatch):
+    # A non-repeating displacement tableau with an injective strip filling
+    # has n symbols, so the minimality check fires only on a wrong n.
+    p = PrymParams(23, 8, 5)
+    t = stair([list(row) for row in DESCENT_START])
+    _, v, u, s, nu = locus._descent_step(t.values, locus._strip_of(t, p), p)
+    monkeypatch.setattr(locus, "expected_codim", lambda r, k: 22)
+    with pytest.raises(InvariantError, match="not minimal"):
+        locus._check_descent(v.values, u.values, s.values, nu, p)
+
+
+@pytest.mark.parametrize("patch, message", [
+    ("_base", "descents missed the standard base"),
+    ("_collapse", "walk endpoints drifted"),
+])
+def test_a_walk_off_its_base_or_endpoints_fails(monkeypatch, patch, message):
+    broken = {"_base": lambda mu0, p: (), "_collapse": lambda path: path[1:]}[patch]
+    monkeypatch.setattr(locus, patch, broken)
+    cells = enumerate_maximal_cells(EVEN)
+    with pytest.raises(InvariantError, match=message):
+        connect_path(cells[-1].tableau, cells[3].tableau, EVEN)
+
+
+# --------------------------------------------------------------------------
 # Degenerate torsion: the strip walk against the injective descent
 
 
@@ -553,9 +702,11 @@ def test_a_maximal_cell_derives_its_free_symbols_from_its_tableau():
 
 
 def test_enumerating_cells_scans_each_strip_filling_once(monkeypatch):
-    calls = {"_order_failure": 0, "is_non_repeating": 0}
+    # The non-repeating rule is strips._non_repeating, which locus imports
+    # for the walks, behind the public is_non_repeating.
+    calls = {"_order_failure": 0, "is_non_repeating": 0, "_non_repeating": 0}
     for module, name in ((strips, "_order_failure"), (strips, "is_non_repeating"),
-                         (locus, "is_non_repeating")):
+                         (strips, "_non_repeating"), (locus, "_non_repeating")):
         real = getattr(module, name)
 
         def spy(*args, name=name, real=real):
@@ -564,7 +715,7 @@ def test_enumerating_cells_scans_each_strip_filling_once(monkeypatch):
 
         monkeypatch.setattr(module, name, spy)
     assert len(enumerate_maximal_cells(PrymParams(7, 3, 4))) == 24
-    assert calls == {"_order_failure": 24, "is_non_repeating": 0}
+    assert calls == {"_order_failure": 24, "is_non_repeating": 0, "_non_repeating": 0}
 
 
 def test_cells_are_the_extended_strip_tableaux_on_the_grid():
@@ -679,6 +830,31 @@ def test_enumerate_maximal_cells_guard():
     p = PrymParams(17, 5, 0)  # 292864 tableaux, one free-symbol choice each
     with pytest.raises(GuardRefused, match="desk-scale"):
         enumerate_maximal_cells(p)
+
+
+@pytest.mark.parametrize("g, r, k, symbols", [
+    (2001002, 2000, 0, None),
+    (2001002, 2000, 3999, None),
+    (60, 10, 0, range(1, 57)),
+])
+def test_the_cell_guard_reads_the_hook_bound_before_the_count(monkeypatch, g, r, k, symbols):
+    def count(*args):
+        raise AssertionError("the hook route was called")
+
+    monkeypatch.setattr(counting, "count_generic", count)
+    start = time.perf_counter()
+    with pytest.raises(GuardRefused, match="desk-scale"):
+        enumerate_maximal_cells(PrymParams(g, r, k), symbols)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_the_hook_bound_refuses_no_type_inside_the_cell_guard():
+    # C(5, 0) = 292864 cells at g - 1 = n lie past the guard by under one
+    # digit, so the exact count refuses them; the C(4, 0) = 768 cells of
+    # (11, 4, 0) lie inside it and are enumerated.
+    with pytest.raises(GuardRefused, match="292864 maximal cells"):
+        enumerate_maximal_cells(PrymParams(16, 5, 0))
+    assert len(enumerate_maximal_cells(PrymParams(11, 4, 0))) == 768
 
 
 # --------------------------------------------------------------------------
